@@ -6,7 +6,8 @@ linalg : dense symmetric linear algebra (Cholesky, eigen, PSD and
     Loewner-order tests) on bit-exactly symmetric arrays
 structures : the structured matrices A, Q, Q^-1, E, V1 with closed-form
     spectra, plus the fast orthonormal sine transform
-kl : exact Gaussian Kullback-Leibler divergence and its Frobenius bounds
+kl : Gaussian laws, validated and factored once, with the exact
+    Kullback-Leibler divergence between them and its Frobenius bounds
 profiles : squared-volatility profiles with exact weighted integrals
 models : exact raw and differenced covariances of the observation models
 hypotheses : bump kernels, Hoelder checks, binary codes, hypothesis
@@ -39,12 +40,11 @@ from .hypotheses import (
     vg_code,
 )
 from .kl import (
-    KLReport,
+    GaussianLaw,
     find_loewner_constant,
     kl_bound,
     kl_bound_symmetrized,
     kl_exact,
-    kl_report,
 )
 from .linalg import (
     EigenResult,
@@ -76,7 +76,6 @@ from .profiles import CallableProfile, ConstantProfile, PiecewiseConstantProfile
 from .structures import (
     eig_lower_bound,
     eigvals_closed,
-    eigvecs_closed,
     matrix_a,
     matrix_q,
     matrix_q_inv,

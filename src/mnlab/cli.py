@@ -92,12 +92,6 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(value, like):
-    if like is bool:
-        return str(value).lower() in ("1", "true", "yes", "on")
-    return like(value)
-
-
 _DEFAULTS = {
     "n": 256,
     "alpha": 1.0,
@@ -125,6 +119,14 @@ _DEFAULTS = {
     "width": 0.125,
 }
 
+# the allowed values of the flags that take a choice, for the parser and
+# for config files alike
+_CHOICES = {
+    "model": ("m1", "m2", "m3", "mq"),
+    "estimator": montecarlo.ESTIMATORS,
+    "format": ("json", "csv"),
+}
+
 _TYPES = {
     "n": int, "alpha": float, "L": float, "tau": float, "c": float,
     "kappa": float, "q": float, "seed": int, "reps": int, "trials": int,
@@ -133,6 +135,16 @@ _TYPES = {
     "sigma_max": float, "sigma_sq": float, "ns": _int_list,
     "alphas": _float_list, "qs": _float_list, "tol": float, "width": float,
 }
+
+
+def _from_file(key: str, text: str):
+    """Parse a config-file value as its flag would be parsed."""
+    value = _TYPES[key](text)
+    choices = _CHOICES.get(key)
+    if choices is not None and value not in choices:
+        raise ValueError(f"config value {key} = {value!r} is not one of "
+                         f"{', '.join(choices)}")
+    return value
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -145,7 +157,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         if flag_val is not None:
             cfg[key] = flag_val
         elif key in file_values:
-            cfg[key] = _coerce(file_values[key], _TYPES[key])
+            cfg[key] = _from_file(key, file_values[key])
         elif key == "seed":
             env = os.environ.get("MNLAB_SEED")
             cfg[key] = int(env) if env else 0
@@ -305,9 +317,10 @@ def _verify_kl(cfg):
         n = int(rng.integers(1, 51))
         s0 = linalg.sym(_random_psd(rng, n) + 0.05 * np.eye(n))
         s1 = linalg.sym(s0 + 0.5 * _random_psd(rng, n))
-        c = kl_mod.find_loewner_constant(s0, s1)
-        exact = kl_mod.kl_exact(s0, s1)
-        bound = kl_mod.kl_bound(s0, s1, c)
+        law0, law1 = kl_mod.GaussianLaw(s0), kl_mod.GaussianLaw(s1)
+        c = kl_mod.find_loewner_constant(law0, law1)
+        exact = kl_mod.kl_exact(law0, law1)
+        bound = kl_mod.kl_bound(law0, law1, c)
         worst_bound = max(worst_bound, exact - bound.value)
         worst_chain = max(worst_chain, bound.middle - bound.value)
     checks.append(_check("frobenius_bound_dominates_exact_kl", 50,
@@ -322,8 +335,9 @@ def _verify_kl(cfg):
         n = int(rng.integers(1, 21))
         s0 = linalg.sym(_random_psd(rng, n) + 0.05 * np.eye(n))
         s1 = linalg.sym(_random_psd(rng, n) + 0.05 * np.eye(n))
-        worst = max(worst, kl_mod.kl_exact(s0, s1)
-                    - kl_mod.kl_bound_symmetrized(s0, s1))
+        law0, law1 = kl_mod.GaussianLaw(s0), kl_mod.GaussianLaw(s1)
+        worst = max(worst, kl_mod.kl_exact(law0, law1)
+                    - kl_mod.kl_bound_symmetrized(law0, law1))
     checks.append(_check("symmetrized_bound_dominates_exact_kl", 20,
                          {"trials": 500}, max(worst, 0.0), worst <= tol))
 
@@ -420,10 +434,12 @@ def _verify_model3_structure(cfg):
     outside[:3, :3] = 0.0
     outside[n - 1, n - 1] = 0.0
     flat = int(np.argmax(np.abs(outside)))
+    # null when nothing outside the support is nonzero
+    worst_entry = [flat // n, flat % n] if outside.flat[flat] != 0.0 else None
     support = max(float(np.max(np.abs(outside))), abs(v2[n - 1, n - 1] - 1.0))
     v2_12 = abs(v2[0, 1] - (3.0 - 2.0 * math.sqrt(2.0)))
     checks.append(_check("noise_residual_boundary_support", n,
-                         {"worst_entry": [flat // n, flat % n],
+                         {"worst_entry": worst_entry,
                           "bottom_corner_value": float(v2[n - 1, n - 1])},
                          support, support <= 1e-12))
     checks.append(_check("noise_residual_corner_value", n,
@@ -581,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--model", choices=("m1", "m2", "m3", "mq"))
+        p.add_argument("--model", choices=_CHOICES["model"])
         p.add_argument("--q", type=float)
         p.add_argument("--n", type=int)
         p.add_argument("--alpha", type=float)
@@ -600,11 +616,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma-min", type=float, dest="sigma_min")
         p.add_argument("--sigma-max", type=float, dest="sigma_max")
         p.add_argument("--sigma-sq", type=float, dest="sigma_sq")
-        p.add_argument("--estimator", choices=montecarlo.ESTIMATORS)
+        p.add_argument("--estimator", choices=_CHOICES["estimator"])
         p.add_argument("--width", type=float)
         p.add_argument("--tol", type=float)
         p.add_argument("--out")
-        p.add_argument("--format", choices=("json", "csv"))
+        p.add_argument("--format", choices=_CHOICES["format"])
         p.add_argument("--workers", type=int)
         p.add_argument("--config")
     return parser

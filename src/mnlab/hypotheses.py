@@ -36,7 +36,7 @@ from .errors import (
     TooFewBumps,
     UnsupportedAlpha,
 )
-from .profiles import VolatilityProfile
+from .profiles import VolatilityProfile, _shifted_poly_antiderivative
 
 __all__ = [
     "BumpKernel",
@@ -311,8 +311,8 @@ class BumpSumProfile(VolatilityProfile):
     def poly_integral(self, a, b, shift, coeffs):
         if b <= a:
             return 0.0
-        base = _shifted_poly_piece(coeffs, shift, a, b)
-        total = base
+        total = (_shifted_poly_antiderivative(coeffs, shift, b)
+                 - _shifted_poly_antiderivative(coeffs, shift, a))
         for c, w in zip(self.centers, self.weights):
             if w == 0.0:
                 continue
@@ -343,16 +343,6 @@ class BumpSumProfile(VolatilityProfile):
         }
         d.update(self._meta)
         return d
-
-
-def _shifted_poly_piece(coeffs, shift, a, b):
-    hi = 0.0
-    lo = 0.0
-    for r, c in enumerate(coeffs):
-        if c != 0.0:
-            hi += c * (b - shift) ** (r + 1) / (r + 1)
-            lo += c * (a - shift) ** (r + 1) / (r + 1)
-    return hi - lo
 
 
 def single_bump_profile(alpha: float, l_const: float, width: float,

@@ -16,6 +16,12 @@ conditions tractable.  Without the Loewner hypothesis a symmetrised
 variant still dominates; that variant is verified empirically by the test
 suite rather than certified.
 
+Each law is a :class:`GaussianLaw`: its covariance is validated and
+Cholesky-factored once, when the law is built, and every comparison reads
+the cached factor and log-determinant.  The comparison functions accept
+laws or plain covariance arrays; arrays are turned into laws on entry, so
+comparing one null law against many alternatives factors the null once.
+
 All KL quantities are in nats.  Binary logarithms appear only in codeword
 counting (see :mod:`mnlab.certificate`).  Products with ``sigma0^-1`` are
 always formed via triangular solves against the Cholesky factor, never via
@@ -25,7 +31,6 @@ order n^3 / tau^2 and explicit inverses would ruin the bound comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,22 +40,41 @@ from .errors import DimensionMismatch, InvalidC
 from .linalg import check_symmetric, cholesky_lower
 
 __all__ = [
+    "GaussianLaw",
     "kl_exact",
     "KLBound",
     "kl_bound",
     "kl_bound_symmetrized",
     "find_loewner_constant",
-    "KLReport",
-    "kl_report",
 ]
 
 
-def _pair(sigma0, sigma1):
-    a0 = check_symmetric(sigma0, "sigma0")
-    a1 = check_symmetric(sigma1, "sigma1")
-    if a0.shape != a1.shape:
-        raise DimensionMismatch(f"shapes differ: {a0.shape} vs {a1.shape}")
-    return a0, a1
+class GaussianLaw:
+    """The centred normal law ``N(0, cov)``, validated and factored once.
+
+    ``cov`` is the bit-exactly symmetric covariance, ``chol`` its lower
+    Cholesky factor and ``logdet = 2 * sum(log(diag(chol)))``.  Building
+    the law raises ``ValueError`` for a covariance that is not exactly
+    symmetric and :class:`~mnlab.errors.NotPositiveDefinite` for one that
+    is not positive definite.
+    """
+
+    __slots__ = ("cov", "chol", "logdet")
+
+    def __init__(self, cov, name: str = "cov"):
+        self.cov = check_symmetric(cov, name)
+        self.chol = cholesky_lower(self.cov)
+        self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+
+
+def _laws(sigma0, sigma1) -> tuple[GaussianLaw, GaussianLaw]:
+    law0 = sigma0 if isinstance(sigma0, GaussianLaw) else GaussianLaw(sigma0, "sigma0")
+    law1 = sigma1 if isinstance(sigma1, GaussianLaw) else GaussianLaw(sigma1, "sigma1")
+    if law0.cov.shape != law1.cov.shape:
+        raise DimensionMismatch(
+            f"shapes differ: {law0.cov.shape} vs {law1.cov.shape}"
+        )
+    return law0, law1
 
 
 def kl_exact(sigma0, sigma1) -> float:
@@ -61,14 +85,10 @@ def kl_exact(sigma0, sigma1) -> float:
     as ``||L0^-1 L1||_F^2``.  The value is clamped at 0 to absorb rounding
     for near-identical inputs.
     """
-    a0, a1 = _pair(sigma0, sigma1)
-    n = a0.shape[0]
-    low0 = cholesky_lower(a0)
-    low1 = cholesky_lower(a1)
-    logdet_ratio = 2.0 * (
-        np.sum(np.log(np.diag(low1))) - np.sum(np.log(np.diag(low0)))
-    )
-    w = scipy.linalg.solve_triangular(low0, low1, lower=True)
+    law0, law1 = _laws(sigma0, sigma1)
+    n = law0.cov.shape[0]
+    logdet_ratio = law1.logdet - law0.logdet
+    w = scipy.linalg.solve_triangular(law0.chol, law1.chol, lower=True)
     trace_term = float(np.sum(w * w))
     return float(max(0.5 * (-logdet_ratio + trace_term - n), 0.0))
 
@@ -95,15 +115,17 @@ def kl_bound(sigma0, sigma1, c: float) -> KLBound:
     """
     if not 0.0 < c <= 1.0:
         raise InvalidC(f"constant must lie in (0, 1], got {c}")
-    a0, a1 = _pair(sigma0, sigma1)
+    law0, law1 = _laws(sigma0, sigma1)
+    low0, a0, a1 = law0.chol, law0.cov, law1.cov
     n = a0.shape[0]
-    low0 = cholesky_lower(a0)
-    cholesky_lower(a1)  # validates positive definiteness of sigma1
     scale = 1.0 / (4.0 * c * c)
 
     y = scipy.linalg.solve_triangular(low0, a1, lower=True)
     x = scipy.linalg.solve_triangular(low0.T, y, lower=False)  # sigma0^-1 sigma1
     right = float(np.sum((x - np.eye(n)) ** 2))
+    # the caller's laws keep both factors alive, so free these two n x n
+    # blocks before the middle term to hold the peak memory down
+    del y, x
 
     d = a1 - a0
     g = scipy.linalg.solve_triangular(low0, d, lower=True)
@@ -120,18 +142,15 @@ def kl_bound_symmetrized(sigma0, sigma1) -> float:
     + ||sigma1^-1 sigma0 - I||_F^2 / 4``.  Dominance over the exact
     divergence is checked empirically by randomized sweeps, not certified.
     """
-    a0, a1 = _pair(sigma0, sigma1)
-    n = a0.shape[0]
-    eye = np.eye(n)
-    low0 = cholesky_lower(a0)
-    low1 = cholesky_lower(a1)
+    law0, law1 = _laws(sigma0, sigma1)
+    eye = np.eye(law0.cov.shape[0])
 
     def quarter_norm(low, other):
         y = scipy.linalg.solve_triangular(low, other, lower=True)
         x = scipy.linalg.solve_triangular(low.T, y, lower=False)
         return 0.25 * float(np.sum((x - eye) ** 2))
 
-    return quarter_norm(low0, a1) + quarter_norm(low1, a0)
+    return quarter_norm(law0.chol, law1.cov) + quarter_norm(law1.chol, law0.cov)
 
 
 def find_loewner_constant(sigma0, sigma1) -> float:
@@ -141,46 +160,6 @@ def find_loewner_constant(sigma0, sigma1) -> float:
     as the smallest generalized eigenvalue of the pencil
     ``(sigma1, sigma0)``.  Both inputs must be positive definite.
     """
-    a0, a1 = _pair(sigma0, sigma1)
-    cholesky_lower(a0)
-    cholesky_lower(a1)
-    w = scipy.linalg.eigh(a1, b=a0, eigvals_only=True)
+    law0, law1 = _laws(sigma0, sigma1)
+    w = scipy.linalg.eigh(law1.cov, b=law0.cov, eigvals_only=True)
     return float(min(w[0], 1.0))
-
-
-@dataclass(frozen=True)
-class KLReport:
-    """Exact divergence next to its Frobenius bound for one covariance pair."""
-
-    n: int
-    kl_exact: float
-    bound_value: float
-    loewner_constant_c: float
-    bound_holds: bool
-    ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "kl_exact": self.kl_exact,
-            "bound_value": self.bound_value,
-            "loewner_constant_c": self.loewner_constant_c,
-            "bound_holds": self.bound_holds,
-            "ratio": self.ratio,
-        }
-
-
-def kl_report(sigma0, sigma1) -> KLReport:
-    """Evaluate exact KL, discover the Loewner constant, and compare."""
-    a0, a1 = _pair(sigma0, sigma1)
-    c = find_loewner_constant(a0, a1)
-    exact = kl_exact(a0, a1)
-    bound = kl_bound(a0, a1, c).value
-    return KLReport(
-        n=a0.shape[0],
-        kl_exact=exact,
-        bound_value=bound,
-        loewner_constant_c=c,
-        bound_holds=bool(exact <= bound + 1e-9),
-        ratio=0.0 if bound == 0.0 else exact / bound,
-    )

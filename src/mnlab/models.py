@@ -31,16 +31,13 @@ compare away from that corner and report the discrepancy.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DimensionMismatch, InvalidDifferencing, InvalidProfile
+from .errors import InvalidDifferencing, InvalidProfile
 from .linalg import sym
 from .profiles import VolatilityProfile
 from .structures import matrix_a, matrix_v1
@@ -55,9 +52,6 @@ __all__ = [
     "extract_v2",
     "second_diff_noise_gram",
     "model3_reference_decomposition",
-    "matrix_to_csv",
-    "covariance_descriptor",
-    "write_covariance_bundle",
 ]
 
 _MODELS = ("m1", "m2", "m3", "mq")
@@ -382,37 +376,3 @@ def model3_reference_decomposition(n: int, tau: float) -> np.ndarray:
         + (math.sqrt(2.0) - 1.0) / (6.0 * n3) * matrix_v1(n)
         + tau * tau * second_diff_noise_gram(n)
     )
-
-
-def matrix_to_csv(m: np.ndarray, path) -> None:
-    """Write a matrix as row-major CSV (full storage, one row per line)."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise DimensionMismatch("matrix_to_csv expects a 2-d array")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in m:
-            writer.writerow([repr(float(x)) for x in row])
-
-
-def covariance_descriptor(spec: ModelSpec, profile: VolatilityProfile) -> dict:
-    """JSON-serialisable header describing a covariance build."""
-    return {
-        "model": spec.model,
-        "n": spec.n,
-        "tau": spec.tau,
-        "q": spec.q,
-        "differencing": spec.differencing,
-        "profile": profile.descriptor(),
-    }
-
-
-def write_covariance_bundle(spec: ModelSpec, profile: VolatilityProfile,
-                            matrix: np.ndarray, json_path, csv_path) -> None:
-    """Write the JSON header and the CSV payload for one covariance."""
-    header = covariance_descriptor(spec, profile)
-    header["payload_csv"] = str(Path(csv_path).name)
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    matrix_to_csv(matrix, csv_path)

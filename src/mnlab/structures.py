@@ -35,7 +35,6 @@ __all__ = [
     "bidiagonal_o",
     "build",
     "eigvals_closed",
-    "eigvecs_closed",
     "eig_lower_bound",
     "sine_basis_dense",
     "sine_transform",
@@ -144,11 +143,6 @@ def sine_basis_dense(n: int, which: str = "A") -> np.ndarray:
     elif which != "Qinv":
         raise ValueError("which must be 'A' or 'Qinv'")
     return v * (2.0 / np.sqrt(2.0 * n + 1.0))
-
-
-def eigvecs_closed(n: int, which: str = "A") -> np.ndarray:
-    """Alias of :func:`sine_basis_dense`; kept for symmetry with eigvals."""
-    return sine_basis_dense(n, which=which)
 
 
 def sine_transform(data) -> np.ndarray:

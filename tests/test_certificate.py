@@ -153,3 +153,23 @@ class TestKLScaling:
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError):
             cert.kl_scaling_probe("mq", 1.0, 1.0, 0.1, [128])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluate_factors_each_law_once(monkeypatch, workers):
+    from mnlab import kl, linalg
+
+    calls = []
+    real = linalg.cholesky_lower
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(kl, "cholesky_lower", counting)
+    monkeypatch.setattr(linalg, "cholesky_lower", counting)
+    result = cert.evaluate("m1", 128, 1.0, 1.0, 0.1, 9.0, 0.09, seed=0,
+                           workers=workers)
+    # the null law once, then each alternative's law once
+    assert result.hypotheses_evaluated >= 2
+    assert len(calls) == 1 + result.hypotheses_evaluated

@@ -130,8 +130,10 @@ def test_verify_model3_structure_reports_known_corner(tmp_path):
         by_name = {c["lemma"]: c for c in report["checks"]}
         failing = [name for name, c in by_name.items() if not c["pass"]]
         assert failing == []
-        assert by_name["noise_residual_boundary_support"]["parameters"][
-            "bottom_corner_value"] == 1.0
+        support = by_name["noise_residual_boundary_support"]["parameters"]
+        assert support["bottom_corner_value"] == 1.0
+        # nothing outside the support is nonzero, so no entry is worst
+        assert support["worst_entry"] is None
         corner = by_name["corner_entry_discrepancy_recorded"]
         assert corner["pass"] is True
         assert corner["parameters"]["difference"] == pytest.approx(
@@ -158,6 +160,21 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert cfg["n"] == 16       # flag beats file
     assert cfg["tol"] == 1e-8   # file beats default
     assert cfg["seed"] == 4
+
+
+def test_config_file_choices_are_checked(tmp_path):
+    # a config file is held to the same choices as the flags
+    config = tmp_path / "bad.cfg"
+    for line in ("format = xml", "model = m9", "estimator = ols"):
+        config.write_text(line + "\n")
+        proc = run_cli("rate-table", "--config", str(config))
+        assert proc.returncode == 1, line
+        assert proc.stdout == ""
+        assert line.split()[0] in proc.stderr
+    config.write_text("format = csv\nmodel = m3\nestimator = rv\n")
+    proc = run_cli("rate-table", "--config", str(config))
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("model,q,alpha,exponent")
 
 
 def test_env_seed_fallback(tmp_path):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -136,15 +135,37 @@ class TestLoewnerConstant:
                 assert not la.loewner_leq(c * 1.001 * s0, s1, tol=1e-12)
 
 
-def test_report_roundtrip():
-    s0 = np.diag([1.0, 2.0])
-    s1 = np.diag([2.0, 2.5])
-    report = kl.kl_report(s0, s1)
-    payload = json.loads(json.dumps(report.to_dict()))
-    assert set(payload) == {
-        "n", "kl_exact", "bound_value", "loewner_constant_c",
-        "bound_holds", "ratio",
-    }
-    assert payload["bound_holds"] is True
-    assert payload["n"] == 2
-    assert payload["ratio"] == pytest.approx(report.kl_exact / report.bound_value)
+class TestGaussianLaw:
+    def test_cached_factor_and_logdet(self):
+        s = rand_psd(np.random.default_rng(5), 7, floor=0.1)
+        law = kl.GaussianLaw(s)
+        assert law.cov is s
+        assert np.array_equal(law.chol, la.cholesky_lower(s))
+        assert law.logdet == pytest.approx(np.linalg.slogdet(s)[1], rel=1e-12)
+
+    def test_laws_and_arrays_give_identical_bits(self):
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            n = int(rng.integers(1, 16))
+            s0 = rand_psd(rng, n, floor=0.1)
+            s1 = la.sym(s0 + 0.5 * rand_psd(rng, n))
+            l0, l1 = kl.GaussianLaw(s0), kl.GaussianLaw(s1)
+            c = kl.find_loewner_constant(s0, s1)
+            assert kl.find_loewner_constant(l0, l1) == c
+            exact = kl.kl_exact(s0, s1)
+            assert kl.kl_exact(l0, l1) == exact
+            assert kl.kl_exact(l0, s1) == exact
+            assert kl.kl_bound(l0, l1, c) == kl.kl_bound(s0, s1, c)
+            assert kl.kl_bound_symmetrized(l0, l1) == kl.kl_bound_symmetrized(s0, s1)
+            # the cached log-determinants reproduce 2 * (s1 - s0) bit for bit
+            s_0 = np.sum(np.log(np.diag(l0.chol)))
+            s_1 = np.sum(np.log(np.diag(l1.chol)))
+            assert l1.logdet - l0.logdet == 2.0 * (s_1 - s_0)
+
+    def test_rejects_invalid_covariances(self):
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            kl.GaussianLaw(np.array([[1.0, 0.5], [0.4, 1.0]]))
+        with pytest.raises(NotPositiveDefinite):
+            kl.GaussianLaw(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(DimensionMismatch):
+            kl.kl_exact(kl.GaussianLaw(np.eye(2)), kl.GaussianLaw(np.eye(3)))

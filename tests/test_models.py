@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -327,18 +326,3 @@ class TestReferenceDecomposition:
         assert reference[0, 0] - exact[0, 0] == pytest.approx(
             1.0 / (6.0 * n3), rel=1e-10
         )
-
-
-class TestExport:
-    def test_bundle_roundtrip(self, tmp_path):
-        spec = models.ModelSpec("m1", 6, 0.2, differencing="first")
-        cov = models.cov_differenced(spec, ONE)
-        json_path = tmp_path / "cov.json"
-        csv_path = tmp_path / "cov.csv"
-        models.write_covariance_bundle(spec, ONE, cov, json_path, csv_path)
-        header = json.loads(json_path.read_text())
-        assert header["model"] == "m1"
-        assert header["n"] == 6
-        assert header["profile"] == {"kind": "constant", "value": 1.0}
-        back = np.loadtxt(csv_path, delimiter=",")
-        assert np.array_equal(back, cov)
