@@ -17,8 +17,9 @@ Exit codes: 0 all checks passed, 2 at least one check failed, 1 usage or
 configuration error.  Reports embed the fully resolved configuration, are
 byte-identical for identical configuration and seed, and are written
 atomically (temp file + rename).  A flat ``key = value`` config file can
-supply any flag; explicit flags win over the file, the file wins over
-defaults, and ``MNLAB_SEED`` is the fallback seed.
+supply any flag (a key that names no flag is an error); explicit flags win
+over the file, the file wins over defaults, and ``MNLAB_SEED`` is the
+fallback seed.
 """
 
 from __future__ import annotations
@@ -92,55 +93,42 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-_DEFAULTS = {
-    "n": 256,
-    "alpha": 1.0,
-    "L": 1.0,
-    "tau": 0.1,
-    "c": None,
-    "kappa": 0.09,
-    "q": None,
-    "reps": 200,
-    "trials": 1000,
-    "count": 100,
-    "max_hypotheses": 16,
-    "workers": 1,
-    "format": "json",
-    "out": None,
-    "model": "m1",
-    "estimator": "mle",
-    "sigma_min": 1.0,
-    "sigma_max": 4.0,
-    "sigma_sq": 1.0,
-    "ns": None,
-    "alphas": [0.6, 1.0, 2.0],
-    "qs": [0.0, 0.5, 1.0],
-    "tol": None,
-    "width": 0.125,
-}
-
-# the allowed values of the flags that take a choice, for the parser and
-# for config files alike
-_CHOICES = {
-    "model": ("m1", "m2", "m3", "mq"),
-    "estimator": montecarlo.ESTIMATORS,
-    "format": ("json", "csv"),
-}
-
-_TYPES = {
-    "n": int, "alpha": float, "L": float, "tau": float, "c": float,
-    "kappa": float, "q": float, "seed": int, "reps": int, "trials": int,
-    "count": int, "max_hypotheses": int, "workers": int, "format": str,
-    "out": str, "model": str, "estimator": str, "sigma_min": float,
-    "sigma_max": float, "sigma_sq": float, "ns": _int_list,
-    "alphas": _float_list, "qs": _float_list, "tol": float, "width": float,
+# every flag, in the order the usage lists them: name -> (type, default,
+# allowed values).  The parser and config files both read this table; the
+# seed's default is MNLAB_SEED, else 0.
+_FLAGS = {
+    "model": (str, "m1", ("m1", "m2", "m3", "mq")),
+    "q": (float, None, None),
+    "n": (int, 256, None),
+    "alpha": (float, 1.0, None),
+    "L": (float, 1.0, None),
+    "tau": (float, 0.1, None),
+    "c": (float, None, None),
+    "kappa": (float, 0.09, None),
+    "seed": (int, None, None),
+    "reps": (int, 200, None),
+    "trials": (int, 1000, None),
+    "count": (int, 100, None),
+    "max_hypotheses": (int, 16, None),
+    "ns": (_int_list, None, None),
+    "alphas": (_float_list, [0.6, 1.0, 2.0], None),
+    "qs": (_float_list, [0.0, 0.5, 1.0], None),
+    "sigma_min": (float, 1.0, None),
+    "sigma_max": (float, 4.0, None),
+    "sigma_sq": (float, 1.0, None),
+    "estimator": (str, "mle", montecarlo.ESTIMATORS),
+    "width": (float, 0.125, None),
+    "tol": (float, None, None),
+    "out": (str, None, None),
+    "format": (str, "json", ("json", "csv")),
+    "workers": (int, 1, None),
 }
 
 
 def _from_file(key: str, text: str):
     """Parse a config-file value as its flag would be parsed."""
-    value = _TYPES[key](text)
-    choices = _CHOICES.get(key)
+    kind, _, choices = _FLAGS[key]
+    value = kind(text)
     if choices is not None and value not in choices:
         raise ValueError(f"config value {key} = {value!r} is not one of "
                          f"{', '.join(choices)}")
@@ -150,10 +138,12 @@ def _from_file(key: str, text: str):
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge flags over config-file values over defaults."""
     file_values = _load_config_file(args.config) if args.config else {}
+    unknown = [key for key in file_values if key not in _FLAGS]
+    if unknown:
+        raise ValueError(f"unknown config key: {', '.join(unknown)}")
     cfg = {"command": args.command}
-    keys = set(_DEFAULTS) | {"seed"}
-    for key in keys:
-        flag_val = getattr(args, key, None)
+    for key, (_, default, _) in _FLAGS.items():
+        flag_val = getattr(args, key)
         if flag_val is not None:
             cfg[key] = flag_val
         elif key in file_values:
@@ -162,7 +152,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             env = os.environ.get("MNLAB_SEED")
             cfg[key] = int(env) if env else 0
         else:
-            cfg[key] = _DEFAULTS[key]
+            cfg[key] = default
     return cfg
 
 
@@ -597,31 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--model", choices=_CHOICES["model"])
-        p.add_argument("--q", type=float)
-        p.add_argument("--n", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--L", type=float, dest="L")
-        p.add_argument("--tau", type=float)
-        p.add_argument("--c", type=float)
-        p.add_argument("--kappa", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--reps", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--count", type=int)
-        p.add_argument("--max-hypotheses", type=int, dest="max_hypotheses")
-        p.add_argument("--ns", type=_int_list)
-        p.add_argument("--alphas", type=_float_list)
-        p.add_argument("--qs", type=_float_list)
-        p.add_argument("--sigma-min", type=float, dest="sigma_min")
-        p.add_argument("--sigma-max", type=float, dest="sigma_max")
-        p.add_argument("--sigma-sq", type=float, dest="sigma_sq")
-        p.add_argument("--estimator", choices=_CHOICES["estimator"])
-        p.add_argument("--width", type=float)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--out")
-        p.add_argument("--format", choices=_CHOICES["format"])
-        p.add_argument("--workers", type=int)
+        for key, (kind, _, choices) in _FLAGS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                           choices=choices)
         p.add_argument("--config")
     return parser
 
@@ -636,8 +604,6 @@ def main(argv=None) -> int:
 
     try:
         report, csv_rows, passed = _HANDLERS[cfg["command"]](cfg)
-    except SystemExit:
-        raise
     except (ValueError, KeyError) as exc:
         return _usage_error(str(exc))
 

@@ -79,19 +79,6 @@ def _bump_raw_d1(u):
     return out
 
 
-def _bump_raw_d2(u):
-    """Second derivative of the unnormalised bump."""
-    u = np.asarray(u, dtype=float)
-    w = 1.0 - 4.0 * u * u
-    inside = w > 1e-12
-    out = np.zeros(u.shape)
-    ui, wi = u[inside], w[inside]
-    h = -8.0 * ui / wi**2
-    hp = -8.0 / wi**2 - 128.0 * ui**2 / wi**3
-    out[inside] = (hp + h * h) * np.exp(-1.0 / wi)
-    return out
-
-
 def holder_exponent_order(alpha: float) -> int:
     """Derivative order ``p`` constrained by C(alpha, L): ``ceil(alpha) - 1``."""
     if alpha <= 0.0:
@@ -139,9 +126,6 @@ class BumpKernel:
 
     def deriv1(self, u):
         return self.a * _bump_raw_d1(u)
-
-    def deriv2(self, u):
-        return self.a * _bump_raw_d2(u)
 
     @property
     def sup_value(self) -> float:

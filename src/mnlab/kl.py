@@ -17,10 +17,13 @@ variant still dominates; that variant is verified empirically by the test
 suite rather than certified.
 
 Each law is a :class:`GaussianLaw`: its covariance is validated and
-Cholesky-factored once, when the law is built, and every comparison reads
-the cached factor and log-determinant.  The comparison functions accept
-laws or plain covariance arrays; arrays are turned into laws on entry, so
-comparing one null law against many alternatives factors the null once.
+Cholesky-factored once, in one :func:`~mnlab.linalg.cholesky_lower` call
+when the law is built, and every comparison reads the cached factor and
+log-determinant.  A covariance is checked for exact symmetry, never
+symmetrised: the builders in :mod:`mnlab.models` return bit-exactly
+symmetric arrays.  The comparison functions accept laws or plain
+covariance arrays; arrays are turned into laws on entry, so comparing one
+null law against many alternatives factors the null once.
 
 All KL quantities are in nats.  Binary logarithms appear only in codeword
 counting (see :mod:`mnlab.certificate`).  Products with ``sigma0^-1`` are
@@ -37,7 +40,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, InvalidC
-from .linalg import check_symmetric, cholesky_lower
+from .linalg import cholesky_lower
 
 __all__ = [
     "GaussianLaw",
@@ -53,23 +56,26 @@ class GaussianLaw:
     """The centred normal law ``N(0, cov)``, validated and factored once.
 
     ``cov`` is the bit-exactly symmetric covariance, ``chol`` its lower
-    Cholesky factor and ``logdet = 2 * sum(log(diag(chol)))``.  Building
-    the law raises ``ValueError`` for a covariance that is not exactly
-    symmetric and :class:`~mnlab.errors.NotPositiveDefinite` for one that
-    is not positive definite.
+    Cholesky factor and ``logdet = 2 * sum(log(diag(chol)))``.  The
+    covariance is checked, never symmetrised, and only once: by
+    :func:`~mnlab.linalg.cholesky_lower`, which raises ``ValueError`` for
+    a covariance that is not exactly symmetric,
+    :class:`~mnlab.errors.DimensionMismatch` for one that is not square and
+    :class:`~mnlab.errors.NotPositiveDefinite` for one that is not
+    positive definite.
     """
 
     __slots__ = ("cov", "chol", "logdet")
 
-    def __init__(self, cov, name: str = "cov"):
-        self.cov = check_symmetric(cov, name)
+    def __init__(self, cov):
+        self.cov = np.ascontiguousarray(cov, dtype=float)
         self.chol = cholesky_lower(self.cov)
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
 def _laws(sigma0, sigma1) -> tuple[GaussianLaw, GaussianLaw]:
-    law0 = sigma0 if isinstance(sigma0, GaussianLaw) else GaussianLaw(sigma0, "sigma0")
-    law1 = sigma1 if isinstance(sigma1, GaussianLaw) else GaussianLaw(sigma1, "sigma1")
+    law0 = sigma0 if isinstance(sigma0, GaussianLaw) else GaussianLaw(sigma0)
+    law1 = sigma1 if isinstance(sigma1, GaussianLaw) else GaussianLaw(sigma1)
     if law0.cov.shape != law1.cov.shape:
         raise DimensionMismatch(
             f"shapes differ: {law0.cov.shape} vs {law1.cov.shape}"

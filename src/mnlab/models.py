@@ -27,6 +27,15 @@ cross-checks only, never the source of truth.  Note the known corner
 quirk: the m3 reference decomposition disagrees with the exact covariance
 at entry (1, 1) by exactly ``1/(6 n^3)`` in the signal part; consumers
 compare away from that corner and report the discrepancy.
+
+Every builder returns a bit-exactly symmetric float64 array.  Most are
+sums of terms whose ``(i, j)`` and ``(j, i)`` entries come from the same
+operations on the same operands, so they are symmetric as computed and
+are returned without a copy.  :func:`~mnlab.linalg.sym` is applied only
+where the arithmetic can break symmetry or leave a ``-0.0``: the
+first-difference conjugation, the integer-q kernel sum and the m2
+decomposition's ``cov_r1``.  Consumers validate symmetry but never
+restore it.
 """
 
 from __future__ import annotations
@@ -124,6 +133,14 @@ def _cumulative_moments(profile: VolatilityProfile, n: int, powers) -> dict:
     return out
 
 
+def _m2_signal(profile: VolatilityProfile, n: int) -> np.ndarray:
+    """Raw m2 signal covariance ``sigma(t_i) sigma(t_j) min(t_i, t_j)``."""
+    t = np.arange(1, n + 1) / n
+    s = np.sqrt(np.asarray(profile.eval(t), dtype=float))
+    idx = np.arange(n)
+    return np.outer(s, s) * ((np.minimum.outer(idx, idx) + 1) / n)
+
+
 def cov_raw(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
     """Covariance of the raw (undifferenced) observation vector."""
     if spec.differencing != "none":
@@ -137,11 +154,10 @@ def cov_raw(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
 
     if spec.model == "m1":
         mom = _cumulative_moments(profile, n, (0,))
-        return sym(mom[0][min_idx] + noise)
+        return mom[0][min_idx] + noise
 
     if spec.model == "m2":
-        s = np.sqrt(np.asarray(profile.eval(t), dtype=float))
-        return sym(np.outer(s, s) * (min_idx / n) + noise)
+        return _m2_signal(profile, n) + noise
 
     if spec.model == "m3":
         mom = _cumulative_moments(profile, n, (0, 1, 2))
@@ -150,7 +166,7 @@ def cov_raw(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
             - np.add.outer(t, t) * mom[1][min_idx]
             + mom[2][min_idx]
         )
-        return sym(signal + noise)
+        return signal + noise
 
     # mq
     q = spec.q
@@ -162,6 +178,7 @@ def cov_raw(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
             for s_ in range(qi + 1):
                 coef = math.comb(qi, r) * math.comb(qi, s_) * (-1.0) ** (r + s_)
                 signal += coef * np.outer(t ** (qi - r), t ** (qi - s_)) * mom[r + s_][min_idx]
+        # the (r, s) and (s, r) terms reach (i, j) in different orders
         return sym(signal + noise)
 
     if n > 512:
@@ -184,7 +201,7 @@ def cov_raw(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
                 epsabs=1e-13, epsrel=1e-11, limit=200,
             )
             signal[i, j] = signal[j, i] = val
-    return sym(signal + noise)
+    return signal + noise
 
 
 def diff_matrix(spec: ModelSpec) -> np.ndarray:
@@ -211,19 +228,8 @@ def _conjugate_first(m: np.ndarray) -> np.ndarray:
     r[1:] -= m[:-1]
     out = r.T.copy()
     out[1:] -= r.T[:-1]
+    # rows and columns are differenced in opposite orders across the diagonal
     return sym(out.T)
-
-
-def _conjugate_second(m: np.ndarray) -> np.ndarray:
-    def rows(x):
-        r = np.empty_like(x)
-        r[0] = math.sqrt(2.0) * x[0]
-        r[1] = x[1] - 2.0 * x[0]
-        if x.shape[0] > 2:
-            r[2:] = x[2:] - 2.0 * x[1:-1] + x[:-2]
-        return r
-
-    return sym(rows(rows(m).T).T)
 
 
 def second_diff_noise_gram(n: int) -> np.ndarray:
@@ -265,14 +271,10 @@ def cov_differenced(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
             profile.poly_integral((k - 1) / n, k / n, 0.0, (1.0,))
             for k in range(1, n + 1)
         ])
-        return sym(np.diag(d) + tau * tau * matrix_a(n))
+        return np.diag(d) + tau * tau * matrix_a(n)
 
     if spec.model == "m2" and spec.differencing == "first":
-        t = np.arange(1, n + 1) / n
-        s = np.sqrt(np.asarray(profile.eval(t), dtype=float))
-        idx = np.arange(n)
-        signal = np.outer(s, s) * ((np.minimum.outer(idx, idx) + 1) / n)
-        return sym(_conjugate_first(signal) + tau * tau * matrix_a(n))
+        return _conjugate_first(_m2_signal(profile, n)) + tau * tau * matrix_a(n)
 
     if spec.model == "m3" and spec.differencing == "second":
         sq = (0.0, 0.0, 1.0)
@@ -297,13 +299,11 @@ def cov_differenced(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
             c[0, 1] = c[1, 0] = math.sqrt(2.0) * cross[0]
         for i in range(1, n - 1):
             c[i, i + 1] = c[i + 1, i] = cross[i]
-        return sym(c + tau * tau * second_diff_noise_gram(n))
+        return c + tau * tau * second_diff_noise_gram(n)
 
-    # generic fallback: conjugation of the raw covariance
-    raw = cov_raw(raw_spec, profile)
-    if spec.differencing == "first":
-        return _conjugate_first(raw)
-    return _conjugate_second(raw)
+    # generic fallback: first differences of the raw covariance (second
+    # differences are valid for m3 only, which is handled above)
+    return _conjugate_first(cov_raw(raw_spec, profile))
 
 
 @dataclass(frozen=True)
@@ -337,6 +337,8 @@ def model2_decomposition(profile: VolatilityProfile, n: int, tau: float) -> Mode
 
     idx = np.arange(n)
     w = np.minimum.outer(idx, idx) / n  # (min(i, j) - 1)/n with 1-based i, j
+    # symmetric as computed, but a zero times a negative leaves -0.0 entries,
+    # which sym turns into +0.0
     cov_r1 = sym(np.outer(ds, ds) * w)
 
     e = np.triu(np.ones((n, n)), k=1)
@@ -370,7 +372,7 @@ def model3_reference_decomposition(n: int, tau: float) -> np.ndarray:
     """
     a = matrix_a(n)
     n3 = float(n) ** 3
-    return sym(
+    return (
         np.eye(n) / n3
         - a / (6.0 * n3)
         + (math.sqrt(2.0) - 1.0) / (6.0 * n3) * matrix_v1(n)

@@ -177,6 +177,15 @@ def test_config_file_choices_are_checked(tmp_path):
     assert proc.stdout.startswith("model,q,alpha,exponent")
 
 
+def test_config_file_unknown_key_is_an_error(tmp_path):
+    config = tmp_path / "typo.cfg"
+    config.write_text("n = 32\nmodle = m3\n")
+    proc = run_cli("rate-table", "--config", str(config))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "modle" in proc.stderr
+
+
 def test_env_seed_fallback(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("verify-spectral", "--n", "8", "--out", str(out),

@@ -53,9 +53,6 @@ class TestKernelConstant:
         h = 1e-6
         fd1 = (kernel.eval(xs + h) - kernel.eval(xs - h)) / (2.0 * h)
         assert np.max(np.abs(fd1 - kernel.deriv1(xs))) <= 1e-5
-        fd2 = (kernel.eval(xs + h) - 2.0 * kernel.eval(xs)
-               + kernel.eval(xs - h)) / h**2
-        assert np.max(np.abs(fd2 - kernel.deriv2(xs))) <= 1e-3
 
 
 class TestHolderCheck:

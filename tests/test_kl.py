@@ -162,6 +162,20 @@ class TestGaussianLaw:
             s_1 = np.sum(np.log(np.diag(l1.chol)))
             assert l1.logdet - l0.logdet == 2.0 * (s_1 - s_0)
 
+    def test_checks_symmetry_once(self, monkeypatch):
+        calls = []
+        real = la.check_symmetric
+
+        def counting(a, name="matrix"):
+            calls.append(name)
+            return real(a, name)
+
+        monkeypatch.setattr(la, "check_symmetric", counting)
+        # kl must not check on its own either: cholesky_lower does it
+        monkeypatch.setattr(kl, "check_symmetric", counting, raising=False)
+        kl.GaussianLaw(rand_psd(np.random.default_rng(7), 5, floor=0.1))
+        assert len(calls) == 1
+
     def test_rejects_invalid_covariances(self):
         with pytest.raises(ValueError, match="not exactly symmetric"):
             kl.GaussianLaw(np.array([[1.0, 0.5], [0.4, 1.0]]))

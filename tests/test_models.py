@@ -228,6 +228,58 @@ class TestCovDifferenced:
             assert la.is_psd(models.cov_raw(spec, ONE))
 
 
+def assert_built_symmetric(out):
+    # the builders, not their consumers, own symmetry: each output must be
+    # bit-exactly symmetric, with no -0.0, exactly as sym() would leave it
+    assert np.array_equal(out, out.T)
+    assert out.tobytes() == la.sym(out).tobytes()
+
+
+def build(spec, profile):
+    if spec.differencing == "none":
+        return models.cov_raw(spec, profile)
+    return models.cov_differenced(spec, profile)
+
+
+class TestBuilderSymmetry:
+    PROFILES = (
+        ONE,
+        PiecewiseConstantProfile([0.3, 0.55, 0.8], [0.7, 1.9, 1.2, 0.9]),
+        build_family(64, 1.0, 1.0, 7.5, "m1m2", seed=1).profile(1),
+        CallableProfile(lambda t: 1.0 + 0.5 * np.sin(3.0 * np.asarray(t)),
+                        lower=0.5, upper=1.5),
+    )
+
+    @pytest.mark.parametrize("n", [5, 64, 257])
+    @pytest.mark.parametrize("model,q,differencing", [
+        ("m1", None, "none"), ("m1", None, "first"),
+        ("m2", None, "none"), ("m2", None, "first"),
+        ("m3", None, "none"), ("m3", None, "first"), ("m3", None, "second"),
+        ("mq", 2.0, "none"), ("mq", 2.0, "first"),
+    ])
+    def test_covariances(self, model, q, differencing, n):
+        for profile in self.PROFILES:
+            for tau in (0.0, 0.1):
+                spec = models.ModelSpec(model, n, tau, q=q,
+                                        differencing=differencing)
+                assert_built_symmetric(build(spec, profile))
+
+    def test_fractional_q(self):
+        for differencing in ("none", "first"):
+            spec = models.ModelSpec("mq", 5, 0.1, q=0.5,
+                                    differencing=differencing)
+            assert_built_symmetric(build(spec, ONE))
+
+    @pytest.mark.parametrize("n", [5, 64, 257])
+    def test_decompositions(self, n):
+        for tau in (0.0, 0.1):
+            assert_built_symmetric(models.model3_reference_decomposition(n, tau))
+            for profile in self.PROFILES:
+                cov_r1 = models.model2_decomposition(profile, n, tau).cov_r1
+                assert_built_symmetric(cov_r1)
+        assert_built_symmetric(models.extract_v2(n, 0.1))
+
+
 class TestModel3Ordering:
     def setup_method(self):
         self.n = 128
