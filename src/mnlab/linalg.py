@@ -48,15 +48,27 @@ def sym(a) -> np.ndarray:
     return np.tril(a) + np.tril(a, -1).T
 
 
+_SYM_BLOCK = 256
+
+
 def check_symmetric(a, name: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` is square with bit-exact symmetry."""
+    """Validate that ``a`` is square with bit-exact symmetry.
+
+    Compares each strip of ``_SYM_BLOCK`` rows right of the diagonal with
+    the matching column strip below it, so the transposed reads stay in
+    cache; any NaN fails, and ``-0.0`` equals ``+0.0``.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         raise DimensionMismatch(f"{name} must have size >= 1")
-    if not np.array_equal(a, a.T):
-        raise ValueError(f"{name} is not exactly symmetric; build it with sym()")
+    for i in range(0, a.shape[0], _SYM_BLOCK):
+        j = i + _SYM_BLOCK
+        if not np.array_equal(a[i:j, i:], a[i:, i:j].T):
+            raise ValueError(
+                f"{name} is not exactly symmetric; build it with sym()"
+            )
     return np.ascontiguousarray(a)
 
 

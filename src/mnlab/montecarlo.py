@@ -10,8 +10,13 @@ The constant-volatility maximum-likelihood estimator for model m1 works in
 the sine eigenbasis of the first-difference Gram matrix, where the
 differenced observations decouple into independent coordinates with
 variances ``sigma^2 / n + tau^2 lambda_i``; the one-dimensional likelihood
-is then maximised by safeguarded Newton/bisection.  ``tau`` is assumed
-known throughout.
+is then maximised by Newton iteration inside a sign-change bracket, with
+bisection as the safeguard.  The iteration starts from a noise-weighted
+moment estimate of ``sigma^2`` and lengthens a Newton step shorter than
+half the tolerance to exactly that half, so the step after convergence
+crosses the root and closes the bracket: the estimate is the midpoint of
+a bracket ``[a, b]`` of width at most ``tol max(1, b)``, within
+``tol max(1, b)`` of the root.  ``tau`` is assumed known throughout.
 """
 
 from __future__ import annotations
@@ -61,10 +66,10 @@ def sample_gaussian(cov, reps: int, seed: int = 0) -> np.ndarray:
     Deterministic per (seed, replicate index); raises
     :class:`mnlab.errors.NotPositiveDefinite` for a non-PD covariance.
     """
-    low = cholesky_lower(cov)
-    n = low.shape[0]
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    low = cholesky_lower(cov)
+    n = low.shape[0]
     out = np.empty((reps, n))
     for r in range(reps):
         out[r] = low @ replicate_rng(seed, r).standard_normal(n)
@@ -112,11 +117,6 @@ def sample_m1_profile_diff(interval_sds, tau: float, n: int,
     return out
 
 
-def _coordinate_variances(sigma_sq: float, n: int, tau: float,
-                          lam: np.ndarray) -> np.ndarray:
-    return sigma_sq / n + tau * tau * lam
-
-
 def mle_const_sigma_m1(diff_data, n: int, tau: float,
                        bracket=(1e-8, 1e4), tol: float = 1e-10) -> float:
     """Exact constant-``sigma^2`` MLE from first-differenced m1 data.
@@ -124,37 +124,46 @@ def mle_const_sigma_m1(diff_data, n: int, tau: float,
     ``diff_data`` may be the full differenced sample (length n) or a
     contiguous block of it; ``n`` is always the global sampling rate, so
     block coordinates keep variances ``sigma^2/n + tau^2 lambda_i`` in the
-    block-local sine basis.  The stationarity equation is solved by
-    Newton iteration safeguarded by bisection on ``bracket``.  A score
-    negative over the whole bracket means the likelihood peaks at the
-    floor (noise-dominated sample); the floor is returned.  A score still
-    positive at the ceiling means the data are inconsistent with the
-    bracket and :class:`OptimizationFailure` is raised carrying a
-    (sigma^2, loglik) profile.
+    block-local sine basis.  A score negative over the whole bracket means
+    the likelihood peaks at the floor (noise-dominated sample); the floor
+    is returned.  A score still positive at the ceiling means the data are
+    inconsistent with the bracket and :class:`OptimizationFailure` is
+    raised carrying a (sigma^2, loglik) profile.
+
+    Otherwise the stationarity equation is solved by Newton iteration on
+    ``bracket = (lo, hi)``, kept inside the sign-change bracket ``[a, b]``
+    by bisection.  It starts from the moment estimate
+    ``n sum u_i (c_i^2 - tau^2 lambda_i) / sum u_i`` with
+    ``u_i = (1/n + tau^2 lambda_i)^-2``, clipped into the bracket.  A
+    Newton step shorter than ``h = tol max(1, s) / 2`` is lengthened to
+    ``h``, so a converged iterate steps across the root and closes the
+    bracket.  The result is the midpoint of a bracket of width at most
+    ``tol max(1, b)``, so ``|est - root| <= tol max(1, b)``.
     """
     data = np.asarray(diff_data, dtype=float)
     if data.ndim != 1 or data.size < 1:
         raise ValueError("diff_data must be a non-empty vector")
     if tau <= 0.0:
         raise ValueError("tau must be positive (assumed known)")
-    lam = eigvals_closed(data.size)
+    lo, hi = (float(x) for x in bracket)
+    if not (0.0 < lo < hi < math.inf):
+        raise ValueError("bracket must satisfy 0 < lo < hi < inf")
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be positive and finite")
     c2 = sine_transform(data) ** 2
-    tau2 = tau * tau
+    noise = tau * tau * eigvals_closed(data.size)
 
-    def score(s: float) -> float:
-        v = s / n + tau2 * lam
-        return float(np.sum((c2 - v) / (v * v)))
-
-    def score_deriv(s: float) -> float:
-        v = s / n + tau2 * lam
-        return float(np.sum((v - 2.0 * c2) / (v**3)) / n)
+    def score(s: float):
+        """Score at ``s``, with the ``1 / v_i`` and ``c_i^2 / v_i`` it used."""
+        w = 1.0 / (s / n + noise)
+        cw = c2 * w
+        return float(np.sum(w * (cw - 1.0))), w, cw
 
     def loglik(s: float) -> float:
-        v = s / n + tau2 * lam
+        v = s / n + noise
         return -0.5 * float(np.sum(np.log(v) + c2 / v))
 
-    lo, hi = bracket
-    g_lo, g_hi = score(lo), score(hi)
+    g_lo, g_hi = score(lo)[0], score(hi)[0]
     if g_lo == 0.0:
         return lo
     if g_hi == 0.0:
@@ -167,10 +176,12 @@ def mle_const_sigma_m1(diff_data, n: int, tau: float,
             "score is still positive at the bracket ceiling",
             profile=[(float(s), loglik(float(s))) for s in grid],
         )
+    u = (1.0 / n + noise) ** -2
+    start = n * float(np.sum(u * (c2 - noise))) / float(np.sum(u))
     a, b = lo, hi
-    s = math.sqrt(lo * hi)
+    s = min(max(start, lo), hi)
     for _ in range(200):
-        g = score(s)
+        g, w, cw = score(s)
         if g > 0.0:
             a = s
         elif g < 0.0:
@@ -179,9 +190,12 @@ def mle_const_sigma_m1(diff_data, n: int, tau: float,
             return s
         if b - a <= tol * max(1.0, b):
             break
-        gp = score_deriv(s)
-        cand = s - g / gp if gp != 0.0 else 0.5 * (a + b)
-        s = cand if a < cand < b else 0.5 * (a + b)
+        gp = float(np.sum(w * w * (1.0 - 2.0 * cw))) / n
+        step = -g / gp if gp != 0.0 else math.inf  # flat score: bisect
+        h = 0.5 * tol * max(1.0, s)
+        if abs(step) < h:
+            step = math.copysign(h, step)
+        s = s + step if a < s + step < b else 0.5 * (a + b)
     return 0.5 * (a + b)
 
 

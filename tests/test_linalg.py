@@ -22,6 +22,40 @@ def test_check_symmetric_rejects_near_symmetry():
         la.check_symmetric(a)
 
 
+class TestCheckSymmetricBlocks:
+    # n = 700 spans three 256-row strips: [0, 256), [256, 512), [512, 700)
+    N = 700
+
+    def symmetric(self):
+        return rand_sym(np.random.default_rng(3), self.N)
+
+    def test_accepts_symmetric_and_signed_zeros(self):
+        a = self.symmetric()
+        a[5, 600] = 0.0
+        a[600, 5] = -0.0
+        assert np.array_equal(la.check_symmetric(a), a)
+
+    @pytest.mark.parametrize("row, col", [
+        (3, 1), (1, 3),          # first strip, both triangles
+        (300, 450), (450, 300),  # middle strip
+        (650, 699), (699, 650),  # last strip
+        (10, 690), (690, 10),    # first strip, far column
+    ])
+    def test_one_flipped_bit_is_rejected(self, row, col):
+        a = self.symmetric()
+        a.view(np.uint64)[row, col] ^= np.uint64(1)
+        with pytest.raises(ValueError):
+            la.check_symmetric(a)
+
+    @pytest.mark.parametrize("row, col", [(0, 0), (400, 400), (699, 699),
+                                          (256, 511)])
+    def test_nan_is_rejected(self, row, col):
+        a = self.symmetric()
+        a[row, col] = a[col, row] = np.nan
+        with pytest.raises(ValueError):
+            la.check_symmetric(a)
+
+
 class TestCholesky:
     def test_identity(self):
         assert np.array_equal(la.cholesky_lower(np.eye(3)), np.eye(3))

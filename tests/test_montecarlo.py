@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
+from scipy import optimize, stats
 
 from mnlab import models
 from mnlab import montecarlo as mc
@@ -33,6 +35,14 @@ class TestSampler:
         lag1 = float(np.mean(draws[:, 2] * draws[:, 3]))
         se = float(np.std(draws[:, 2] * draws[:, 3]) / np.sqrt(draws.shape[0]))
         assert abs(lag1 - (-tau * tau)) <= 3.0 * se
+
+    def test_rejects_no_reps_before_factoring(self, monkeypatch):
+        def never(m):
+            raise AssertionError("cholesky_lower called for reps = 0")
+
+        monkeypatch.setattr(mc, "cholesky_lower", never)
+        with pytest.raises(ValueError):
+            mc.sample_gaussian(np.eye(3), 0, seed=0)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
@@ -97,6 +107,98 @@ class TestMle:
         with pytest.raises(OptimizationFailure) as err:
             mc.mle_const_sigma_m1(data, n, 0.1)
         assert len(err.value.profile) == 41
+
+    @pytest.mark.parametrize("bracket, tol", [
+        ((0.0, 1e4), 1e-10),
+        ((-1.0, 1e4), 1e-10),
+        ((1.0, 1.0), 1e-10),
+        ((2.0, 1.0), 1e-10),
+        ((1e-8, np.inf), 1e-10),
+        ((np.nan, 1e4), 1e-10),
+        ((1e-8, 1e4), 0.0),
+        ((1e-8, 1e4), -1e-10),
+        ((1e-8, 1e4), np.nan),
+    ])
+    def test_rejects_unusable_bracket_or_tolerance(self, bracket, tol):
+        data = mc.sample_m1_constant_diff(1.0, 0.1, 64, rep=0, seed=1)
+        with pytest.raises(ValueError):
+            mc.mle_const_sigma_m1(data, 64, 0.1, bracket=bracket, tol=tol)
+
+
+def _score(data, n, tau):
+    """The m1 constant-volatility score, rebuilt from the sine coordinates."""
+    c2 = st.sine_transform(data) ** 2
+    noise = tau * tau * st.eigvals_closed(len(data))
+
+    def score(s):
+        v = s / n + noise
+        return float(np.sum((c2 - v) / (v * v)))
+
+    return score
+
+
+_SOLVER_CASES = dict(
+    n=hs.integers(16, 4096),
+    tau=hs.floats(0.01, 0.5),
+    sigma_sq=hs.floats(1e-3, 1e2),
+    seed=hs.integers(0, 2**32 - 1),
+)
+
+
+# a sample whose score has three roots in the default bracket
+_THREE_ROOTS = dict(n=32, tau=0.01, sigma_sq=1e-3, seed=2912948206)
+
+
+class TestMleCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(**_SOLVER_CASES)
+    @example(**_THREE_ROOTS)
+    def test_estimate_brackets_the_root(self, n, tau, sigma_sq, seed):
+        lo, tol = 1e-8, 1e-10
+        data = mc.sample_m1_constant_diff(sigma_sq, tau, n, seed=seed)
+        est = mc.mle_const_sigma_m1(data, n, tau)
+        score = _score(data, n, tau)
+        if est == lo:
+            assert score(lo) <= 0.0
+            return
+        step = tol * max(1.0, est)
+        assert score(est - step) > 0.0 > score(est + step)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_SOLVER_CASES)
+    @example(**_THREE_ROOTS)
+    def test_agrees_with_brentq(self, n, tau, sigma_sq, seed):
+        lo, hi, tol = 1e-8, 1e4, 1e-10
+        data = mc.sample_m1_constant_diff(sigma_sq, tau, n, seed=seed)
+        est = mc.mle_const_sigma_m1(data, n, tau)
+        score = _score(data, n, tau)
+        if score(lo) <= 0.0:
+            assert est == lo
+            return
+        # a weakly informative sample can have several stationary points;
+        # brentq finds each, and the estimate must be one of them
+        grid = np.geomspace(lo, hi, 401)
+        signs = np.sign([score(x) for x in grid])
+        roots = [
+            optimize.brentq(score, grid[i], grid[i + 1], xtol=1e-15,
+                            rtol=1e-15)
+            for i in np.nonzero(signs[:-1] != signs[1:])[0]
+        ]
+        assert min(abs(est - r) for r in roots) <= tol * max(1.0, est)
+
+    @settings(max_examples=6, deadline=None)
+    @given(ns=hs.lists(hs.integers(16, 4096), min_size=2, max_size=2,
+                       unique=True).map(sorted),
+           tau=_SOLVER_CASES["tau"], sigma_sq=_SOLVER_CASES["sigma_sq"],
+           seed=_SOLVER_CASES["seed"])
+    def test_rate_experiment_is_worker_independent(self, ns, tau, sigma_sq,
+                                                   seed):
+        def run(workers):
+            return mc.rate_experiment("m1", "mle", ns, 100, seed=seed,
+                                      sigma_sq=sigma_sq, tau=tau,
+                                      workers=workers).to_dict()
+
+        assert run(2) == run(1)
 
 
 class TestBinned:
