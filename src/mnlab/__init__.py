@@ -8,7 +8,8 @@ structures : the structured matrices A, Q, Q^-1, E, V1 with closed-form
     spectra, plus the fast orthonormal sine transform
 kl : Gaussian laws, validated and factored once, with the exact
     Kullback-Leibler divergence between them and its Frobenius bounds
-profiles : squared-volatility profiles with exact weighted integrals
+profiles : squared-volatility profiles, their per-cell weighted integrals,
+    and the one checked quadrature helper
 models : exact raw and differenced covariances of the observation models
 hypotheses : bump kernels, Hoelder checks, binary codes, hypothesis
     families and the L2 separation identity

@@ -43,6 +43,7 @@ from .linalg import is_psd
 from .models import ModelSpec, cov_differenced
 from .profiles import ConstantProfile
 from .regression import ols_slope
+from .reporting import null_if_nan
 
 __all__ = [
     "SeparationCondition",
@@ -110,8 +111,8 @@ class Certificate:
 
     model: str
     n: int
-    alpha: float
-    l_const: float
+    alpha: float | None  # None: no smoothness class (two-point certificate)
+    l_const: float | None
     tau: float
     c: float
     kappa: float
@@ -339,7 +340,7 @@ def two_point_certificate_m3(n: int, sigma_min: float, sigma_max: float,
         bound_certifies=pre_ok and bound_val <= kappa_bound,
     )
     return Certificate(
-        model="m3", n=n, alpha=float("nan"), l_const=float("nan"),
+        model="m3", n=n, alpha=None, l_const=None,
         tau=float(tau), c=float(c), kappa=float(kappa),
         family={
             "kind": "two_point",
@@ -414,8 +415,8 @@ class KLScalingResult:
                 {"n": n, "kl": kl, "reference": ref}
                 for n, kl, ref in zip(self.n_list, self.kl_values, self.reference)
             ],
-            "slope": self.slope,
-            "slope_se": self.slope_se,
+            "slope": null_if_nan(self.slope),
+            "slope_se": null_if_nan(self.slope_se),
             "predicted_slope": self.predicted_slope,
         }
 
@@ -446,10 +447,7 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
         kls.append(kl_exact(cov_differenced(spec, null),
                             cov_differenced(spec, alt)))
         refs.append(float(n) ** predicted * bump_width ** (2.0 * alpha))
-    if len(n_list) >= 2:
-        slope, slope_se = ols_slope(np.log(n_list), np.log(kls))
-    else:
-        slope, slope_se = float("nan"), float("nan")
+    slope, slope_se = ols_slope(np.log(n_list), np.log(kls))
     return KLScalingResult(
         model=model, alpha=float(alpha), l_const=float(l_const),
         tau=float(tau), bump_width=float(bump_width),

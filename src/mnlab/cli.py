@@ -75,8 +75,16 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in str(text).split(",") if x != ""]
 
 
+def _finite_float(text: str) -> float:
+    # reports are strict JSON, and no parameter has a meaning at nan or inf
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in str(text).split(",") if x != ""]
+    return [_finite_float(x) for x in str(text).split(",") if x != ""]
 
 
 def _load_config_file(path: str) -> dict:
@@ -95,16 +103,16 @@ def _load_config_file(path: str) -> dict:
 
 # every flag, in the order the usage lists them: name -> (type, default,
 # allowed values).  The parser and config files both read this table; the
-# seed's default is MNLAB_SEED, else 0.
+# seed's default is MNLAB_SEED, else 0.  Float flags must be finite.
 _FLAGS = {
     "model": (str, "m1", ("m1", "m2", "m3", "mq")),
-    "q": (float, None, None),
+    "q": (_finite_float, None, None),
     "n": (int, 256, None),
-    "alpha": (float, 1.0, None),
-    "L": (float, 1.0, None),
-    "tau": (float, 0.1, None),
-    "c": (float, None, None),
-    "kappa": (float, 0.09, None),
+    "alpha": (_finite_float, 1.0, None),
+    "L": (_finite_float, 1.0, None),
+    "tau": (_finite_float, 0.1, None),
+    "c": (_finite_float, None, None),
+    "kappa": (_finite_float, 0.09, None),
     "seed": (int, None, None),
     "reps": (int, 200, None),
     "trials": (int, 1000, None),
@@ -113,12 +121,12 @@ _FLAGS = {
     "ns": (_int_list, None, None),
     "alphas": (_float_list, [0.6, 1.0, 2.0], None),
     "qs": (_float_list, [0.0, 0.5, 1.0], None),
-    "sigma_min": (float, 1.0, None),
-    "sigma_max": (float, 4.0, None),
-    "sigma_sq": (float, 1.0, None),
+    "sigma_min": (_finite_float, 1.0, None),
+    "sigma_max": (_finite_float, 4.0, None),
+    "sigma_sq": (_finite_float, 1.0, None),
     "estimator": (str, "mle", montecarlo.ESTIMATORS),
-    "width": (float, 0.125, None),
-    "tol": (float, None, None),
+    "width": (_finite_float, 0.125, None),
+    "tol": (_finite_float, None, None),
     "out": (str, None, None),
     "format": (str, "json", ("json", "csv")),
     "workers": (int, 1, None),
@@ -128,7 +136,10 @@ _FLAGS = {
 def _from_file(key: str, text: str):
     """Parse a config-file value as its flag would be parsed."""
     kind, _, choices = _FLAGS[key]
-    value = kind(text)
+    try:
+        value = kind(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"config value {key}: {exc}") from None
     if choices is not None and value not in choices:
         raise ValueError(f"config value {key} = {value!r} is not one of "
                          f"{', '.join(choices)}")

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ConstructionFailure,
@@ -36,7 +35,8 @@ from .errors import (
     TooFewBumps,
     UnsupportedAlpha,
 )
-from .profiles import VolatilityProfile, _shifted_poly_antiderivative
+from .profiles import (VolatilityProfile, _shifted_poly,
+                       _shifted_poly_antiderivative, checked_integral)
 
 __all__ = [
     "BumpKernel",
@@ -135,9 +135,7 @@ class BumpKernel:
     @cached_property
     def l2_norm_sq(self) -> float:
         """``integral_{-1/2}^{1/2} K(u)^2 du`` by quadrature."""
-        val, _ = quad(lambda u: float(self.eval(u)) ** 2, -0.5, 0.5,
-                      epsabs=1e-14, epsrel=1e-12, limit=100)
-        return val
+        return checked_integral(lambda u: float(self.eval(u)) ** 2, -0.5, 0.5)
 
 
 def bump_kernel(alpha: float) -> BumpKernel:
@@ -305,14 +303,10 @@ class BumpSumProfile(VolatilityProfile):
                 continue
 
             def integrand(u, c=c, w=w):
-                v = u - shift
-                poly = 0.0
-                for r, cf in enumerate(coeffs):
-                    poly += cf * v**r
-                return poly * self.amplitude * w * float(self.kernel.eval((u - c) / self.h))
+                return _shifted_poly(coeffs, shift, u) * self.amplitude * w \
+                    * float(self.kernel.eval((u - c) / self.h))
 
-            val, _ = quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-12, limit=200)
-            total += val
+            total += checked_integral(integrand, lo, hi, self.breakpoints)
         return total
 
     def descriptor(self):
@@ -464,9 +458,7 @@ def l2_separation(family: HypothesisFamily, i: int, j: int) -> float:
         def integrand(u, c=c):
             return (amp * float(family.kernel.eval((u - c) / family.h))) ** 2
 
-        val, _ = quad(integrand, c - family.h / 2.0, c + family.h / 2.0,
-                      epsabs=1e-15, epsrel=1e-12, limit=200)
-        acc += val
+        acc += checked_integral(integrand, c - family.h / 2.0, c + family.h / 2.0)
     return acc
 
 

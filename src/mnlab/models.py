@@ -44,11 +44,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidDifferencing, InvalidProfile
 from .linalg import sym
-from .profiles import VolatilityProfile
+from .profiles import VolatilityProfile, checked_integral
 from .structures import matrix_a, matrix_v1
 
 __all__ = [
@@ -82,8 +81,8 @@ class ModelSpec:
             raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.tau < 0.0:
-            raise ValueError("tau must be >= 0")
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError("tau must be finite and >= 0")
         if self.differencing not in _DIFFERENCING:
             raise InvalidDifferencing(
                 f"differencing must be one of {_DIFFERENCING}"
@@ -109,27 +108,17 @@ def _probe_profile(profile: VolatilityProfile, n: int) -> None:
 def _cumulative_moments(profile: VolatilityProfile, n: int, powers) -> dict:
     """``integral_0^{k/n} u^p sigma^2 du`` for k = 0..n, per requested power.
 
-    Closed-form profiles are evaluated directly at each grid point (exact);
-    anything else is integrated interval by interval and accumulated, which
-    keeps the number of quadratures proportional to the support actually
-    covered.
+    One :meth:`~mnlab.profiles.VolatilityProfile.cell_integrals` query per
+    power.  Closed-form profiles integrate ``[0, k/n]`` directly (exact);
+    anything else integrates the cells ``[(k-1)/n, k/n]`` and accumulates,
+    which keeps each quadrature on a short interval.
     """
     grid = np.arange(n + 1) / n
+    lo = 0.0 if profile.kind in ("constant", "piecewise") else grid[:-1]
     out = {}
-    direct = profile.kind in ("constant", "piecewise")
     for p in powers:
-        vals = np.empty(n + 1)
-        vals[0] = 0.0
-        if direct:
-            for k in range(1, n + 1):
-                vals[k] = profile.moment_integral(p, 0.0, grid[k])
-        else:
-            increments = [
-                profile.moment_integral(p, grid[k - 1], grid[k])
-                for k in range(1, n + 1)
-            ]
-            vals[1:] = np.cumsum(increments)
-        out[p] = vals
+        cells = profile.cell_integrals(lo, grid[1:], 0.0, [0.0] * p + [1.0])
+        out[p] = np.concatenate(([0.0], cells if np.ndim(lo) == 0 else np.cumsum(cells)))
     return out
 
 
@@ -195,12 +184,9 @@ def cov_raw(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
             def integrand(u, ti=ti, tj=tj):
                 return (ti - u) ** q * (tj - u) ** q * float(profile.eval(u))
 
-            val, _ = quad(
-                integrand, 0.0, s_min,
-                points=[p for p in profile.breakpoints if 0.0 < p < s_min] or None,
-                epsabs=1e-13, epsrel=1e-11, limit=200,
+            signal[i, j] = signal[j, i] = checked_integral(
+                integrand, 0.0, s_min, profile.breakpoints
             )
-            signal[i, j] = signal[j, i] = val
     return signal + noise
 
 
@@ -266,39 +252,28 @@ def cov_differenced(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
     n, tau = spec.n, spec.tau
     raw_spec = ModelSpec(spec.model, n, spec.tau, q=spec.q, differencing="none")
 
+    grid = np.arange(n + 1) / n
     if spec.model == "m1" and spec.differencing == "first":
-        d = np.array([
-            profile.poly_integral((k - 1) / n, k / n, 0.0, (1.0,))
-            for k in range(1, n + 1)
-        ])
+        d = profile.cell_integrals(grid[:-1], grid[1:], 0.0, (1.0,))
         return np.diag(d) + tau * tau * matrix_a(n)
 
     if spec.model == "m2" and spec.differencing == "first":
         return _conjugate_first(_m2_signal(profile, n)) + tau * tau * matrix_a(n)
 
     if spec.model == "m3" and spec.differencing == "second":
+        # cell i = [(i-1)/n, i/n]: the diagonal adds (u - i/n)^2 on cell i to
+        # (u - (i-1)/n)^2 on cell i-1 (twice cell 1); cross is on cell i
         sq = (0.0, 0.0, 1.0)
-        left = np.array([
-            profile.poly_integral((i - 1) / n, i / n, i / n, sq)
-            for i in range(1, n + 1)
-        ])
-        right = np.zeros(n)
-        for i in range(2, n + 1):
-            right[i - 1] = profile.poly_integral(
-                (i - 2) / n, (i - 1) / n, (i - 2) / n, sq
-            )
-        cross = np.array([
-            profile.poly_integral((i - 1) / n, i / n, (i - 1) / n, (0.0, 1.0 / n, -1.0))
-            for i in range(1, n + 1)
-        ])
+        lo, hi = grid[:-1], grid[1:]
+        diag = profile.cell_integrals(lo, hi, hi, sq)
+        diag[1:] += profile.cell_integrals(lo[:-1], hi[:-1], lo[:-1], sq)
+        diag[0] *= 2.0
+        cross = profile.cell_integrals(lo, hi, lo, (0.0, 1.0 / n, -1.0))
+        off = cross[:-1].copy()
+        off[0] = math.sqrt(2.0) * cross[0]
         c = np.zeros((n, n))
-        c[0, 0] = 2.0 * left[0]
-        for i in range(1, n):
-            c[i, i] = left[i] + right[i]
-        if n >= 2:
-            c[0, 1] = c[1, 0] = math.sqrt(2.0) * cross[0]
-        for i in range(1, n - 1):
-            c[i, i + 1] = c[i + 1, i] = cross[i]
+        c.flat[::n + 1] = diag
+        c.flat[1::n + 1] = c.flat[n::n + 1] = off
         return c + tau * tau * second_diff_noise_gram(n)
 
     # generic fallback: first differences of the raw covariance (second

@@ -32,7 +32,9 @@ import numpy as np
 from ._version import __version__
 from .errors import BlockTooSmall, OptimizationFailure
 from .linalg import cholesky_lower
+from .profiles import checked_integral
 from .regression import ols_slope
+from .reporting import null_if_nan
 from .structures import eigvals_closed, sine_transform
 
 __all__ = [
@@ -95,11 +97,13 @@ def sample_m1_constant_diff(sigma_sq: float, tau: float, n: int,
 
 
 def m1_interval_sds(profile, n: int) -> np.ndarray:
-    """Standard deviations of the m1 signal increments for any profile."""
-    return np.sqrt([
-        profile.poly_integral((k - 1) / n, k / n, 0.0, (1.0,))
-        for k in range(1, n + 1)
-    ])
+    """Standard deviations of the m1 signal increments for any profile.
+
+    The square roots of the cell integrals of ``sigma^2`` over
+    ``[(k-1)/n, k/n]``, the same query as the m1 covariance diagonal.
+    """
+    grid = np.arange(n + 1) / n
+    return np.sqrt(profile.cell_integrals(grid[:-1], grid[1:], 0.0, (1.0,)))
 
 
 def sample_m1_profile_diff(interval_sds, tau: float, n: int,
@@ -143,8 +147,10 @@ def mle_const_sigma_m1(diff_data, n: int, tau: float,
     data = np.asarray(diff_data, dtype=float)
     if data.ndim != 1 or data.size < 1:
         raise ValueError("diff_data must be a non-empty vector")
-    if tau <= 0.0:
-        raise ValueError("tau must be positive (assumed known)")
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite (assumed known)")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("diff_data must be finite")
     lo, hi = (float(x) for x in bracket)
     if not (0.0 < lo < hi < math.inf):
         raise ValueError("bracket must satisfy 0 < lo < hi < inf")
@@ -234,18 +240,12 @@ class BinnedEstimate:
 
     def integrated_squared_error(self, profile) -> float:
         """``integral_0^1 (estimate(t) - sigma^2(t))^2 dt`` by quadrature."""
-        from scipy.integrate import quad
-
         total = 0.0
         for b, v in enumerate(self.values):
-            lo, hi = b / self.bins, (b + 1) / self.bins
-            pts = [p for p in profile.breakpoints if lo < p < hi]
-            val, _ = quad(
+            total += checked_integral(
                 lambda u, v=v: (v - float(profile.eval(u))) ** 2,
-                lo, hi, points=pts or None, epsabs=1e-12, epsrel=1e-9,
-                limit=200,
+                b / self.bins, (b + 1) / self.bins, profile.breakpoints,
             )
-            total += val
         return total
 
 
@@ -299,8 +299,8 @@ class ExperimentResult:
             ],
             "reps": self.reps,
             "seed": self.seed,
-            "slope": self.slope,
-            "slope_se": self.slope_se,
+            "slope": null_if_nan(self.slope),
+            "slope_se": null_if_nan(self.slope_se),
             "version": self.version,
             "config_hash": self.config_hash,
             "extra": self.extra,
@@ -368,10 +368,7 @@ def rate_experiment(model: str, estimator: str, n_list, reps: int,
         var.append(v)
         var_se.append(v * math.sqrt(2.0 / (reps - 1)))
 
-    if len(n_list) >= 2:
-        slope, slope_se = ols_slope(np.log2(n_list), np.log2(mse))
-    else:
-        slope, slope_se = float("nan"), float("nan")
+    slope, slope_se = ols_slope(np.log2(n_list), np.log2(mse))
     config = {
         "model": model, "estimator": estimator, "n_list": n_list,
         "reps": reps, "seed": seed, "sigma_sq": sigma_sq, "tau": tau,

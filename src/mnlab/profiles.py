@@ -6,58 +6,68 @@ profile for weighted integrals
 
     integral_a^b  p(u) * sigma^2(u) du,    p a polynomial,
 
-which constant and piecewise-constant profiles answer in closed form and
-everything else answers by adaptive quadrature (QUADPACK) at absolute
-tolerance 1e-12, with subdivision forced at the profile's breakpoints.
-Polynomials are passed in shifted coordinates (coefficients of powers of
-``u - shift``) so that short-interval integrals near ``u = shift`` come
-out at full relative precision instead of through catastrophic
-cancellation.
+one cell at a time (:meth:`VolatilityProfile.cell_integrals`), which
+constant and piecewise-constant profiles answer in closed form and
+everything else answers by adaptive quadrature.  Polynomials are passed in
+shifted coordinates (coefficients of powers of ``u - shift``) so that
+short-interval integrals near ``u = shift`` come out at full relative
+precision instead of through catastrophic cancellation.
 
-Profiles are immutable and evaluable concurrently; the only caching is a
-synchronized memo with no semantic effect.
+This module owns quadrature: :func:`checked_integral` is the only QUADPACK
+call in mnlab, at one tolerance set, and it raises
+:class:`~mnlab.errors.QuadratureFailure` instead of returning a value
+whose error estimate misses that tolerance.
+
+Profiles are immutable and hold no caches, so they can be evaluated
+concurrently.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from .errors import QuadratureFailure
 
-__all__ = [
-    "VolatilityProfile",
-    "ConstantProfile",
-    "PiecewiseConstantProfile",
-    "CallableProfile",
-]
+__all__ = ["checked_integral", "VolatilityProfile", "ConstantProfile",
+           "PiecewiseConstantProfile", "CallableProfile"]
 
-QUAD_ABS_TOL = 1e-12
+# the one tolerance set of every quadrature in mnlab
+QUAD_EPSABS, QUAD_EPSREL, QUAD_LIMIT = 1e-15, 1e-12, 200
 
 
-def _adaptive_quad(fn, a: float, b: float, breakpoints=()) -> float:
-    """Quadrature of ``fn`` on [a, b] with failure detection."""
+def checked_integral(fn, a: float, b: float, breakpoints=()) -> float:
+    """``integral_a^b fn(u) du`` by QUADPACK, checked against its error estimate.
+
+    One tolerance set: epsabs 1e-15, epsrel 1e-12, at most 200
+    subintervals, with the ``breakpoints`` inside ``(a, b)`` as forced
+    subdivision points.  Raises :class:`QuadratureFailure` when QUADPACK
+    returns a message or its error estimate exceeds
+    ``max(epsabs, epsrel * |value|)``.  ``full_output`` returns QUADPACK's
+    complaints instead of warning, so no process-global warning filter is
+    touched and the helper is safe on thread pools.  An empty or reversed
+    interval integrates to 0.
+    """
     if b <= a:
         return 0.0
     interior = [p for p in breakpoints if a < p < b]
-    with warnings.catch_warnings():
-        # poor convergence is reported via QuadratureFailure below
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = quad(
-            fn, a, b,
-            points=interior or None,
-            epsabs=1e-13,
-            epsrel=1e-11,
-            limit=200,
-        )
-    if err > max(QUAD_ABS_TOL, 1e-9 * abs(value)):
-        raise QuadratureFailure(
-            f"quadrature error estimate {err:.3e} exceeds tolerance on "
-            f"[{a}, {b}]"
-        )
+    value, err, _, *message = quad(fn, a, b, full_output=1, points=interior or None,
+                                   epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
+                                   limit=QUAD_LIMIT)
+    if message or err > max(QUAD_EPSABS, QUAD_EPSREL * abs(value)):
+        reason = message[0].split("\n")[0] if message else "tolerance missed"
+        raise QuadratureFailure(f"quadrature on [{a}, {b}] failed ({reason}): "
+                                f"value {value:.6e}, error estimate {err:.3e}")
     return value
+
+
+def _shifted_poly(coeffs, shift: float, u: float) -> float:
+    """``sum_r coeffs[r] (u - shift)^r``."""
+    v = u - shift
+    p = 0.0
+    for r, c in enumerate(coeffs):
+        p += c * v**r
+    return p
 
 
 def _shifted_poly_antiderivative(coeffs, shift: float, x: float) -> float:
@@ -90,20 +100,24 @@ class VolatilityProfile:
 
     def poly_integral(self, a: float, b: float, shift: float, coeffs) -> float:
         """``integral_a^b sum_r coeffs[r] (u - shift)^r * sigma^2(u) du``."""
+        return checked_integral(
+            lambda u: _shifted_poly(coeffs, shift, u) * float(self.eval(u)),
+            a, b, self.breakpoints,
+        )
 
-        def integrand(u):
-            v = u - shift
-            p = 0.0
-            for r, c in enumerate(coeffs):
-                p += c * v**r
-            return p * float(self.eval(u))
+    def cell_integrals(self, lo, hi, shift, coeffs) -> np.ndarray:
+        """:meth:`poly_integral` over each cell ``[lo[k], hi[k]]``.
 
-        return _adaptive_quad(integrand, a, b, self.breakpoints)
-
-    def moment_integral(self, power: int, a: float, b: float) -> float:
-        """``integral_a^b u^power * sigma^2(u) du``."""
-        coeffs = [0.0] * power + [1.0]
-        return self.poly_integral(a, b, 0.0, coeffs)
+        ``lo``, ``hi`` and ``shift`` broadcast to one value per cell; the
+        shared ``coeffs`` are in powers of ``u - shift[k]``.  Each cell is
+        one ``poly_integral`` call with Python floats, in cell order, so
+        the result is bit-identical to the scalar loop.
+        """
+        lo, hi, shift = np.broadcast_arrays(
+            *(np.asarray(x, dtype=float).ravel() for x in (lo, hi, shift)))
+        cells = zip(lo.tolist(), hi.tolist(), shift.tolist())
+        return np.fromiter((self.poly_integral(a, b, s, coeffs) for a, b, s in cells),
+                           dtype=float, count=lo.size)
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "lower": self.lower, "upper": self.upper}
@@ -156,7 +170,8 @@ class PiecewiseConstantProfile(VolatilityProfile):
         super().__init__(min(values), max(values), breakpoints=breaks)
         self.breaks = breaks
         self.values = values
-        self._edges = np.array((0.0,) + breaks + (1.0,))
+        # the outer pieces extend beyond [0, 1], as in eval
+        self._edges = (-np.inf,) + breaks + (np.inf,)
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
@@ -165,28 +180,14 @@ class PiecewiseConstantProfile(VolatilityProfile):
         return float(out) if out.ndim == 0 else out
 
     def poly_integral(self, a, b, shift, coeffs):
-        if b <= a:
-            return 0.0
         total = 0.0
         for k, v in enumerate(self.values):
-            lo = max(a, self._edges[k])
-            hi = min(b, self._edges[k + 1])
+            lo, hi = max(a, self._edges[k]), min(b, self._edges[k + 1])
             if hi > lo:
                 total += v * (
                     _shifted_poly_antiderivative(coeffs, shift, hi)
                     - _shifted_poly_antiderivative(coeffs, shift, lo)
                 )
-        # extend the outer pieces beyond [0, 1] if the query overshoots
-        if a < 0.0:
-            total += self.values[0] * (
-                _shifted_poly_antiderivative(coeffs, shift, min(b, 0.0))
-                - _shifted_poly_antiderivative(coeffs, shift, a)
-            )
-        if b > 1.0:
-            total += self.values[-1] * (
-                _shifted_poly_antiderivative(coeffs, shift, b)
-                - _shifted_poly_antiderivative(coeffs, shift, max(a, 1.0))
-            )
         return total
 
     def descriptor(self):

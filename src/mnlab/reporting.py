@@ -2,9 +2,12 @@
 
 Reports must be byte-identical across runs for a fixed configuration and
 seed, so serialisation is fully canonical (sorted keys, repr floats) and
-contains no timestamps.  Writes go through a temp file in the target
-directory followed by an atomic rename; a failed computation never leaves
-a partial report behind.
+contains no timestamps.  Reports are strict JSON: a field with no value
+(the slope of a one-point fit) is written as ``null`` via
+:func:`null_if_nan`, and any other non-finite float makes serialisation
+raise instead of writing a bare ``NaN`` token.  Writes go through a temp
+file in the target directory followed by an atomic rename; a failed
+computation never leaves a partial report behind.
 """
 
 from __future__ import annotations
@@ -12,16 +15,27 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
 
-__all__ = ["json_bytes", "csv_bytes", "atomic_write_bytes", "write_report"]
+__all__ = ["null_if_nan", "json_bytes", "csv_bytes", "atomic_write_bytes",
+           "write_report"]
+
+
+def null_if_nan(value: float) -> float | None:
+    """``value``, or ``None`` (JSON ``null``) when it is NaN: no value."""
+    return None if math.isnan(value) else value
 
 
 def json_bytes(obj) -> bytes:
-    """Canonical UTF-8 JSON: sorted keys, two-space indent, trailing newline."""
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """Canonical UTF-8 JSON: sorted keys, two-space indent, trailing newline.
+
+    Raises ``ValueError`` on a NaN or infinite float.
+    """
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    return (text + "\n").encode("utf-8")
 
 
 def csv_bytes(rows) -> bytes:

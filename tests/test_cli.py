@@ -142,6 +142,54 @@ def test_verify_model3_structure_reports_known_corner(tmp_path):
         assert corner["parameters"]["expected_difference"] == 1.0 / (6.0 * n**3)
 
 
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("args, fields", [
+    (("two-point-m3", "--n", "64", "--sigma-min", "1", "--sigma-max", "4",
+      "--c", "0.3"), ("certificate", "alpha", "L")),
+    (("kl-scaling", "--ns", "64"), ("result", "slope", "slope_se")),
+    (("kl-scaling", "--ns", "64,128"), ("result", "slope_se")),
+    (("simulate-rate", "--ns", "256", "--reps", "100"), ("result", "slope", "slope_se")),
+    (("simulate-rate", "--ns", "256,512", "--reps", "100"), ("result", "slope_se")),
+])
+def test_fields_without_a_value_are_null(args, fields):
+    proc = run_cli(*args)
+    assert proc.returncode in (0, 2), proc.stderr
+    section, *keys = fields
+    report = _strict_json(proc.stdout)[section]
+    for key in keys:
+        assert report[key] is None
+
+
+@pytest.mark.parametrize("args", [
+    ("kl-scaling", "--tau", "nan", "--ns", "64,128"),
+    ("kl-scaling", "--model", "m3", "--tau", "inf", "--ns", "64,128"),
+    ("simulate-rate", "--tau", "nan", "--ns", "256", "--reps", "100"),
+    ("simulate-rate", "--estimator", "rv", "--tau=-inf", "--ns", "256",
+     "--reps", "100"),
+    ("rate-table", "--alphas", "1,nan"),
+])
+def test_non_finite_parameters_exit_one(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "not a finite number" in proc.stderr
+
+
+def test_non_finite_config_value_exits_one(tmp_path):
+    config = tmp_path / "nan.cfg"
+    config.write_text("tau = nan\n")
+    proc = run_cli("rate-table", "--config", str(config))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "tau" in proc.stderr and "not a finite number" in proc.stderr
+
+
 def test_usage_errors_exit_one():
     assert run_cli("certificate", "--model", "bogus").returncode == 1
     assert run_cli("no-such-command").returncode == 1

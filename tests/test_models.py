@@ -42,6 +42,12 @@ def random_piecewise(rng, pieces=4):
     return PiecewiseConstantProfile(breaks, values)
 
 
+@pytest.mark.parametrize("tau", [-0.1, math.nan, math.inf])
+def test_spec_rejects_negative_or_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="tau"):
+        models.ModelSpec("m1", 8, tau)
+
+
 class TestCovRaw:
     def test_m1_constant_closed_form(self):
         n, tau = 8, 0.3

@@ -124,6 +124,19 @@ class TestMle:
         with pytest.raises(ValueError):
             mc.mle_const_sigma_m1(data, 64, 0.1, bracket=bracket, tol=tol)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_rejects_non_finite_tau(self, tau):
+        data = mc.sample_m1_constant_diff(1.0, 0.1, 64, rep=0, seed=1)
+        with pytest.raises(ValueError, match="tau"):
+            mc.mle_const_sigma_m1(data, 64, tau)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_data(self, bad):
+        data = mc.sample_m1_constant_diff(1.0, 0.1, 64, rep=0, seed=1)
+        data[17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mc.mle_const_sigma_m1(data, 64, 0.1)
+
 
 def _score(data, n, tau):
     """The m1 constant-volatility score, rebuilt from the sine coordinates."""

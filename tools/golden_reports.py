@@ -1,0 +1,147 @@
+"""Capture the CLI's golden reports: stdout, stderr and exit code per case.
+
+Usage::
+
+    python3 tools/golden_reports.py OUTDIR
+
+Runs a fixed list of ``mnlab`` invocations against the ``src/`` tree next
+to this script and writes ``OUTDIR/<case>.stdout``, ``<case>.stderr`` and
+``<case>.exit`` for each.  A refactor that must keep the report bytes is
+checked by capturing once before the change and once after, then
+comparing the two directories with ``diff -r``.  The list covers all ten
+subcommands, usage errors and config-file cases; ``MNLAB_SEED`` is
+cleared so the default seed is fixed.  A full capture takes a few
+minutes on two cores.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_CERT = ["--alpha", "1", "--L", "1", "--tau", "0.1", "--kappa", "0.09"]
+_NS = ["--ns", "256,512,1024,2048,4096"]
+
+# case name -> (arguments, config-file text or None); a config file is
+# passed as the final ``--config`` argument
+CASES = {
+    "verify-linalg": (["verify-linalg", "--seed", "3"], None),
+    "verify-spectral": (["verify-spectral", "--n", "256"], None),
+    "verify-kl": (["verify-kl", "--seed", "5"], None),
+    "verify-posdefmaj": (["verify-posdefmaj", "--seed", "2", "--count", "20"], None),
+    "verify-model3-structure": (["verify-model3-structure"], None),
+    "verify-model3-structure-n64": (
+        ["verify-model3-structure", "--n", "64", "--tau", "0.05"], None),
+    "certificate-m1-n2048": (
+        ["certificate", "--model", "m1", "--n", "2048", *_CERT, "--c", "9",
+         "--seed", "1", "--workers", "1", "--format", "json"], None),
+    "certificate-m2-n1024": (
+        ["certificate", "--model", "m2", "--n", "1024", *_CERT, "--c", "8",
+         "--seed", "7"], None),
+    "certificate-m3-n512": (
+        ["certificate", "--model", "m3", "--n", "512", *_CERT, "--c", "9",
+         "--seed", "7", "--workers", "2"], None),
+    "certificate-m2-n512-sampled": (
+        ["certificate", "--model", "m2", "--n", "512", *_CERT, "--c", "8",
+         "--seed", "3", "--max-hypotheses", "4", "--workers", "2"], None),
+    "certificate-m1-n512-alpha0.6": (
+        ["certificate", "--model", "m1", "--n", "512", "--alpha", "0.6",
+         "--L", "1", "--tau", "0.1", "--c", "9", "--max-hypotheses", "4"], None),
+    "certificate-m2-n512-alpha2": (
+        ["certificate", "--model", "m2", "--n", "512", "--alpha", "2",
+         "--L", "1", "--tau", "0.1", "--c", "9", "--max-hypotheses", "4"], None),
+    "certificate-m3-n1024-alpha2": (
+        ["certificate", "--model", "m3", "--n", "1024", "--alpha", "2",
+         "--L", "1", "--tau", "0.1", "--c", "12", "--max-hypotheses", "4"], None),
+    "certificate-config": (
+        ["certificate", "--c", "10", "--seed", "2"],
+        "model = m3\nn = 128\ntau = 0.05\n"),
+    "two-point-m3": (
+        ["two-point-m3", "--n", "1024", "--sigma-min", "1", "--sigma-max", "4",
+         "--c", "1", "--tau", "0.1"], None),
+    "rate-table-json": (
+        ["rate-table", "--alphas", "0.6,1,2", "--qs", "0,0.5,1"], None),
+    "rate-table-csv": (
+        ["rate-table", "--alphas", "0.6,1,2", "--qs", "0,0.5,1",
+         "--format", "csv"], None),
+    "kl-scaling-m1": (
+        ["kl-scaling", "--model", "m1", "--tau", "0.1", "--width", "0.125", *_NS],
+        None),
+    "kl-scaling-m2": (
+        ["kl-scaling", "--model", "m2", "--tau", "0.02", "--width", "0.25", *_NS],
+        None),
+    "kl-scaling-m3": (
+        ["kl-scaling", "--model", "m3", "--tau", "0.01", "--width", "0.125", *_NS],
+        None),
+    "kl-scaling-one-n": (
+        ["kl-scaling", "--model", "m1", "--ns", "256"], None),
+    "kl-scaling-two-n": (
+        ["kl-scaling", "--model", "m3", "--ns", "256,512"], None),
+    "kl-scaling-tau-nan": (
+        ["kl-scaling", "--model", "m1", "--tau", "nan", "--ns", "256,512"], None),
+    "kl-scaling-tau-inf": (
+        ["kl-scaling", "--model", "m3", "--tau", "inf", "--ns", "256,512"], None),
+    "simulate-rate-mle": (
+        ["simulate-rate", "--estimator", "mle", "--ns", "1024,2048,4096",
+         "--reps", "200", "--seed", "11"], None),
+    "simulate-rate-rv-csv": (
+        ["simulate-rate", "--estimator", "rv", "--ns", "1024,2048",
+         "--reps", "100", "--seed", "4", "--format", "csv"], None),
+    "simulate-rate-one-n": (
+        ["simulate-rate", "--ns", "1024", "--reps", "100", "--seed", "2"], None),
+    "simulate-rate-two-n": (
+        ["simulate-rate", "--ns", "256,512", "--reps", "100", "--seed", "1"],
+        None),
+    "simulate-rate-tau-nan": (
+        ["simulate-rate", "--tau", "nan", "--ns", "256,512", "--reps", "100"],
+        None),
+    "simulate-rate-rv-tau-nan": (
+        ["simulate-rate", "--estimator", "rv", "--tau", "nan", "--ns", "256,512",
+         "--reps", "100"], None),
+    "usage-bad-format": (["verify-spectral", "--format", "xml"], None),
+    "usage-certificate-without-c": (["certificate", "--model", "m1", "--n", "64"],
+                                    None),
+    "usage-help": (["certificate", "--help"], None),
+    "usage-unknown-flag": (["certificate", "--bogus", "1"], None),
+    "usage-unknown-model": (["kl-scaling", "--model", "m9"], None),
+    "usage-no-command": ([], None),
+    "config-bad-format": (["rate-table"], "format = xml\n"),
+    "config-unknown-key": (["rate-table"], "modle = m3\n"),
+    "config-not-finite": (["rate-table"], "tau = nan\n"),
+    "rate-table-tau-inf": (["rate-table", "--tau", "inf"], None),
+}
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        sys.stderr.write("usage: golden_reports.py OUTDIR\n")
+        return 1
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    env = {k: v for k, v in os.environ.items() if k != "MNLAB_SEED"}
+    env["PYTHONPATH"] = str(SRC)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (args, config) in CASES.items():
+            if config is not None:
+                path = Path(tmp) / f"{name}.cfg"
+                path.write_text(config, encoding="utf-8")
+                args = [*args, "--config", str(path)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "mnlab.cli", *args],
+                capture_output=True, env=env, cwd=tmp,
+            )
+            (out / f"{name}.stdout").write_bytes(proc.stdout)
+            (out / f"{name}.stderr").write_bytes(proc.stderr)
+            (out / f"{name}.exit").write_text(f"{proc.returncode}\n")
+            sys.stderr.write(f"{name}: exit {proc.returncode}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
