@@ -4,7 +4,7 @@ Modules
 -------
 linalg : dense symmetric linear algebra (Cholesky, eigen, PSD and
     Loewner-order tests) on bit-exactly symmetric arrays
-structures : the structured matrices A, Q, Q^-1, E, V1 with closed-form
+structures : the structured matrices A, Q, Q^-1, V1 with closed-form
     spectra, plus the fast orthonormal sine transform
 kl : Gaussian laws, validated and factored once, with the exact
     Kullback-Leibler divergence between them and its Frobenius bounds
@@ -15,9 +15,11 @@ hypotheses : bump kernels, Hoelder checks, binary codes, hypothesis
     families and the L2 separation identity
 certificate : finite-n certification of the lower-bound conditions,
     rate tables and KL scaling probes
-montecarlo : exact Gaussian sampling, the spectral constant-volatility
-    MLE, a binned baseline, and rate experiments
-cli : the ``mnlab`` command-line frontend
+montecarlo : O(n) m1 samplers, the spectral constant-volatility MLE, a
+    binned baseline, and rate experiments
+checks : the ``verify-*`` suites and their one check-record format,
+    including the scaled Loewner domination check
+cli : the ``mnlab`` command-line frontend (parse, dispatch, write)
 """
 
 from ._version import __version__
@@ -29,6 +31,7 @@ from .certificate import (
     rate_table,
     two_point_certificate_m3,
 )
+from .checks import verify_psd_majorization
 from .hypotheses import (
     BumpKernel,
     HypothesisFamily,
@@ -53,7 +56,6 @@ from .linalg import (
     frobenius_norm,
     is_psd,
     loewner_leq,
-    solve_spd,
     sym,
     sym_eigen,
 )
@@ -71,18 +73,15 @@ from .montecarlo import (
     binned_estimator,
     mle_const_sigma_m1,
     rate_experiment,
-    sample_gaussian,
 )
 from .profiles import CallableProfile, ConstantProfile, PiecewiseConstantProfile
 from .structures import (
-    eig_lower_bound,
     eigvals_closed,
     matrix_a,
     matrix_q,
     matrix_q_inv,
     sine_transform,
     sine_transform_inverse,
-    verify_psd_majorization,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -422,8 +422,7 @@ class KLScalingResult:
 
 
 def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
-                     n_list, bump_width: float = 0.125,
-                     center: float = 0.5) -> KLScalingResult:
+                     n_list, bump_width: float = 0.125) -> KLScalingResult:
     """Exact KL growth in ``n`` for one fixed bump alternative.
 
     The bump width is held constant across ``n``, so the divergence should
@@ -438,7 +437,7 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     n_list = [int(n) for n in n_list]
     if any(n > 4096 for n in n_list):
         raise ValueError("n > 4096 exceeds the exact-KL desk bound")
-    alt = single_bump_profile(alpha, l_const, bump_width, center)
+    alt = single_bump_profile(alpha, l_const, bump_width)
     null = ConstantProfile(1.0)
     predicted = 0.25 if model == "m3" else 0.5
     kls, refs = [], []

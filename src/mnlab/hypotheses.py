@@ -306,7 +306,7 @@ class BumpSumProfile(VolatilityProfile):
                 return _shifted_poly(coeffs, shift, u) * self.amplitude * w \
                     * float(self.kernel.eval((u - c) / self.h))
 
-            total += checked_integral(integrand, lo, hi, self.breakpoints)
+            total += checked_integral(integrand, lo, hi)
         return total
 
     def descriptor(self):
@@ -406,8 +406,7 @@ class HypothesisFamily:
 
 
 def build_family(n: int, alpha: float, l_const: float, c: float,
-                 model_class: str, seed: int = 0,
-                 max_codewords: int | None = None) -> HypothesisFamily:
+                 model_class: str, seed: int = 0) -> HypothesisFamily:
     """Construct the bump grid and codewords for sample size ``n``.
 
     Raises :class:`TooFewBumps` when the bump-count formula lands below 8
@@ -430,7 +429,7 @@ def build_family(n: int, alpha: float, l_const: float, c: float,
     h = 1.0 / (2.0 * m)
     k = np.arange(1, m + 1, dtype=float)
     centers = h * (k - 0.5) + 0.25
-    codewords = vg_code(m, seed=seed, target=max_codewords)
+    codewords = vg_code(m, seed=seed)
     return HypothesisFamily(
         n=n, alpha=float(alpha), l_const=float(l_const), c=float(c),
         model_class=model_class, seed=int(seed), m=m, h=h,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
 
@@ -31,7 +31,6 @@ __all__ = [
     "frobenius_norm",
     "is_psd",
     "loewner_leq",
-    "solve_spd",
 ]
 
 
@@ -118,17 +117,13 @@ def cholesky_lower(m) -> np.ndarray:
     return c
 
 
-def sym_eigen(m, tol: float = 1e-10) -> EigenResult:
+def sym_eigen(m) -> EigenResult:
     """Eigendecomposition of a symmetric matrix, values sorted descending.
 
-    ``tol`` is the residual tolerance the result is expected to satisfy
-    (relative to the Frobenius norm); LAPACK routinely delivers far
-    better.  A convergence failure inside LAPACK is reported as
+    A convergence failure inside LAPACK is reported as
     :class:`NoConvergence`.
     """
     a = check_symmetric(m)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
@@ -171,18 +166,3 @@ def loewner_leq(lo, hi, tol: float = 1e-9) -> bool:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
     return is_psd(b - a, tol=tol)
 
-
-def solve_spd(m, b) -> np.ndarray:
-    """Solve ``m @ x = b`` for symmetric positive definite ``m``.
-
-    ``b`` may be a vector or a matrix of right-hand sides.  Uses the
-    Cholesky factor with two triangular solves; never forms an inverse.
-    """
-    low = cholesky_lower(m)
-    rhs = np.asarray(b, dtype=float)
-    if rhs.shape[0] != low.shape[0]:
-        raise DimensionMismatch(
-            f"rhs has {rhs.shape[0]} rows, matrix has {low.shape[0]}"
-        )
-    y = solve_triangular(low, rhs, lower=True)
-    return solve_triangular(low.T, y, lower=False)

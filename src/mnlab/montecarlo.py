@@ -1,10 +1,11 @@
 """Exact Gaussian sampling and rate experiments at desk scale.
 
-Sampling goes through the Cholesky factor of an exact model covariance, or
-through the O(n) model recursion for model m1 with constant volatility
-(identical law, no dense matrix).  Replicate ``r`` of a run seeded with
-``s`` always draws from the stream keyed ``(s, ..., r)``, so serial and
-parallel executions produce bit-identical output.
+Model m1 is sampled in O(n) from its own recursion, for constant
+volatility or for a profile through its per-interval standard deviations:
+the same law as the exact covariance, with no dense matrix.  Replicate
+``r`` of a run seeded with ``s`` always draws from the stream keyed
+``(s, ..., r)``, so serial and parallel executions produce bit-identical
+output.
 
 The constant-volatility maximum-likelihood estimator for model m1 works in
 the sine eigenbasis of the first-difference Gram matrix, where the
@@ -31,7 +32,6 @@ import numpy as np
 
 from ._version import __version__
 from .errors import BlockTooSmall, OptimizationFailure
-from .linalg import cholesky_lower
 from .profiles import checked_integral
 from .regression import ols_slope
 from .reporting import null_if_nan
@@ -39,7 +39,6 @@ from .structures import eigvals_closed, sine_transform
 
 __all__ = [
     "replicate_rng",
-    "sample_gaussian",
     "sample_m1_constant_diff",
     "mle_const_sigma_m1",
     "realized_variance",
@@ -60,22 +59,6 @@ def replicate_rng(seed: int, *stream) -> np.random.Generator:
     it.
     """
     return np.random.default_rng([int(seed)] + [int(s) for s in stream])
-
-
-def sample_gaussian(cov, reps: int, seed: int = 0) -> np.ndarray:
-    """``reps`` independent N(0, cov) draws as rows, via the Cholesky factor.
-
-    Deterministic per (seed, replicate index); raises
-    :class:`mnlab.errors.NotPositiveDefinite` for a non-PD covariance.
-    """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    low = cholesky_lower(cov)
-    n = low.shape[0]
-    out = np.empty((reps, n))
-    for r in range(reps):
-        out[r] = low @ replicate_rng(seed, r).standard_normal(n)
-    return out
 
 
 def sample_m1_constant_diff(sigma_sq: float, tau: float, n: int,

@@ -5,9 +5,11 @@ seed, so serialisation is fully canonical (sorted keys, repr floats) and
 contains no timestamps.  Reports are strict JSON: a field with no value
 (the slope of a one-point fit) is written as ``null`` via
 :func:`null_if_nan`, and any other non-finite float makes serialisation
-raise instead of writing a bare ``NaN`` token.  Writes go through a temp
-file in the target directory followed by an atomic rename; a failed
-computation never leaves a partial report behind.
+raise instead of writing a bare ``NaN`` token.  A report is serialised
+once, by :func:`json_bytes` or :func:`csv_bytes`, and those bytes go to
+stdout or to :func:`write_report`, which writes a temp file in the target
+directory and renames it into place; a failed computation never leaves a
+partial report behind.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import os
 import tempfile
 from pathlib import Path
 
-__all__ = ["null_if_nan", "json_bytes", "csv_bytes", "atomic_write_bytes",
-           "write_report"]
+__all__ = ["null_if_nan", "json_bytes", "csv_bytes", "write_report"]
 
 
 def null_if_nan(value: float) -> float | None:
@@ -47,8 +48,8 @@ def csv_bytes(rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write via temp-and-rename so partial results never hit ``path``."""
+def write_report(payload: bytes, path) -> None:
+    """Write ``payload`` to ``path`` via temp-and-rename, never partially."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
@@ -60,15 +61,3 @@ def atomic_write_bytes(path, payload: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_report(obj, path, fmt: str = "json", rows=None) -> None:
-    """Serialise ``obj`` (or ``rows`` for CSV) to ``path`` atomically."""
-    if fmt == "json":
-        atomic_write_bytes(path, json_bytes(obj))
-    elif fmt == "csv":
-        if rows is None:
-            raise ValueError("CSV output needs rows")
-        atomic_write_bytes(path, csv_bytes(rows))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")

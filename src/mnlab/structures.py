@@ -2,8 +2,8 @@
 
 The first-difference Gram matrix ``A`` (tridiagonal, corner entry 1 at the
 top), the running-minimum matrix ``Q = (min(i, j)))`` and its tridiagonal
-inverse, the strict-upper-ones matrix ``E`` and the two-entry matrix ``V1``
-all appear in the exact covariance algebra of the noisy volatility models.
+inverse, and the two-entry matrix ``V1`` all appear in the exact
+covariance algebra of the noisy volatility models.
 ``A`` and ``Q^-1`` share the closed-form spectrum
 
     lambda_i = 4 sin^2((2i - 1) pi / (4n + 2)),   i = 1..n  (ascending),
@@ -19,28 +19,19 @@ index it as ``values[n - i]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import IndexOutOfRange, ProfileOutOfClass
-from .linalg import sym
 
 __all__ = [
     "matrix_a",
     "matrix_q",
     "matrix_q_inv",
-    "matrix_e",
     "matrix_v1",
     "bidiagonal_o",
     "build",
     "eigvals_closed",
-    "eig_lower_bound",
     "sine_basis_dense",
     "sine_transform",
     "sine_transform_inverse",
-    "PsdMajorizationReport",
-    "verify_psd_majorization",
 ]
 
 
@@ -67,12 +58,6 @@ def matrix_q_inv(n: int) -> np.ndarray:
     return a
 
 
-def matrix_e(n: int) -> np.ndarray:
-    """Strict upper-triangular matrix of ones (``e[i, j] = 1`` iff j > i)."""
-    _require_size(n)
-    return np.triu(np.ones((n, n)), k=1)
-
-
 def matrix_v1(n: int) -> np.ndarray:
     """Symmetric matrix with ones at (1, 2) and (2, 1) only (1-based)."""
     _require_size(n)
@@ -96,14 +81,13 @@ _BUILDERS = {
     "A": matrix_a,
     "Q": matrix_q,
     "Qinv": matrix_q_inv,
-    "E": matrix_e,
     "V1": matrix_v1,
     "O": bidiagonal_o,
 }
 
 
 def build(kind: str, n: int) -> np.ndarray:
-    """Build one of the structured matrices by name (A, Q, Qinv, E, V1, O)."""
+    """Build one of the structured matrices by name (A, Q, Qinv, V1, O)."""
     try:
         builder = _BUILDERS[kind]
     except KeyError:
@@ -116,14 +100,6 @@ def eigvals_closed(n: int) -> np.ndarray:
     _require_size(n)
     i = np.arange(1, n + 1, dtype=float)
     return 4.0 * np.sin((2.0 * i - 1.0) * np.pi / (4.0 * n + 2.0)) ** 2
-
-
-def eig_lower_bound(n: int, i: int) -> float:
-    """Lower bound ``i^2 / (4 n^2)`` for the i-th smallest eigenvalue."""
-    _require_size(n)
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"index {i} outside 1..{n}")
-    return i * i / (4.0 * n * n)
 
 
 def sine_basis_dense(n: int, which: str = "A") -> np.ndarray:
@@ -177,66 +153,6 @@ def sine_transform_inverse(coeffs) -> np.ndarray:
     spectrum = np.fft.rfft(buf)
     rev = -spectrum.imag[1 : n + 1] * (2.0 / np.sqrt(full))
     return rev[::-1]
-
-
-@dataclass(frozen=True)
-class PsdMajorizationReport:
-    """Outcome of the scaled Loewner domination check ``Q/(2+12L^2) <= S Q S``."""
-
-    n: int
-    lipschitz: float
-    min_eigenvalue: float
-    threshold: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "lemma": "scaled_q_loewner_domination",
-            "n": self.n,
-            "parameters": {"lipschitz": self.lipschitz},
-            "max_abs_residual": max(0.0, -self.min_eigenvalue),
-            "min_eigenvalue": self.min_eigenvalue,
-            "threshold": self.threshold,
-            "pass": self.passed,
-        }
-
-
-def verify_psd_majorization(profile, lipschitz: float, n: int,
-                            grid_size: int = 800) -> PsdMajorizationReport:
-    """Check ``(2 + 12 L^2)^-1 Q <= S Q S`` for ``S = diag(sigma(i/n))``.
-
-    ``profile`` supplies the squared volatility; its square root ``sigma``
-    must be >= 1 and Lipschitz with constant ``lipschitz`` (verified on a
-    grid, :class:`ProfileOutOfClass` otherwise).  The report carries the
-    smallest eigenvalue of ``S Q S - (2 + 12 L^2)^-1 Q`` and the pass
-    threshold ``-1e-9 * ||Q||_F``.
-    """
-    from .hypotheses import holder_check  # local import keeps layering acyclic
-
-    def sigma(t):
-        return np.sqrt(profile.eval(t))
-
-    grid = np.linspace(0.0, 1.0, grid_size)
-    if np.min(sigma(grid)) < 1.0 - 1e-12:
-        raise ProfileOutOfClass("sigma must be >= 1 on [0, 1]")
-    if not holder_check(sigma, 1.0, lipschitz, grid_size=grid_size):
-        raise ProfileOutOfClass(
-            f"sigma is not Lipschitz with constant {lipschitz}"
-        )
-
-    s = sigma(np.arange(1, n + 1) / n)
-    q = matrix_q(n)
-    scaled = q / (2.0 + 12.0 * lipschitz**2)
-    diff = sym(np.outer(s, s) * q - scaled)
-    min_eig = float(np.linalg.eigvalsh(diff)[0])
-    threshold = -1e-9 * float(np.sqrt(np.sum(q * q)))
-    return PsdMajorizationReport(
-        n=n,
-        lipschitz=float(lipschitz),
-        min_eigenvalue=min_eig,
-        threshold=threshold,
-        passed=min_eig >= threshold,
-    )
 
 
 def _require_size(n: int) -> None:

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from mnlab.reporting import write_report
+
 ENTRY = [sys.executable, "-m", "mnlab.cli"]
 
 
@@ -247,3 +249,53 @@ def test_stdout_json_when_no_out():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["command"] == "rate-table"
+
+
+@pytest.mark.parametrize("args", [
+    ("verify-posdefmaj", "--count", "0", "--ns", "16"),
+    ("verify-kl", "--trials", "0"),
+    ("simulate-rate", "--ns", "256,512", "--reps", "100", "--workers", "0"),
+    ("simulate-rate", "--ns", "256,512", "--reps", "100", "--workers=-3"),
+])
+def test_counts_below_one_exit_one(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "not a positive integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_config_count_below_one_exits_one(tmp_path):
+    config = tmp_path / "zero.cfg"
+    config.write_text("count = 0\n")
+    proc = run_cli("verify-posdefmaj", "--ns", "16", "--config", str(config))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: config value count: not a positive integer: '0'\n"
+
+
+def test_zero_tolerance_is_kept():
+    proc = run_cli("verify-spectral", "--n", "16", "--tol", "0")
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["config"]["tol"] == 0.0
+    assert report["pass"] is False
+    assert proc.stderr.startswith("failed checks: closed_form_spectrum_match")
+
+
+def test_failure_line_names_the_command():
+    proc = run_cli("kl-scaling", "--model", "m1", "--ns", "256")
+    assert proc.returncode == 2
+    assert proc.stderr == "kl-scaling slope is not within 0.1 of the predicted slope\n"
+    proc = run_cli("two-point-m3", "--n", "64", "--sigma-min", "1",
+                   "--sigma-max", "4", "--c", "3", "--tau", "0.1")
+    assert proc.returncode == 2
+    assert proc.stderr == "certificate conditions not all satisfied\n"
+
+
+def test_write_report_replaces_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "nested" / "report.json"
+    write_report(b"old contents, longer than the new ones\n", path)
+    write_report(b"new\n", path)
+    assert path.read_bytes() == b"new\n"
+    assert sorted(p.name for p in path.parent.iterdir()) == ["report.json"]

@@ -259,3 +259,26 @@ class TestBumpSumProfile:
             assert moment == pytest.approx(
                 oracle, abs=1e-12
             )
+
+    def test_each_quadrature_stays_inside_one_bump_support(self, monkeypatch):
+        # the cert-m1 family at n = 2048: each bump is integrated over its
+        # own support clipped to the cell, so no breakpoint is passed on
+        calls = []
+        real = hyp.checked_integral
+
+        def recording(fn, a, b, *rest, **options):
+            calls.append((a, b, rest, options))
+            return real(fn, a, b, *rest, **options)
+
+        monkeypatch.setattr(hyp, "checked_integral", recording)
+        n = 2048
+        family = hyp.build_family(n, 1.0, 1.0, 9.0, "m1m2", seed=1)
+        grid = np.arange(n + 1) / n
+        for k in (1, family.count_alternatives):
+            family.profile(k).cell_integrals(grid[:-1], grid[1:], 0.0, (1.0,))
+        assert calls
+        assert all(rest == () and options == {} for _, _, rest, options in calls)
+        lo_edges = family.centers - family.h / 2.0
+        hi_edges = family.centers + family.h / 2.0
+        for a, b, _, _ in calls:
+            assert np.any((lo_edges <= a) & (b <= hi_edges)), (a, b)

@@ -167,31 +167,6 @@ class TestPsdAndLoewner:
         assert la.loewner_leq(lhs, rhs)
 
 
-class TestSolveSpd:
-    def test_identity(self):
-        b = np.arange(6.0).reshape(3, 2)
-        assert np.allclose(la.solve_spd(np.eye(3), b), b)
-
-    def test_diagonal(self):
-        x = la.solve_spd(np.diag([2.0, 4.0]), np.eye(2))
-        assert np.allclose(x, np.diag([0.5, 0.25]))
-
-    def test_residual_on_model_covariance(self):
-        from mnlab.models import ModelSpec, cov_differenced
-        from mnlab.profiles import ConstantProfile
-
-        rng = np.random.default_rng(4)
-        cov = cov_differenced(ModelSpec("m1", 64, 0.1, differencing="first"),
-                              ConstantProfile(1.0))
-        b = rng.standard_normal(64)
-        x = la.solve_spd(cov, b)
-        assert np.linalg.norm(cov @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-    def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
-            la.solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
-
-
 class TestMatrixInequalities:
     """Randomized sweeps of the PSD/Frobenius facts the bounds rely on."""
 

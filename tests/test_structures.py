@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from mnlab import checks
 from mnlab import linalg as la
 from mnlab import structures as st
-from mnlab.errors import IndexOutOfRange, ProfileOutOfClass
+from mnlab.errors import ProfileOutOfClass
 from mnlab.profiles import CallableProfile, ConstantProfile
 
 
@@ -25,8 +26,6 @@ class TestBuilders:
             assert np.array_equal(o @ o.T, st.matrix_q_inv(n))
 
     def test_strict_upper_and_pair_matrices(self):
-        e = st.matrix_e(4)
-        assert np.array_equal(e, np.triu(np.ones((4, 4)), 1))
         v1 = st.matrix_v1(4)
         assert v1[0, 1] == 1.0 and v1[1, 0] == 1.0 and np.sum(v1) == 2.0
 
@@ -55,8 +54,6 @@ class TestClosedSpectrum:
             assert np.max(np.abs(numeric - closed)) <= 1e-10
 
     def test_lower_bound_values(self):
-        assert st.eig_lower_bound(1, 1) == 0.25
-        assert st.eig_lower_bound(10, 10) == 0.25
         assert st.eigvals_closed(10)[-1] == pytest.approx(
             4.0 * np.sin(19.0 * np.pi / 42.0) ** 2
         )
@@ -65,10 +62,6 @@ class TestClosedSpectrum:
         for n in range(2, 513):
             i = np.arange(1, n + 1)
             assert np.all(st.eigvals_closed(n) >= i * i / (4.0 * n * n))
-
-    def test_lower_bound_index_guard(self):
-        with pytest.raises(IndexOutOfRange):
-            st.eig_lower_bound(4, 5)
 
 
 class TestEigenvectors:
@@ -133,7 +126,7 @@ class TestNullCovarianceSpectra:
 
 class TestPsdMajorization:
     def test_constant_sigma_reduces_to_scaling(self):
-        report = st.verify_psd_majorization(ConstantProfile(1.0), 1.0, 32)
+        report = checks.verify_psd_majorization(ConstantProfile(1.0), 1.0, 32)
         assert report.passed
         assert report.min_eigenvalue >= 0.0
 
@@ -141,7 +134,7 @@ class TestPsdMajorization:
         from mnlab.hypotheses import build_family
 
         family = build_family(128, 1.0, 1.0, 7.2, "m1m2", seed=3)
-        report = st.verify_psd_majorization(family.profile(1), 1.0, 128)
+        report = checks.verify_psd_majorization(family.profile(1), 1.0, 128)
         assert report.passed
 
     def test_randomized_lipschitz_sweep(self):
@@ -158,14 +151,9 @@ class TestPsdMajorization:
 
             lip = amp * np.pi * freq * 1.01 + 1e-9
             profile = CallableProfile(sigma_sq, lower=1.0, upper=(1.0 + amp) ** 2)
-            assert st.verify_psd_majorization(profile, lip, 64).passed
+            assert checks.verify_psd_majorization(profile, lip, 64).passed
 
     def test_out_of_class_profile_rejected(self):
         profile = ConstantProfile(0.25)  # sigma = 0.5 < 1
         with pytest.raises(ProfileOutOfClass):
-            st.verify_psd_majorization(profile, 1.0, 16)
-
-    def test_report_dict_shape(self):
-        report = st.verify_psd_majorization(ConstantProfile(1.0), 0.5, 8)
-        d = report.to_dict()
-        assert set(d) >= {"lemma", "n", "parameters", "max_abs_residual", "pass"}
+            checks.verify_psd_majorization(profile, 1.0, 16)

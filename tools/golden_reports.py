@@ -6,12 +6,13 @@ Usage::
 
 Runs a fixed list of ``mnlab`` invocations against the ``src/`` tree next
 to this script and writes ``OUTDIR/<case>.stdout``, ``<case>.stderr`` and
-``<case>.exit`` for each.  A refactor that must keep the report bytes is
-checked by capturing once before the change and once after, then
-comparing the two directories with ``diff -r``.  The list covers all ten
-subcommands, usage errors and config-file cases; ``MNLAB_SEED`` is
-cleared so the default seed is fixed.  A full capture takes a few
-minutes on two cores.
+``<case>.exit`` for each; a case that passes ``--out`` also saves the
+report it wrote as ``<case>.file``.  A refactor that must keep the report
+bytes is checked by capturing once before the change and once after,
+then comparing the two directories with ``diff -r``.  The list covers
+all ten subcommands, written reports, usage errors and config-file
+cases; ``MNLAB_SEED`` is cleared so the default seed is fixed.  A full
+capture takes a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ CASES = {
     "simulate-rate-rv-tau-nan": (
         ["simulate-rate", "--estimator", "rv", "--tau", "nan", "--ns", "256,512",
          "--reps", "100"], None),
+    "out-json": (["verify-spectral", "--n", "64", "--out", "spectral.json"], None),
+    "out-csv-failing": (
+        ["kl-scaling", "--model", "m1", "--ns", "256", "--format", "csv",
+         "--out", "reports/kl.csv"], None),
     "usage-bad-format": (["verify-spectral", "--format", "xml"], None),
     "usage-certificate-without-c": (["certificate", "--model", "m1", "--n", "64"],
                                     None),
@@ -110,9 +115,15 @@ CASES = {
     "usage-unknown-flag": (["certificate", "--bogus", "1"], None),
     "usage-unknown-model": (["kl-scaling", "--model", "m9"], None),
     "usage-no-command": ([], None),
+    "usage-count-zero": (["verify-posdefmaj", "--count", "0", "--ns", "16"], None),
+    "usage-trials-zero": (["verify-kl", "--trials", "0"], None),
+    "usage-workers-zero": (
+        ["simulate-rate", "--ns", "256,512", "--reps", "100", "--workers", "0"],
+        None),
     "config-bad-format": (["rate-table"], "format = xml\n"),
     "config-unknown-key": (["rate-table"], "modle = m3\n"),
     "config-not-finite": (["rate-table"], "tau = nan\n"),
+    "config-count-zero": (["verify-posdefmaj", "--ns", "16"], "count = 0\n"),
     "rate-table-tau-inf": (["rate-table", "--tau", "inf"], None),
 }
 
@@ -139,6 +150,9 @@ def main(argv=None) -> int:
             (out / f"{name}.stdout").write_bytes(proc.stdout)
             (out / f"{name}.stderr").write_bytes(proc.stderr)
             (out / f"{name}.exit").write_text(f"{proc.returncode}\n")
+            if "--out" in args:
+                written = Path(tmp) / args[args.index("--out") + 1]
+                (out / f"{name}.file").write_bytes(written.read_bytes())
             sys.stderr.write(f"{name}: exit {proc.returncode}\n")
     return 0
 
