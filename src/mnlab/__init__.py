@@ -2,15 +2,17 @@
 
 Modules
 -------
-linalg : dense symmetric linear algebra (Cholesky, eigen, PSD and
-    Loewner-order tests) on bit-exactly symmetric arrays
+linalg : symmetric linear algebra (Cholesky, eigen, PSD and
+    Loewner-order tests) on bit-exactly symmetric arrays and band matrices
 structures : the structured matrices A, Q, Q^-1, V1 with closed-form
     spectra, plus the fast orthonormal sine transform
-kl : Gaussian laws, validated and factored once, with the exact
-    Kullback-Leibler divergence between them and its Frobenius bounds
+kl : Gaussian laws, validated and factored once (dense or banded), and
+    the one kernel comparing two laws on the support where they differ:
+    exact Kullback-Leibler divergence, Frobenius bounds, Loewner constant
 profiles : squared-volatility profiles, their per-cell weighted integrals,
     and the one checked quadrature helper
-models : exact raw and differenced covariances of the observation models
+models : exact raw and differenced covariances of the observation models,
+    banded where they are, and bump alternatives as a support and block
 hypotheses : bump kernels, Hoelder checks, binary codes, hypothesis
     families and the L2 separation identity
 certificate : finite-n certification of the lower-bound conditions,
@@ -44,13 +46,16 @@ from .hypotheses import (
     vg_code,
 )
 from .kl import (
+    Comparison,
     GaussianLaw,
+    compare,
     find_loewner_constant,
     kl_bound,
     kl_bound_symmetrized,
     kl_exact,
 )
 from .linalg import (
+    Banded,
     EigenResult,
     cholesky_lower,
     frobenius_norm,
@@ -61,9 +66,11 @@ from .linalg import (
 )
 from .models import (
     ModelSpec,
+    bump_difference,
     cov_differenced,
     cov_raw,
     diff_matrix,
+    differenced_bands,
     extract_v2,
     model2_decomposition,
     model3_reference_decomposition,

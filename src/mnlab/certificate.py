@@ -38,9 +38,8 @@ from .hypotheses import (
     l2_separation,
     single_bump_profile,
 )
-from .kl import GaussianLaw, kl_bound, kl_exact
-from .linalg import is_psd
-from .models import ModelSpec, cov_differenced
+from .kl import GaussianLaw, compare
+from .models import ModelSpec, bump_difference, differenced_bands
 from .profiles import ConstantProfile
 from .regression import ols_slope
 from .reporting import null_if_nan
@@ -169,6 +168,11 @@ def _differencing(model: str) -> str:
     return "second" if model == "m3" else "first"
 
 
+def _null_law(spec: ModelSpec) -> GaussianLaw:
+    """The ``sigma^2 = 1`` law, tridiagonal (m1, m2) or pentadiagonal (m3)."""
+    return GaussianLaw(differenced_bands(spec, ConstantProfile(1.0)))
+
+
 def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
              c: float, kappa: float, max_hypotheses: int = 16, seed: int = 0,
              workers: int = 1,
@@ -212,22 +216,22 @@ def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
 
     diff = _differencing(model)
     spec = ModelSpec(model, n, tau, differencing=diff)
-    null = GaussianLaw(cov_differenced(spec, ConstantProfile(1.0)))
+    null = _null_law(spec)
     bound_c = _bound_constant(model, l_const)
     grid_size = max(800, 40 * family.m)
 
     def one_hypothesis(k: int) -> dict:
         prof = family.profile(k)
-        alt = GaussianLaw(cov_differenced(spec, prof))
+        comparison = compare(null, *bump_difference(spec, prof))
         in_class = holder_check(
             prof.eval, alpha, l_const, grid_size=grid_size,
             lower=1.0, upper=family.upper_bound, deriv=prof.deriv,
         )
-        pre_ok = bool(is_psd(alt.cov - bound_c * null.cov))
+        pre_ok = comparison.dominates(bound_c)
         entry = {
             "index": k,
-            "kl": kl_exact(null, alt),
-            "frobenius_bound": kl_bound(null, alt, bound_c).value,
+            "kl": comparison.kl,
+            "frobenius_bound": comparison.bound(bound_c).value,
             "precondition_ok": pre_ok,
             "in_class": bool(in_class),
         }
@@ -319,13 +323,17 @@ def two_point_certificate_m3(n: int, sigma_min: float, sigma_max: float,
         raise ValueError("sigma_1^2 exceeds sigma_max; lower c")
 
     spec = ModelSpec("m3", n, tau, differencing="second")
-    law0 = GaussianLaw(cov_differenced(spec, ConstantProfile(sigma_min)))
-    law1 = GaussianLaw(cov_differenced(spec, ConstantProfile(sigma1)))
-    kl = kl_exact(law0, law1)
+    law0 = GaussianLaw(differenced_bands(spec, ConstantProfile(sigma_min)))
+    # the noise parts cancel: the laws differ by (sigma1 - sigma_min) times
+    # the unit signal, on every index
+    signal = differenced_bands(ModelSpec("m3", n, 0.0, differencing="second"),
+                               ConstantProfile(1.0)).dense()
+    comparison = compare(law0, np.arange(n), (sigma1 - sigma_min) * signal)
+    kl = comparison.kl
     separation = sigma1 - sigma_min
     kappa_bound = kappa * 1.0 * LN2  # log2(M) = 1 for M = 2 hypotheses
-    pre_ok = bool(is_psd(law1.cov - law0.cov))
-    bound_val = kl_bound(law0, law1, 1.0).value
+    pre_ok = comparison.dominates(1.0)
+    bound_val = comparison.bound(1.0).value
 
     cond_ii = SeparationCondition(
         min_separation=separation,
@@ -428,23 +436,24 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     The bump width is held constant across ``n``, so the divergence should
     grow like ``n^(1/2)`` for models m1/m2 and ``n^(1/4)`` for m3 (times
     the fixed ``h^(2 alpha)`` factor); the log-log slope is returned with
-    its standard error.
+    its standard error.  Each point is one kernel comparison against the
+    banded null, which reaches n = 16384 for m1 and m3; the m2 block
+    covers over half the rows, so m2 stops at n = 4096.
     """
     if model not in ("m1", "m2", "m3"):
         raise ValueError("probe covers models m1, m2, m3")
     if tau <= 0.0:
         raise ValueError("needs tau > 0")
     n_list = [int(n) for n in n_list]
-    if any(n > 4096 for n in n_list):
-        raise ValueError("n > 4096 exceeds the exact-KL desk bound")
+    limit = 4096 if model == "m2" else 16384
+    if any(n > limit for n in n_list):
+        raise ValueError(f"n > {limit} exceeds the exact-KL desk bound")
     alt = single_bump_profile(alpha, l_const, bump_width)
-    null = ConstantProfile(1.0)
     predicted = 0.25 if model == "m3" else 0.5
     kls, refs = [], []
     for n in n_list:
         spec = ModelSpec(model, n, tau, differencing=_differencing(model))
-        kls.append(kl_exact(cov_differenced(spec, null),
-                            cov_differenced(spec, alt)))
+        kls.append(compare(_null_law(spec), *bump_difference(spec, alt)).kl)
         refs.append(float(n) ** predicted * bump_width ** (2.0 * alpha))
     slope, slope_se = ols_slope(np.log(n_list), np.log(kls))
     return KLScalingResult(

@@ -392,7 +392,8 @@ def verify_model3_structure(*, n: int, tau: float, alpha: float, l_const: float,
                          corner_dev, corner_dev <= 1e-12 / n3 * 10))
 
     n_fam = min(n, 256)
-    c = c or _auto_c_m3(n_fam, alpha)
+    if c is None:
+        c = _auto_c_m3(n_fam, alpha)
     family = build_family(n_fam, alpha, l_const, c, "m3", seed=seed)
     spec_f = models.ModelSpec("m3", n_fam, tau, differencing="second")
     null = models.cov_differenced(spec_f, ConstantProfile(1.0))

@@ -75,7 +75,8 @@ def _finite_float(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    # a count of trials, profiles or workers below 1 would run nothing
+    # a count of trials, profiles, hypotheses or workers below 1 would run
+    # nothing
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
@@ -103,7 +104,7 @@ def _load_config_file(path: str) -> dict:
 # every flag, in the order the usage lists them: name -> (type, default,
 # allowed values).  The parser and config files both read this table; the
 # seed's default is MNLAB_SEED, else 0.  Float flags must be finite, and
-# trials, count and workers at least 1.
+# trials, count, max_hypotheses and workers at least 1.
 _FLAGS = {
     "model": (str, "m1", ("m1", "m2", "m3", "mq")),
     "q": (_finite_float, None, None),
@@ -117,7 +118,7 @@ _FLAGS = {
     "reps": (int, 200, None),
     "trials": (_positive_int, 1000, None),
     "count": (_positive_int, 100, None),
-    "max_hypotheses": (int, 16, None),
+    "max_hypotheses": (_positive_int, 16, None),
     "ns": (_int_list, None, None),
     "alphas": (_float_list, [0.6, 1.0, 2.0], None),
     "qs": (_float_list, [0.0, 0.5, 1.0], None),

@@ -290,11 +290,8 @@ class BumpSumProfile(VolatilityProfile):
                     * self.kernel.deriv1((t - c) / self.h)
         return float(out) if out.ndim == 0 else out
 
-    def poly_integral(self, a, b, shift, coeffs):
-        if b <= a:
-            return 0.0
-        total = (_shifted_poly_antiderivative(coeffs, shift, b)
-                 - _shifted_poly_antiderivative(coeffs, shift, a))
+    def _bump_pieces(self, a, b, shift, coeffs):
+        """Each bump's share of the bump integral over ``[a, b]``, in order."""
         for c, w in zip(self.centers, self.weights):
             if w == 0.0:
                 continue
@@ -306,8 +303,19 @@ class BumpSumProfile(VolatilityProfile):
                 return _shifted_poly(coeffs, shift, u) * self.amplitude * w \
                     * float(self.kernel.eval((u - c) / self.h))
 
-            total += checked_integral(integrand, lo, hi)
+            yield checked_integral(integrand, lo, hi)
+
+    def poly_integral(self, a, b, shift, coeffs):
+        if b <= a:
+            return 0.0
+        total = (_shifted_poly_antiderivative(coeffs, shift, b)
+                 - _shifted_poly_antiderivative(coeffs, shift, a))
+        for piece in self._bump_pieces(a, b, shift, coeffs):
+            total += piece
         return total
+
+    def bump_integral(self, a, b, shift, coeffs):
+        return sum(self._bump_pieces(a, b, shift, coeffs), 0.0)
 
     def descriptor(self):
         d = {

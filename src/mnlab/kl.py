@@ -16,34 +16,56 @@ conditions tractable.  Without the Loewner hypothesis a symmetrised
 variant still dominates; that variant is verified empirically by the test
 suite rather than certified.
 
-Each law is a :class:`GaussianLaw`: its covariance is validated and
-Cholesky-factored once, in one :func:`~mnlab.linalg.cholesky_lower` call
-when the law is built, and every comparison reads the cached factor and
-log-determinant.  A covariance is checked for exact symmetry, never
-symmetrised: the builders in :mod:`mnlab.models` return bit-exactly
-symmetric arrays.  The comparison functions accept laws or plain
-covariance arrays; arrays are turned into laws on entry, so comparing one
-null law against many alternatives factors the null once.
+One kernel, :func:`compare`, answers all of these.  The two laws differ
+by ``Delta = sigma1 - sigma0 = E_S B E_S^T`` on a support ``S`` of ``k``
+indices (a bump alternative differs from its null only on the cells its
+bumps touch).  With ``X = sigma0^-1 E_S``, ``P = X[S] = R R^T`` and the
+eigenvalues ``mu`` of the ``k x k`` matrix ``R^T B R`` (those of
+``sigma0^-1 Delta`` that are not zero):
+
+* ``kl = (1/2) sum(mu - log1p(mu))``, summed term by term, so no trace
+  cancels against a log-determinant and no clamp at 0 is needed;
+* the middle bound is ``||R^T B R||_F^2 / (4C^2)`` and the outer one
+  ``||X B||_F^2 / (4C^2)``, so ``sigma0^-1 sigma1`` is never formed;
+* the largest Loewner constant is ``min(1 + min(mu), 1)``.
+
+The solve for ``X`` runs in column blocks, so no dense ``n x k`` array is
+held at large ``n``.  :func:`kl_exact`, :func:`kl_bound`,
+:func:`kl_bound_symmetrized` and :func:`find_loewner_constant` are views
+of the kernel that take two laws or two covariance arrays; for two
+arrays the support is the rows where they differ.
+
+Each law is a :class:`GaussianLaw`, validated and Cholesky-factored once
+by :func:`~mnlab.linalg.cholesky_lower` when it is built.  Its covariance
+is a dense bit-exactly symmetric array or a :class:`~mnlab.linalg.Banded`
+matrix: the differenced m1 null is tridiagonal and the m3 null
+pentadiagonal, factored and solved in band storage in O(n) per
+right-hand side, and their dense form is built only on request.  Solves
+use the Cholesky factor, never an explicit inverse: the model-3
+covariances reach condition numbers of order n^3 / tau^2.
 
 All KL quantities are in nats.  Binary logarithms appear only in codeword
-counting (see :mod:`mnlab.certificate`).  Products with ``sigma0^-1`` are
-always formed via triangular solves against the Cholesky factor, never via
-an explicit inverse: the model-3 covariances reach condition numbers of
-order n^3 / tau^2 and explicit inverses would ruin the bound comparisons.
+counting (see :mod:`mnlab.certificate`).
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 
-from .errors import DimensionMismatch, InvalidC
-from .linalg import cholesky_lower
+from .errors import DimensionMismatch, InvalidC, NotPositiveDefinite
+from .linalg import Banded, check_symmetric, cholesky_lower, is_psd, sym
 
 __all__ = [
     "GaussianLaw",
+    "Comparison",
+    "compare",
     "kl_exact",
     "KLBound",
     "kl_bound",
@@ -51,52 +73,68 @@ __all__ = [
     "find_loewner_constant",
 ]
 
+# doubles held by one block of right-hand sides in a support solve (16 MB)
+_BLOCK_ELEMENTS = 1 << 21
+
 
 class GaussianLaw:
     """The centred normal law ``N(0, cov)``, validated and factored once.
 
-    ``cov`` is the bit-exactly symmetric covariance, ``chol`` its lower
-    Cholesky factor and ``logdet = 2 * sum(log(diag(chol)))``.  The
-    covariance is checked, never symmetrised, and only once: by
-    :func:`~mnlab.linalg.cholesky_lower`, which raises ``ValueError`` for
-    a covariance that is not exactly symmetric,
-    :class:`~mnlab.errors.DimensionMismatch` for one that is not square and
-    :class:`~mnlab.errors.NotPositiveDefinite` for one that is not
-    positive definite.
+    ``cov`` is a bit-exactly symmetric array or a
+    :class:`~mnlab.linalg.Banded` matrix.  ``chol`` is its lower Cholesky
+    factor (in band storage for a banded law) and ``logdet`` its
+    log-determinant.  The covariance is checked, never symmetrised, and
+    only once: by :func:`~mnlab.linalg.cholesky_lower`, which raises
+    ``ValueError`` for a dense covariance that is not exactly symmetric,
+    :class:`~mnlab.errors.DimensionMismatch` for one that is not square
+    and :class:`~mnlab.errors.NotPositiveDefinite`, with the failing
+    pivot, for one that is not positive definite.
     """
 
-    __slots__ = ("cov", "chol", "logdet")
+    __slots__ = ("_cov", "chol", "logdet")
 
     def __init__(self, cov):
-        self.cov = np.ascontiguousarray(cov, dtype=float)
-        self.chol = cholesky_lower(self.cov)
-        self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+        self._cov = cov if isinstance(cov, Banded) \
+            else np.ascontiguousarray(cov, dtype=float)
+        self.chol = cholesky_lower(self._cov)
+        pivots = self.chol[0] if self.banded else np.diag(self.chol)
+        self.logdet = 2.0 * float(np.sum(np.log(pivots)))
+
+    @property
+    def banded(self) -> bool:
+        return isinstance(self._cov, Banded)
+
+    @property
+    def size(self) -> int:
+        return self.chol.shape[1]
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The dense covariance; built anew on each request for a banded law."""
+        return self._cov.dense() if self.banded else self._cov
+
+    def solve(self, rhs) -> np.ndarray:
+        """``cov^-1 rhs`` by the two triangular solves of the Cholesky factor."""
+        if self.banded:
+            return scipy.linalg.cho_solve_banded((self.chol, True), rhs,
+                                                 check_finite=False)
+        return scipy.linalg.cho_solve((self.chol, True), rhs, check_finite=False)
 
 
-def _laws(sigma0, sigma1) -> tuple[GaussianLaw, GaussianLaw]:
-    law0 = sigma0 if isinstance(sigma0, GaussianLaw) else GaussianLaw(sigma0)
-    law1 = sigma1 if isinstance(sigma1, GaussianLaw) else GaussianLaw(sigma1)
-    if law0.cov.shape != law1.cov.shape:
-        raise DimensionMismatch(
-            f"shapes differ: {law0.cov.shape} vs {law1.cov.shape}"
-        )
-    return law0, law1
+def _kl_terms(mu: np.ndarray) -> np.ndarray:
+    """``mu - log1p(mu)`` per eigenvalue, free of cancellation at small ``mu``.
 
-
-def kl_exact(sigma0, sigma1) -> float:
-    """Exact divergence (nats) of ``N(0, sigma1)`` from ``N(0, sigma0)``.
-
-    Both inputs must be positive definite.  Computed from the Cholesky
-    factors: log-determinants from the factor diagonals and the trace term
-    as ``||L0^-1 L1||_F^2``.  The value is clamped at 0 to absorb rounding
-    for near-identical inputs.
+    For ``|mu| < 0.1`` the series ``mu^2 sum_j (-mu)^j / (j + 2)`` is
+    summed to 16 terms, past double precision.
     """
-    law0, law1 = _laws(sigma0, sigma1)
-    n = law0.cov.shape[0]
-    logdet_ratio = law1.logdet - law0.logdet
-    w = scipy.linalg.solve_triangular(law0.chol, law1.chol, lower=True)
-    trace_term = float(np.sum(w * w))
-    return float(max(0.5 * (-logdet_ratio + trace_term - n), 0.0))
+    out = mu - np.log1p(mu)
+    small = np.abs(mu) < 0.1
+    x = mu[small]
+    series = np.full(x.shape, 1.0 / 17.0)
+    for j in range(14, -1, -1):
+        series = series * -x + 1.0 / (j + 2)
+    out[small] = x * x * series
+    return out
 
 
 class KLBound(NamedTuple):
@@ -112,6 +150,152 @@ class KLBound(NamedTuple):
     middle: float
 
 
+def _check_c(c: float) -> None:
+    if not 0.0 < c <= 1.0:
+        raise InvalidC(f"constant must lie in (0, 1], got {c}")
+
+
+def _solve_blocks(law: GaussianLaw, support: np.ndarray, values=None):
+    """``cov^-1 E_S V`` a block of columns at a time: yields ``(cols, z)``.
+
+    ``V`` is ``values`` (``k x m``), or the identity when it is None.
+    """
+    n = law.size
+    m = support.size if values is None else values.shape[1]
+    width = max(1, _BLOCK_ELEMENTS // n)
+    for j in range(0, m, width):
+        cols = slice(j, min(j + width, m))
+        rhs = np.zeros((n, cols.stop - j), order="F")
+        if values is None:
+            rhs[support[cols], np.arange(cols.stop - j)] = 1.0
+        else:
+            rhs[support] = values[:, cols]
+        yield cols, law.solve(rhs)
+
+
+def _solve_norm_sq(law: GaussianLaw, support: np.ndarray, block: np.ndarray) -> float:
+    """``||cov^-1 E_S B||_F^2``."""
+    return math.fsum(float(np.sum(z * z)) for _, z in _solve_blocks(law, support, block))
+
+
+@dataclass(frozen=True, eq=False)
+class Comparison:
+    """A null law against ``null + E_S B E_S^T``, reduced to ``k x k``.
+
+    ``mu`` are the eigenvalues of ``R^T B R`` ascending and ``middle_sq``
+    is ``||R^T B R||_F^2`` (see the module docstring).  ``right_sq =
+    ||X B||_F^2`` costs a second solve with ``k`` right-hand sides and is
+    computed on first use, by :meth:`bound`.
+    """
+
+    null: GaussianLaw
+    support: np.ndarray
+    block: np.ndarray
+    mu: np.ndarray
+    middle_sq: float
+
+    @cached_property
+    def right_sq(self) -> float:
+        return _solve_norm_sq(self.null, self.support, self.block)
+
+    @property
+    def kl(self) -> float:
+        """Exact divergence (nats) of the alternative from the null."""
+        return 0.5 * math.fsum(_kl_terms(self.mu))
+
+    def bound(self, c: float) -> KLBound:
+        """Frobenius bounds, valid when ``c * null <= alternative``."""
+        _check_c(c)
+        scale = 1.0 / (4.0 * c * c)
+        return KLBound(value=scale * self.right_sq, middle=scale * self.middle_sq)
+
+    @property
+    def loewner_constant(self) -> float:
+        """Largest ``C <= 1`` with ``C * null <= alternative``."""
+        return min(1.0 + float(self.mu[0]), 1.0) if self.mu.size else 1.0
+
+    def dominates(self, c: float) -> bool:
+        """Whether ``c * null <= alternative`` in the Loewner order.
+
+        At ``c = 1`` this is ``is_psd(B)``: ``E_S B E_S^T`` has the
+        nonzero eigenvalues and the Frobenius norm of ``B``, so the test
+        and its tolerance are those of ``is_psd(alternative - null)``.
+        Below 1 it is ``1 + min(mu) >= c - 1e-9``, on the unit scale of
+        the pencil's eigenvalues.
+        """
+        _check_c(c)
+        if c == 1.0:
+            return not self.block.size or is_psd(self.block)
+        return self.loewner_constant >= c - 1e-9
+
+
+def compare(null: GaussianLaw, support, block) -> Comparison:
+    """Compare ``N(0, null)`` with ``N(0, null + E_S B E_S^T)``.
+
+    ``support`` holds the ``k`` distinct indices ``S`` and ``block`` the
+    exactly symmetric ``k x k`` matrix ``B``.  The cost is one solve with
+    ``k`` right-hand sides (a second one when the outer bound is asked
+    for), one ``k x k`` Cholesky factor and one ``k x k`` eigenproblem.
+    Raises :class:`~mnlab.errors.NotPositiveDefinite` when the
+    alternative is not positive definite (``1 + min(mu) <= 0``).
+    """
+    support = np.asarray(support, dtype=np.intp)
+    block = np.asarray(block, dtype=float)
+    k = support.size
+    if block.shape != (k, k):
+        raise DimensionMismatch(
+            f"block shape {block.shape} does not match a support of {k}"
+        )
+    if k == 0:
+        return Comparison(null=null, support=support, block=block,
+                          mu=np.zeros(0), middle_sq=0.0)
+    block = check_symmetric(block, "block")
+    p = np.empty((k, k))
+    for cols, z in _solve_blocks(null, support):
+        p[:, cols] = z[support]
+    r = cholesky_lower(sym(p))
+    # R^T B R by two triangular products
+    m = blas.dtrmm(1.0, r, blas.dtrmm(1.0, r, block, side=1, lower=1),
+                   lower=1, trans_a=1)
+    m = sym(m)
+    mu = np.linalg.eigvalsh(m)
+    if 1.0 + mu[0] <= 0.0:
+        raise NotPositiveDefinite(
+            f"the alternative is not positive definite (1 + mu_min = {1.0 + mu[0]:.3e})"
+        )
+    return Comparison(null=null, support=support, block=block, mu=mu,
+                      middle_sq=float(np.sum(m * m)))
+
+
+def _laws(sigma0, sigma1) -> tuple[GaussianLaw, GaussianLaw]:
+    law0 = sigma0 if isinstance(sigma0, GaussianLaw) else GaussianLaw(sigma0)
+    law1 = sigma1 if isinstance(sigma1, GaussianLaw) else GaussianLaw(sigma1)
+    if law0.size != law1.size:
+        raise DimensionMismatch(f"sizes differ: {law0.size} vs {law1.size}")
+    return law0, law1
+
+
+def _difference(law0: GaussianLaw, law1: GaussianLaw):
+    """``(S, B)`` of ``law1.cov - law0.cov``: S is the rows where they differ."""
+    a0, a1 = law0.cov, law1.cov
+    support = np.flatnonzero(np.any(a0 != a1, axis=1))
+    on = np.ix_(support, support)
+    return support, a1[on] - a0[on]
+
+
+def _compare_laws(sigma0, sigma1) -> Comparison:
+    law0, law1 = _laws(sigma0, sigma1)
+    return compare(law0, *_difference(law0, law1))
+
+
+def kl_exact(sigma0, sigma1) -> float:
+    """Exact divergence (nats) of ``N(0, sigma1)`` from ``N(0, sigma0)``.
+
+    Both inputs must be positive definite; see :meth:`Comparison.kl`.
+    """
+    return _compare_laws(sigma0, sigma1).kl
+
+
 def kl_bound(sigma0, sigma1, c: float) -> KLBound:
     """Divergence bound valid when ``c * sigma0 <= sigma1``, ``c`` in (0, 1].
 
@@ -119,26 +303,8 @@ def kl_bound(sigma0, sigma1, c: float) -> KLBound:
     :func:`mnlab.linalg.loewner_leq` or :func:`find_loewner_constant`);
     this routine only evaluates the two Frobenius expressions.
     """
-    if not 0.0 < c <= 1.0:
-        raise InvalidC(f"constant must lie in (0, 1], got {c}")
-    law0, law1 = _laws(sigma0, sigma1)
-    low0, a0, a1 = law0.chol, law0.cov, law1.cov
-    n = a0.shape[0]
-    scale = 1.0 / (4.0 * c * c)
-
-    y = scipy.linalg.solve_triangular(low0, a1, lower=True)
-    x = scipy.linalg.solve_triangular(low0.T, y, lower=False)  # sigma0^-1 sigma1
-    right = float(np.sum((x - np.eye(n)) ** 2))
-    # the caller's laws keep both factors alive, so free these two n x n
-    # blocks before the middle term to hold the peak memory down
-    del y, x
-
-    d = a1 - a0
-    g = scipy.linalg.solve_triangular(low0, d, lower=True)
-    g = scipy.linalg.solve_triangular(low0, g.T, lower=True).T  # L0^-1 d L0^-T
-    middle = float(np.sum(g * g))
-
-    return KLBound(value=scale * right, middle=scale * middle)
+    _check_c(c)
+    return _compare_laws(sigma0, sigma1).bound(c)
 
 
 def kl_bound_symmetrized(sigma0, sigma1) -> float:
@@ -149,23 +315,16 @@ def kl_bound_symmetrized(sigma0, sigma1) -> float:
     divergence is checked empirically by randomized sweeps, not certified.
     """
     law0, law1 = _laws(sigma0, sigma1)
-    eye = np.eye(law0.cov.shape[0])
-
-    def quarter_norm(low, other):
-        y = scipy.linalg.solve_triangular(low, other, lower=True)
-        x = scipy.linalg.solve_triangular(low.T, y, lower=False)
-        return 0.25 * float(np.sum((x - eye) ** 2))
-
-    return quarter_norm(law0.chol, law1.cov) + quarter_norm(law1.chol, law0.cov)
+    support, block = _difference(law0, law1)
+    return 0.25 * (_solve_norm_sq(law0, support, block)
+                   + _solve_norm_sq(law1, support, -block))
 
 
 def find_loewner_constant(sigma0, sigma1) -> float:
     """Largest ``C <= 1`` with ``C * sigma0 <= sigma1``.
 
-    Equals ``min(lambda_min(sigma0^-1/2 sigma1 sigma0^-1/2), 1)``, computed
-    as the smallest generalized eigenvalue of the pencil
-    ``(sigma1, sigma0)``.  Both inputs must be positive definite.
+    Equals ``min(lambda_min(sigma0^-1/2 sigma1 sigma0^-1/2), 1)``, read
+    off the kernel as ``min(1 + min(mu), 1)``.  Both inputs must be
+    positive definite.
     """
-    law0, law1 = _laws(sigma0, sigma1)
-    w = scipy.linalg.eigh(law1.cov, b=law0.cov, eigvals_only=True)
-    return float(min(w[0], 1.0))
+    return _compare_laws(sigma0, sigma1).loewner_constant

@@ -1,11 +1,14 @@
-"""Dense symmetric linear algebra used by every other module.
+"""Symmetric linear algebra used by every other module.
 
 Symmetric matrices are plain float64 ``numpy`` arrays whose symmetry is
 bit-exact.  Use :func:`sym` to build one (it mirrors the lower triangle);
 every operation here validates that invariant on entry and raises rather
-than silently symmetrising.  All routines are deterministic pure functions
-of their inputs, so results are reproducible bit for bit and safe to use
-from multiple threads.
+than silently symmetrising.  A symmetric band matrix can instead be held
+as a :class:`Banded`, in LAPACK lower band storage: each entry is stored
+once, so it is symmetric by construction, and the dense matrix is built
+only on request.  All routines are deterministic pure functions of their
+inputs, so results are reproducible bit for bit and safe to use from
+multiple threads.
 
 Factorisations and eigendecompositions are delegated to LAPACK (via
 numpy/scipy), which at the desk scales targeted here (n <= 4096) is both
@@ -25,6 +28,7 @@ from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
 __all__ = [
     "sym",
     "check_symmetric",
+    "Banded",
     "EigenResult",
     "cholesky_lower",
     "sym_eigen",
@@ -72,6 +76,30 @@ def check_symmetric(a, name: str = "matrix") -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Banded:
+    """Symmetric band matrix in LAPACK lower band storage.
+
+    ``bands[d, j] = a[j + d, j]``: row 0 is the diagonal, row ``d`` the
+    ``d``-th subdiagonal (its last ``d`` entries are unused and zero).
+    """
+
+    bands: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.bands.shape[1]
+
+    def dense(self) -> np.ndarray:
+        """The full ``n x n`` matrix; zeros outside the band."""
+        n = self.size
+        out = np.zeros((n, n))
+        for d, band in enumerate(self.bands):
+            j = np.arange(n - d)
+            out[j + d, j] = out[j, j + d] = band[:n - d]
+        return out
+
+
+@dataclass(frozen=True)
 class EigenResult:
     """Full symmetric eigendecomposition.
 
@@ -83,8 +111,12 @@ class EigenResult:
     vectors: np.ndarray
 
 
-def cholesky_lower(m) -> np.ndarray:
+def cholesky_lower(m):
     """Lower-triangular Cholesky factor ``L`` with ``L @ L.T == m``.
+
+    ``m`` is a dense symmetric array, checked for exact symmetry, or a
+    :class:`Banded` matrix, whose factor is returned in the same lower
+    band storage.
 
     Raises
     ------
@@ -94,19 +126,24 @@ def cholesky_lower(m) -> np.ndarray:
         treated as not positive definite).  The exception carries the
         0-based failing pivot index.
     """
-    a = check_symmetric(m)
-    n = a.shape[0]
-    c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=0)
+    if isinstance(m, Banded):
+        diag = m.bands[0]
+        c, info = lapack.dpbtrf(m.bands, lower=1)
+        pivots = c[0]
+    else:
+        a = check_symmetric(m)
+        diag = np.diag(a)
+        c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=0)
+        pivots = np.diag(c)
     if info > 0:
         raise NotPositiveDefinite(
             f"matrix is not positive definite (pivot {info - 1} <= 0)",
             pivot=int(info - 1),
         )
     if info < 0:
-        raise ValueError(f"illegal argument {-info} passed to dpotrf")
-    max_diag = float(np.max(np.diag(a)))
-    threshold = n * np.finfo(float).eps * max(max_diag, 0.0)
-    pivots_sq = np.diag(c) ** 2
+        raise ValueError(f"illegal argument {-info} passed to the Cholesky routine")
+    threshold = diag.size * np.finfo(float).eps * max(float(np.max(diag)), 0.0)
+    pivots_sq = pivots**2
     bad = np.nonzero(pivots_sq <= threshold)[0]
     if bad.size:
         raise NotPositiveDefinite(

@@ -28,6 +28,16 @@ quirk: the m3 reference decomposition disagrees with the exact covariance
 at entry (1, 1) by exactly ``1/(6 n^3)`` in the signal part; consumers
 compare away from that corner and report the discrepancy.
 
+The differenced m1 and m3 covariances are banded (tridiagonal and
+pentadiagonal), and so is the differenced m2 covariance under constant
+volatility: :func:`differenced_bands` builds them in band storage, and
+:func:`cov_differenced` returns the same entries densely.  A bump
+alternative differs from its unit-volatility null only on the cells its
+bumps touch; :func:`bump_difference` returns that difference as a
+support ``S`` and a dense block ``B`` (``alt - null = E_S B E_S^T``),
+built from the bump part ``sigma^2 - 1`` alone, never by subtracting two
+n x n matrices.
+
 Every builder returns a bit-exactly symmetric float64 array.  Most are
 sums of terms whose ``(i, j)`` and ``(j, i)`` entries come from the same
 operations on the same operands, so they are symmetric as computed and
@@ -46,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDifferencing, InvalidProfile
-from .linalg import sym
-from .profiles import VolatilityProfile, checked_integral
+from .linalg import Banded, sym
+from .profiles import ConstantProfile, VolatilityProfile, checked_integral
 from .structures import matrix_a, matrix_v1
 
 __all__ = [
@@ -55,6 +65,8 @@ __all__ = [
     "cov_raw",
     "diff_matrix",
     "cov_differenced",
+    "differenced_bands",
+    "bump_difference",
     "Model2Decomposition",
     "model2_decomposition",
     "extract_v2",
@@ -218,25 +230,161 @@ def _conjugate_first(m: np.ndarray) -> np.ndarray:
     return sym(out.T)
 
 
+def _second_diff_gram_bands(n: int) -> np.ndarray:
+    """Lower band storage of ``D2 @ D2.T`` (pentadiagonal), closed-form values."""
+    rt2 = math.sqrt(2.0)
+    g = np.zeros((3, n))
+    g[0] = 6.0
+    g[0, :2] = (2.0, 5.0)[:n]
+    g[1, :n - 1] = -4.0
+    g[2, :n - 2] = 1.0
+    if n >= 2:
+        g[1, 0] = -2.0 * rt2
+    if n >= 3:
+        g[2, 0] = rt2
+    return g
+
+
 def second_diff_noise_gram(n: int) -> np.ndarray:
     """Gram matrix ``D2 @ D2.T`` of the second-difference transform.
 
     Pentadiagonal; equals ``A^2 + V2`` in the m3 covariance decomposition.
     Built from closed-form band values, no matrix product.
     """
-    g = np.zeros((n, n))
-    rt2 = math.sqrt(2.0)
-    for i in range(n):
-        g[i, i] = 2.0 if i == 0 else (5.0 if i == 1 else 6.0)
-    for i in range(n - 1):
-        off = -2.0 * rt2 if i == 0 else -4.0
-        g[i, i + 1] = g[i + 1, i] = off
-    for i in range(n - 2):
-        off = rt2 if i == 0 else 1.0
-        g[i, i + 2] = g[i + 2, i] = off
-    if n == 1:
-        g[0, 0] = 2.0
-    return g
+    return Banded(_second_diff_gram_bands(n)).dense()
+
+
+def _a_bands(n: int) -> np.ndarray:
+    """Lower band storage of :func:`~mnlab.structures.matrix_a`."""
+    a = np.zeros((2, n))
+    a[0] = 2.0
+    a[0, 0] = 1.0
+    a[1, :n - 1] = -1.0
+    return a
+
+
+def _m1_signal(profile: VolatilityProfile, n: int, bump_only: bool = False):
+    """Diagonal of the first-differenced m1 signal: one integral per cell."""
+    grid = np.arange(n + 1) / n
+    return profile.cell_integrals(grid[:-1], grid[1:], 0.0, (1.0,),
+                                  bump_only=bump_only)
+
+
+def _m3_signal(profile: VolatilityProfile, n: int):
+    """Diagonal and first off-diagonal of the second-differenced m3 signal."""
+    # cell i = [(i-1)/n, i/n]: the diagonal adds (u - i/n)^2 on cell i to
+    # (u - (i-1)/n)^2 on cell i-1 (twice cell 1); cross is on cell i
+    grid = np.arange(n + 1) / n
+    sq = (0.0, 0.0, 1.0)
+    lo, hi = grid[:-1], grid[1:]
+    diag = profile.cell_integrals(lo, hi, hi, sq)
+    diag[1:] += profile.cell_integrals(lo[:-1], hi[:-1], lo[:-1], sq)
+    diag[0] *= 2.0
+    cross = profile.cell_integrals(lo, hi, lo, (0.0, 1.0 / n, -1.0))
+    off = cross[:-1].copy()
+    off[0] = math.sqrt(2.0) * cross[0]
+    return diag, off
+
+
+# the (model, differencing) pairs whose covariance is banded
+_BANDED = (("m1", "first"), ("m3", "second"))
+
+
+def _m2_constant_signal(profile: VolatilityProfile, n: int) -> np.ndarray:
+    """Diagonal of the first-differenced m2 signal under constant volatility.
+
+    The same operations as ``_conjugate_first(_m2_signal(profile, n))``,
+    whose off-diagonal entries cancel to exactly 0 when ``sigma`` is
+    constant: the raw entry ``sigma^2 (min(i, j) + 1) / n`` depends on the
+    smaller index only.
+    """
+    s = math.sqrt(profile.value)
+    col = (s * s) * ((np.arange(n) + 1) / n)
+    diag = col.copy()
+    diag[1:] = col[1:] - col[:-1]
+    return diag
+
+
+def differenced_bands(spec: ModelSpec, profile: VolatilityProfile) -> Banded:
+    """Differenced m1 (tridiagonal) or m3 (pentadiagonal) covariance, banded.
+
+    Signal plus ``tau^2`` times the noise Gram matrix, entry for entry the
+    same arithmetic as :func:`cov_differenced`, whose dense result is this
+    matrix's :meth:`~mnlab.linalg.Banded.dense`.  The first-differenced m2
+    covariance is tridiagonal too when the profile is constant, and is
+    returned bit for bit as :func:`cov_differenced` builds it.
+    """
+    n, tau = spec.n, spec.tau
+    if (spec.model, spec.differencing) not in _BANDED + (("m2", "first"),):
+        raise InvalidDifferencing(
+            "banded covariances are the first-differenced m1 and m2 and the "
+            "second-differenced m3 models"
+        )
+    if spec.model == "m2" and profile.kind != "constant":
+        raise InvalidProfile("the differenced m2 covariance is banded only "
+                             "under constant volatility")
+    _probe_profile(profile, n)
+    if spec.model == "m3":
+        noise, signal = _second_diff_gram_bands(n), _m3_signal(profile, n)
+    else:
+        noise = _a_bands(n)
+        signal = [_m1_signal(profile, n) if spec.model == "m1"
+                  else _m2_constant_signal(profile, n)]
+    bands = np.zeros_like(noise)
+    for d, values in enumerate(signal):
+        bands[d, :values.size] = values
+    # the dense sum adds a zero signal entry to every noise entry
+    return Banded(bands + tau * tau * noise)
+
+
+def bump_difference(spec: ModelSpec, profile) -> tuple[np.ndarray, np.ndarray]:
+    """Differenced covariance of a bump alternative minus the unit null.
+
+    ``profile`` is a :class:`~mnlab.hypotheses.BumpSumProfile` (base level
+    1) and the null is its ``sigma^2 = 1`` counterpart at the same
+    ``spec``; the noise parts cancel.  Returns ``(S, B)``: the sorted
+    indices ``S`` of the rows where the two covariances differ and the
+    dense symmetric block ``B`` of the difference on them.
+
+    * m1: ``B`` is diagonal, the per-cell integrals of the bump part
+      ``sigma^2 - 1``;
+    * m3: ``B`` is tridiagonal, the difference of the two banded
+      covariances as :func:`differenced_bands` builds them, noise part
+      included.  Their entries lie within a factor 2 of each other, so
+      the subtraction is exact and ``B`` is the difference of the laws as
+      stored; it carries their rounding, up to ``eps tau^2`` per entry;
+    * m2: ``B`` is the leading block, up to one row past the last bump
+      grid point, of the first-differenced signal difference
+      ``(sigma_i sigma_j - 1) min(i, j) / n``.
+    """
+    n = spec.n
+    if spec.model == "m2" and spec.differencing == "first":
+        _probe_profile(profile, n)
+        s = np.sqrt(np.asarray(profile.eval(np.arange(1, n + 1) / n), dtype=float))
+        moved = np.flatnonzero(s != 1.0)
+        k = min(int(moved[-1]) + 2, n) if moved.size else 0
+        idx = np.arange(k)
+        raw = (np.outer(s[:k], s[:k]) - 1.0) * ((np.minimum.outer(idx, idx) + 1) / n)
+        return idx, _conjugate_first(raw) if k else np.zeros((0, 0))
+    if (spec.model, spec.differencing) not in _BANDED:
+        raise InvalidDifferencing(f"no bump difference for {spec.model} with "
+                                  f"{spec.differencing} differences")
+    if spec.model == "m1":
+        diag = _m1_signal(profile, n, bump_only=True)
+        support = np.flatnonzero(diag)
+        return support, np.diag(diag[support])
+    diff = differenced_bands(spec, profile).bands \
+        - differenced_bands(spec, ConstantProfile(1.0)).bands
+    diag, off = diff[0], diff[1, :-1]
+    touched = diag != 0.0
+    touched[:-1] |= off != 0.0
+    touched[1:] |= off != 0.0
+    support = np.flatnonzero(touched)
+    block = np.diag(diag[support])
+    # neighbours in S that are neighbours on the grid share an off-diagonal
+    pos = np.flatnonzero(np.diff(support) == 1)
+    block[pos, pos + 1] = block[pos + 1, pos] = off[support[pos]]
+    return support, block
 
 
 def cov_differenced(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
@@ -248,33 +396,14 @@ def cov_differenced(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
     """
     if spec.differencing not in ("first", "second"):
         raise InvalidDifferencing("cov_differenced needs 'first' or 'second'")
+    if (spec.model, spec.differencing) in _BANDED:
+        return differenced_bands(spec, profile).dense()
     _probe_profile(profile, spec.n)
     n, tau = spec.n, spec.tau
     raw_spec = ModelSpec(spec.model, n, spec.tau, q=spec.q, differencing="none")
 
-    grid = np.arange(n + 1) / n
-    if spec.model == "m1" and spec.differencing == "first":
-        d = profile.cell_integrals(grid[:-1], grid[1:], 0.0, (1.0,))
-        return np.diag(d) + tau * tau * matrix_a(n)
-
     if spec.model == "m2" and spec.differencing == "first":
         return _conjugate_first(_m2_signal(profile, n)) + tau * tau * matrix_a(n)
-
-    if spec.model == "m3" and spec.differencing == "second":
-        # cell i = [(i-1)/n, i/n]: the diagonal adds (u - i/n)^2 on cell i to
-        # (u - (i-1)/n)^2 on cell i-1 (twice cell 1); cross is on cell i
-        sq = (0.0, 0.0, 1.0)
-        lo, hi = grid[:-1], grid[1:]
-        diag = profile.cell_integrals(lo, hi, hi, sq)
-        diag[1:] += profile.cell_integrals(lo[:-1], hi[:-1], lo[:-1], sq)
-        diag[0] *= 2.0
-        cross = profile.cell_integrals(lo, hi, lo, (0.0, 1.0 / n, -1.0))
-        off = cross[:-1].copy()
-        off[0] = math.sqrt(2.0) * cross[0]
-        c = np.zeros((n, n))
-        c.flat[::n + 1] = diag
-        c.flat[1::n + 1] = c.flat[n::n + 1] = off
-        return c + tau * tau * second_diff_noise_gram(n)
 
     # generic fallback: first differences of the raw covariance (second
     # differences are valid for m3 only, which is handled above)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import QuadratureFailure
+from .errors import InvalidProfile, QuadratureFailure
 
 __all__ = ["checked_integral", "VolatilityProfile", "ConstantProfile",
            "PiecewiseConstantProfile", "CallableProfile"]
@@ -105,18 +105,30 @@ class VolatilityProfile:
             a, b, self.breakpoints,
         )
 
-    def cell_integrals(self, lo, hi, shift, coeffs) -> np.ndarray:
+    def bump_integral(self, a: float, b: float, shift: float, coeffs) -> float:
+        """``integral_a^b sum_r coeffs[r] (u - shift)^r * (sigma^2(u) - 1) du``.
+
+        Only bump profiles, which sit on the base level 1, have a bump
+        part.
+        """
+        raise InvalidProfile(f"a {self.kind} profile has no bump part")
+
+    def cell_integrals(self, lo, hi, shift, coeffs, bump_only: bool = False) -> np.ndarray:
         """:meth:`poly_integral` over each cell ``[lo[k], hi[k]]``.
 
         ``lo``, ``hi`` and ``shift`` broadcast to one value per cell; the
         shared ``coeffs`` are in powers of ``u - shift[k]``.  Each cell is
         one ``poly_integral`` call with Python floats, in cell order, so
-        the result is bit-identical to the scalar loop.
+        the result is bit-identical to the scalar loop.  ``bump_only``
+        integrates the bump part ``sigma^2 - 1`` instead
+        (:meth:`bump_integral`), which is exactly zero on cells no bump
+        touches.
         """
+        integral = self.bump_integral if bump_only else self.poly_integral
         lo, hi, shift = np.broadcast_arrays(
             *(np.asarray(x, dtype=float).ravel() for x in (lo, hi, shift)))
         cells = zip(lo.tolist(), hi.tolist(), shift.tolist())
-        return np.fromiter((self.poly_integral(a, b, s, coeffs) for a, b, s in cells),
+        return np.fromiter((integral(a, b, s, coeffs) for a, b, s in cells),
                            dtype=float, count=lo.size)
 
     def descriptor(self) -> dict:

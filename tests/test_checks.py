@@ -69,3 +69,10 @@ def test_no_function_local_imports():
                 offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(func)
                               if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert offenders == []
+
+
+def test_model3_structure_keeps_a_zero_family_constant():
+    # only c=None selects the automatic constant; c=0 reaches the family
+    with pytest.raises(ValueError, match="c > 0"):
+        checks.verify_model3_structure(n=32, tau=0.05, alpha=1.0, l_const=1.0,
+                                       c=0.0, seed=5, max_hypotheses=2)

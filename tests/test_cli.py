@@ -256,6 +256,8 @@ def test_stdout_json_when_no_out():
     ("verify-kl", "--trials", "0"),
     ("simulate-rate", "--ns", "256,512", "--reps", "100", "--workers", "0"),
     ("simulate-rate", "--ns", "256,512", "--reps", "100", "--workers=-3"),
+    ("verify-model3-structure", "--n", "32", "--max-hypotheses", "0"),
+    ("certificate", "--n", "256", "--c", "9", "--max-hypotheses=-2"),
 ])
 def test_counts_below_one_exit_one(args):
     proc = run_cli(*args)
@@ -272,6 +274,24 @@ def test_config_count_below_one_exits_one(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: config value count: not a positive integer: '0'\n"
+
+
+def test_config_max_hypotheses_below_one_exits_one(tmp_path):
+    config = tmp_path / "zero.cfg"
+    config.write_text("max_hypotheses = 0\n")
+    proc = run_cli("verify-model3-structure", "--n", "32", "--config", str(config))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: config value max_hypotheses: not a positive integer: '0'\n")
+
+
+def test_zero_family_constant_is_kept():
+    # c = 0 is not replaced by the automatic constant; the family rejects it
+    proc = run_cli("verify-model3-structure", "--n", "32", "--c", "0")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: need n >= 2, c > 0, L > 0\n"
 
 
 def test_zero_tolerance_is_kept():

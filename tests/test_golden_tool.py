@@ -1,0 +1,31 @@
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "golden_reports.py"
+spec = importlib.util.spec_from_file_location("golden_reports", TOOL)
+golden = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(golden)
+
+
+def write(directory, files):
+    directory.mkdir()
+    for name, text in files.items():
+        (directory / name).write_text(text)
+
+
+def test_compare_folds_list_positions_and_lists_other_differences(tmp_path):
+    old = {"result": {"rows": [{"kl": 1.0, "n": 2}, {"kl": 2.0, "n": 4}], "pass": True}}
+    new = {"result": {"rows": [{"kl": 1.001, "n": 2}, {"kl": 2.0, "n": 4}], "pass": False}}
+    write(tmp_path / "old", {"a.stdout": json.dumps(old), "a.exit": "0\n",
+                             "b.stdout": "n,kl\n1,0.5\n", "gone.exit": "1\n"})
+    write(tmp_path / "new", {"a.stdout": json.dumps(new), "a.exit": "2\n",
+                             "b.stdout": "n,kl\n1,0.25\n"})
+    largest, other = golden.compare(tmp_path / "old", tmp_path / "new")
+    # only fields that moved are listed
+    assert set(largest) == {"result.rows[].kl", "[].kl"}
+    change, case = largest["result.rows[].kl"]
+    assert abs(change - 0.001 / 1.001) < 1e-15 and case == "a"
+    assert largest["[].kl"] == (0.5, "b")
+    assert other == ["a.exit: '0\\n' -> '2\\n'", "a.stdout result.pass: true -> false",
+                     "gone.exit: only in old"]

@@ -1,12 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import rand_psd
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
-from mnlab import kl
+from mnlab import kl, models
 from mnlab import linalg as la
 from mnlab.errors import DimensionMismatch, InvalidC, NotPositiveDefinite
+from mnlab.hypotheses import BumpSumProfile, build_family
+from mnlab.profiles import ConstantProfile
 
 
 class TestExact:
@@ -183,3 +189,248 @@ class TestGaussianLaw:
             kl.GaussianLaw(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(DimensionMismatch):
             kl.kl_exact(kl.GaussianLaw(np.eye(2)), kl.GaussianLaw(np.eye(3)))
+
+
+# ---------------------------------------------------------------------------
+# the law-comparison kernel against a dense oracle and against mpmath
+
+
+def dense_oracle(sigma0, delta, c=1.0):
+    """The n x n formulas the kernel replaces, on ``sigma1 = sigma0 + delta``.
+
+    KL from a trace and a log-determinant, the bounds from
+    ``sigma0^-1 delta`` and ``L0^-1 delta L0^-T``, the Loewner constant
+    from the generalized eigenvalues of the pencil ``(delta, sigma0)``.
+    """
+    n = sigma0.shape[0]
+    low = np.linalg.cholesky(sigma0)
+    x = scipy.linalg.cho_solve((low, True), delta)
+    g = scipy.linalg.solve_triangular(low, delta, lower=True)
+    g = scipy.linalg.solve_triangular(low, g.T, lower=True).T
+    sign, logdet = np.linalg.slogdet(np.eye(n) + x)
+    assert sign > 0
+    mu = scipy.linalg.eigh(delta, b=sigma0, eigvals_only=True)
+    scale = 1.0 / (4.0 * c * c)
+    return {
+        "kl": 0.5 * (float(np.trace(x)) - logdet),
+        "value": scale * float(np.sum(x * x)),
+        "middle": scale * float(np.sum(g * g)),
+        "loewner": min(1.0 + float(mu[0]), 1.0),
+    }
+
+
+def scatter(n, support, block):
+    """``E_S B E_S^T`` as a dense n x n array."""
+    out = np.zeros((n, n))
+    out[np.ix_(support, support)] = block
+    return out
+
+
+_DIFF = {"m1": "first", "m2": "first", "m3": "second"}
+
+
+def null_law(spec):
+    return kl.GaussianLaw(models.differenced_bands(spec, ConstantProfile(1.0)))
+
+
+def family_alternative(model, n, index, amplitude=None, seed=0):
+    """Alternative ``index`` of the model's bump family, optionally rescaled."""
+    if model == "m3":
+        family = build_family(n, 1.0, 1.0, 14.001 / n ** (1.0 / 12.0), "m3", seed=seed)
+    else:
+        family = build_family(n, 1.0, 1.0, 14.001 / n ** (1.0 / 6.0), "m1m2", seed=seed)
+    profile = family.profile(index)
+    if amplitude is not None:
+        profile = BumpSumProfile(family.kernel, family.centers, family.h, amplitude,
+                                 family.codewords[index].astype(float))
+    return profile
+
+
+def rel(a, b):
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+class TestKernelAgainstDenseOracle:
+    @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_bounds_and_loewner_constant(self, model, n):
+        spec = models.ModelSpec(model, n, 0.1, differencing=_DIFF[model])
+        null = null_law(spec)
+        c = 1.0 / 14.0 if model == "m2" else 1.0
+        # two backward-stable solves may differ by eps * cond(null): 1e-14 for
+        # m1 and m2, up to 4e-8 for m3 at n = 1024 (cond 1.7e8); they differ
+        # by at most 3.3e-10 there
+        tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(null.cov))
+        for index in (1, 2):
+            support, block = models.bump_difference(
+                spec, family_alternative(model, n, index))
+            got = kl.compare(null, support, block)
+            want = dense_oracle(null.cov, scatter(n, support, block), c)
+            bound = got.bound(c)
+            assert rel(bound.value, want["value"]) <= tol
+            assert rel(bound.middle, want["middle"]) <= tol
+            assert rel(got.loewner_constant, want["loewner"]) <= 1e-12
+            assert got.kl <= bound.middle <= bound.value
+
+    @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_kl_at_amplitude_one(self, model, n):
+        spec = models.ModelSpec(model, n, 0.1, differencing=_DIFF[model])
+        null = null_law(spec)
+        tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(null.cov))
+        support, block = models.bump_difference(
+            spec, family_alternative(model, n, 1, amplitude=1.0))
+        got = kl.compare(null, support, block).kl
+        want = dense_oracle(null.cov, scatter(n, support, block))["kl"]
+        assert rel(got, want) <= tol
+
+    def test_views_of_two_arrays_use_the_rows_that_differ(self):
+        n = 128
+        spec = models.ModelSpec("m3", n, 0.1, differencing="second")
+        alt = family_alternative("m3", n, 1, amplitude=1.0)
+        s0 = models.cov_differenced(spec, ConstantProfile(1.0))
+        s1 = models.cov_differenced(spec, alt)
+        support = np.flatnonzero(np.any(s0 != s1, axis=1))
+        assert 0 < support.size < n
+        want = dense_oracle(s0, s1 - s0)
+        assert rel(kl.kl_exact(s0, s1), want["kl"]) <= 1e-12
+        assert rel(kl.kl_bound(s0, s1, 1.0).value, want["value"]) <= 1e-12
+        assert kl.find_loewner_constant(s0, s1) == want["loewner"] == 1.0
+
+
+def mp_kl(inverse0, delta):
+    """KL of ``sigma0 + delta`` from ``sigma0`` by determinant and trace of
+    ``sigma0^-1 sigma1 = I + inverse0 delta``, in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        x = inverse0 * mpmath.matrix(delta.tolist())
+        for i in range(x.rows):
+            x[i, i] += 1
+        trace = mpmath.fsum(x[i, i] for i in range(x.rows))
+        return float((trace - mpmath.log(mpmath.det(x)) - x.rows) / 2)
+
+
+class TestKernelAgainstMpmath:
+    @pytest.mark.parametrize("model, n", [("m1", 32), ("m1", 64), ("m2", 64),
+                                          ("m3", 32), ("m3", 64)])
+    def test_small_divergences_keep_relative_precision(self, model, n):
+        spec = models.ModelSpec(model, n, 0.1, differencing=_DIFF[model])
+        null = null_law(spec)
+        with mpmath.workdps(60):
+            inverse0 = mpmath.inverse(mpmath.matrix(null.cov.tolist()))
+        base = kl.compare(null, *models.bump_difference(
+            spec, family_alternative(model, n, 1, amplitude=1e-2))).kl
+        for target in (1e-2, 1e-6, 1e-10, 1e-14):
+            # KL grows like the amplitude squared
+            amplitude = 1e-2 * math.sqrt(target / base)
+            support, block = models.bump_difference(
+                spec, family_alternative(model, n, 1, amplitude=amplitude))
+            got = kl.compare(null, support, block).kl
+            want = mp_kl(inverse0, scatter(n, support, block))
+            assert want == pytest.approx(target, rel=0.5)
+            assert rel(got, want) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# properties of the kernel on random laws
+
+
+def random_case(seed, n, k, indefinite):
+    """A random null, support and symmetric block (PSD unless ``indefinite``)."""
+    rng = np.random.default_rng(seed)
+    sigma0 = rand_psd(rng, n, floor=0.2)
+    support = np.sort(rng.choice(n, size=k, replace=False))
+    w = rng.standard_normal((k, k + 2))
+    block = w @ w.T / (2.0 * (k + 2))
+    if indefinite:
+        block = block - 0.3 * np.eye(k)
+    return sigma0, support, la.sym(block)
+
+
+_cases = dict(seed=hs.integers(0, 2**32 - 1), n=hs.integers(1, 9),
+              frac=hs.floats(0.1, 1.0), indefinite=hs.booleans())
+
+
+def _draw(seed, n, frac, indefinite):
+    k = max(1, int(round(frac * n)))
+    return random_case(seed, n, k, indefinite)
+
+
+class TestKernelProperties:
+    @given(**_cases)
+    @settings(max_examples=80, deadline=None)
+    def test_congruence_invariance(self, seed, n, frac, indefinite):
+        sigma0, support, block = _draw(seed, n, frac, indefinite)
+        delta = scatter(n, support, block)
+        assume(np.linalg.eigvalsh(sigma0 + delta)[0] > 1e-3)
+        t = np.eye(n) + 0.3 * np.random.default_rng(seed + 1).standard_normal((n, n))
+        assume(abs(np.linalg.det(t)) > 1e-2)
+        k1 = kl.compare(kl.GaussianLaw(sigma0), support, block).kl
+        k2 = kl.compare(kl.GaussianLaw(la.sym(t @ sigma0 @ t.T)), np.arange(n),
+                        la.sym(t @ delta @ t.T)).kl
+        assert abs(k1 - k2) <= 1e-9 * max(1.0, k1)
+
+    @given(**_cases)
+    @settings(max_examples=80, deadline=None)
+    def test_bound_dominates_kl(self, seed, n, frac, indefinite):
+        sigma0, support, block = _draw(seed, n, frac, indefinite)
+        assume(np.linalg.eigvalsh(sigma0 + scatter(n, support, block))[0] > 1e-3)
+        comparison = kl.compare(kl.GaussianLaw(sigma0), support, block)
+        bound = comparison.bound(comparison.loewner_constant)
+        assert comparison.kl >= 0.0
+        assert comparison.kl <= bound.middle * (1.0 + 1e-12)
+        assert bound.middle <= bound.value * (1.0 + 1e-12)
+
+    @given(c=hs.sampled_from([1.0, 0.9, 0.5, 1.0 / 14.0]), **_cases)
+    @settings(max_examples=120, deadline=None)
+    def test_precondition_equals_the_dense_test(self, c, seed, n, frac, indefinite):
+        sigma0, support, block = _draw(seed, n, frac, indefinite)
+        sigma1 = sigma0 + scatter(n, support, block)
+        assume(np.linalg.eigvalsh(sigma1)[0] > 1e-3)
+        comparison = kl.compare(kl.GaussianLaw(sigma0), support, block)
+        # keep clear of the boundary, where either test may round either way
+        margin = comparison.loewner_constant - c if c < 1.0 \
+            else float(np.linalg.eigvalsh(block)[0])
+        assume(c == 1.0 and not indefinite or abs(margin) > 1e-6)
+        assert comparison.dominates(c) == la.is_psd(la.sym(sigma1 - c * sigma0))
+
+
+class TestBandedLaw:
+    def banded(self, a, width):
+        n = a.shape[0]
+        return la.Banded(np.array([np.concatenate([np.diagonal(a, -d), np.zeros(d)])
+                                   for d in range(width + 1)]))
+
+    @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
+    def test_matches_the_dense_law(self, model):
+        spec = models.ModelSpec(model, 64, 0.1, differencing=_DIFF[model])
+        banded = null_law(spec)
+        dense = kl.GaussianLaw(models.cov_differenced(spec, ConstantProfile(1.0)))
+        assert banded.banded and not dense.banded
+        assert np.array_equal(banded.cov, dense.cov)
+        assert banded.logdet == pytest.approx(dense.logdet, rel=1e-13)
+        rhs = np.random.default_rng(0).standard_normal((64, 3))
+        assert np.allclose(banded.solve(rhs), dense.solve(rhs), rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("width, pivot", [(1, 0), (1, 5), (2, 3), (2, 9)])
+    def test_indefinite_pivot_matches_cholesky_lower(self, width, pivot):
+        a = models.second_diff_noise_gram(12) if width == 2 else \
+            la.sym(np.diag(np.full(12, 2.0)) - np.eye(12, k=-1))
+        a = a.copy()
+        a[pivot, pivot] = -1.0
+        with pytest.raises(NotPositiveDefinite) as dense:
+            la.cholesky_lower(a)
+        with pytest.raises(NotPositiveDefinite) as banded:
+            kl.GaussianLaw(self.banded(a, width))
+        assert banded.value.pivot == dense.value.pivot == pivot
+
+    def test_singular_pivot_matches_cholesky_lower(self):
+        # the path Laplacian with both corners 1 is singular: its last
+        # pivot falls below n * eps * max(diag) in both storages
+        n = 40
+        a = la.sym(np.diag(np.full(n, 2.0)) - np.eye(n, k=-1))
+        a[0, 0] = a[n - 1, n - 1] = 1.0
+        with pytest.raises(NotPositiveDefinite) as dense:
+            la.cholesky_lower(a)
+        with pytest.raises(NotPositiveDefinite) as banded:
+            kl.GaussianLaw(self.banded(a, 1))
+        assert banded.value.pivot == dense.value.pivot == n - 1

@@ -309,6 +309,83 @@ class TestModel3Ordering:
             assert la.loewner_leq(cov_k - self.null, gamma)
 
 
+class TestBumpDifference:
+    DIFF = {"m1": "first", "m2": "first", "m3": "second"}
+
+    def family(self, model, n):
+        if model == "m3":
+            return build_family(n, 1.0, 1.0, 14.001 / n ** (1.0 / 12.0), "m3", seed=6)
+        return build_family(n, 1.0, 1.0, 9.0, "m1m2", seed=6)
+
+    @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
+    @pytest.mark.parametrize("n", [64, 257])
+    def test_matches_the_dense_difference(self, model, n):
+        spec = models.ModelSpec(model, n, 0.1, differencing=self.DIFF[model])
+        null = models.cov_differenced(spec, ONE)
+        family = self.family(model, n)
+        for k in range(1, min(4, family.count_alternatives + 1)):
+            profile = family.profile(k)
+            support, block = models.bump_difference(spec, profile)
+            alt = models.cov_differenced(spec, profile)
+            diff = alt - null
+            assert np.array_equal(block, block.T)
+            assert np.all(np.diff(support) > 0)
+            # outside the support the two covariances agree bit for bit
+            outside = np.ones(n, dtype=bool)
+            outside[support] = False
+            assert not np.any(diff[outside])
+            # on it they differ by the block, up to the rounding of alt - null;
+            # the dense m2 path differences raw entries of size up to 1
+            tol = 4 * np.finfo(float).eps * max(np.max(np.abs(alt)),
+                                                1.0 if model == "m2" else 0.0)
+            assert np.max(np.abs(diff[np.ix_(support, support)] - block)) <= tol
+            # and every row of the support moves
+            assert np.all(np.any(block != 0.0, axis=1))
+
+    @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
+    def test_null_codeword_has_empty_support(self, model):
+        spec = models.ModelSpec(model, 64, 0.1, differencing=self.DIFF[model])
+        support, block = models.bump_difference(spec, self.family(model, 64).profile(0))
+        assert support.size == 0 and block.shape == (0, 0)
+
+    def test_needs_a_bump_profile_and_a_banded_model(self):
+        spec = models.ModelSpec("m1", 16, 0.1, differencing="first")
+        with pytest.raises(InvalidProfile):
+            models.bump_difference(spec, ConstantProfile(2.0))
+        m2 = models.ModelSpec("m2", 16, 0.1, differencing="first")
+        with pytest.raises(InvalidProfile):
+            models.differenced_bands(m2, self.family("m2", 64).profile(1))
+        for spec in (models.ModelSpec("m3", 16, 0.1, differencing="first"),
+                     models.ModelSpec("mq", 16, 0.1, q=2.0, differencing="first")):
+            with pytest.raises(InvalidDifferencing):
+                models.differenced_bands(spec, ONE)
+            with pytest.raises(InvalidDifferencing):
+                models.bump_difference(spec, self.family("m1", 64).profile(1))
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 1000])
+    @pytest.mark.parametrize("tau", [0.0, 0.02, 0.1])
+    @pytest.mark.parametrize("value", [1.0, 2.25, 0.7])
+    def test_constant_m2_covariance_is_tridiagonal_bit_for_bit(self, n, tau, value):
+        spec = models.ModelSpec("m2", n, tau, differencing="first")
+        dense = models.cov_differenced(spec, ConstantProfile(value))
+        bands = models.differenced_bands(spec, ConstantProfile(value))
+        assert bands.bands.shape == (2, n)
+        assert np.array_equal(bands.dense(), dense)
+        assert np.array_equal(np.signbit(bands.dense()), np.signbit(dense))
+
+    @pytest.mark.parametrize("model", ["m1", "m3"])
+    def test_bands_hold_the_dense_covariance(self, model):
+        spec = models.ModelSpec(model, 33, 0.1, differencing=self.DIFF[model])
+        profile = self.family(model, 64).profile(1)
+        bands = models.differenced_bands(spec, profile)
+        assert bands.bands.shape == (2 if model == "m1" else 3, 33)
+        dense = models.cov_differenced(spec, profile)
+        assert np.array_equal(bands.dense(), dense)
+        assert np.array_equal(np.signbit(bands.dense()), np.signbit(dense))
+        width = bands.bands.shape[0] - 1
+        assert not np.any(np.triu(dense, width + 1))
+
+
 class TestModel2Decomposition:
     def test_constant_sigma_collapses(self):
         n = 8

@@ -3,13 +3,20 @@
 Usage::
 
     python3 tools/golden_reports.py OUTDIR
+    python3 tools/golden_reports.py --compare OLD NEW
 
 Runs a fixed list of ``mnlab`` invocations against the ``src/`` tree next
 to this script and writes ``OUTDIR/<case>.stdout``, ``<case>.stderr`` and
 ``<case>.exit`` for each; a case that passes ``--out`` also saves the
 report it wrote as ``<case>.file``.  A refactor that must keep the report
 bytes is checked by capturing once before the change and once after,
-then comparing the two directories with ``diff -r``.  The list covers
+then comparing the two directories with ``diff -r``.  A change that may
+move only floating-point digits is checked with ``--compare``: it prints,
+per JSON field path (list positions written ``[]``), the largest relative
+change between the two captures and the case where it occurs, then every
+other difference - exit codes, stderr, flags, strings, missing fields or
+files - one per line.  CSV reports are compared cell by cell under their
+column headers.  The list covers
 all ten subcommands, written reports, usage errors and config-file
 cases; ``MNLAB_SEED`` is cleared so the default seed is fixed.  A full
 capture takes a few minutes on two cores.
@@ -17,7 +24,9 @@ capture takes a few minutes on two cores.
 
 from __future__ import annotations
 
+import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -79,6 +88,12 @@ CASES = {
     "kl-scaling-m3": (
         ["kl-scaling", "--model", "m3", "--tau", "0.01", "--width", "0.125", *_NS],
         None),
+    "kl-scaling-m1-n16384": (
+        ["kl-scaling", "--model", "m1", "--tau", "0.1",
+         "--ns", "256,1024,4096,16384"], None),
+    "kl-scaling-m3-n16384": (
+        ["kl-scaling", "--model", "m3", "--tau", "0.01",
+         "--ns", "256,1024,4096,16384"], None),
     "kl-scaling-one-n": (
         ["kl-scaling", "--model", "m1", "--ns", "256"], None),
     "kl-scaling-two-n": (
@@ -117,6 +132,9 @@ CASES = {
     "usage-no-command": ([], None),
     "usage-count-zero": (["verify-posdefmaj", "--count", "0", "--ns", "16"], None),
     "usage-trials-zero": (["verify-kl", "--trials", "0"], None),
+    "usage-max-hypotheses-zero": (
+        ["verify-model3-structure", "--n", "32", "--max-hypotheses", "0"], None),
+    "usage-c-zero": (["verify-model3-structure", "--n", "32", "--c", "0"], None),
     "usage-workers-zero": (
         ["simulate-rate", "--ns", "256,512", "--reps", "100", "--workers", "0"],
         None),
@@ -124,14 +142,103 @@ CASES = {
     "config-unknown-key": (["rate-table"], "modle = m3\n"),
     "config-not-finite": (["rate-table"], "tau = nan\n"),
     "config-count-zero": (["verify-posdefmaj", "--ns", "16"], "count = 0\n"),
+    "config-max-hypotheses-zero": (
+        ["verify-model3-structure", "--n", "32"], "max_hypotheses = 0\n"),
     "rate-table-tau-inf": (["rate-table", "--tau", "inf"], None),
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _walk(old, new, path, numeric, other):
+    """Pair two parsed reports; numeric[path] collects relative changes."""
+    if _is_number(old) and _is_number(new):
+        scale = max(abs(old), abs(new))
+        numeric.setdefault(path, []).append(abs(new - old) / scale if scale else 0.0)
+    elif isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            sub = f"{path}.{key}" if path else str(key)
+            if key not in old or key not in new:
+                other.append(f"{sub}: only in {'new' if key in new else 'old'}")
+            else:
+                _walk(old[key], new[key], sub, numeric, other)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            _walk(a, b, f"{path}[{i}]", numeric, other)
+    elif old != new:
+        other.append(f"{path}: {json.dumps(old)} -> {json.dumps(new)}")
+
+
+def _parse(data: bytes):
+    """A JSON report, or a CSV report as a list of {header: cell} rows."""
+    text = data.decode()
+    try:
+        return json.loads(text)
+    except ValueError:
+        pass
+    lines = [line.split(",") for line in text.splitlines()]
+    if not lines:
+        return text
+    header = lines[0]
+
+    def cell(value):
+        try:
+            return float(value)
+        except ValueError:
+            return value
+
+    return [{h: cell(v) for h, v in zip(header, row)} for row in lines[1:]]
+
+
+def compare(old_dir: Path, new_dir: Path):
+    """``(largest relative change per field path, other differences)``."""
+    largest, other = {}, []
+    names = sorted({p.name for d in (old_dir, new_dir) for p in d.iterdir()})
+    for name in names:
+        a, b = old_dir / name, new_dir / name
+        if not (a.exists() and b.exists()):
+            other.append(f"{name}: only in {'new' if b.exists() else 'old'}")
+            continue
+        old, new = a.read_bytes(), b.read_bytes()
+        if old == new:
+            continue
+        if name.endswith((".exit", ".stderr")):
+            other.append(f"{name}: {old.decode()!r} -> {new.decode()!r}")
+            continue
+        numeric, found = {}, []
+        _walk(_parse(old), _parse(new), "", numeric, found)
+        other.extend(f"{name} {line}" for line in found)
+        for path, changes in numeric.items():
+            field = re.sub(r"\[\d+\]", "[]", path)
+            worst = max(changes)
+            if worst > largest.get(field, (0.0, ""))[0]:
+                largest[field] = (worst, name.rsplit(".", 1)[0])
+    return largest, other
+
+
+def _print_comparison(largest: dict, other: list) -> None:
+    print("largest relative change per numeric field:")
+    for field, (change, case) in sorted(largest.items()):
+        print(f"  {field:<56} {change:.3e}  ({case})")
+    if not largest:
+        print("  none")
+    print("other differences:")
+    for line in other:
+        print(f"  {line}")
+    if not other:
+        print("  none")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--compare":
+        _print_comparison(*compare(Path(argv[1]), Path(argv[2])))
+        return 0
     if len(argv) != 1:
-        sys.stderr.write("usage: golden_reports.py OUTDIR\n")
+        sys.stderr.write("usage: golden_reports.py OUTDIR\n"
+                         "       golden_reports.py --compare OLD NEW\n")
         return 1
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
