@@ -20,7 +20,9 @@ kl-scaling               exact-KL growth probe across sample sizes
 simulate-rate            Monte Carlo estimator-rate experiment
 
 Exit codes: 0 all checks passed, 2 at least one check failed (stderr names
-what failed), 1 usage or configuration error.  Reports embed the fully
+what failed), 1 usage or configuration error, or a computation that could
+not finish (a likelihood, quadrature, eigensolver or code search failure);
+either way stderr holds one ``error:`` line.  Reports embed the fully
 resolved configuration, are byte-identical for identical configuration and
 seed, and are written atomically (temp file + rename).  A flat
 ``key = value`` config file can supply any flag (a key that names no flag
@@ -38,6 +40,8 @@ import sys
 from . import certificate as cert_mod
 from . import checks, montecarlo, reporting
 from ._version import __version__
+from .errors import (ConstructionFailure, NoConvergence, OptimizationFailure,
+                     QuadratureFailure)
 
 COMMANDS = (
     "verify-linalg",
@@ -290,7 +294,8 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         key, payload, csv_rows, passed, failure = _HANDLERS[cfg["command"]](cfg)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, OptimizationFailure,
+            QuadratureFailure, NoConvergence, ConstructionFailure) as exc:
         return _usage_error(str(exc))
 
     if cfg["format"] == "csv":

@@ -5,14 +5,18 @@ volatility or for a profile through its per-interval standard deviations:
 the same law as the exact covariance, with no dense matrix.  Replicate
 ``r`` of a run seeded with ``s`` always draws from the stream keyed
 ``(s, ..., r)``, so serial and parallel executions produce bit-identical
-output.
+output.  Rate experiments run each sample size in chunks of replicates,
+one estimator call per chunk, and the estimates do not depend on the
+chunking.
 
 The constant-volatility maximum-likelihood estimator for model m1 works in
 the sine eigenbasis of the first-difference Gram matrix, where the
 differenced observations decouple into independent coordinates with
 variances ``sigma^2 / n + tau^2 lambda_i``; the one-dimensional likelihood
 is then maximised by Newton iteration inside a sign-change bracket, with
-bisection as the safeguard.  The iteration starts from a noise-weighted
+bisection as the safeguard.  A block of samples, one per row, is
+transformed by one FFT call and shares the spectral constants; each row
+is then solved on its own.  The iteration starts from a noise-weighted
 moment estimate of ``sigma^2`` and lengthens a Newton step shorter than
 half the tolerance to exactly that half, so the step after convergence
 crosses the root and closes the bracket: the estimate is the midpoint of
@@ -70,6 +74,7 @@ def sample_m1_constant_diff(sigma_sq: float, tau: float, n: int,
     ``eps_0 = 0``, whose covariance is exactly
     ``(sigma^2/n) I + tau^2 A``.
     """
+    _require_sampling(sigma_sq, n)
     rng = replicate_rng(seed, n, rep)
     xi = rng.standard_normal(n)
     eps = rng.standard_normal(n)
@@ -77,6 +82,13 @@ def sample_m1_constant_diff(sigma_sq: float, tau: float, n: int,
     out += tau * eps
     out[1:] -= tau * eps[:-1]
     return out
+
+
+def _require_sampling(sigma_sq: float, n: int) -> None:
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
+    if not sigma_sq >= 0.0:
+        raise ValueError(f"sigma_sq must be non-negative, got {sigma_sq!r}")
 
 
 def m1_interval_sds(profile, n: int) -> np.ndarray:
@@ -104,18 +116,24 @@ def sample_m1_profile_diff(interval_sds, tau: float, n: int,
     return out
 
 
-def mle_const_sigma_m1(diff_data, n: int, tau: float,
-                       bracket=(1e-8, 1e4), tol: float = 1e-10) -> float:
+def mle_const_sigma_m1(diff_data, n: int, tau: float, bracket=(1e-8, 1e4),
+                       tol: float = 1e-10) -> float | np.ndarray:
     """Exact constant-``sigma^2`` MLE from first-differenced m1 data.
 
     ``diff_data`` may be the full differenced sample (length n) or a
     contiguous block of it; ``n`` is always the global sampling rate, so
     block coordinates keep variances ``sigma^2/n + tau^2 lambda_i`` in the
-    block-local sine basis.  A score negative over the whole bracket means
-    the likelihood peaks at the floor (noise-dominated sample); the floor
-    is returned.  A score still positive at the ceiling means the data are
-    inconsistent with the bracket and :class:`OptimizationFailure` is
-    raised carrying a (sigma^2, loglik) profile.
+    block-local sine basis.  A 2-d ``diff_data`` holds one such sample per
+    row and gives one estimate per row, each equal bit for bit to the
+    estimate from that row alone: the block is validated and transformed
+    once, and the spectral constants are computed once, then each row is
+    solved on its own coordinates.  A 1-d sample gives a float.
+
+    A score negative over the whole bracket means the likelihood peaks at
+    the floor (noise-dominated sample); the floor is returned.  A score
+    still positive at the ceiling means the data are inconsistent with the
+    bracket and :class:`OptimizationFailure` is raised carrying a
+    (sigma^2, loglik) profile; in a block, the first such row raises.
 
     Otherwise the stationarity equation is solved by Newton iteration on
     ``bracket = (lo, hi)``, kept inside the sign-change bracket ``[a, b]``
@@ -128,8 +146,8 @@ def mle_const_sigma_m1(diff_data, n: int, tau: float,
     ``tol max(1, b)``, so ``|est - root| <= tol max(1, b)``.
     """
     data = np.asarray(diff_data, dtype=float)
-    if data.ndim != 1 or data.size < 1:
-        raise ValueError("diff_data must be a non-empty vector")
+    if data.ndim not in (1, 2) or data.size < 1:
+        raise ValueError("diff_data must be a non-empty vector or block of rows")
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite (assumed known)")
     if not np.all(np.isfinite(data)):
@@ -139,8 +157,20 @@ def mle_const_sigma_m1(diff_data, n: int, tau: float,
         raise ValueError("bracket must satisfy 0 < lo < hi < inf")
     if not (0.0 < tol < math.inf):
         raise ValueError("tol must be positive and finite")
-    c2 = sine_transform(data) ** 2
-    noise = tau * tau * eigvals_closed(data.size)
+    coords_sq = sine_transform(data) ** 2
+    noise = tau * tau * eigvals_closed(data.shape[-1])
+    u = (1.0 / n + noise) ** -2
+    u_sum = float(np.sum(u))
+    estimates = np.array([
+        _mle_row(c2, n, noise, u, u_sum, lo, hi, tol)
+        for c2 in coords_sq.reshape(-1, data.shape[-1])
+    ])
+    return float(estimates[0]) if data.ndim == 1 else estimates
+
+
+def _mle_row(c2: np.ndarray, n: int, noise: np.ndarray, u: np.ndarray,
+             u_sum: float, lo: float, hi: float, tol: float) -> float:
+    """One sample's estimate from its squared coordinates ``c2``."""
 
     def score(s: float):
         """Score at ``s``, with the ``1 / v_i`` and ``c_i^2 / v_i`` it used."""
@@ -165,8 +195,7 @@ def mle_const_sigma_m1(diff_data, n: int, tau: float,
             "score is still positive at the bracket ceiling",
             profile=[(float(s), loglik(float(s))) for s in grid],
         )
-    u = (1.0 / n + noise) ** -2
-    start = n * float(np.sum(u * (c2 - noise))) / float(np.sum(u))
+    start = n * float(np.sum(u * (c2 - noise))) / u_sum
     a, b = lo, hi
     s = min(max(start, lo), hi)
     for _ in range(200):
@@ -244,10 +273,7 @@ def binned_estimator(diff_data, n: int, tau: float, bins: int) -> BinnedEstimate
     block = data.size // bins
     if block < 16:
         raise BlockTooSmall(f"blocks of {block} < 16 observations")
-    values = np.array([
-        mle_const_sigma_m1(data[b * block : (b + 1) * block], n, tau)
-        for b in range(bins)
-    ])
+    values = mle_const_sigma_m1(data.reshape(bins, block), n, tau)
     return BinnedEstimate(values=values, n=n, tau=tau)
 
 
@@ -300,14 +326,23 @@ class ExperimentResult:
         return rows
 
 
-def _estimate_one(estimator: str, data: np.ndarray, n: int, tau: float) -> float:
+# samples of one chunk of replicates, in bytes: a chunk holds
+# CHUNK_BYTES / 8n replicates and at least one (32 at n = 1024, 8 at 4096,
+# 2 at 16384).  A chunk pays the sine transform's FFT plan once, which
+# matters most where the length 4n + 2 has a large prime factor (2731 at
+# n = 4096); the transform's working arrays, about 6 times the samples,
+# add about 2 MB to the peak memory of a rate experiment at this size
+CHUNK_BYTES = 2**18
+
+
+def _estimate_block(estimator: str, block: np.ndarray, n: int,
+                    tau: float) -> np.ndarray:
+    """One estimate per row of ``block``."""
     if estimator == "mle":
-        return mle_const_sigma_m1(data, n, tau)
-    if estimator == "rv":
-        return realized_variance(data, n, tau, corrected=True)
-    if estimator == "rv_uncorrected":
-        return realized_variance(data, n, tau, corrected=False)
-    raise ValueError(f"estimator must be one of {ESTIMATORS}")
+        return mle_const_sigma_m1(block, n, tau)
+    corrected = estimator == "rv"
+    return np.array([realized_variance(row, n, tau, corrected=corrected)
+                     for row in block])
 
 
 def rate_experiment(model: str, estimator: str, n_list, reps: int,
@@ -317,7 +352,11 @@ def rate_experiment(model: str, estimator: str, n_list, reps: int,
 
     Only model m1 with constant volatility is wired up (the estimators
     here target it); the per-n squared errors are averaged over ``reps``
-    replicates and ``log2(MSE)`` is regressed on ``log2(n)``.
+    replicates and ``log2(MSE)`` is regressed on ``log2(n)``.  Each n runs
+    in chunks of :data:`CHUNK_BYTES` of samples; a chunk is one estimator
+    call on a block of replicates, and ``workers`` threads map over
+    chunks.  Replicate ``r`` is drawn from its own stream whatever
+    the chunking, so the result does not depend on it or on ``workers``.
     """
     if model != "m1":
         raise ValueError("rate_experiment supports model 'm1' only")
@@ -328,18 +367,24 @@ def rate_experiment(model: str, estimator: str, n_list, reps: int,
         raise ValueError("n_list must be strictly ascending")
     if reps < 100:
         raise ValueError("reps must be >= 100 for a stable summary")
+    for n in n_list:
+        _require_sampling(sigma_sq, n)
 
     def estimates_for(n: int) -> np.ndarray:
-        def one(r: int) -> float:
-            data = sample_m1_constant_diff(sigma_sq, tau, n, rep=r, seed=seed)
-            return _estimate_one(estimator, data, n, tau)
+        rows = max(1, CHUNK_BYTES // (8 * n))
 
+        def chunk(start: int) -> np.ndarray:
+            block = np.empty((min(rows, reps - start), n))
+            for i in range(block.shape[0]):
+                block[i] = sample_m1_constant_diff(sigma_sq, tau, n,
+                                                   rep=start + i, seed=seed)
+            return _estimate_block(estimator, block, n, tau)
+
+        starts = range(0, reps, rows)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                return np.fromiter(pool.map(one, range(reps)), dtype=float,
-                                   count=reps)
-        return np.fromiter((one(r) for r in range(reps)), dtype=float,
-                           count=reps)
+                return np.concatenate(list(pool.map(chunk, starts)))
+        return np.concatenate([chunk(start) for start in starts])
 
     mse, mse_se, var, var_se = [], [], [], []
     for n in n_list:

@@ -10,7 +10,7 @@ covariance algebra of the noisy volatility models.
 
 with sine eigenvectors; the orthonormal sine basis of ``A`` also powers an
 O(n log n) transform used for exact maximum likelihood under constant
-volatility.
+volatility, one sample at a time or a block of samples per FFT call.
 
 Ordering convention: :func:`eigvals_closed` returns the spectrum ascending
 (position i, 1-based, is the i-th smallest); descending reports elsewhere
@@ -129,16 +129,23 @@ def sine_transform(data) -> np.ndarray:
     product would need O(n^2) memory, which is prohibitive at n = 2^14.
     Orthonormality makes the transform an isometry and an involution up
     to :func:`sine_transform_inverse`.
+
+    A 2-d ``data`` is a block of samples, one per row, transformed by one
+    FFT call over the rows; each row of the result equals the transform
+    of that row alone bit for bit.  The FFT length has large prime
+    factors (16386 = 2 * 3 * 2731 at n = 4096), so the transform plan costs
+    more than a row, and a block pays it once.
     """
     x = np.asarray(data, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("data must be a non-empty 1-d array")
-    n = x.size
+    if x.ndim not in (1, 2) or x.size == 0:
+        raise ValueError("data must be a non-empty 1-d array or 2-d block")
+    n = x.shape[-1]
     full = 2 * n + 1
-    buf = np.zeros(2 * full)
-    buf[1 : n + 1] = x[::-1]
-    spectrum = np.fft.rfft(buf)
-    return -spectrum.imag[1 : 2 * n : 2] * (2.0 / np.sqrt(full))
+    head = np.zeros(x.shape[:-1] + (n + 1,))
+    head[..., 1:] = x[..., ::-1]
+    # the FFT zero-pads to length 2 full itself: no padded copy of the block
+    spectrum = np.fft.rfft(head, n=2 * full, axis=-1)
+    return spectrum.imag[..., 1 : 2 * n : 2] * -(2.0 / np.sqrt(full))
 
 
 def sine_transform_inverse(coeffs) -> np.ndarray:

@@ -313,6 +313,33 @@ def test_failure_line_names_the_command():
     assert proc.stderr == "certificate conditions not all satisfied\n"
 
 
+def test_optimization_failure_is_one_error_line():
+    proc = run_cli("simulate-rate", "--estimator", "mle", "--ns", "64,128",
+                   "--reps", "100", "--sigma-sq", "1e9")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: score is still positive at the bracket ceiling\n"
+
+
+@pytest.mark.parametrize("args, line", [
+    (("--ns", "0,2"), "error: n must be at least 1, got 0\n"),
+    (("--ns", "256,512", "--sigma-sq", "-1"),
+     "error: sigma_sq must be non-negative, got -1.0\n"),
+])
+def test_simulate_rate_rejects_bad_inputs(args, line):
+    proc = run_cli("simulate-rate", "--reps", "100", *args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == line
+
+
+def test_simulate_rate_accepts_zero_variance():
+    proc = run_cli("simulate-rate", "--ns", "64,128", "--reps", "100",
+                   "--sigma-sq", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["config"]["sigma_sq"] == 0.0
+
+
 def test_write_report_replaces_and_leaves_no_temp_file(tmp_path):
     path = tmp_path / "nested" / "report.json"
     write_report(b"old contents, longer than the new ones\n", path)

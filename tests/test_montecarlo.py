@@ -10,6 +10,7 @@ from mnlab import structures as st
 from mnlab.errors import BlockTooSmall, OptimizationFailure
 from mnlab.hypotheses import single_bump_profile
 from mnlab.profiles import ConstantProfile
+from mnlab.regression import ols_slope
 
 
 class TestSampler:
@@ -88,6 +89,52 @@ class TestMle:
         data[17] = bad
         with pytest.raises(ValueError, match="finite"):
             mc.mle_const_sigma_m1(data, 64, 0.1)
+
+
+class TestMleBlock:
+    def test_block_equals_rows_bit_for_bit(self):
+        n, tau = 256, 0.5
+        block = np.stack([
+            mc.sample_m1_constant_diff(sigma_sq, tau, n, rep=r, seed=3)
+            for r, sigma_sq in enumerate((1.0, 0.3, 2.5, 1e-3, 7.0))
+        ])
+        block[2] = 0.0
+        block[2, 0] = 1e-6  # noise-dominated: this row returns the floor
+        expected = [mc.mle_const_sigma_m1(row, n, tau) for row in block]
+        assert expected[2] == 1e-8
+        estimates = mc.mle_const_sigma_m1(block, n, tau)
+        assert estimates.shape == (5,)
+        assert np.array_equal(estimates, expected)
+
+    def test_single_row_block_matches_the_vector(self):
+        data = mc.sample_m1_constant_diff(1.0, 0.1, 100, rep=4, seed=2)
+        est = mc.mle_const_sigma_m1(data, 100, 0.1)
+        assert isinstance(est, float)
+        block = mc.mle_const_sigma_m1(data[None, :], 100, 0.1)
+        assert block.tolist() == [est]
+
+    def test_any_failing_row_fails_the_block(self):
+        n = 128
+        block = np.stack([
+            mc.sample_m1_constant_diff(1.0, 0.1, n, rep=r, seed=1)
+            for r in range(3)
+        ])
+        block[1] = 1e4
+        with pytest.raises(OptimizationFailure) as err:
+            mc.mle_const_sigma_m1(block, n, 0.1)
+        assert len(err.value.profile) == 41
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry_in_any_row(self, bad):
+        block = np.ones((3, 64))
+        block[2, 63] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mc.mle_const_sigma_m1(block, 64, 0.1)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 64), (2, 2, 16)])
+    def test_rejects_empty_or_higher_rank_block(self, shape):
+        with pytest.raises(ValueError, match="non-empty"):
+            mc.mle_const_sigma_m1(np.ones(shape), 64, 0.1)
 
 
 def _score(data, n, tau):
@@ -201,6 +248,15 @@ class TestBinned:
         assert grid[best] == 4
         assert ise[0] > ise[best] < ise[-1]
 
+    def test_bins_equal_blockwise_estimates_bit_for_bit(self):
+        n, tau, bins = 4096, 0.1, 16
+        data = mc.sample_m1_constant_diff(1.0, tau, n, rep=2, seed=9)
+        block = n // bins
+        expected = [mc.mle_const_sigma_m1(data[b * block:(b + 1) * block], n, tau)
+                    for b in range(bins)]
+        assert np.array_equal(mc.binned_estimator(data, n, tau, bins).values,
+                              expected)
+
     def test_block_size_guards(self):
         data = np.zeros(64)
         with pytest.raises(BlockTooSmall):
@@ -249,6 +305,63 @@ class TestRateExperiment:
         assert a.mse == b.mse
         assert a.var == b.var
         assert a.slope == b.slope
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_chunks_equal_replicate_by_replicate_reference(self, workers):
+        ns, reps, seed, sigma_sq, tau = [64, 1024, 4096], 101, 21, 1.0, 0.1
+        # 101 is prime, so whenever an n takes several chunks the last one
+        # is partial
+        mse, mse_se, var, var_se = [], [], [], []
+        for n in ns:
+            est = np.array([
+                mc.mle_const_sigma_m1(
+                    mc.sample_m1_constant_diff(sigma_sq, tau, n, rep=r,
+                                               seed=seed), n, tau)
+                for r in range(reps)
+            ])
+            sq_err = (est - sigma_sq) ** 2
+            mse.append(float(np.mean(sq_err)))
+            mse_se.append(float(np.std(sq_err, ddof=1) / np.sqrt(reps)))
+            var.append(float(np.var(est, ddof=1)))
+            var_se.append(var[-1] * np.sqrt(2.0 / (reps - 1)))
+        result = mc.rate_experiment("m1", "mle", ns, reps, seed=seed,
+                                    sigma_sq=sigma_sq, tau=tau, workers=workers)
+        slope, slope_se = ols_slope(np.log2(ns), np.log2(mse))
+        rows = result.to_dict()["rows"]
+        assert rows == [
+            {"n": n, "mse": m, "mse_se": ms, "var": v, "var_se": vs}
+            for n, m, ms, v, vs in zip(ns, mse, mse_se, var, var_se)
+        ]
+        assert (result.slope, result.slope_se) == (slope, slope_se)
+
+    @pytest.mark.parametrize("estimator", ["rv", "rv_uncorrected"])
+    def test_realized_variance_chunks_equal_replicates(self, estimator):
+        n, reps = 1024, 100
+        est = np.array([
+            mc.realized_variance(
+                mc.sample_m1_constant_diff(1.0, 0.1, n, rep=r, seed=5), n, 0.1,
+                corrected=estimator == "rv")
+            for r in range(reps)
+        ])
+        result = mc.rate_experiment("m1", estimator, [n], reps, seed=5)
+        assert result.mse == (float(np.mean((est - 1.0) ** 2)),)
+
+    @pytest.mark.parametrize("ns, sigma_sq, name", [
+        ([0, 2], 1.0, "n"),
+        ([-4, 256], 1.0, "n"),
+        ([256, 512], -1.0, "sigma_sq"),
+        ([256, 512], np.nan, "sigma_sq"),
+    ])
+    def test_rejects_sizes_below_one_and_negative_variance(self, ns, sigma_sq,
+                                                           name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            mc.rate_experiment("m1", "mle", ns, 100, sigma_sq=sigma_sq)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            mc.sample_m1_constant_diff(sigma_sq, 0.1, ns[0])
+
+    def test_zero_variance_is_valid(self):
+        result = mc.rate_experiment("m1", "mle", [64, 128], 100, sigma_sq=0.0)
+        assert all(m > 0.0 for m in result.mse)
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -113,6 +113,19 @@ class TestSineTransform:
         dense = st.sine_basis_dense(n).T @ x
         assert np.max(np.abs(st.sine_transform(x) - dense)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 2731, 4096])
+    def test_block_equals_rows_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for rows in range(1, 10):
+            block = rng.standard_normal((rows, n))
+            expected = np.stack([st.sine_transform(row) for row in block])
+            assert np.array_equal(st.sine_transform(block), expected)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4), (2, 2, 2)])
+    def test_rejects_empty_or_higher_rank(self, shape):
+        with pytest.raises(ValueError):
+            st.sine_transform(np.zeros(shape))
+
 
 class TestNullCovarianceSpectra:
     def test_m1_null_smallest_eigenvalue(self):

@@ -119,6 +119,14 @@ CASES = {
     "simulate-rate-rv-tau-nan": (
         ["simulate-rate", "--estimator", "rv", "--tau", "nan", "--ns", "256,512",
          "--reps", "100"], None),
+    "simulate-rate-sigma-sq-huge": (
+        ["simulate-rate", "--estimator", "mle", "--ns", "64,128", "--reps", "100",
+         "--sigma-sq", "1e9"], None),
+    "simulate-rate-ns-zero": (
+        ["simulate-rate", "--ns", "0,2", "--reps", "100"], None),
+    "simulate-rate-sigma-sq-negative": (
+        ["simulate-rate", "--ns", "256,512", "--reps", "100", "--sigma-sq", "-1"],
+        None),
     "out-json": (["verify-spectral", "--n", "64", "--out", "spectral.json"], None),
     "out-csv-failing": (
         ["kl-scaling", "--model", "m1", "--ns", "256", "--format", "csv",

@@ -1,0 +1,67 @@
+"""Time the Monte Carlo rate experiment one sample size at a time.
+
+Usage::
+
+    python3 tools/rate_curve.py --ns 1024,2048,4096,8192,16384 [--reps 500] [--seed 11] [--repeats 3]
+
+Runs ``montecarlo.rate_experiment`` of the ``src/`` tree next to this
+script with the MLE on one n at a time, each in a fresh process, with the
+``simulate-rate`` defaults of the benchmark workload (sigma^2 1, tau 0.1,
+one worker).  Prints one JSON object: per n, the median seconds of
+``--repeats`` experiments in that process, the MSE and the process's peak
+resident memory.  A point that fails records its error instead.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_POINT = """
+import json, resource, statistics, sys, time
+from mnlab.montecarlo import rate_experiment
+n, reps, seed, repeats = (int(x) for x in sys.argv[1:5])
+times = []
+for _ in range(repeats):
+    t0 = time.perf_counter()
+    mse = rate_experiment("m1", "mle", [n], reps, seed=seed).mse[0]
+    times.append(time.perf_counter() - t0)
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+print(json.dumps({"seconds": statistics.median(times), "mse": mse, "peak_rss_mb": rss}))
+"""
+
+
+def point(n: int, reps: int, seed: int, repeats: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _POINT, str(n), str(reps), str(seed), str(repeats)],
+        capture_output=True, text=True, env=env,
+    )
+    if proc.returncode != 0:
+        return {"error": proc.stderr.strip().splitlines()[-1]}
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--ns", default="1024,2048,4096,8192,16384")
+    p.add_argument("--reps", type=int, default=500)
+    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--repeats", type=int, default=3)
+    args = p.parse_args(argv)
+    curve = {}
+    for n in (int(x) for x in args.ns.split(",")):
+        curve[str(n)] = point(n, args.reps, args.seed, args.repeats)
+        sys.stderr.write(f"n={n}: {curve[str(n)]}\n")
+    print(json.dumps(curve, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
