@@ -72,7 +72,6 @@ from .models import (
     diff_matrix,
     differenced_bands,
     extract_v2,
-    model2_decomposition,
     model3_reference_decomposition,
 )
 from .montecarlo import (

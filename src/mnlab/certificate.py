@@ -438,14 +438,15 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     the fixed ``h^(2 alpha)`` factor); the log-log slope is returned with
     its standard error.  Each point is one kernel comparison against the
     banded null, which reaches n = 16384 for m1 and m3; the m2 block
-    covers over half the rows, so m2 stops at n = 4096.
+    holds one row per moved row and grows to about n / 4 (k = 2019 at
+    n = 8192), so m2 stops at n = 8192.
     """
     if model not in ("m1", "m2", "m3"):
         raise ValueError("probe covers models m1, m2, m3")
     if tau <= 0.0:
         raise ValueError("needs tau > 0")
     n_list = [int(n) for n in n_list]
-    limit = 4096 if model == "m2" else 16384
+    limit = 8192 if model == "m2" else 16384
     if any(n > limit for n in n_list):
         raise ValueError(f"n > {limit} exceeds the exact-KL desk bound")
     alt = single_bump_profile(alpha, l_const, bump_width)

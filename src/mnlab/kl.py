@@ -17,11 +17,15 @@ variant still dominates; that variant is verified empirically by the test
 suite rather than certified.
 
 One kernel, :func:`compare`, answers all of these.  The two laws differ
-by ``Delta = sigma1 - sigma0 = E_S B E_S^T`` on a support ``S`` of ``k``
-indices (a bump alternative differs from its null only on the cells its
-bumps touch).  With ``X = sigma0^-1 E_S``, ``P = X[S] = R R^T`` and the
-eigenvalues ``mu`` of the ``k x k`` matrix ``R^T B R`` (those of
-``sigma0^-1 Delta`` that are not zero):
+by ``Delta = sigma1 - sigma0 = W B W^T`` on a support of ``k`` disjoint
+runs of indices: ``W`` has one orthonormal column ``1_run / sqrt(len)``
+per run, so a run of one index is the unit vector ``e_i``.  A bump
+alternative differs from its null only on the cells its bumps touch, and
+a run of rows whose columns of ``Delta`` are identical (the unmoved rows
+of a model-2 alternative) needs one column, not one per row.  With
+``X = sigma0^-1 W``, ``P = W^T X = R R^T`` and the eigenvalues ``mu`` of
+the ``k x k`` matrix ``R^T B R`` (those of ``sigma0^-1 Delta`` that are
+not zero):
 
 * ``kl = (1/2) sum(mu - log1p(mu))``, summed term by term, so no trace
   cancels against a log-determinant and no clamp at 0 is needed;
@@ -33,7 +37,7 @@ The solve for ``X`` runs in column blocks, so no dense ``n x k`` array is
 held at large ``n``.  :func:`kl_exact`, :func:`kl_bound`,
 :func:`kl_bound_symmetrized` and :func:`find_loewner_constant` are views
 of the kernel that take two laws or two covariance arrays; for two
-arrays the support is the rows where they differ.
+arrays the support is the rows where they differ, one run each.
 
 Each law is a :class:`GaussianLaw`, validated and Cholesky-factored once
 by :func:`~mnlab.linalg.cholesky_lower` when it is built.  Its covariance
@@ -155,41 +159,97 @@ def _check_c(c: float) -> None:
         raise InvalidC(f"constant must lie in (0, 1], got {c}")
 
 
-def _solve_blocks(law: GaussianLaw, support: np.ndarray, values=None):
-    """``cov^-1 E_S V`` a block of columns at a time: yields ``(cols, z)``.
+class _Runs(NamedTuple):
+    """A validated support: ``k`` disjoint runs of indices, sorted.
+
+    ``rows`` lists the indices of all runs in order, run ``r`` at
+    ``rows[offsets[r]:offsets[r + 1]]``; ``scale`` is ``1 / sqrt(len)``,
+    the entry of the run's basis column (exactly 1 for one index).
+    """
+
+    rows: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+    scale: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return self.lengths.size
+
+    def scatter(self, values: np.ndarray, out: np.ndarray) -> None:
+        """``out[rows] = W V`` for ``k x m`` values ``V``."""
+        out[self.rows] = np.repeat(values * self.scale[:, None], self.lengths, axis=0)
+
+    def gather(self, z: np.ndarray) -> np.ndarray:
+        """``W^T z`` for ``n x m`` rows ``z``: each run's sum, scaled."""
+        return np.add.reduceat(z[self.rows], self.offsets[:-1], axis=0) \
+            * self.scale[:, None]
+
+
+def _runs(support, n: int) -> _Runs:
+    """Validate ``support`` for size ``n``: indices, or ``(start, stop)`` rows.
+
+    A 1-D array holds one-index runs; a ``k x 2`` array holds half-open
+    runs.  Runs must be non-empty, sorted, disjoint and inside ``[0, n)``.
+    """
+    support = np.asarray(support, dtype=np.intp)
+    if support.ndim == 1:
+        starts, stops = support, support + 1
+    elif support.ndim == 2 and support.shape[1] == 2:
+        starts, stops = support[:, 0], support[:, 1]
+    else:
+        raise ValueError(f"support must be indices or (start, stop) rows, "
+                         f"got shape {support.shape}")
+    if starts.size and (starts[0] < 0 or stops[-1] > n or np.any(stops <= starts)
+                        or np.any(starts[1:] < stops[:-1])):
+        raise ValueError(f"support runs must be non-empty, sorted, disjoint "
+                         f"and inside [0, {n})")
+    lengths = stops - starts
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    rows = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+    return _Runs(rows, offsets, lengths, 1.0 / np.sqrt(lengths))
+
+
+def _solve_blocks(law: GaussianLaw, runs: _Runs, values=None):
+    """``cov^-1 W V`` a block of columns at a time: yields ``(cols, z)``.
 
     ``V`` is ``values`` (``k x m``), or the identity when it is None.
     """
     n = law.size
-    m = support.size if values is None else values.shape[1]
+    m = runs.k if values is None else values.shape[1]
     width = max(1, _BLOCK_ELEMENTS // n)
     for j in range(0, m, width):
         cols = slice(j, min(j + width, m))
         rhs = np.zeros((n, cols.stop - j), order="F")
         if values is None:
-            rhs[support[cols], np.arange(cols.stop - j)] = 1.0
+            # the columns of W themselves, with no k x m identity to scatter
+            lengths = runs.lengths[cols]
+            rows = runs.rows[runs.offsets[j]:runs.offsets[cols.stop]]
+            rhs[rows, np.repeat(np.arange(cols.stop - j), lengths)] = \
+                np.repeat(runs.scale[cols], lengths)
         else:
-            rhs[support] = values[:, cols]
+            runs.scatter(values[:, cols], rhs)
         yield cols, law.solve(rhs)
 
 
-def _solve_norm_sq(law: GaussianLaw, support: np.ndarray, block: np.ndarray) -> float:
-    """``||cov^-1 E_S B||_F^2``."""
-    return math.fsum(float(np.sum(z * z)) for _, z in _solve_blocks(law, support, block))
+def _solve_norm_sq(law: GaussianLaw, runs: _Runs, block: np.ndarray) -> float:
+    """``||cov^-1 W B||_F^2``."""
+    return math.fsum(float(np.sum(z * z)) for _, z in _solve_blocks(law, runs, block))
 
 
 @dataclass(frozen=True, eq=False)
 class Comparison:
-    """A null law against ``null + E_S B E_S^T``, reduced to ``k x k``.
+    """A null law against ``null + W B W^T``, reduced to ``k x k``.
 
-    ``mu`` are the eigenvalues of ``R^T B R`` ascending and ``middle_sq``
-    is ``||R^T B R||_F^2`` (see the module docstring).  ``right_sq =
-    ||X B||_F^2`` costs a second solve with ``k`` right-hand sides and is
-    computed on first use, by :meth:`bound`.
+    ``support`` holds the validated runs of ``W``, ``mu`` the eigenvalues
+    of ``R^T B R`` ascending and ``middle_sq`` is ``||R^T B R||_F^2`` (see
+    the module docstring).  ``right_sq = ||X B||_F^2`` costs a second
+    solve with ``k`` right-hand sides and is computed on first use, by
+    :meth:`bound`.
     """
 
     null: GaussianLaw
-    support: np.ndarray
+    support: _Runs
     block: np.ndarray
     mu: np.ndarray
     middle_sq: float
@@ -217,7 +277,7 @@ class Comparison:
     def dominates(self, c: float) -> bool:
         """Whether ``c * null <= alternative`` in the Loewner order.
 
-        At ``c = 1`` this is ``is_psd(B)``: ``E_S B E_S^T`` has the
+        At ``c = 1`` this is ``is_psd(B)``: ``W B W^T`` has the
         nonzero eigenvalues and the Frobenius norm of ``B``, so the test
         and its tolerance are those of ``is_psd(alternative - null)``.
         Below 1 it is ``1 + min(mu) >= c - 1e-9``, on the unit scale of
@@ -230,29 +290,32 @@ class Comparison:
 
 
 def compare(null: GaussianLaw, support, block) -> Comparison:
-    """Compare ``N(0, null)`` with ``N(0, null + E_S B E_S^T)``.
+    """Compare ``N(0, null)`` with ``N(0, null + W B W^T)``.
 
-    ``support`` holds the ``k`` distinct indices ``S`` and ``block`` the
-    exactly symmetric ``k x k`` matrix ``B``.  The cost is one solve with
-    ``k`` right-hand sides (a second one when the outer bound is asked
-    for), one ``k x k`` Cholesky factor and one ``k x k`` eigenproblem.
-    Raises :class:`~mnlab.errors.NotPositiveDefinite` when the
-    alternative is not positive definite (``1 + min(mu) <= 0``).
+    ``support`` holds the ``k`` runs of ``W``: sorted distinct indices,
+    or a ``k x 2`` array of sorted disjoint half-open ``(start, stop)``
+    runs; ``block`` is the exactly symmetric ``k x k`` matrix ``B``.  The
+    cost is one solve with ``k`` right-hand sides (a second one when the
+    outer bound is asked for), one ``k x k`` Cholesky factor and one
+    ``k x k`` eigenproblem.  Raises ``ValueError`` for runs that are
+    empty, unsorted, overlapping or outside ``[0, n)``, and
+    :class:`~mnlab.errors.NotPositiveDefinite` when the alternative is
+    not positive definite (``1 + min(mu) <= 0``).
     """
-    support = np.asarray(support, dtype=np.intp)
+    runs = _runs(support, null.size)
     block = np.asarray(block, dtype=float)
-    k = support.size
+    k = runs.k
     if block.shape != (k, k):
         raise DimensionMismatch(
             f"block shape {block.shape} does not match a support of {k}"
         )
     if k == 0:
-        return Comparison(null=null, support=support, block=block,
+        return Comparison(null=null, support=runs, block=block,
                           mu=np.zeros(0), middle_sq=0.0)
     block = check_symmetric(block, "block")
     p = np.empty((k, k))
-    for cols, z in _solve_blocks(null, support):
-        p[:, cols] = z[support]
+    for cols, z in _solve_blocks(null, runs):
+        p[:, cols] = runs.gather(z)
     r = cholesky_lower(sym(p))
     # R^T B R by two triangular products
     m = blas.dtrmm(1.0, r, blas.dtrmm(1.0, r, block, side=1, lower=1),
@@ -263,7 +326,7 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
         raise NotPositiveDefinite(
             f"the alternative is not positive definite (1 + mu_min = {1.0 + mu[0]:.3e})"
         )
-    return Comparison(null=null, support=support, block=block, mu=mu,
+    return Comparison(null=null, support=runs, block=block, mu=mu,
                       middle_sq=float(np.sum(m * m)))
 
 
@@ -316,8 +379,9 @@ def kl_bound_symmetrized(sigma0, sigma1) -> float:
     """
     law0, law1 = _laws(sigma0, sigma1)
     support, block = _difference(law0, law1)
-    return 0.25 * (_solve_norm_sq(law0, support, block)
-                   + _solve_norm_sq(law1, support, -block))
+    runs = _runs(support, law0.size)
+    return 0.25 * (_solve_norm_sq(law0, runs, block)
+                   + _solve_norm_sq(law1, runs, -block))
 
 
 def find_loewner_constant(sigma0, sigma1) -> float:

@@ -34,18 +34,19 @@ volatility: :func:`differenced_bands` builds them in band storage, and
 :func:`cov_differenced` returns the same entries densely.  A bump
 alternative differs from its unit-volatility null only on the cells its
 bumps touch; :func:`bump_difference` returns that difference as a
-support ``S`` and a dense block ``B`` (``alt - null = E_S B E_S^T``),
-built from the bump part ``sigma^2 - 1`` alone, never by subtracting two
-n x n matrices.
+support ``S`` of index runs and a dense block ``B`` (``alt - null = W B
+W^T``, see :func:`~mnlab.kl.compare`), never by subtracting two n x n
+matrices: for m1 from the bump part ``sigma^2 - 1``, for m2 in closed
+form from ``sigma(t_i)`` on the moved rows, with one run for each
+stretch of unmoved rows between them.
 
 Every builder returns a bit-exactly symmetric float64 array.  Most are
 sums of terms whose ``(i, j)`` and ``(j, i)`` entries come from the same
 operations on the same operands, so they are symmetric as computed and
 are returned without a copy.  :func:`~mnlab.linalg.sym` is applied only
 where the arithmetic can break symmetry or leave a ``-0.0``: the
-first-difference conjugation, the integer-q kernel sum and the m2
-decomposition's ``cov_r1``.  Consumers validate symmetry but never
-restore it.
+first-difference conjugation and the integer-q kernel sum.  Consumers
+validate symmetry but never restore it.
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ __all__ = [
     "cov_differenced",
     "differenced_bands",
     "bump_difference",
-    "Model2Decomposition",
-    "model2_decomposition",
     "extract_v2",
     "second_diff_noise_gram",
     "model3_reference_decomposition",
@@ -337,14 +336,46 @@ def differenced_bands(spec: ModelSpec, profile: VolatilityProfile) -> Banded:
     return Banded(bands + tau * tau * noise)
 
 
+def _m2_bump_difference(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Runs and block of the differenced m2 alternative minus its unit null.
+
+    With ``s_i = sigma(t_i)``, first differences ``D`` and ``L = D^-1``
+    the lower matrix of ones, the differenced covariance is ``T T^T / n
+    + tau^2 A`` for ``T = D diag(s) L``, so the difference is ``(T T^T -
+    I) / n``.  With ``delta_i = s_i - s_{i-1}`` (0-based; ``delta_0`` is
+    multiplied by 0) its lower triangle is ``delta_i (j delta_j + s_j) /
+    n`` and its diagonal ``(i delta_i^2 + s_i^2 - 1) / n``.  A row with
+    ``s_i = 1`` and ``delta_i = 0`` does not move: its column is
+    ``delta_l / n`` below it and 0 elsewhere, the same for a whole stretch
+    of such rows, which takes one run with basis column ``1 / sqrt(len)``
+    (its entries of ``B`` are scaled by ``sqrt(len)``).  Unmoved rows after
+    the last moved row have a zero column and are left out.
+    """
+    _probe_profile(profile, n)
+    s = np.sqrt(np.asarray(profile.eval(np.arange(1, n + 1) / n), dtype=float))
+    delta = np.diff(s, prepend=1.0)
+    moved = np.flatnonzero((s != 1.0) | (delta != 0.0))
+    # run boundaries: every moved row alone, and the stretches between them
+    edges = np.unique(np.concatenate(([0], moved, moved + 1)))
+    start = edges[:-1]
+    length = np.diff(edges)
+    d = delta[start]
+    u = np.sqrt(length) * (start * d + s[start])
+    lower = np.tril(np.outer(d, u) / n, -1)
+    block = lower + lower.T
+    np.fill_diagonal(block, (start * d * d + s[start] * s[start] - 1.0) / n)
+    return np.column_stack((start, edges[1:])), block
+
+
 def bump_difference(spec: ModelSpec, profile) -> tuple[np.ndarray, np.ndarray]:
     """Differenced covariance of a bump alternative minus the unit null.
 
     ``profile`` is a :class:`~mnlab.hypotheses.BumpSumProfile` (base level
     1) and the null is its ``sigma^2 = 1`` counterpart at the same
-    ``spec``; the noise parts cancel.  Returns ``(S, B)``: the sorted
-    indices ``S`` of the rows where the two covariances differ and the
-    dense symmetric block ``B`` of the difference on them.
+    ``spec``; the noise parts cancel.  Returns ``(S, B)`` with
+    ``alt - null = W B W^T``: for m1 and m3, ``S`` holds the sorted
+    indices of the rows where the two covariances differ and ``B`` is the
+    dense symmetric block of the difference on them.
 
     * m1: ``B`` is diagonal, the per-cell integrals of the bump part
       ``sigma^2 - 1``;
@@ -353,19 +384,15 @@ def bump_difference(spec: ModelSpec, profile) -> tuple[np.ndarray, np.ndarray]:
       included.  Their entries lie within a factor 2 of each other, so
       the subtraction is exact and ``B`` is the difference of the laws as
       stored; it carries their rounding, up to ``eps tau^2`` per entry;
-    * m2: ``B`` is the leading block, up to one row past the last bump
-      grid point, of the first-differenced signal difference
-      ``(sigma_i sigma_j - 1) min(i, j) / n``.
+    * m2: ``S`` is a ``k x 2`` array of half-open runs (see
+      :func:`~mnlab.kl.compare`): one per moved row, and one per stretch
+      of unmoved rows before the last moved row, whose columns of the
+      difference are identical; ``B`` is built in closed form from
+      ``sigma(t_i)`` (see :func:`_m2_bump_difference`).
     """
     n = spec.n
     if spec.model == "m2" and spec.differencing == "first":
-        _probe_profile(profile, n)
-        s = np.sqrt(np.asarray(profile.eval(np.arange(1, n + 1) / n), dtype=float))
-        moved = np.flatnonzero(s != 1.0)
-        k = min(int(moved[-1]) + 2, n) if moved.size else 0
-        idx = np.arange(k)
-        raw = (np.outer(s[:k], s[:k]) - 1.0) * ((np.minimum.outer(idx, idx) + 1) / n)
-        return idx, _conjugate_first(raw) if k else np.zeros((0, 0))
+        return _m2_bump_difference(profile, n)
     if (spec.model, spec.differencing) not in _BANDED:
         raise InvalidDifferencing(f"no bump difference for {spec.model} with "
                                   f"{spec.differencing} differences")
@@ -408,48 +435,6 @@ def cov_differenced(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
     # generic fallback: first differences of the raw covariance (second
     # differences are valid for m3 only, which is handled above)
     return _conjugate_first(cov_raw(raw_spec, profile))
-
-
-@dataclass(frozen=True)
-class Model2Decomposition:
-    """Pieces of the differenced m2 covariance beyond the constant-sigma part.
-
-    With ``Pi = diag(sigma(i/n))``, ``gamma = Pi - I`` and ``Sigma_0`` the
-    differenced covariance under ``sigma^2 = 1``, the reconstruction
-
-        cov = Sigma_0 + (2/n) gamma + (1/n) gamma^2
-              + cov_x1p_r1 + cov_x1p_r1.T + cov_r1
-
-    holds to rounding.
-    """
-
-    cov_r1: np.ndarray
-    cov_x1p_r1: np.ndarray
-    gamma: np.ndarray
-
-
-def model2_decomposition(profile: VolatilityProfile, n: int, tau: float) -> Model2Decomposition:
-    """Exact covariance pieces created by a non-constant sigma in model m2."""
-    if n < 2:
-        raise ValueError("decomposition needs n >= 2")
-    _probe_profile(profile, n)
-    t = np.arange(1, n + 1) / n
-    s = np.sqrt(np.asarray(profile.eval(t), dtype=float))
-    ds = np.empty(n)
-    ds[0] = s[0]  # sigma(0) taken as 0 by convention; first row is killed below
-    ds[1:] = s[1:] - s[:-1]
-
-    idx = np.arange(n)
-    w = np.minimum.outer(idx, idx) / n  # (min(i, j) - 1)/n with 1-based i, j
-    # symmetric as computed, but a zero times a negative leaves -0.0 entries,
-    # which sym turns into +0.0
-    cov_r1 = sym(np.outer(ds, ds) * w)
-
-    e = np.triu(np.ones((n, n)), k=1)
-    cov_x1p_r1 = (np.outer(s, np.ones(n)) * e * ds[np.newaxis, :]) / n
-
-    gamma = np.diag(s - 1.0)
-    return Model2Decomposition(cov_r1=cov_r1, cov_x1p_r1=cov_x1p_r1, gamma=gamma)
 
 
 def extract_v2(n: int, tau: float) -> np.ndarray:

@@ -10,3 +10,19 @@ def rand_sym(rng, n, scale=1.0):
 def rand_psd(rng, n, extra=4, floor=0.0):
     w = rng.standard_normal((n, n + extra))
     return sym(w @ w.T / (n + extra) + floor * np.eye(n))
+
+
+def as_runs(support):
+    """A kernel support as ``(start, stop)`` rows: indices are runs of one."""
+    support = np.asarray(support, dtype=np.intp)
+    return np.column_stack((support, support + 1)) if support.ndim == 1 else support
+
+
+def scatter(n, support, block):
+    """``W B W^T`` as a dense n x n array, ``W`` holding one column
+    ``1_run / sqrt(len)`` per run; for indices, ``B`` placed exactly."""
+    runs = as_runs(support)
+    w = np.zeros((n, len(runs)))
+    for r, (start, stop) in enumerate(runs):
+        w[start:stop, r] = 1.0 / np.sqrt(stop - start)
+    return sym(w @ block @ w.T)

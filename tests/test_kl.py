@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import rand_psd
+from conftest import as_runs, rand_psd, scatter
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
@@ -219,13 +219,6 @@ def dense_oracle(sigma0, delta, c=1.0):
     }
 
 
-def scatter(n, support, block):
-    """``E_S B E_S^T`` as a dense n x n array."""
-    out = np.zeros((n, n))
-    out[np.ix_(support, support)] = block
-    return out
-
-
 _DIFF = {"m1": "first", "m2": "first", "m3": "second"}
 
 
@@ -300,9 +293,16 @@ class TestKernelAgainstDenseOracle:
 
 def mp_kl(inverse0, delta):
     """KL of ``sigma0 + delta`` from ``sigma0`` by determinant and trace of
-    ``sigma0^-1 sigma1 = I + inverse0 delta``, in 60-digit arithmetic."""
+    ``sigma0^-1 sigma1 = I + inverse0 delta``, in 60-digit arithmetic.
+
+    Off the rows ``C`` where ``delta`` is nonzero the columns of that
+    matrix are unit vectors, so its determinant and its trace less ``n``
+    are those of the ``C x C`` block ``I + inverse0[C, C] delta[C, C]``.
+    """
+    rows = np.flatnonzero(np.any(delta != 0.0, axis=1))
     with mpmath.workdps(60):
-        x = inverse0 * mpmath.matrix(delta.tolist())
+        x = mpmath.matrix([[inverse0[i, j] for j in rows] for i in rows]) \
+            * mpmath.matrix(delta[np.ix_(rows, rows)].tolist())
         for i in range(x.rows):
             x[i, i] += 1
         trace = mpmath.fsum(x[i, i] for i in range(x.rows))
@@ -311,7 +311,7 @@ def mp_kl(inverse0, delta):
 
 class TestKernelAgainstMpmath:
     @pytest.mark.parametrize("model, n", [("m1", 32), ("m1", 64), ("m2", 64),
-                                          ("m3", 32), ("m3", 64)])
+                                          ("m2", 128), ("m3", 32), ("m3", 64)])
     def test_small_divergences_keep_relative_precision(self, model, n):
         spec = models.ModelSpec(model, n, 0.1, differencing=_DIFF[model])
         null = null_law(spec)
@@ -392,6 +392,105 @@ class TestKernelProperties:
             else float(np.linalg.eigvalsh(block)[0])
         assume(c == 1.0 and not indefinite or abs(margin) > 1e-6)
         assert comparison.dominates(c) == la.is_psd(la.sym(sigma1 - c * sigma0))
+
+
+def random_runs_case(seed, n, indefinite):
+    """A random null, a random set of disjoint runs and a symmetric block."""
+    rng = np.random.default_rng(seed)
+    sigma0 = rand_psd(rng, n, floor=0.2)
+    cuts = np.flatnonzero(rng.random(n - 1) < 0.5) + 1
+    edges = np.concatenate(([0], cuts, [n]))
+    runs = np.column_stack((edges[:-1], edges[1:]))
+    keep = rng.random(len(runs)) < 0.7
+    keep[rng.integers(len(runs))] = True
+    runs = runs[keep]
+    k = len(runs)
+    w = rng.standard_normal((k, k + 2))
+    block = w @ w.T / (2.0 * (k + 2))
+    if indefinite:
+        block = block - 0.3 * np.eye(k)
+    return sigma0, runs, la.sym(block)
+
+
+class TestKernelOnRuns:
+    @given(c=hs.sampled_from([1.0, 0.9, 0.5, 1.0 / 14.0]),
+           seed=hs.integers(0, 2**32 - 1), n=hs.integers(1, 12),
+           indefinite=hs.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_dense_oracle(self, c, seed, n, indefinite):
+        sigma0, runs, block = random_runs_case(seed, n, indefinite)
+        delta = scatter(n, runs, block)
+        sigma1 = sigma0 + delta
+        assume(np.linalg.eigvalsh(sigma1)[0] > 1e-3)
+        comparison = kl.compare(kl.GaussianLaw(sigma0), runs, block)
+        want = dense_oracle(sigma0, delta, c)
+        bound = comparison.bound(c)
+        assert abs(comparison.kl - want["kl"]) <= 1e-9 * max(1.0, want["kl"])
+        assert abs(bound.value - want["value"]) <= 1e-9 * max(1.0, want["value"])
+        assert abs(bound.middle - want["middle"]) <= 1e-9 * max(1.0, want["middle"])
+        assert abs(comparison.loewner_constant - want["loewner"]) <= 1e-9
+        # keep clear of the boundary, where either test may round either way
+        margin = comparison.loewner_constant - c if c < 1.0 \
+            else float(np.linalg.eigvalsh(block)[0])
+        assume(abs(margin) > 1e-6)
+        assert comparison.dominates(c) == la.is_psd(la.sym(sigma1 - c * sigma0))
+
+    def test_one_index_runs_are_the_indices_bit_for_bit(self):
+        sigma0, support, block = random_case(11, 9, 5, indefinite=True)
+        null = kl.GaussianLaw(sigma0)
+        by_index = kl.compare(null, support, block)
+        by_run = kl.compare(null, as_runs(support), block)
+        assert np.array_equal(by_index.mu, by_run.mu)
+        assert by_index.middle_sq == by_run.middle_sq
+        assert by_index.right_sq == by_run.right_sq
+
+    def test_a_run_is_its_rows_summed(self):
+        # a block with equal rows and columns on a run compares as one entry
+        n = 10
+        sigma0 = rand_psd(np.random.default_rng(12), n, floor=0.2)
+        delta = np.zeros((n, n))
+        delta[2:6, 2:6] = 0.05
+        delta[2:6, 8] = delta[8, 2:6] = 0.02
+        delta[8, 8] = 0.3
+        runs = np.array([[2, 6], [8, 9]])
+        # 1_run / 2 carries the run: entries scale by 4 and by 2
+        block = np.array([[0.2, 0.04], [0.04, 0.3]])
+        got = kl.compare(kl.GaussianLaw(sigma0), runs, block)
+        want = dense_oracle(sigma0, delta)
+        assert rel(got.kl, want["kl"]) <= 1e-12
+        assert rel(got.bound(1.0).value, want["value"]) <= 1e-12
+
+
+class TestSupportValidation:
+    @pytest.mark.parametrize("support", [[-1], [16], [-17]])
+    def test_rejects_indices_outside_the_law(self, support):
+        # -1 used to wrap to row 15, and 16 raised a bare IndexError
+        with pytest.raises(ValueError, match="inside"):
+            kl.compare(kl.GaussianLaw(np.eye(16)), support, [[0.5]])
+
+    def test_rejects_repeated_indices(self):
+        # used to raise a misleading NotPositiveDefinite at pivot 1
+        with pytest.raises(ValueError, match="disjoint"):
+            kl.compare(kl.GaussianLaw(np.eye(16)), [3, 3], 0.1 * np.eye(2))
+
+    def test_rejects_unsorted_indices(self):
+        with pytest.raises(ValueError, match="sorted"):
+            kl.compare(kl.GaussianLaw(np.eye(16)), [5, 3], 0.1 * np.eye(2))
+
+    @pytest.mark.parametrize("runs", [[[3, 3]], [[4, 2]], [[0, 4], [3, 6]],
+                                      [[6, 8], [0, 2]], [[10, 17]], [[-2, 1]]])
+    def test_rejects_bad_runs(self, runs):
+        with pytest.raises(ValueError):
+            kl.compare(kl.GaussianLaw(np.eye(16)), runs, 0.1 * np.eye(len(runs)))
+
+    def test_rejects_a_support_of_other_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            kl.compare(kl.GaussianLaw(np.eye(16)), [[1, 2, 3]], [[0.1]])
+
+    def test_adjacent_runs_and_the_whole_range_are_valid(self):
+        runs = np.array([[0, 4], [4, 16]])
+        got = kl.compare(kl.GaussianLaw(np.eye(16)), runs, 0.5 * np.eye(2))
+        assert got.kl == pytest.approx(0.5 * (0.5 - math.log(1.5)) * 2, rel=1e-14)
 
 
 class TestBandedLaw:

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import as_runs, scatter
 from scipy.integrate import quad
 
 from mnlab import linalg as la
 from mnlab import models
 from mnlab import structures as st
 from mnlab.errors import InvalidDifferencing, InvalidProfile, QuadratureFailure
-from mnlab.hypotheses import build_family
+from mnlab.hypotheses import BumpSumProfile, build_family
 from mnlab.profiles import CallableProfile, ConstantProfile, PiecewiseConstantProfile
 
 ONE = ConstantProfile(1.0)
@@ -280,9 +281,6 @@ class TestBuilderSymmetry:
     def test_decompositions(self, n):
         for tau in (0.0, 0.1):
             assert_built_symmetric(models.model3_reference_decomposition(n, tau))
-            for profile in self.PROFILES:
-                cov_r1 = models.model2_decomposition(profile, n, tau).cov_r1
-                assert_built_symmetric(cov_r1)
         assert_built_symmetric(models.extract_v2(n, 0.1))
 
 
@@ -329,16 +327,20 @@ class TestBumpDifference:
             alt = models.cov_differenced(spec, profile)
             diff = alt - null
             assert np.array_equal(block, block.T)
-            assert np.all(np.diff(support) > 0)
-            # outside the support the two covariances agree bit for bit
+            runs = as_runs(support)
+            assert np.all(runs[:, 1] > runs[:, 0])
+            assert np.all(runs[1:, 0] >= runs[:-1, 1])
+            # outside every run the two covariances agree bit for bit
             outside = np.ones(n, dtype=bool)
-            outside[support] = False
+            for start, stop in runs:
+                outside[start:stop] = False
             assert not np.any(diff[outside])
-            # on it they differ by the block, up to the rounding of alt - null;
-            # the dense m2 path differences raw entries of size up to 1
+            # on the runs they differ by W B W^T, up to the rounding of
+            # alt - null; the dense m2 path differences raw entries of size
+            # up to 1
             tol = 4 * np.finfo(float).eps * max(np.max(np.abs(alt)),
                                                 1.0 if model == "m2" else 0.0)
-            assert np.max(np.abs(diff[np.ix_(support, support)] - block)) <= tol
+            assert np.max(np.abs(diff - scatter(n, support, block))) <= tol
             # and every row of the support moves
             assert np.all(np.any(block != 0.0, axis=1))
 
@@ -386,32 +388,26 @@ class TestBumpDifference:
         assert not np.any(np.triu(dense, width + 1))
 
 
-class TestModel2Decomposition:
-    def test_constant_sigma_collapses(self):
-        n = 8
-        dec = models.model2_decomposition(ConstantProfile(2.25), n, 0.1)
-        assert np.max(np.abs(dec.cov_r1)) == 0.0
-        assert np.max(np.abs(dec.cov_x1p_r1)) == 0.0
-        assert np.allclose(dec.gamma, (1.5 - 1.0) * np.eye(n))
-
-    def test_two_point_example(self):
-        # sigma(1/2) = 1, sigma(1) = 1.1: only entry (2,2) of cov_r1 survives
-        profile = PiecewiseConstantProfile([0.6], [1.0, 1.21])
-        dec = models.model2_decomposition(profile, 2, 0.1)
-        expected = np.zeros((2, 2))
-        expected[1, 1] = (0.1**2) * 0.5
-        assert np.max(np.abs(dec.cov_r1 - expected)) <= 1e-14
-
-    def test_reconstruction_identity(self):
-        n, tau = 32, 0.2
-        profile = build_family(n, 1.0, 1.0, 8.5, "m1m2", seed=7).profile(1)
-        spec = models.ModelSpec("m2", n, tau, differencing="first")
-        cov = models.cov_differenced(spec, profile)
-        null = models.cov_differenced(spec, ONE)
-        dec = models.model2_decomposition(profile, n, tau)
-        rebuilt = (null + 2.0 / n * dec.gamma + dec.gamma @ dec.gamma / n
-                   + dec.cov_x1p_r1 + dec.cov_x1p_r1.T + dec.cov_r1)
-        assert np.max(np.abs(rebuilt - cov)) <= 1e-10
+class TestModel2Difference:
+    @pytest.mark.parametrize("n", [32, 257])
+    @pytest.mark.parametrize("every", [3, 4])
+    def test_is_t_t_transpose_minus_identity_over_n(self, n, every):
+        # T = D diag(s) L, with D the first differences and L = D^-1
+        spec = models.ModelSpec("m2", n, 0.1, differencing="first")
+        family = build_family(n, 1.0, 1.0, 9.0, "m1m2", seed=6)
+        # every third (fourth) bump: stretches of unit volatility between them
+        codeword = (np.arange(family.m) % every == 0).astype(float)
+        profile = BumpSumProfile(family.kernel, family.centers, family.h,
+                                 family.amplitude, codeword)
+        runs = as_runs(models.bump_difference(spec, profile)[0])
+        assert np.any(runs[1:, 1] - runs[1:, 0] > 1)
+        s = np.sqrt(profile.eval(np.arange(1, n + 1) / n))
+        t = models.diff_matrix(spec) @ np.diag(s) @ np.tril(np.ones((n, n)))
+        want = (t @ t.T - np.eye(n)) / n
+        alt = models.cov_differenced(spec, profile)
+        got = alt - models.cov_differenced(spec, ONE)
+        tol = 4 * np.finfo(float).eps * max(np.max(np.abs(alt)), 1.0)
+        assert np.max(np.abs(got - want)) <= tol
 
 
 class TestNoiseResidual:

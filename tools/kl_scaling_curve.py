@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 tools/kl_scaling_curve.py --models m1,m3 --ns 256,512,1024 [--repeats 3]
+    python3 tools/kl_scaling_curve.py [--models m1,m2,m3] [--ns 256,512,1024] [--repeats 3]
 
 Runs ``certificate.kl_scaling_probe`` of the ``src/`` tree next to this
 script on one sample size at a time, each in a fresh process, with the
@@ -55,7 +55,7 @@ def point(model: str, n: int, repeats: int) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--models", default="m1,m3")
+    p.add_argument("--models", default="m1,m2,m3")
     p.add_argument("--ns", default="256,512,1024,2048,4096")
     p.add_argument("--repeats", type=int, default=3)
     args = p.parse_args(argv)
