@@ -24,70 +24,4 @@ checks : the ``verify-*`` suites and their one check-record format,
 cli : the ``mnlab`` command-line frontend (parse, dispatch, write)
 """
 
-from ._version import __version__
-from .certificate import (
-    Certificate,
-    evaluate,
-    kl_scaling_probe,
-    rate_exponent,
-    rate_table,
-    two_point_certificate_m3,
-)
-from .checks import verify_psd_majorization
-from .hypotheses import (
-    BumpKernel,
-    HypothesisFamily,
-    build_family,
-    bump_kernel,
-    holder_check,
-    kernel_constant,
-    l2_separation,
-    single_bump_profile,
-    vg_code,
-)
-from .kl import (
-    Comparison,
-    GaussianLaw,
-    compare,
-    find_loewner_constant,
-    kl_bound,
-    kl_bound_symmetrized,
-    kl_exact,
-)
-from .linalg import (
-    Banded,
-    EigenResult,
-    cholesky_lower,
-    frobenius_norm,
-    is_psd,
-    loewner_leq,
-    sym,
-    sym_eigen,
-)
-from .models import (
-    ModelSpec,
-    bump_difference,
-    cov_differenced,
-    cov_raw,
-    diff_matrix,
-    differenced_bands,
-    extract_v2,
-    model3_reference_decomposition,
-)
-from .montecarlo import (
-    ExperimentResult,
-    binned_estimator,
-    mle_const_sigma_m1,
-    rate_experiment,
-)
-from .profiles import CallableProfile, ConstantProfile, PiecewiseConstantProfile
-from .structures import (
-    eigvals_closed,
-    matrix_a,
-    matrix_q,
-    matrix_q_inv,
-    sine_transform,
-    sine_transform_inverse,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
+from ._version import __version__  # noqa: F401

@@ -445,6 +445,8 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
         raise ValueError("probe covers models m1, m2, m3")
     if tau <= 0.0:
         raise ValueError("needs tau > 0")
+    if bump_width <= 0.0 or l_const <= 0.0:
+        raise ValueError("need bump width > 0, L > 0")
     n_list = [int(n) for n in n_list]
     limit = 8192 if model == "m2" else 16384
     if any(n > limit for n in n_list):

@@ -18,15 +18,7 @@ class DimensionMismatch(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """The eigensolver did not converge within its iteration cap.
-
-    ``residual`` carries the best available residual estimate (may be None
-    when the backend reports no partial result).
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """The eigensolver did not converge within its iteration cap."""
 
 
 class InvalidC(ValueError):

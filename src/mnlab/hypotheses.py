@@ -87,11 +87,11 @@ def holder_exponent_order(alpha: float) -> int:
 
 
 def _pair_seminorm(values: np.ndarray, xs: np.ndarray, beta: float) -> float:
-    """max over grid pairs of |f(x) - f(y)| / |x - y|^beta."""
-    dv = np.abs(values[:, None] - values[None, :])
-    dx = np.abs(xs[:, None] - xs[None, :])
-    iu = np.triu_indices(xs.size, k=1)
-    return float(np.max(dv[iu] / dx[iu] ** beta))
+    """max over grid pairs of |f(x) - f(y)| / |x - y|^beta, one row at a time."""
+    return float(np.max([
+        np.max(np.abs(values[i] - values[i + 1:]) / np.abs(xs[i] - xs[i + 1:]) ** beta)
+        for i in range(xs.size - 1)
+    ]))
 
 
 @lru_cache(maxsize=None)
@@ -148,36 +148,29 @@ def holder_check(f, alpha: float, l_const: float, grid_size: int = 800,
                  deriv=None, domain=(0.0, 1.0)) -> bool:
     """Grid test of membership in C(alpha, l_const) on ``domain``.
 
-    Evaluates the order-``p`` derivative (``deriv`` if supplied and
-    otherwise central differences at step 1e-5; ``p = ceil(alpha) - 1``)
-    on an equispaced grid and requires the pairwise seminorm to stay below
-    ``l_const * (1 + 1e-6)``.  ``lower``/``upper``, when given, bound the
+    Calls ``f`` (and, for ``p = ceil(alpha) - 1 = 1``, its analytic
+    derivative ``deriv``) once on an equispaced grid, broadcasting a scalar
+    return, and requires the pairwise seminorm of the order-``p``
+    derivative to stay below ``l_const * (1 + 1e-6)``.  There are no
+    finite differences: ``p = 1`` without ``deriv`` and ``p >= 2`` raise
+    :class:`UnsupportedAlpha`.  ``lower``/``upper``, when given, bound the
     function values themselves.  A grid check is necessary, not
     sufficient.
     """
     p = holder_exponent_order(alpha)
+    if p >= 2 or (p == 1 and deriv is None):
+        raise UnsupportedAlpha(f"alpha = {alpha} needs p <= 1 and, for p = 1, deriv=")
     xs = np.linspace(domain[0], domain[1], grid_size)
 
-    def as_array(fn, pts):
-        return np.asarray([float(fn(x)) for x in np.atleast_1d(pts)])
+    def on_grid(fn):
+        return np.broadcast_to(np.asarray(fn(xs), dtype=float), xs.shape)
 
-    fvals = as_array(f, xs)
+    fvals = on_grid(f)
     if lower is not None and np.min(fvals) < lower - 1e-12:
         return False
     if upper is not None and np.max(fvals) > upper + 1e-12:
         return False
-
-    if p == 0:
-        dvals = fvals
-    elif deriv is not None:
-        dvals = as_array(deriv, xs)
-    elif p == 1:
-        step = 1e-5
-        dvals = (as_array(f, xs + step) - as_array(f, xs - step)) / (2.0 * step)
-    else:
-        raise UnsupportedAlpha(
-            "orders p >= 2 need an analytic derivative via deriv="
-        )
+    dvals = fvals if p == 0 else on_grid(deriv)
     return _pair_seminorm(dvals, xs, alpha - p) <= l_const * (1.0 + 1e-6)
 
 
@@ -257,7 +250,7 @@ class BumpSumProfile(VolatilityProfile):
     kind = "bump"
 
     def __init__(self, kernel: BumpKernel, centers, h: float, amplitude: float,
-                 weights, meta: dict | None = None):
+                 weights):
         self.kernel = kernel
         self.centers = np.asarray(centers, dtype=float)
         self.h = float(h)
@@ -265,7 +258,6 @@ class BumpSumProfile(VolatilityProfile):
         self.weights = np.asarray(weights, dtype=float)
         if self.weights.shape != self.centers.shape:
             raise ValueError("weights and centers must align")
-        self._meta = dict(meta or {})
         edges = np.concatenate([self.centers - h / 2.0, self.centers + h / 2.0])
         upper = 1.0 + self.amplitude * max(np.max(self.weights, initial=0.0), 0.0) \
             * kernel.sup_value
@@ -316,19 +308,6 @@ class BumpSumProfile(VolatilityProfile):
 
     def bump_integral(self, a, b, shift, coeffs):
         return sum(self._bump_pieces(a, b, shift, coeffs), 0.0)
-
-    def descriptor(self):
-        d = {
-            "kind": self.kind,
-            "h": self.h,
-            "amplitude": self.amplitude,
-            "centers": self.centers.tolist(),
-            "weights": self.weights.tolist(),
-            "kernel_a": self.kernel.a,
-            "alpha": self.kernel.alpha,
-        }
-        d.update(self._meta)
-        return d
 
 
 def single_bump_profile(alpha: float, l_const: float, width: float,
@@ -390,11 +369,7 @@ class HypothesisFamily:
             h=self.h,
             amplitude=self.amplitude,
             weights=self.codewords[index].astype(float),
-            meta={"codeword_index": index},
         )
-
-    def sigma_sq(self, index: int, t):
-        return self.profile(index).eval(t)
 
     def descriptor(self) -> dict:
         return {

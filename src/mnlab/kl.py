@@ -86,23 +86,22 @@ class GaussianLaw:
 
     ``cov`` is a bit-exactly symmetric array or a
     :class:`~mnlab.linalg.Banded` matrix.  ``chol`` is its lower Cholesky
-    factor (in band storage for a banded law) and ``logdet`` its
-    log-determinant.  The covariance is checked, never symmetrised, and
-    only once: by :func:`~mnlab.linalg.cholesky_lower`, which raises
-    ``ValueError`` for a dense covariance that is not exactly symmetric,
+    factor (in band storage for a banded law); no log-determinant is kept,
+    as :func:`compare` sums ``mu - log1p(mu)``.  The covariance is checked,
+    never symmetrised, and only once: by
+    :func:`~mnlab.linalg.cholesky_lower`, which raises ``ValueError`` for
+    a dense covariance that is not exactly symmetric,
     :class:`~mnlab.errors.DimensionMismatch` for one that is not square
     and :class:`~mnlab.errors.NotPositiveDefinite`, with the failing
     pivot, for one that is not positive definite.
     """
 
-    __slots__ = ("_cov", "chol", "logdet")
+    __slots__ = ("_cov", "chol")
 
     def __init__(self, cov):
         self._cov = cov if isinstance(cov, Banded) \
             else np.ascontiguousarray(cov, dtype=float)
         self.chol = cholesky_lower(self._cov)
-        pivots = self.chol[0] if self.banded else np.diag(self.chol)
-        self.logdet = 2.0 * float(np.sum(np.log(pivots)))
 
     @property
     def banded(self) -> bool:

@@ -75,13 +75,7 @@ def sample_m1_constant_diff(sigma_sq: float, tau: float, n: int,
     ``(sigma^2/n) I + tau^2 A``.
     """
     _require_sampling(sigma_sq, n)
-    rng = replicate_rng(seed, n, rep)
-    xi = rng.standard_normal(n)
-    eps = rng.standard_normal(n)
-    out = math.sqrt(sigma_sq / n) * xi
-    out += tau * eps
-    out[1:] -= tau * eps[:-1]
-    return out
+    return sample_m1_profile_diff(math.sqrt(sigma_sq / n), tau, n, rep, seed)
 
 
 def _require_sampling(sigma_sq: float, n: int) -> None:
@@ -218,18 +212,19 @@ def _mle_row(c2: np.ndarray, n: int, noise: np.ndarray, u: np.ndarray,
 
 
 def realized_variance(diff_data, n: int, tau: float,
-                      corrected: bool = True) -> float:
+                      corrected: bool = True) -> float | np.ndarray:
     """Sum of squared differences, optionally noise-corrected.
 
     The uncorrected sum estimates ``sigma^2 + (2n - 1) tau^2`` and is
     inconsistent under noise; subtracting the exact noise trace
     ``(2n - 1) tau^2`` removes the bias (the variance still grows with n).
-    Baseline only.
+    A 1-d sample gives a float; a block of samples, one per row, gives one
+    value per row.  Baseline only.
     """
-    rv = float(np.sum(np.asarray(diff_data, dtype=float) ** 2))
+    rv = np.sum(np.asarray(diff_data, dtype=float) ** 2, axis=-1)
     if corrected:
-        rv -= (2.0 * n - 1.0) * tau * tau
-    return rv
+        rv = rv - (2.0 * n - 1.0) * tau * tau
+    return float(rv) if rv.ndim == 0 else rv
 
 
 @dataclass(frozen=True)
@@ -340,9 +335,7 @@ def _estimate_block(estimator: str, block: np.ndarray, n: int,
     """One estimate per row of ``block``."""
     if estimator == "mle":
         return mle_const_sigma_m1(block, n, tau)
-    corrected = estimator == "rv"
-    return np.array([realized_variance(row, n, tau, corrected=corrected)
-                     for row in block])
+    return realized_variance(block, n, tau, corrected=estimator == "rv")
 
 
 def rate_experiment(model: str, estimator: str, n_list, reps: int,

@@ -95,9 +95,6 @@ class VolatilityProfile:
     def eval(self, t):
         raise NotImplementedError
 
-    def __call__(self, t):
-        return self.eval(t)
-
     def poly_integral(self, a: float, b: float, shift: float, coeffs) -> float:
         """``integral_a^b sum_r coeffs[r] (u - shift)^r * sigma^2(u) du``."""
         return checked_integral(
@@ -131,9 +128,6 @@ class VolatilityProfile:
         return np.fromiter((integral(a, b, s, coeffs) for a, b, s in cells),
                            dtype=float, count=lo.size)
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "lower": self.lower, "upper": self.upper}
-
 
 class ConstantProfile(VolatilityProfile):
     """``sigma^2(t) = value`` everywhere; all integrals in closed form."""
@@ -156,9 +150,6 @@ class ConstantProfile(VolatilityProfile):
             _shifted_poly_antiderivative(coeffs, shift, b)
             - _shifted_poly_antiderivative(coeffs, shift, a)
         )
-
-    def descriptor(self):
-        return {"kind": self.kind, "value": self.value}
 
 
 class PiecewiseConstantProfile(VolatilityProfile):
@@ -201,9 +192,6 @@ class PiecewiseConstantProfile(VolatilityProfile):
                     - _shifted_poly_antiderivative(coeffs, shift, lo)
                 )
         return total
-
-    def descriptor(self):
-        return {"kind": self.kind, "breaks": list(self.breaks), "values": list(self.values)}
 
 
 class CallableProfile(VolatilityProfile):

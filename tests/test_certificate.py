@@ -182,3 +182,21 @@ def test_evaluate_factors_each_law_once(monkeypatch, workers):
     # the null law once, then each alternative's law once
     assert result.hypotheses_evaluated >= 2
     assert len(calls) == 1 + result.hypotheses_evaluated
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: cert.two_point_certificate_m3(256, 4.0, 4.0, 0.3, 0.1),
+     "sigma_min < sigma_max"),
+    (lambda: cert.two_point_certificate_m3(256, 1.0, 4.0, -0.1, 0.1), "c must be"),
+    (lambda: cert.two_point_certificate_m3(256, 1.0, 4.0, 0.3, 0.1, kappa=0.0),
+     "kappa"),
+    (lambda: cert.two_point_certificate_m3(256, 1.0, 4.0, 0.3, 0.1, kappa=0.1),
+     "kappa"),
+    (lambda: cert.two_point_certificate_m3(256, 1.0, 4.0, 0.3, 0.0), "tau > 0"),
+    (lambda: cert.evaluate("mq", 128, 1.0, 1.0, 0.1, 9.0, 0.09), "models m1"),
+    (lambda: cert.evaluate("m1", 128, 1.0, 1.0, 0.0, 9.0, 0.09), "tau > 0"),
+    (lambda: cert.kl_scaling_probe("m1", 1.0, 1.0, 0.0, [128]), "tau > 0"),
+])
+def test_rejects_out_of_range_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -333,6 +333,26 @@ def test_simulate_rate_rejects_bad_inputs(args, line):
     assert proc.stderr == line
 
 
+@pytest.mark.parametrize("args", [
+    ("--width", "0"), ("--width", "-0.1"), ("--L", "0"), ("--L", "-0.5"),
+])
+def test_kl_scaling_rejects_bad_inputs(args):
+    proc = run_cli("kl-scaling", "--model", "m1", "--ns", "256,512", *args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: need bump width > 0, L > 0\n"
+
+
+def test_importing_montecarlo_loads_no_covariance_modules():
+    code = ("import sys, mnlab.montecarlo; "
+            "print(sorted(m for m in ('mnlab.kl', 'mnlab.models', "
+            "'mnlab.certificate', 'mnlab.checks') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_simulate_rate_accepts_zero_variance():
     proc = run_cli("simulate-rate", "--ns", "64,128", "--reps", "100",
                    "--sigma-sq", "0")

@@ -55,7 +55,34 @@ class TestKernelConstant:
         assert np.max(np.abs(fd1 - kernel.deriv1(xs))) <= 1e-5
 
 
+def all_pairs_seminorm(values, xs, beta):
+    """max over grid pairs of |f(x) - f(y)| / |x - y|^beta, from G x G arrays."""
+    dv = np.abs(values[:, None] - values[None, :])
+    dx = np.abs(xs[:, None] - xs[None, :])
+    iu = np.triu_indices(xs.size, k=1)
+    return float(np.max(dv[iu] / dx[iu] ** beta))
+
+
 class TestHolderCheck:
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5, 2.0])
+    def test_row_seminorm_matches_all_pairs_bits(self, alpha):
+        # the grid and values of kernel_constant
+        p = hyp.holder_exponent_order(alpha)
+        xs = np.linspace(-0.55, 0.55, 1601)
+        values = hyp._bump_raw(xs) if p == 0 else hyp._bump_raw_d1(xs)
+        assert hyp._pair_seminorm(values, xs, alpha - p) == \
+            all_pairs_seminorm(values, xs, alpha - p)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
+    def test_order_one_needs_a_derivative(self, alpha):
+        with pytest.raises(UnsupportedAlpha):
+            hyp.holder_check(lambda x: x * x, alpha, 10.0)
+
+    def test_orders_beyond_one_raise(self):
+        # p = 2 would need the second derivative, not the first
+        with pytest.raises(UnsupportedAlpha):
+            hyp.holder_check(lambda x: x * x, 2.5, 10.0, deriv=lambda x: 2.0 * x)
+
     def test_constant_function(self):
         assert hyp.holder_check(lambda x: 1.0, 0.7, 0.01)
         assert hyp.holder_check(lambda x: 1.0, 1.0, 0.01)
@@ -243,12 +270,6 @@ class TestSeparation:
 
 
 class TestBumpSumProfile:
-    def test_matches_family_evaluation(self):
-        family = hyp.build_family(64, 1.0, 1.0, 7.5, "m1m2", seed=2)
-        prof = family.profile(1)
-        ts = np.linspace(0.0, 1.0, 501)
-        assert np.array_equal(prof.eval(ts), family.sigma_sq(1, ts))
-
     def test_moments_against_quadrature(self):
         prof = hyp.single_bump_profile(1.0, 1.0, 0.25, 0.5)
         for power, a, b in ((0, 0.0, 1.0), (1, 0.3, 0.7), (2, 0.45, 0.55)):

@@ -105,6 +105,10 @@ CASES = {
         ["kl-scaling", "--model", "m1", "--tau", "nan", "--ns", "256,512"], None),
     "kl-scaling-tau-inf": (
         ["kl-scaling", "--model", "m3", "--tau", "inf", "--ns", "256,512"], None),
+    "kl-scaling-width-zero": (
+        ["kl-scaling", "--model", "m1", "--width", "0", "--ns", "256,512"], None),
+    "kl-scaling-L-zero": (
+        ["kl-scaling", "--model", "m1", "--L", "0", "--ns", "256,512"], None),
     "simulate-rate-mle": (
         ["simulate-rate", "--estimator", "mle", "--ns", "1024,2048,4096",
          "--reps", "200", "--seed", "11"], None),
