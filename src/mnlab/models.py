@@ -350,11 +350,19 @@ def _m2_bump_difference(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
     of such rows, which takes one run with basis column ``1 / sqrt(len)``
     (its entries of ``B`` are scaled by ``sqrt(len)``).  Unmoved rows after
     the last moved row have a zero column and are left out.
+
+    Everything small comes from the bump part ``b_i = s_i^2 - 1``, which
+    is exact for ``s_i^2`` within a factor 2 of 1: ``s_i - 1 = b_i / (1 +
+    s_i)``, ``delta_i`` is the difference of those, and the diagonal uses
+    ``b_i`` for ``s_i^2 - 1``, so no entry is the cancellation of two
+    rounded numbers near 1.
     """
     _probe_profile(profile, n)
-    s = np.sqrt(np.asarray(profile.eval(np.arange(1, n + 1) / n), dtype=float))
-    delta = np.diff(s, prepend=1.0)
-    moved = np.flatnonzero((s != 1.0) | (delta != 0.0))
+    sigma_sq = np.asarray(profile.eval(np.arange(1, n + 1) / n), dtype=float)
+    b = sigma_sq - 1.0
+    s = np.sqrt(sigma_sq)
+    delta = np.diff(b / (1.0 + s), prepend=0.0)
+    moved = np.flatnonzero((b != 0.0) | (delta != 0.0))
     # run boundaries: every moved row alone, and the stretches between them
     edges = np.unique(np.concatenate(([0], moved, moved + 1)))
     start = edges[:-1]
@@ -363,7 +371,7 @@ def _m2_bump_difference(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
     u = np.sqrt(length) * (start * d + s[start])
     lower = np.tril(np.outer(d, u) / n, -1)
     block = lower + lower.T
-    np.fill_diagonal(block, (start * d * d + s[start] * s[start] - 1.0) / n)
+    np.fill_diagonal(block, (start * d * d + b[start]) / n)
     return np.column_stack((start, edges[1:])), block
 
 

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from mnlab import hypotheses as hyp
+from mnlab import profiles
 from mnlab.errors import (
     ConstructionFailure,
     IndexOutOfRange,
@@ -283,15 +284,22 @@ class TestBumpSumProfile:
 
     def test_each_quadrature_stays_inside_one_bump_support(self, monkeypatch):
         # the cert-m1 family at n = 2048: each bump is integrated over its
-        # own support clipped to the cell, so no breakpoint is passed on
+        # own support clipped to the cell, so no breakpoint is passed on;
+        # both the Gauss-Legendre intervals and any QUADPACK fallback count
         calls = []
-        real = hyp.checked_integral
 
-        def recording(fn, a, b, *rest, **options):
-            calls.append((a, b, rest, options))
-            return real(fn, a, b, *rest, **options)
+        def recording(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(hyp, "checked_integral", recording)
+            def record(fn, a, b, *rest, **options):
+                for lo, hi in zip(np.ravel(a), np.ravel(b)):
+                    calls.append((lo, hi, rest, options))
+                return real(fn, a, b, *rest, **options)
+
+            monkeypatch.setattr(module, name, record)
+
+        recording(hyp, "checked_cells")
+        recording(profiles, "checked_integral")
         n = 2048
         family = hyp.build_family(n, 1.0, 1.0, 9.0, "m1m2", seed=1)
         grid = np.arange(n + 1) / n

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -286,6 +287,13 @@ class TestKernelAgainstDenseOracle:
         assert kl.find_loewner_constant(s0, s1) == want["loewner"] == 1.0
 
 
+@functools.lru_cache(maxsize=None)
+def mp_null_inverse(spec):
+    """The inverse of the unit-volatility null covariance, in 60 digits."""
+    with mpmath.workdps(60):
+        return mpmath.inverse(mpmath.matrix(null_law(spec).cov.tolist()))
+
+
 def mp_kl(inverse0, delta):
     """KL of ``sigma0 + delta`` from ``sigma0`` by determinant and trace of
     ``sigma0^-1 sigma1 = I + inverse0 delta``, in 60-digit arithmetic.
@@ -310,8 +318,7 @@ class TestKernelAgainstMpmath:
     def test_small_divergences_keep_relative_precision(self, model, n):
         spec = models.ModelSpec(model, n, 0.1, differencing=_DIFF[model])
         null = null_law(spec)
-        with mpmath.workdps(60):
-            inverse0 = mpmath.inverse(mpmath.matrix(null.cov.tolist()))
+        inverse0 = mp_null_inverse(spec)
         base = kl.compare(null, *models.bump_difference(
             spec, family_alternative(model, n, 1, amplitude=1e-2))).kl
         for target in (1e-2, 1e-6, 1e-10, 1e-14):
@@ -323,6 +330,31 @@ class TestKernelAgainstMpmath:
             want = mp_kl(inverse0, scatter(n, support, block))
             assert want == pytest.approx(target, rel=0.5)
             assert rel(got, want) <= 1e-8
+
+    def test_m2_block_from_the_bump_part(self):
+        # against a 60-digit difference built from the same sigma^2 values:
+        # lower triangle delta_i (j delta_j + s_j) / n, diagonal (i delta_i^2
+        # + s_i^2 - 1) / n, with s = sigma and delta_i = s_i - s_{i-1}
+        n = 128
+        spec = models.ModelSpec("m2", n, 0.1, differencing="first")
+        null = null_law(spec)
+        base = kl.compare(null, *models.bump_difference(
+            spec, family_alternative("m2", n, 1, amplitude=1e-2))).kl
+        profile = family_alternative("m2", n, 1, amplitude=1e-2 * math.sqrt(1e-14 / base))
+        got = kl.compare(null, *models.bump_difference(spec, profile)).kl
+        sigma_sq = profile.eval(np.arange(1, n + 1) / n)
+        inverse0 = mp_null_inverse(spec)
+        with mpmath.workdps(60):
+            s = [mpmath.sqrt(mpmath.mpf(x)) for x in sigma_sq]
+            delta = [s[0] - 1] + [s[i] - s[i - 1] for i in range(1, n)]
+            exact = np.zeros((n, n), dtype=object)
+            for i in range(n):
+                exact[i, i] = (i * delta[i] ** 2 + s[i] ** 2 - 1) / n
+                for j in range(i):
+                    exact[i, j] = exact[j, i] = delta[i] * (j * delta[j] + s[j]) / n
+        want = mp_kl(inverse0, exact)
+        assert want == pytest.approx(1e-14, rel=0.5)
+        assert rel(got, want) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

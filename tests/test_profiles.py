@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -8,13 +9,14 @@ import numpy as np
 import pytest
 
 import mnlab
-from mnlab import profiles
+from mnlab import hypotheses, profiles
 from mnlab.errors import QuadratureFailure
 from mnlab.hypotheses import build_family, single_bump_profile
 from mnlab.profiles import (
     CallableProfile,
     ConstantProfile,
     PiecewiseConstantProfile,
+    checked_cells,
     checked_integral,
 )
 
@@ -160,3 +162,98 @@ class TestCheckedIntegral:
                 lambda k: profile.poly_integral(grid[k], grid[k + 1], grid[k], SQ),
                 range(256)))
         assert threaded == serial
+
+
+def _bump_cell_oracle(profile, lo, hi, shift, power, bump_only):
+    """Per-cell ``checked_integral`` of ``(u - shift)^power`` times the bump
+    part, or times ``sigma^2``, of a one-bump profile, in ``v = u - shift``
+    with scalar math."""
+    c, h = float(profile.centers[0]), profile.h
+    scale = profile.amplitude * profile.kernel.a
+    out = []
+    for a, b, s in zip(lo.tolist(), hi.tolist(), shift.tolist()):
+        def integrand(v, s=s):
+            x = (v + (s - c)) / h
+            w = 1.0 - 4.0 * x * x
+            bump = scale * math.exp(-1.0 / w) if w > 1e-12 else 0.0
+            return v**power * (bump if bump_only else 1.0 + bump)
+
+        edges = (c - h / 2.0 - s, c + h / 2.0 - s)
+        out.append(checked_integral(integrand, a - s, b - s, edges))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("bump_only", [False, True])
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("n", [256, 1024, 4096, 16384])
+def test_bump_cells_match_the_adaptive_oracle(n, alpha, bump_only):
+    # the cells within one bump width of a bump of width 1/16, so some
+    # cells lie outside the support and two straddle its edges
+    profile = single_bump_profile(alpha, 1.0, 1.0 / 16.0, center=0.5 + 0.3 / n)
+    grid = np.arange(n + 1) / n
+    window = np.flatnonzero((grid[:-1] >= 0.5 - 1.0 / 16.0) & (grid[1:] <= 0.5 + 1.0 / 16.0))
+    lo, hi = grid[window], grid[window + 1]
+    for power, shift in ((0, lo), (1, lo), (2, hi)):
+        got = profile.cell_integrals(lo, hi, shift, [0.0] * power + [1.0],
+                                     bump_only=bump_only)
+        want = _bump_cell_oracle(profile, lo, hi, shift, power, bump_only)
+        assert np.max(np.abs(got - want)) <= 1.5e-15 * np.max(np.abs(want)), power
+
+
+class TestCheckedCells:
+    def test_a_kink_falls_back_to_quadpack(self, monkeypatch):
+        fallbacks = []
+
+        def recording(fn, a, b, *rest):
+            fallbacks.append((a, b))
+            return checked_integral(fn, a, b, *rest)
+
+        monkeypatch.setattr(profiles, "checked_integral", recording)
+        # |u - 0.3| has a kink inside [0, 1]; on [0.5, 1] it is linear
+        got = checked_cells(lambda u, k: np.abs(u - 0.3), [0.0, 0.5], [1.0, 1.0])
+        assert fallbacks == [(0.0, 1.0)]
+        assert got[0] == checked_integral(lambda u: abs(u - 0.3), 0.0, 1.0)
+        assert got[1] == pytest.approx(0.225, rel=1e-15, abs=0.0)
+
+    def test_fallback_failure_raises(self):
+        with pytest.raises(QuadratureFailure, match="subdivisions"):
+            checked_cells(lambda u, k: np.sin(3.7e6 * u), 0.0, 1.0)
+
+    def test_empty_and_reversed_intervals_are_zero(self):
+        got = checked_cells(lambda u, k: 1.0 + u, [0.5, 0.5, 0.0], [0.5, 0.25, 1.0])
+        assert got[:2].tolist() == [0.0, 0.0]
+        assert got[2] == pytest.approx(1.5, rel=1e-15, abs=0.0)
+
+    def test_per_interval_integrands(self):
+        # interval k integrates u^k
+        got = checked_cells(lambda u, k: u**k, [0.0, 0.0, 1.0], [1.0, 2.0, 2.0])
+        assert got == pytest.approx([1.0, 2.0, 7.0 / 3.0], rel=1e-15, abs=0.0)
+
+    def test_the_cert_m1_family_needs_no_quadpack(self, monkeypatch):
+        def no_quadpack(*args, **kwargs):
+            raise AssertionError("QUADPACK called")
+
+        monkeypatch.setattr(profiles, "quad", no_quadpack)
+        n = 2048
+        family = build_family(n, 1.0, 1.0, 9.0, "m1m2", seed=1)
+        grid = np.arange(n + 1) / n
+        for k in range(1, family.codewords.shape[0]):
+            cells = family.profile(k).cell_integrals(grid[:-1], grid[1:], 0.0, (1.0,),
+                                                     bump_only=True)
+            assert np.count_nonzero(cells)
+        total = family.codewords.shape[0]
+        for i in range(total):
+            for j in range(i + 1, total):
+                assert hypotheses.l2_separation(family, i, j) > 0.0
+        for alpha in (0.6, 1.0, 1.5, 2.0):
+            assert hypotheses.bump_kernel(alpha).l2_norm_sq > 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5, 2.0])
+def test_kernel_l2_norm_matches_mpmath(alpha):
+    kernel = hypotheses.bump_kernel(alpha)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(kernel.a)
+        want = mpmath.quad(lambda u: (a * mpmath.exp(-1 / (1 - 4 * u * u))) ** 2,
+                           [-0.5, 0, 0.5])
+    assert kernel.l2_norm_sq == pytest.approx(float(want), rel=1e-15, abs=0.0)
