@@ -310,6 +310,8 @@ def two_point_certificate_m3(n: int, sigma_min: float, sigma_max: float,
     compared with ``kappa * log2(2)`` in nats, and the squared separation
     ``c^2 n^(-1/4)`` is recorded.
     """
+    if n < 2:
+        raise ValueError("differencing needs n >= 2")
     if not 0.0 < sigma_min < sigma_max:
         raise ValueError("need 0 < sigma_min < sigma_max")
     if c < 0.0:

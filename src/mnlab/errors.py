@@ -26,7 +26,7 @@ class InvalidC(ValueError):
 
 
 class QuadratureFailure(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """Checked quadrature met a non-finite value or exceeded its piece budget."""
 
 
 class InvalidProfile(ValueError):

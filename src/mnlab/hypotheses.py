@@ -57,7 +57,7 @@ __all__ = [
 ALPHA_MIN, ALPHA_MAX = 0.5, 2.0
 
 # equal panels per bump support for the integrals of K^2: with 8, two
-# panels miss the two-order check at alpha 0.6 and 1 and fall back to QUADPACK
+# panels miss the two-order check at alpha 0.6 and 1 and are halved
 _PANELS = 16
 
 
@@ -264,8 +264,6 @@ class BumpSumProfile(VolatilityProfile):
         self.weights = np.asarray(weights, dtype=float)
         if self.weights.shape != self.centers.shape:
             raise ValueError("weights and centers must align")
-        edges = np.concatenate([self.centers - h / 2.0, self.centers + h / 2.0])
-        super().__init__(breakpoints=np.sort(np.unique(edges)))
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)

@@ -8,7 +8,7 @@ Four observation schemes over the grid ``t_i = i/n`` share the form
 * ``m3``: the time-integrated diffusion plus noise;
 * ``mq``: the generalisation with Volterra kernel ``(t - s)^q`` (``q = 0``
   reproduces m1, ``q = 1`` reproduces m3); fractional ``q`` is exploratory
-  and priced at one adaptive quadrature per entry.
+  and priced at one checked quadrature per entry, all in one pass.
 
 Raw covariances come straight from the Ito isometry with all weighted
 integrals of ``sigma^2`` answered by the profile (closed form where the
@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import InvalidDifferencing, InvalidProfile
 from .linalg import Banded, sym
-from .profiles import ConstantProfile, VolatilityProfile, checked_integral
+from .profiles import ConstantProfile, VolatilityProfile, checked_cells
 from .structures import matrix_a, matrix_v1
 
 __all__ = [
@@ -186,18 +186,15 @@ def cov_raw(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
             "fractional-q covariances run one quadrature per entry; "
             "n > 512 is not supported"
         )
+    i, j = np.triu_indices(n)
+    ti, tj = t[i], t[j]
+
+    def integrand(u, k):
+        return (ti[k] - u) ** q * (tj[k] - u) ** q * profile.eval(u)
+
     signal = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            s_min = t[min(i, j)]
-            ti, tj = t[i], t[j]
-
-            def integrand(u, ti=ti, tj=tj):
-                return (ti - u) ** q * (tj - u) ** q * float(profile.eval(u))
-
-            signal[i, j] = signal[j, i] = checked_integral(
-                integrand, 0.0, s_min, profile.breakpoints
-            )
+    # entry (i, j), i <= j, integrates up to min(t_i, t_j) = t_i
+    signal[i, j] = signal[j, i] = checked_cells(integrand, 0.0, ti)
     return signal + noise
 
 

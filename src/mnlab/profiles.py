@@ -9,19 +9,21 @@ profile for weighted integrals
 over many cells at once (:meth:`VolatilityProfile.cell_integrals`), which
 constant and piecewise-constant profiles answer in closed form, bump
 profiles answer in closed form for the base level plus one checked
-Gauss-Legendre pass per bump, and everything else answers by adaptive
-quadrature per cell.  Polynomials are passed in shifted coordinates
+Gauss-Legendre pass per bump, and everything else answers by one checked
+pass per cell.  Polynomials are passed in shifted coordinates
 (coefficients of powers of ``u - shift``) so that short-interval
 integrals near ``u = shift`` come out at full relative precision instead
 of through catastrophic cancellation.
 
-This module owns quadrature, at one tolerance set.
-:func:`checked_integral` is the only QUADPACK call in mnlab and raises
-:class:`~mnlab.errors.QuadratureFailure` instead of returning a value
-whose error estimate misses that tolerance.  :func:`checked_cells`
-integrates a vectorised integrand over many intervals by Gauss-Legendre
-rules of two orders and hands every interval where the two disagree by
-more than that tolerance to :func:`checked_integral`.
+This module owns quadrature, one routine at one tolerance set:
+:func:`checked_cells` integrates a vectorised integrand over many
+intervals by Gauss-Legendre rules of 16 and 24 nodes.  A piece whose two
+values differ by more than ``max(1e-15, 1e-12 * |Q24|)`` is halved and
+integrated again in the next pass; an interval that needs more than 200
+pieces, or meets a non-finite value, raises
+:class:`~mnlab.errors.QuadratureFailure` instead of returning an
+unchecked value.  The 1e-15 is absolute, so integrals below 1e-3 are
+checked to 1e-15, not to 1e-12 relative.
 
 Profiles are immutable and hold no caches, so they can be evaluated
 concurrently.
@@ -32,11 +34,10 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidProfile, QuadratureFailure
 
-__all__ = ["checked_integral", "checked_cells", "VolatilityProfile", "ConstantProfile",
+__all__ = ["checked_cells", "VolatilityProfile", "ConstantProfile",
            "PiecewiseConstantProfile", "CallableProfile"]
 
 # the one tolerance set of every quadrature in mnlab
@@ -54,58 +55,49 @@ def _gauss_legendre():
     return tuple(np.polynomial.legendre.leggauss(nodes) for nodes in (16, 24))
 
 
-def checked_integral(fn, a: float, b: float, breakpoints=()) -> float:
-    """``integral_a^b fn(u) du`` by QUADPACK, checked against its error estimate.
-
-    One tolerance set: epsabs 1e-15, epsrel 1e-12, at most 200
-    subintervals, with the ``breakpoints`` inside ``(a, b)`` as forced
-    subdivision points.  Raises :class:`QuadratureFailure` when QUADPACK
-    returns a message or its error estimate exceeds
-    ``max(epsabs, epsrel * |value|)``.  ``full_output`` returns QUADPACK's
-    complaints instead of warning, so no process-global warning filter is
-    touched and the helper is safe on thread pools.  An empty or reversed
-    interval integrates to 0.
-    """
-    if b <= a:
-        return 0.0
-    interior = [p for p in breakpoints if a < p < b]
-    value, err, _, *message = quad(fn, a, b, full_output=1, points=interior or None,
-                                   epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
-                                   limit=QUAD_LIMIT)
-    if message or err > max(QUAD_EPSABS, QUAD_EPSREL * abs(value)):
-        reason = message[0].split("\n")[0] if message else "tolerance missed"
-        raise QuadratureFailure(f"quadrature on [{a}, {b}] failed ({reason}): "
-                                f"value {value:.6e}, error estimate {err:.3e}")
-    return value
-
-
 def checked_cells(fn, lo, hi) -> np.ndarray:
-    """``integral_lo[k]^hi[k] fn(u, k) du`` for every interval ``k``, in one pass.
+    """``integral_lo[k]^hi[k] fn(u, k) du`` for every interval ``k``, checked.
 
     ``fn(u, k)`` evaluates interval ``k``'s integrand at the points ``u``;
-    it is called once per rule with ``u`` of shape ``(intervals, nodes)``
-    and ``k`` the interval indices as a column, and with scalars on a
-    fallback.  Each interval is integrated by Gauss-Legendre rules of 16
-    and 24 nodes and keeps the 24-node value when the two agree within
-    :func:`checked_integral`'s tolerance ``max(epsabs, epsrel * |Q24|)``.
-    Any other interval, a non-finite one included, goes to
-    :func:`checked_integral`, which raises :class:`QuadratureFailure` as
-    it does on its own.  An interval's value does not depend on the other
-    intervals of the call, bit for bit.  An empty or reversed interval
-    integrates to 0.
+    it is called once per rule and pass with ``u`` of shape ``(pieces,
+    nodes)`` and ``k`` the pieces' interval indices as a column.  Each
+    piece, at first the whole interval, is integrated by Gauss-Legendre
+    rules of 16 and 24 nodes and keeps its 24-node value when the two
+    agree within ``max(QUAD_EPSABS, QUAD_EPSREL * |Q24|)``; any other
+    piece is halved and both halves go to the next pass.  An interval's
+    value is the sum of its kept pieces, so one that passes at once is its
+    24-node value, and it does not depend on the other intervals of the
+    call, bit for bit.  ``QUAD_EPSABS`` is absolute: an integral below
+    1e-3 is checked to 1e-15, not to 1e-12 relative.  More than
+    ``QUAD_LIMIT`` pieces for one interval, or a non-finite value, raises
+    :class:`QuadratureFailure` naming the interval.  An empty or reversed
+    interval integrates to 0.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float).ravel(),
                                  np.asarray(hi, dtype=float).ravel())
-    half = np.maximum(hi - lo, 0.0) / 2.0
-    mid = (lo + hi) / 2.0
-    k = np.arange(lo.size)[:, None]
-    q16, q24 = ((fn(mid[:, None] + half[:, None] * nodes, k) * weights).sum(axis=1) * half
-                for nodes, weights in _gauss_legendre())
-    missed = ~(np.abs(q16 - q24) <= np.maximum(QUAD_EPSABS, QUAD_EPSREL * np.abs(q24)))
-    for i in np.flatnonzero(missed).tolist():
-        q24[i] = checked_integral(lambda u, i=i: float(fn(np.asarray(u), i)),
-                                  lo[i], hi[i])
-    return q24
+    # -0.0 is the additive identity: a piece added to it keeps its bits
+    total = np.full(lo.size, -0.0)
+    pieces = np.ones(lo.size, dtype=int)
+    k, a, b = np.arange(lo.size), lo, hi
+    while k.size:
+        half = np.maximum(b - a, 0.0) / 2.0
+        mid = (a + b) / 2.0
+        q16, q24 = ((fn(mid[:, None] + half[:, None] * nodes, k[:, None]) * weights)
+                    .sum(axis=1) * half for nodes, weights in _gauss_legendre())
+        gap = np.abs(q16 - q24)
+        missed = ~(gap <= np.maximum(QUAD_EPSABS, QUAD_EPSREL * np.abs(q24)))
+        np.add.at(pieces, k[missed], 1)
+        for failed, reason in ((k[~np.isfinite(gap)], "a non-finite value"),
+                               (np.flatnonzero(pieces > QUAD_LIMIT),
+                                f"more than {QUAD_LIMIT} pieces")):
+            if failed.size:
+                i = failed[0]
+                raise QuadratureFailure(f"quadrature on [{lo[i]}, {hi[i]}] failed ({reason})")
+        np.add.at(total, k[~missed], q24[~missed])
+        k, a, b, mid = k[missed], a[missed], b[missed], mid[missed]
+        k, a, b = (np.repeat(k, 2), np.column_stack((a, mid)).ravel(),
+                   np.column_stack((mid, b)).ravel())
+    return total
 
 
 def _shifted_poly(coeffs, shift: float, u: float) -> float:
@@ -138,18 +130,13 @@ class VolatilityProfile:
 
     kind = "callable"
 
-    def __init__(self, breakpoints=()):
-        self.breakpoints = tuple(float(p) for p in breakpoints)
-
     def eval(self, t):
         raise NotImplementedError
 
     def poly_integral(self, a: float, b: float, shift: float, coeffs) -> float:
         """``integral_a^b sum_r coeffs[r] (u - shift)^r * sigma^2(u) du``."""
-        return checked_integral(
-            lambda u: _shifted_poly(coeffs, shift, u) * float(self.eval(u)),
-            a, b, self.breakpoints,
-        )
+        return float(checked_cells(
+            lambda u, k: _shifted_poly(coeffs, shift, u) * self.eval(u), a, b)[0])
 
     def bump_integral(self, a: float, b: float, shift: float, coeffs) -> float:
         """``integral_a^b sum_r coeffs[r] (u - shift)^r * (sigma^2(u) - 1) du``.
@@ -186,7 +173,6 @@ class ConstantProfile(VolatilityProfile):
     def __init__(self, value: float):
         if not value > 0.0:
             raise ValueError("a constant profile must be positive")
-        super().__init__()
         self.value = float(value)
 
     def eval(self, t):
@@ -221,7 +207,6 @@ class PiecewiseConstantProfile(VolatilityProfile):
             raise ValueError("breaks must be strictly increasing inside (0, 1)")
         if min(values) <= 0.0:
             raise ValueError("piecewise values must be positive")
-        super().__init__(breakpoints=breaks)
         self.breaks = breaks
         self.values = values
         # the outer pieces extend beyond [0, 1], as in eval
@@ -250,10 +235,9 @@ class CallableProfile(VolatilityProfile):
 
     kind = "callable"
 
-    def __init__(self, fn, lower: float, upper: float, breakpoints=()):
+    def __init__(self, fn, lower: float, upper: float):
         if not 0.0 < lower <= upper:
             raise ValueError("bounds must satisfy 0 < lower <= upper")
-        super().__init__(breakpoints)
         self._fn = fn
 
     def eval(self, t):

@@ -26,3 +26,17 @@ def scatter(n, support, block):
     for r, (start, stop) in enumerate(runs):
         w[start:stop, r] = 1.0 / np.sqrt(stop - start)
     return sym(w @ block @ w.T)
+
+
+def quad_points(profile, lo, hi):
+    """Where ``profile`` is not smooth strictly inside ``(lo, hi)``, as
+    scipy ``quad``'s ``points`` (``None`` when there are none): the jumps of
+    a step profile, the support edges ``centers +- h/2`` of a bump profile."""
+    if hasattr(profile, "breaks"):
+        edges = profile.breaks
+    elif hasattr(profile, "centers"):
+        edges = np.unique(np.concatenate((profile.centers - profile.h / 2.0,
+                                          profile.centers + profile.h / 2.0)))
+    else:
+        edges = ()
+    return [float(p) for p in edges if lo < p < hi] or None

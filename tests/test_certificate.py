@@ -185,6 +185,8 @@ def test_evaluate_factors_each_law_once(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("call, match", [
+    (lambda: cert.two_point_certificate_m3(0, 1.0, 4.0, 1.0, 0.1), "n >= 2"),
+    (lambda: cert.two_point_certificate_m3(-4, 1.0, 4.0, 1.0, 0.1), "n >= 2"),
     (lambda: cert.two_point_certificate_m3(256, 4.0, 4.0, 0.3, 0.1),
      "sigma_min < sigma_max"),
     (lambda: cert.two_point_certificate_m3(256, 1.0, 4.0, -0.1, 0.1), "c must be"),

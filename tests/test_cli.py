@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mnlab
 from mnlab.reporting import write_report
 
 ENTRY = [sys.executable, "-m", "mnlab.cli"]
@@ -344,13 +346,21 @@ def test_kl_scaling_rejects_bad_inputs(args):
 
 
 def test_importing_montecarlo_loads_no_covariance_modules():
-    code = ("import sys, mnlab.montecarlo; "
-            "print(sorted(m for m in ('mnlab.kl', 'mnlab.models', "
-            "'mnlab.certificate', 'mnlab.checks') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    # montecarlo loads no scipy module at all, and no mnlab process loads
+    # scipy.integrate: every quadrature is profiles.checked_cells
+    for module, loaded in (
+            ("mnlab.montecarlo", "m in ('mnlab.kl', 'mnlab.models', 'mnlab.certificate', "
+                                 "'mnlab.checks') or m.split('.')[0] == 'scipy'"),
+            ("mnlab.cli", "m.startswith('scipy.integrate')")):
+        code = (f"import sys, {module}; "
+                f"print(sorted(m for m in sys.modules if {loaded}))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", module
+    # and no process-global warning filter is touched
+    for path in sorted(Path(mnlab.__file__).parent.glob("*.py")):
+        assert "catch_warnings" not in path.read_text(), path.name
 
 
 def test_simulate_rate_accepts_zero_variance():

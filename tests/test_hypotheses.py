@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import quad_points
 from scipy.integrate import quad
 
 from mnlab import hypotheses as hyp
-from mnlab import profiles
 from mnlab.errors import (
     ConstructionFailure,
     IndexOutOfRange,
@@ -238,7 +238,8 @@ class TestSeparation:
         i, j = 0, 2
         rho = hyp.hamming(family.codewords[i], family.codewords[j])
         pi, pj = family.profile(i), family.profile(j)
-        points = sorted(set(pi.breakpoints) | set(pj.breakpoints))
+        # the family's profiles share their bump edges
+        points = quad_points(pi, 0.0, 1.0)
         oracle = 0.0
         for lo, hi in zip([0.0] + points, points + [1.0]):
             val, _ = quad(lambda t: (float(pi.eval(t)) - float(pj.eval(t))) ** 2,
@@ -275,8 +276,7 @@ class TestBumpSumProfile:
         prof = hyp.single_bump_profile(1.0, 1.0, 0.25, 0.5)
         for power, a, b in ((0, 0.0, 1.0), (1, 0.3, 0.7), (2, 0.45, 0.55)):
             oracle, _ = quad(lambda u: u**power * float(prof.eval(u)), a, b,
-                             points=[p for p in prof.breakpoints if a < p < b]
-                             or None, limit=200)
+                             points=quad_points(prof, a, b), limit=200)
             moment = prof.poly_integral(a, b, 0.0, [0.0] * power + [1.0])
             assert moment == pytest.approx(
                 oracle, abs=1e-12
@@ -284,22 +284,16 @@ class TestBumpSumProfile:
 
     def test_each_quadrature_stays_inside_one_bump_support(self, monkeypatch):
         # the cert-m1 family at n = 2048: each bump is integrated over its
-        # own support clipped to the cell, so no breakpoint is passed on;
-        # both the Gauss-Legendre intervals and any QUADPACK fallback count
+        # own support clipped to the cell, and no option is passed on
         calls = []
+        real = hyp.checked_cells
 
-        def recording(module, name):
-            real = getattr(module, name)
+        def record(fn, a, b, *rest, **options):
+            for lo, hi in zip(np.ravel(a), np.ravel(b)):
+                calls.append((lo, hi, rest, options))
+            return real(fn, a, b, *rest, **options)
 
-            def record(fn, a, b, *rest, **options):
-                for lo, hi in zip(np.ravel(a), np.ravel(b)):
-                    calls.append((lo, hi, rest, options))
-                return real(fn, a, b, *rest, **options)
-
-            monkeypatch.setattr(module, name, record)
-
-        recording(hyp, "checked_cells")
-        recording(profiles, "checked_integral")
+        monkeypatch.setattr(hyp, "checked_cells", record)
         n = 2048
         family = hyp.build_family(n, 1.0, 1.0, 9.0, "m1m2", seed=1)
         grid = np.arange(n + 1) / n

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import as_runs, scatter
+from conftest import as_runs, quad_points, scatter
 from scipy.integrate import quad
 
 from mnlab import linalg as la
@@ -21,7 +21,7 @@ def raw_entry_oracle(model, n, tau, profile, i, j, q=None):
     noise = tau * tau if i == j else 0.0
     if model == "m1":
         val, _ = quad(lambda u: float(profile.eval(u)), 0.0, s,
-                      points=[p for p in profile.breakpoints if 0 < p < s] or None,
+                      points=quad_points(profile, 0.0, s),
                       limit=200)
         return val + noise
     if model == "m2":
@@ -31,7 +31,7 @@ def raw_entry_oracle(model, n, tau, profile, i, j, q=None):
     val, _ = quad(
         lambda u: (ti - u) ** power * (tj - u) ** power * float(profile.eval(u)),
         0.0, s,
-        points=[p for p in profile.breakpoints if 0 < p < s] or None,
+        points=quad_points(profile, 0.0, s),
         limit=200,
     )
     return val + noise
@@ -85,10 +85,13 @@ class TestCovRaw:
 
     def test_fractional_q_against_oracle(self):
         n, tau, q = 6, 0.1, 0.5
-        cov = models.cov_raw(models.ModelSpec("mq", n, tau, q=q), ONE)
-        for i, j in ((1, 1), (2, 4), (6, 6), (5, 3)):
-            oracle = raw_entry_oracle("mq", n, tau, ONE, i, j, q=q)
-            assert cov[i - 1, j - 1] == pytest.approx(oracle, abs=1e-11)
+        # the step profile's jumps lie inside some entries' intervals
+        for profile in (ONE, PiecewiseConstantProfile([0.3, 0.55, 0.8],
+                                                      [0.7, 1.9, 1.2, 0.9])):
+            cov = models.cov_raw(models.ModelSpec("mq", n, tau, q=q), profile)
+            for i, j in ((1, 1), (2, 4), (6, 6), (5, 3)):
+                oracle = raw_entry_oracle("mq", n, tau, profile, i, j, q=q)
+                assert cov[i - 1, j - 1] == pytest.approx(oracle, abs=1e-11)
 
     def test_kernel_specialisation(self):
         n, tau = 8, 0.2
@@ -214,7 +217,7 @@ class TestCovDifferenced:
                 val, _ = quad(
                     lambda u: ki(u) * kj(u) * float(profile.eval(u)),
                     max(lo, 0.0), hi,
-                    points=[p for p in profile.breakpoints if lo < p < hi] or None,
+                    points=quad_points(profile, lo, hi),
                     limit=200,
                 )
             assert cov[i - 1, j - 1] == pytest.approx(scale * val, abs=1e-14)

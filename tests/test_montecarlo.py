@@ -9,7 +9,7 @@ from mnlab import montecarlo as mc
 from mnlab import structures as st
 from mnlab.errors import BlockTooSmall, OptimizationFailure
 from mnlab.hypotheses import single_bump_profile
-from mnlab.profiles import ConstantProfile
+from mnlab.profiles import ConstantProfile, PiecewiseConstantProfile
 from mnlab.regression import ols_slope
 
 
@@ -226,6 +226,17 @@ class TestBinned:
         data = mc.sample_m1_constant_diff(1.0, tau, n, rep=1, seed=8)
         est = mc.binned_estimator(data, n, tau, 4)
         assert np.max(np.abs(est.values - 1.0)) <= 0.3
+
+    def test_integrated_squared_error_across_jumps(self):
+        # jumps inside bins, so the bins holding them are bisected
+        profile = PiecewiseConstantProfile([0.3, 0.55, 0.8], [0.7, 1.9, 1.2, 0.9])
+        est = mc.BinnedEstimate(values=np.array([0.5, 1.5, 2.0, 1.0]), n=64, tau=0.1)
+        edges = np.array([0.0, 0.25, 0.3, 0.5, 0.55, 0.75, 0.8, 1.0])
+        level = profile.eval((edges[:-1] + edges[1:]) / 2.0)
+        want = np.sum((est.eval((edges[:-1] + edges[1:]) / 2.0) - level) ** 2
+                      * np.diff(edges))
+        assert est.integrated_squared_error(profile) == pytest.approx(
+            want, rel=1e-14, abs=0.0)
 
     def test_bias_variance_u_shape(self):
         # strong block-aligned bump; frozen seed; minimum at an interior

@@ -1,15 +1,13 @@
 import math
-import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-import mnlab
-from mnlab import hypotheses, profiles
+from mnlab import hypotheses
 from mnlab.errors import QuadratureFailure
 from mnlab.hypotheses import build_family, single_bump_profile
 from mnlab.profiles import (
@@ -17,10 +15,8 @@ from mnlab.profiles import (
     ConstantProfile,
     PiecewiseConstantProfile,
     checked_cells,
-    checked_integral,
 )
 
-SRC = Path(mnlab.__file__).parent
 SQ = (0.0, 0.0, 1.0)
 
 
@@ -108,66 +104,10 @@ def test_piecewise_outer_pieces_extend_beyond_the_unit_interval():
     assert prof.poly_integral(0.75, 0.25, 0.0, (1.0,)) == 0.0
 
 
-def test_scipy_integrate_lives_only_in_profiles():
-    pattern = re.compile(r"scipy\.integrate|from scipy import .*\bintegrate\b")
-    for path in sorted(SRC.glob("*.py")):
-        text = path.read_text()
-        if path.name != "profiles.py":
-            assert not pattern.search(text), path.name
-            assert not re.search(r"(?<![\w.])quad\(", text), path.name
-        assert "catch_warnings" not in text, path.name
-    assert len(re.findall(r"(?<![\w.])quad\(", (SRC / "profiles.py").read_text())) == 1
-
-
-class TestCheckedIntegral:
-    def test_failure_raises_without_touching_warnings(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(QuadratureFailure, match="subdivisions"):
-                checked_integral(lambda u: np.sin(3.7e6 * u), 0.0, 1.0)
-
-    def test_error_estimate_is_checked(self, monkeypatch):
-        # no message from QUADPACK, but an error estimate over the tolerance
-        monkeypatch.setattr(profiles, "quad", lambda *a, **k: (1.0, 2e-12, {}))
-        with pytest.raises(QuadratureFailure, match="tolerance missed"):
-            checked_integral(lambda u: u, 0.0, 1.0)
-        monkeypatch.setattr(profiles, "quad", lambda *a, **k: (1.0, 1e-12, {}))
-        assert checked_integral(lambda u: u, 0.0, 1.0) == 1.0
-
-    def test_passes_interior_breakpoints_and_one_tolerance_set(self, monkeypatch):
-        seen = {}
-
-        def fake_quad(fn, a, b, **kwargs):
-            seen.update(kwargs)
-            return 0.5, 0.0, {}
-
-        monkeypatch.setattr(profiles, "quad", fake_quad)
-        checked_integral(lambda u: u, 0.25, 0.75, breakpoints=(0.1, 0.25, 0.5, 0.75, 0.9))
-        assert seen == {"full_output": 1, "points": [0.5], "epsabs": 1e-15,
-                        "epsrel": 1e-12, "limit": 200}
-        checked_integral(lambda u: u, 0.25, 0.75, breakpoints=(0.1, 0.9))
-        assert seen["points"] is None
-
-    def test_empty_interval_is_zero(self):
-        assert checked_integral(lambda u: 1.0, 0.5, 0.5) == 0.0
-        assert checked_integral(lambda u: 1.0, 0.5, 0.25) == 0.0
-
-    def test_thread_pool_gives_the_serial_values(self):
-        profile = build_family(256, 1.0, 1.0, 9.0, "m1m2", seed=2).profile(3)
-        grid = np.arange(257) / 256
-        serial = [profile.poly_integral(grid[k], grid[k + 1], grid[k], SQ)
-                  for k in range(256)]
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(
-                lambda k: profile.poly_integral(grid[k], grid[k + 1], grid[k], SQ),
-                range(256)))
-        assert threaded == serial
-
-
 def _bump_cell_oracle(profile, lo, hi, shift, power, bump_only):
-    """Per-cell ``checked_integral`` of ``(u - shift)^power`` times the bump
-    part, or times ``sigma^2``, of a one-bump profile, in ``v = u - shift``
-    with scalar math."""
+    """Per-cell QUADPACK integral, checked against its error estimate, of
+    ``(u - shift)^power`` times the bump part, or times ``sigma^2``, of a
+    one-bump profile, in ``v = u - shift`` with scalar math."""
     c, h = float(profile.centers[0]), profile.h
     scale = profile.amplitude * profile.kernel.a
     out = []
@@ -178,8 +118,12 @@ def _bump_cell_oracle(profile, lo, hi, shift, power, bump_only):
             bump = scale * math.exp(-1.0 / w) if w > 1e-12 else 0.0
             return v**power * (bump if bump_only else 1.0 + bump)
 
-        edges = (c - h / 2.0 - s, c + h / 2.0 - s)
-        out.append(checked_integral(integrand, a - s, b - s, edges))
+        edges = [e for e in (c - h / 2.0 - s, c + h / 2.0 - s) if a - s < e < b - s]
+        value, err, _, *message = quad(integrand, a - s, b - s, full_output=1,
+                                       points=edges or None, epsabs=1e-15,
+                                       epsrel=1e-12, limit=200)
+        assert not message and err <= max(1e-15, 1e-12 * abs(value)), (a, b)
+        out.append(value)
     return np.array(out)
 
 
@@ -200,24 +144,63 @@ def test_bump_cells_match_the_adaptive_oracle(n, alpha, bump_only):
         assert np.max(np.abs(got - want)) <= 1.5e-15 * np.max(np.abs(want)), power
 
 
+def _recorded(fn):
+    """``fn``, and the list it fills with the interval indices of each call."""
+    calls = []
+
+    def recorded(u, k):
+        calls.append(np.ravel(k))
+        return fn(u, k)
+
+    return recorded, calls
+
+
 class TestCheckedCells:
-    def test_a_kink_falls_back_to_quadpack(self, monkeypatch):
-        fallbacks = []
+    @pytest.mark.parametrize("fn, lo, hi, want", [
+        (lambda u, k: np.abs(u - 0.3), 0.0, 1.0, 0.29),
+        (lambda u, k: np.where(u < 0.3, 1.0, 2.0), 0.0, 1.0, 1.7),
+        # with x = 0.5 - u, the integral of sqrt(x^2 + x/4) over [0, 1/2]
+        (lambda u, k: (0.5 - u) ** 0.5 * (0.75 - u) ** 0.5, 0.0, 0.5,
+         0.3125 * math.sqrt(0.375)
+         - (math.log(1.25 + 2.0 * math.sqrt(0.375)) - math.log(0.25)) / 128.0),
+    ], ids=["kink", "jump", "endpoint-singularity"])
+    def test_rough_integrands_are_bisected(self, fn, lo, hi, want):
+        recorded, calls = _recorded(fn)
+        got = checked_cells(recorded, lo, hi)
+        assert len(calls) > 2  # more than one pass
+        assert got[0] == pytest.approx(want, rel=1e-14, abs=0.0)
 
-        def recording(fn, a, b, *rest):
-            fallbacks.append((a, b))
-            return checked_integral(fn, a, b, *rest)
+    def test_the_piece_budget_raises_without_touching_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureFailure,
+                               match=r"on \[0\.0, 1\.0\] failed \(more than 200 pieces\)"):
+                checked_cells(lambda u, k: np.sin(3.7e6 * u), 0.0, 1.0)
 
-        monkeypatch.setattr(profiles, "checked_integral", recording)
-        # |u - 0.3| has a kink inside [0, 1]; on [0.5, 1] it is linear
-        got = checked_cells(lambda u, k: np.abs(u - 0.3), [0.0, 0.5], [1.0, 1.0])
-        assert fallbacks == [(0.0, 1.0)]
-        assert got[0] == checked_integral(lambda u: abs(u - 0.3), 0.0, 1.0)
-        assert got[1] == pytest.approx(0.225, rel=1e-15, abs=0.0)
+    def test_a_non_finite_value_raises_naming_its_interval(self):
+        with pytest.raises(QuadratureFailure,
+                           match=r"on \[1\.0, 2\.0\] failed \(a non-finite value\)"):
+            checked_cells(lambda u, k: np.where(u > 1.5, np.nan, u), [0.0, 1.0],
+                          [1.0, 2.0])
 
-    def test_fallback_failure_raises(self):
-        with pytest.raises(QuadratureFailure, match="subdivisions"):
-            checked_cells(lambda u, k: np.sin(3.7e6 * u), 0.0, 1.0)
+    def test_a_first_pass_value_is_the_24_node_rule(self):
+        lo, hi = np.array([0.0, 0.3, 0.5, 2.0]), np.array([1.0, 0.7, 0.5, 1.0])
+        half, mid = np.maximum(hi - lo, 0.0) / 2.0, (lo + hi) / 2.0
+        nodes, weights = np.polynomial.legendre.leggauss(24)
+        want = (-np.exp(mid[:, None] + half[:, None] * nodes) * weights).sum(axis=1) * half
+        got = checked_cells(lambda u, k: -np.exp(u), lo, hi)
+        assert got.tobytes() == want.tobytes()
+        # the empty and the reversed interval keep their signed zeros
+        assert np.signbit(got[2:]).all()
+
+    def test_an_interval_keeps_its_bits_beside_intervals_that_bisect(self):
+        shapes = (lambda u: np.exp(-u) * np.cos(5.0 * u), lambda u: np.abs(u - 0.3))
+        lo, hi = [0.0, 0.0, 0.25, 0.1], [1.0, 1.0, 0.75, 0.9]
+        together = checked_cells(lambda u, k: np.where(k % 2, shapes[1](u), shapes[0](u)),
+                                 lo, hi)
+        for i in range(4):
+            alone = checked_cells(lambda u, k: shapes[i % 2](u), lo[i], hi[i])
+            assert alone.tobytes() == together[i:i + 1].tobytes(), i
 
     def test_empty_and_reversed_intervals_are_zero(self):
         got = checked_cells(lambda u, k: 1.0 + u, [0.5, 0.5, 0.0], [0.5, 0.25, 1.0])
@@ -229,11 +212,17 @@ class TestCheckedCells:
         got = checked_cells(lambda u, k: u**k, [0.0, 0.0, 1.0], [1.0, 2.0, 2.0])
         assert got == pytest.approx([1.0, 2.0, 7.0 / 3.0], rel=1e-15, abs=0.0)
 
-    def test_the_cert_m1_family_needs_no_quadpack(self, monkeypatch):
-        def no_quadpack(*args, **kwargs):
-            raise AssertionError("QUADPACK called")
+    def test_the_cert_m1_family_takes_one_pass(self, monkeypatch):
+        passes = []
+        real = hypotheses.checked_cells
 
-        monkeypatch.setattr(profiles, "quad", no_quadpack)
+        def counting(fn, lo, hi):
+            recorded, calls = _recorded(fn)
+            out = real(recorded, lo, hi)
+            passes.append(len(calls) // 2)
+            return out
+
+        monkeypatch.setattr(hypotheses, "checked_cells", counting)
         n = 2048
         family = build_family(n, 1.0, 1.0, 9.0, "m1m2", seed=1)
         grid = np.arange(n + 1) / n
@@ -246,7 +235,55 @@ class TestCheckedCells:
             for j in range(i + 1, total):
                 assert hypotheses.l2_separation(family, i, j) > 0.0
         for alpha in (0.6, 1.0, 1.5, 2.0):
-            assert hypotheses.bump_kernel(alpha).l2_norm_sq > 0.0
+            kernel = hypotheses.bump_kernel(alpha)
+            # a new kernel, so its cached norm is computed here
+            assert hypotheses.BumpKernel(kernel.alpha, kernel.a).l2_norm_sq > 0.0
+        assert passes and set(passes) == {1}
+
+    def test_bisected_bump_edge_cells_match_mpmath(self, monkeypatch):
+        # demo 05's m1 family at n = 256: cells such as [0.25, 0.2539], a
+        # bump's edge to the next grid point, miss the two-order check
+        bisected = []
+        real = hypotheses.checked_cells
+
+        def recording(fn, lo, hi):
+            recorded, calls = _recorded(fn)
+            out = real(recorded, lo, hi)
+            for i in np.unique(np.concatenate([np.empty(0, int)] + calls[2:])):
+                bisected.append((lo[i], hi[i], out[i]))
+            return out
+
+        monkeypatch.setattr(hypotheses, "checked_cells", recording)
+        n = 256
+        family = build_family(n, 1.0, 1.0, 9.0, "m1m2", seed=7)
+        grid = np.arange(n + 1) / n
+        for k in range(1, family.codewords.shape[0]):
+            family.profile(k).cell_integrals(grid[:-1], grid[1:], 0.0, (1.0,),
+                                             bump_only=True)
+        assert len(bisected) >= 2
+        with mpmath.workdps(40):
+            scale = mpmath.mpf(family.amplitude) * mpmath.mpf(family.kernel.a)
+            h = mpmath.mpf(family.h)
+            for a, b, got in bisected:
+                c = mpmath.mpf(family.centers[np.argmin(np.abs(family.centers - (a + b) / 2))])
+
+                def bump(u, c=c):
+                    w = 1 - 4 * ((u - c) / h) ** 2
+                    return scale * mpmath.exp(-1 / w) if w > 0 else mpmath.mpf(0)
+
+                want = float(mpmath.quad(bump, [mpmath.mpf(a), mpmath.mpf(b)]))
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0), (a, b)
+
+    def test_thread_pool_gives_the_serial_values(self):
+        profile = build_family(256, 1.0, 1.0, 9.0, "m1m2", seed=2).profile(3)
+        grid = np.arange(257) / 256
+        serial = [profile.poly_integral(grid[k], grid[k + 1], grid[k], SQ)
+                  for k in range(256)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(
+                lambda k: profile.poly_integral(grid[k], grid[k + 1], grid[k], SQ),
+                range(256)))
+        assert threaded == serial
 
 
 @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5, 2.0])

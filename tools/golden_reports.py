@@ -62,6 +62,9 @@ CASES = {
     "certificate-m1-n512-alpha0.6": (
         ["certificate", "--model", "m1", "--n", "512", "--alpha", "0.6",
          "--L", "1", "--tau", "0.1", "--c", "9", "--max-hypotheses", "4"], None),
+    "certificate-m1-n256": (
+        ["certificate", "--model", "m1", "--n", "256", *_CERT, "--c", "9",
+         "--seed", "7"], None),
     "certificate-m2-n512-alpha2": (
         ["certificate", "--model", "m2", "--n", "512", "--alpha", "2",
          "--L", "1", "--tau", "0.1", "--c", "9", "--max-hypotheses", "4"], None),
@@ -74,6 +77,8 @@ CASES = {
     "two-point-m3": (
         ["two-point-m3", "--n", "1024", "--sigma-min", "1", "--sigma-max", "4",
          "--c", "1", "--tau", "0.1"], None),
+    "two-point-n-zero": (["two-point-m3", "--n", "0", "--c", "1"], None),
+    "two-point-n-negative": (["two-point-m3", "--n", "-4", "--c", "1"], None),
     "rate-table-json": (
         ["rate-table", "--alphas", "0.6,1,2", "--qs", "0,0.5,1"], None),
     "rate-table-csv": (
