@@ -75,6 +75,8 @@ __all__ = [
 
 _MODELS = ("m1", "m2", "m3", "mq")
 _DIFFERENCING = ("none", "first", "second")
+# rows of a fractional-q covariance integrated in one quadrature pass
+_FRACTIONAL_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -187,14 +189,18 @@ def cov_raw(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
             "n > 512 is not supported"
         )
     i, j = np.triu_indices(n)
-    ti, tj = t[i], t[j]
-
-    def integrand(u, k):
-        return (ti[k] - u) ** q * (tj[k] - u) ** q * profile.eval(u)
-
     signal = np.zeros((n, n))
-    # entry (i, j), i <= j, integrates up to min(t_i, t_j) = t_i
-    signal[i, j] = signal[j, i] = checked_cells(integrand, 0.0, ti)
+    # entry (i, j), i <= j, integrates up to min(t_i, t_j) = t_i.  A pass
+    # takes _FRACTIONAL_ROWS rows, which bounds the quadrature's working
+    # set; no entry's value depends on the others in its pass
+    starts = np.searchsorted(i, np.arange(_FRACTIONAL_ROWS, n, _FRACTIONAL_ROWS))
+    for part in np.split(np.arange(i.size), starts):
+        ti, tj = t[i[part]], t[j[part]]
+
+        def integrand(u, k):
+            return (ti[k] - u) ** q * (tj[k] - u) ** q * profile.eval(u)
+
+        signal[i[part], j[part]] = signal[j[part], i[part]] = checked_cells(integrand, 0.0, ti)
     return signal + noise
 
 

@@ -323,12 +323,11 @@ class ExperimentResult:
 
 
 # samples of one chunk of replicates, in bytes: a chunk holds
-# CHUNK_BYTES / 8n replicates and at least one (32 at n = 1024, 8 at 4096,
-# 2 at 16384).  A chunk pays the sine transform's FFT plan once, which
-# matters most where the length 4n + 2 has a large prime factor (2731 at
-# n = 4096); the transform's working arrays, about 6 times the samples,
-# add about 2 MB to the peak memory of a rate experiment at this size
-CHUNK_BYTES = 2**18
+# CHUNK_BYTES / 8n replicates and at least one (16 at n = 1024, 4 at 4096,
+# 1 at 16384).  The sine transform's complex working arrays, of length
+# 2n per replicate, come to about 12 times the samples, so a chunk adds
+# about 1.5 MB to the peak memory of a rate experiment at this size
+CHUNK_BYTES = 2**17
 
 
 def _estimate_block(estimator: str, block: np.ndarray, n: int,

@@ -10,7 +10,8 @@ covariance algebra of the noisy volatility models.
 
 with sine eigenvectors; the orthonormal sine basis of ``A`` also powers an
 O(n log n) transform used for exact maximum likelihood under constant
-volatility, one sample at a time or a block of samples per FFT call.
+volatility: one chirp-z (Bluestein) kernel on power-of-two FFTs serves
+both directions, one sample at a time or a block of samples per FFT call.
 
 Ordering convention: :func:`eigvals_closed` returns the spectrum ascending
 (position i, 1-based, is the i-th smallest); descending reports elsewhere
@@ -18,6 +19,8 @@ index it as ``values[n - i]``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -124,42 +127,78 @@ def sine_basis_dense(n: int, which: str = "A") -> np.ndarray:
 def sine_transform(data) -> np.ndarray:
     """Coordinates of ``data`` in the orthonormal eigenbasis of ``A``.
 
-    Equivalent to ``sine_basis_dense(n).T @ data`` but computed with one
-    length-(4n+2) real FFT, exact to rounding and O(n log n); the dense
-    product would need O(n^2) memory, which is prohibitive at n = 2^14.
-    Orthonormality makes the transform an isometry and an involution up
-    to :func:`sine_transform_inverse`.
+    Equivalent to ``sine_basis_dense(n).T @ data`` but computed by
+    Bluestein's chirp-z identity on power-of-two FFTs of length about 2n,
+    exact to rounding and O(n log n); the dense product would need O(n^2)
+    memory, which is prohibitive at n = 2^14.  Orthonormality makes the
+    transform an isometry and an involution up to
+    :func:`sine_transform_inverse`.  With ``M = 2n + 1`` and ``l = n - k +
+    1``, ``sin(pi (2k - 1) j / M) = (-1)^(j+1) sin(2 pi l j / M)``, so
+    coordinate k is the kernel's output l on the reversed data.
 
     A 2-d ``data`` is a block of samples, one per row, transformed by one
     FFT call over the rows; each row of the result equals the transform
-    of that row alone bit for bit.  The FFT length has large prime
-    factors (16386 = 2 * 3 * 2731 at n = 4096), so the transform plan costs
-    more than a row, and a block pays it once.
+    of that row alone bit for bit.
     """
-    x = np.asarray(data, dtype=float)
-    if x.ndim not in (1, 2) or x.size == 0:
-        raise ValueError("data must be a non-empty 1-d array or 2-d block")
-    n = x.shape[-1]
-    full = 2 * n + 1
-    head = np.zeros(x.shape[:-1] + (n + 1,))
-    head[..., 1:] = x[..., ::-1]
-    # the FFT zero-pads to length 2 full itself: no padded copy of the block
-    spectrum = np.fft.rfft(head, n=2 * full, axis=-1)
-    return spectrum.imag[..., 1 : 2 * n : 2] * -(2.0 / np.sqrt(full))
+    x = _as_block(data, "data")
+    return _sine_kernel(x[..., ::-1], signs_on_input=True)[..., ::-1]
 
 
 def sine_transform_inverse(coeffs) -> np.ndarray:
-    """Inverse of :func:`sine_transform` (synthesis from coordinates)."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coeffs must be a non-empty 1-d array")
-    n = c.size
+    """Inverse of :func:`sine_transform`, of a vector or a block of rows.
+
+    Synthesis is the transposed sum and the kernel's matrix is symmetric,
+    so the same kernel runs with the alternating signs on its output.
+    """
+    c = _as_block(coeffs, "coeffs")
+    return _sine_kernel(c[..., ::-1], signs_on_input=False)[..., ::-1]
+
+
+def _as_block(values, name: str) -> np.ndarray:
+    x = np.asarray(values, dtype=float)
+    if x.ndim not in (1, 2) or x.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-d array or 2-d block")
+    return x
+
+
+@functools.lru_cache(maxsize=1)
+def _bluestein_plan(n: int):
+    """Chirps and convolution response of the length-n sine kernel.
+
+    ``chirp`` is ``exp(-i pi j^2 / M)`` for ``j = 1..n`` and ``signed`` is
+    it times ``(-1)^(j+1)``; ``response`` is the FFT of the conjugate chirp
+    over the offsets ``1 - n..n``, laid out circularly in a power-of-two
+    length ``>= 2n`` (so no output wraps) and scaled by ``-2 / sqrt(M)``.
+    Squares are reduced mod 2M in integers, so every angle is below 2 pi.
+    One n is cached: the rate experiment runs one n at a time.
+    """
     full = 2 * n + 1
-    buf = np.zeros(2 * full)
-    buf[1 : 2 * n : 2] = c
-    spectrum = np.fft.rfft(buf)
-    rev = -spectrum.imag[1 : n + 1] * (2.0 / np.sqrt(full))
-    return rev[::-1]
+    offsets = np.arange(1 - n, n + 1)
+    wave = np.exp(1j * np.pi * ((offsets * offsets) % (2 * full)) / full)
+    chirp = wave[n:].conj()
+    signed = np.where(np.arange(n) % 2 == 0, chirp, -chirp)
+    layout = np.zeros(1 << (2 * n - 1).bit_length(), dtype=complex)
+    layout[offsets % layout.size] = wave
+    response = np.fft.fft(layout) * (-2.0 / np.sqrt(full))
+    for a in (chirp, signed, response):
+        a.flags.writeable = False
+    return chirp, signed, response
+
+
+def _sine_kernel(z: np.ndarray, signs_on_input: bool) -> np.ndarray:
+    """``-2 / sqrt(M) Im sum_{j=1..n} z_j exp(-2 pi i l j / M)``, l = 1..n.
+
+    The signs ``(-1)^(j+1)`` multiply the input, or else the output.  By
+    ``2 l j = l^2 + j^2 - (l - j)^2`` the sum is a chirp times a circular
+    convolution: one FFT and one inverse FFT per row.  The products are
+    out of place, since an in-place one whose operand broadcasts over the
+    rows can round a row of a block differently from the row alone.
+    """
+    chirp, signed, response = _bluestein_plan(z.shape[-1])
+    chirp_in, chirp_out = (signed, chirp) if signs_on_input else (chirp, signed)
+    spectrum = np.fft.fft(z * chirp_in, n=response.size, axis=-1)
+    wave = np.fft.ifft(spectrum * response, axis=-1)[..., : z.shape[-1]]
+    return (wave * chirp_out).imag
 
 
 def _require_size(n: int) -> None:

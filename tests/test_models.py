@@ -10,7 +10,8 @@ from mnlab import models
 from mnlab import structures as st
 from mnlab.errors import InvalidDifferencing, InvalidProfile, QuadratureFailure
 from mnlab.hypotheses import BumpSumProfile, build_family
-from mnlab.profiles import CallableProfile, ConstantProfile, PiecewiseConstantProfile
+from mnlab.profiles import (CallableProfile, ConstantProfile, PiecewiseConstantProfile,
+                            checked_cells)
 
 ONE = ConstantProfile(1.0)
 
@@ -92,6 +93,24 @@ class TestCovRaw:
             for i, j in ((1, 1), (2, 4), (6, 6), (5, 3)):
                 oracle = raw_entry_oracle("mq", n, tau, profile, i, j, q=q)
                 assert cov[i - 1, j - 1] == pytest.approx(oracle, abs=1e-11)
+
+    def test_fractional_q_row_passes_equal_one_pass(self):
+        # cov_raw integrates a few rows per pass; one pass over every
+        # entry gives the same bits
+        n, tau, q = 64, 0.1, 0.5
+        profile = build_family(64, 1.0, 1.0, 7.5, "m1m2", seed=1).profile(1)
+        assert n > models._FRACTIONAL_ROWS
+        t = np.arange(1, n + 1) / n
+        i, j = np.triu_indices(n)
+
+        def integrand(u, k):
+            return (t[i][k] - u) ** q * (t[j][k] - u) ** q * profile.eval(u)
+
+        signal = np.zeros((n, n))
+        signal[i, j] = signal[j, i] = checked_cells(integrand, 0.0, t[i])
+        expected = signal + tau * tau * np.eye(n)
+        cov = models.cov_raw(models.ModelSpec("mq", n, tau, q=q), profile)
+        assert np.array_equal(cov, expected)
 
     def test_kernel_specialisation(self):
         n, tau = 8, 0.2

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -125,6 +126,44 @@ class TestSineTransform:
     def test_rejects_empty_or_higher_rank(self, shape):
         with pytest.raises(ValueError):
             st.sine_transform(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4), (2, 2, 2)])
+    def test_inverse_rejects_empty_or_higher_rank(self, shape):
+        with pytest.raises(ValueError):
+            st.sine_transform_inverse(np.zeros(shape))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 50, 100])
+    def test_both_directions_match_mpmath(self, n):
+        x = np.random.default_rng(100 + n).standard_normal(n)
+        with mpmath.workdps(40):
+            scale = 2 / mpmath.sqrt(2 * n + 1)
+            # basis[r, k] = scale * sin(pi (2k + 1)(n - r) / (2n + 1)), 0-based
+            basis = [[scale * mpmath.sin(mpmath.pi * (2 * k + 1) * (n - r) / (2 * n + 1))
+                      for k in range(n)] for r in range(n)]
+            forward = [float(mpmath.fsum(basis[r][k] * x[r] for r in range(n)))
+                       for k in range(n)]
+            inverse = [float(mpmath.fsum(basis[r][k] * x[k] for k in range(n)))
+                       for r in range(n)]
+        assert np.max(np.abs(st.sine_transform(x) - forward)) <= 1e-14
+        assert np.max(np.abs(st.sine_transform_inverse(x) - inverse)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1031, 2731, 3000])
+    def test_matches_dense_basis_with_padding(self, n):
+        # the FFT length (a power of two) exceeds 2n, and 2n + 1 has a
+        # large prime factor (2063, 607, 353)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        basis = st.sine_basis_dense(n)
+        assert np.max(np.abs(st.sine_transform(x) - basis.T @ x)) <= 1e-10
+        assert np.max(np.abs(st.sine_transform_inverse(x) - basis @ x)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 2731, 4096])
+    def test_inverse_block_equals_rows_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for rows in range(1, 10):
+            block = rng.standard_normal((rows, n))
+            expected = np.stack([st.sine_transform_inverse(row) for row in block])
+            assert np.array_equal(st.sine_transform_inverse(block), expected)
 
 
 class TestNullCovarianceSpectra:

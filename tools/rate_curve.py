@@ -8,8 +8,10 @@ Runs ``montecarlo.rate_experiment`` of the ``src/`` tree next to this
 script with the MLE on one n at a time, each in a fresh process, with the
 ``simulate-rate`` defaults of the benchmark workload (sigma^2 1, tau 0.1,
 one worker).  Prints one JSON object: per n, the median seconds of
-``--repeats`` experiments in that process, the MSE and the process's peak
-resident memory.  A point that fails records its error instead.
+``--repeats`` experiments in that process, the median seconds of those
+spent in ``structures.sine_transform`` (timed by wrapping it where
+``montecarlo`` calls it), the MSE and the process's peak resident memory.
+A point that fails records its error instead.
 """
 
 from __future__ import annotations
@@ -25,15 +27,29 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 _POINT = """
 import json, resource, statistics, sys, time
-from mnlab.montecarlo import rate_experiment
+from mnlab import montecarlo
 n, reps, seed, repeats = (int(x) for x in sys.argv[1:5])
-times = []
-for _ in range(repeats):
+transform, spent = montecarlo.sine_transform, [0.0]
+
+def timed_transform(data):
     t0 = time.perf_counter()
-    mse = rate_experiment("m1", "mle", [n], reps, seed=seed).mse[0]
+    try:
+        return transform(data)
+    finally:
+        spent[0] += time.perf_counter() - t0
+
+montecarlo.sine_transform = timed_transform
+times, transform_times = [], []
+for _ in range(repeats):
+    spent[0] = 0.0
+    t0 = time.perf_counter()
+    mse = montecarlo.rate_experiment("m1", "mle", [n], reps, seed=seed).mse[0]
     times.append(time.perf_counter() - t0)
+    transform_times.append(spent[0])
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
-print(json.dumps({"seconds": statistics.median(times), "mse": mse, "peak_rss_mb": rss}))
+print(json.dumps({"seconds": statistics.median(times),
+                  "transform_seconds": statistics.median(transform_times),
+                  "mse": mse, "peak_rss_mb": rss}))
 """
 
 
