@@ -39,7 +39,7 @@ from .hypotheses import (
     single_bump_profile,
 )
 from .kl import GaussianLaw, compare
-from .models import ModelSpec, bump_difference, differenced_bands
+from .models import bump_difference, differenced_bands, differenced_spec
 from .profiles import ConstantProfile
 from .regression import ols_slope
 from .reporting import null_if_nan
@@ -84,7 +84,7 @@ class DivergenceCondition:
     log2_m: float
     kappa_bound: float
     passed: bool
-    mode: str  # "exhaustive" | "sampled" | "explicit"
+    mode: str  # "exhaustive" | "sampled"
     bound_c: float
     bound_avg: float
     bound_preconditions_ok: bool
@@ -142,19 +142,23 @@ class Certificate:
         }
 
 
+# the power q of each model's Volterra kernel (t - s)^q: m1 and m2
+# observe the diffusion, m3 its time integral
+_KERNEL_POWER = {"m1": 0.0, "m2": 0.0, "m3": 1.0}
+
+
 def rate_exponent(model: str, alpha: float, q: float | None = None) -> float:
-    """Lower-bound rate exponent (power of n) for one model."""
+    """Lower-bound rate exponent ``-alpha / ((2q + 2)(2 alpha + 1))`` (power of n)."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    if model in ("m1", "m2"):
-        return -alpha / (4.0 * alpha + 2.0)
-    if model == "m3":
-        return -alpha / (8.0 * alpha + 4.0)
     if model == "mq":
         if q is None or q < 0.0:
             raise ValueError("model mq needs q >= 0")
-        return -alpha / ((2.0 * q + 2.0) * (2.0 * alpha + 1.0))
-    raise ValueError(f"unknown model {model!r}")
+    elif model in _KERNEL_POWER:
+        q = _KERNEL_POWER[model]
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    return -alpha / ((2.0 * q + 2.0) * (2.0 * alpha + 1.0))
 
 
 def _bound_constant(model: str, l_const: float) -> float:
@@ -164,26 +168,15 @@ def _bound_constant(model: str, l_const: float) -> float:
     return 1.0
 
 
-def _differencing(model: str) -> str:
-    return "second" if model == "m3" else "first"
-
-
-def _null_law(spec: ModelSpec) -> GaussianLaw:
-    """The ``sigma^2 = 1`` law, tridiagonal (m1, m2) or pentadiagonal (m3)."""
-    return GaussianLaw(differenced_bands(spec, ConstantProfile(1.0)))
-
-
 def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
              c: float, kappa: float, max_hypotheses: int = 16, seed: int = 0,
-             workers: int = 1,
-             hypothesis_indices: list[int] | None = None) -> Certificate:
+             workers: int = 1) -> Certificate:
     """Build the family at (n, alpha, L, c) and certify conditions (i)-(iii).
 
     When the family has more alternatives than ``max_hypotheses``, a
     seeded uniform sample estimates the average divergence and the
-    certificate is labelled "sampled".  ``hypothesis_indices`` overrides
-    the selection entirely (inspection hook; labelled "explicit").
-    Deterministic for fixed inputs and seed.
+    certificate is labelled "sampled".  Deterministic for fixed inputs
+    and seed.
     """
     if model not in ("m1", "m2", "m3"):
         raise ValueError("certificates cover models m1, m2, m3")
@@ -200,10 +193,7 @@ def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
     family = build_family(n, alpha, l_const, c, model_class, seed=seed)
     m_alt = family.count_alternatives
 
-    if hypothesis_indices is not None:
-        indices = list(hypothesis_indices)
-        mode = "explicit"
-    elif m_alt <= max_hypotheses:
+    if m_alt <= max_hypotheses:
         indices = list(range(1, m_alt + 1))
         mode = "exhaustive"
     else:
@@ -214,15 +204,16 @@ def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
         )
         mode = "sampled"
 
-    diff = _differencing(model)
-    spec = ModelSpec(model, n, tau, differencing=diff)
-    null = _null_law(spec)
+    spec = differenced_spec(model, n, tau)
+    # built once: the law and every bump difference share the null's bands
+    null_bands = differenced_bands(spec, ConstantProfile(1.0))
+    null = GaussianLaw(null_bands)
     bound_c = _bound_constant(model, l_const)
     grid_size = max(800, 40 * family.m)
 
     def one_hypothesis(k: int) -> dict:
         prof = family.profile(k)
-        comparison = compare(null, *bump_difference(spec, prof))
+        comparison = compare(null, *bump_difference(spec, prof, null_bands))
         in_class = holder_check(
             prof.eval, alpha, l_const, grid_size=grid_size,
             lower=1.0, upper=family.upper_bound, deriv=prof.deriv,
@@ -324,11 +315,11 @@ def two_point_certificate_m3(n: int, sigma_min: float, sigma_max: float,
     if sigma1 > sigma_max + 1e-12:
         raise ValueError("sigma_1^2 exceeds sigma_max; lower c")
 
-    spec = ModelSpec("m3", n, tau, differencing="second")
-    law0 = GaussianLaw(differenced_bands(spec, ConstantProfile(sigma_min)))
+    law0 = GaussianLaw(differenced_bands(differenced_spec("m3", n, tau),
+                                         ConstantProfile(sigma_min)))
     # the noise parts cancel: the laws differ by (sigma1 - sigma_min) times
     # the unit signal, on every index
-    signal = differenced_bands(ModelSpec("m3", n, 0.0, differencing="second"),
+    signal = differenced_bands(differenced_spec("m3", n, 0.0),
                                ConstantProfile(1.0)).dense()
     comparison = compare(law0, np.arange(n), (sigma1 - sigma_min) * signal)
     kl = comparison.kl
@@ -454,11 +445,13 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     if any(n > limit for n in n_list):
         raise ValueError(f"n > {limit} exceeds the exact-KL desk bound")
     alt = single_bump_profile(alpha, l_const, bump_width)
-    predicted = 0.25 if model == "m3" else 0.5
+    predicted = 1.0 / (2.0 * _KERNEL_POWER[model] + 2.0)
     kls, refs = [], []
     for n in n_list:
-        spec = ModelSpec(model, n, tau, differencing=_differencing(model))
-        kls.append(compare(_null_law(spec), *bump_difference(spec, alt)).kl)
+        spec = differenced_spec(model, n, tau)
+        null_bands = differenced_bands(spec, ConstantProfile(1.0))
+        kls.append(compare(GaussianLaw(null_bands),
+                           *bump_difference(spec, alt, null_bands)).kl)
         refs.append(float(n) ** predicted * bump_width ** (2.0 * alpha))
     slope, slope_se = ols_slope(np.log(n_list), np.log(kls))
     return KLScalingResult(

@@ -198,24 +198,23 @@ def _certify_code(words: np.ndarray, m: int) -> None:
         raise ConstructionFailure("pairwise Hamming distance below m/8")
 
 
-def vg_code(m: int, seed: int = 0, target: int | None = None) -> np.ndarray:
+def vg_code(m: int, seed: int = 0) -> np.ndarray:
     """Binary code with first word all-zeros, distance >= m/8, count >= 2^(m/8).
 
     Greedy in integer order for m <= 24, seeded random greedy beyond; the
-    search stops once ``target`` words are collected (default: the
-    guarantee plus one, so the alternatives alone meet the 2^(m/8) count).
-    The guarantee is certified a posteriori either way; a search that
-    cannot certify within its attempt budget (then a 10x larger one)
-    raises :class:`ConstructionFailure`.
+    search stops once the guarantee plus one words are collected, so the
+    alternatives alone meet the 2^(m/8) count.  The guarantee is
+    certified a posteriori; a search that cannot certify within its
+    attempt budget (then a 10x larger one) raises
+    :class:`ConstructionFailure`.
 
     Returns an array of shape (count, m) with uint8 entries, all-zeros row
-    first.  Deterministic given (m, seed, target).
+    first.  Deterministic given (m, seed).
     """
     if m < 8:
         raise TooFewBumps(f"the code guarantee needs m >= 8, got {m}")
     d = math.ceil(m / 8.0)
-    min_total = int(math.ceil(2.0 ** (m / 8.0))) + 1
-    total = max(target or 0, min_total)
+    total = int(math.ceil(2.0 ** (m / 8.0))) + 1
 
     accepted = [0]
     if m <= 24:
@@ -321,9 +320,6 @@ class BumpSumProfile(VolatilityProfile):
 
     def poly_integral(self, a, b, shift, coeffs):
         return float(self.cell_integrals(a, b, shift, coeffs)[0])
-
-    def bump_integral(self, a, b, shift, coeffs):
-        return float(self.cell_integrals(a, b, shift, coeffs, bump_only=True)[0])
 
 
 def single_bump_profile(alpha: float, l_const: float, width: float,

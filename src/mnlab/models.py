@@ -38,7 +38,8 @@ support ``S`` of index runs and a dense block ``B`` (``alt - null = W B
 W^T``, see :func:`~mnlab.kl.compare`), never by subtracting two n x n
 matrices: for m1 from the bump part ``sigma^2 - 1``, for m2 in closed
 form from ``sigma(t_i)`` on the moved rows, with one run for each
-stretch of unmoved rows between them.
+stretch of unmoved rows between them, and for m3 from the null's bands,
+which the caller builds once per spec.
 
 Every builder returns a bit-exactly symmetric float64 array.  Most are
 sums of terms whose ``(i, j)`` and ``(j, i)`` entries come from the same
@@ -56,13 +57,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDifferencing, InvalidProfile
+from .errors import DimensionMismatch, InvalidDifferencing, InvalidProfile
 from .linalg import Banded, sym
-from .profiles import ConstantProfile, VolatilityProfile, checked_cells
+from .profiles import VolatilityProfile, checked_cells
 from .structures import matrix_a, matrix_v1
 
 __all__ = [
     "ModelSpec",
+    "differenced_spec",
     "cov_raw",
     "diff_matrix",
     "cov_differenced",
@@ -109,6 +111,12 @@ class ModelSpec:
                 raise ValueError("model mq needs q >= 0")
         elif self.q is not None:
             raise ValueError("q is only meaningful for model mq")
+
+
+def differenced_spec(model: str, n: int, tau: float) -> ModelSpec:
+    """``model`` at ``(n, tau)``, first-differenced (m1, m2) or second-differenced
+    (m3): the differencing under which its unit-volatility null is banded."""
+    return ModelSpec(model, n, tau, differencing="second" if model == "m3" else "first")
 
 
 def _probe_profile(profile: VolatilityProfile, n: int) -> None:
@@ -378,23 +386,25 @@ def _m2_bump_difference(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack((start, edges[1:])), block
 
 
-def bump_difference(spec: ModelSpec, profile) -> tuple[np.ndarray, np.ndarray]:
+def bump_difference(spec: ModelSpec, profile,
+                    null: Banded) -> tuple[np.ndarray, np.ndarray]:
     """Differenced covariance of a bump alternative minus the unit null.
 
     ``profile`` is a :class:`~mnlab.hypotheses.BumpSumProfile` (base level
-    1) and the null is its ``sigma^2 = 1`` counterpart at the same
-    ``spec``; the noise parts cancel.  Returns ``(S, B)`` with
+    1) and ``null`` its ``sigma^2 = 1`` counterpart at the same ``spec``
+    from :func:`differenced_bands`, built once per spec by the caller; the
+    noise parts cancel.  Returns ``(S, B)`` with
     ``alt - null = W B W^T``: for m1 and m3, ``S`` holds the sorted
     indices of the rows where the two covariances differ and ``B`` is the
     dense symmetric block of the difference on them.
 
     * m1: ``B`` is diagonal, the per-cell integrals of the bump part
       ``sigma^2 - 1``;
-    * m3: ``B`` is tridiagonal, the difference of the two banded
-      covariances as :func:`differenced_bands` builds them, noise part
-      included.  Their entries lie within a factor 2 of each other, so
-      the subtraction is exact and ``B`` is the difference of the laws as
-      stored; it carries their rounding, up to ``eps tau^2`` per entry;
+    * m3: ``B`` is tridiagonal, the alternative's bands minus ``null``,
+      noise part included.  Their entries lie within a factor 2 of each
+      other, so the subtraction is exact and ``B`` is the difference of
+      the laws as stored; it carries their rounding, up to ``eps tau^2``
+      per entry;
     * m2: ``S`` is a ``k x 2`` array of half-open runs (see
       :func:`~mnlab.kl.compare`): one per moved row, and one per stretch
       of unmoved rows before the last moved row, whose columns of the
@@ -402,6 +412,8 @@ def bump_difference(spec: ModelSpec, profile) -> tuple[np.ndarray, np.ndarray]:
       ``sigma(t_i)`` (see :func:`_m2_bump_difference`).
     """
     n = spec.n
+    if null.size != n:
+        raise DimensionMismatch(f"null of size {null.size} for n = {n}")
     if spec.model == "m2" and spec.differencing == "first":
         return _m2_bump_difference(profile, n)
     if (spec.model, spec.differencing) not in _BANDED:
@@ -411,8 +423,7 @@ def bump_difference(spec: ModelSpec, profile) -> tuple[np.ndarray, np.ndarray]:
         diag = _m1_signal(profile, n, bump_only=True)
         support = np.flatnonzero(diag)
         return support, np.diag(diag[support])
-    diff = differenced_bands(spec, profile).bands \
-        - differenced_bands(spec, ConstantProfile(1.0)).bands
+    diff = differenced_bands(spec, profile).bands - null.bands
     diag, off = diff[0], diff[1, :-1]
     touched = diag != 0.0
     touched[:-1] |= off != 0.0

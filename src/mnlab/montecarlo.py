@@ -20,17 +20,18 @@ is then solved on its own.  The iteration starts from a noise-weighted
 moment estimate of ``sigma^2`` and lengthens a Newton step shorter than
 half the tolerance to exactly that half, so the step after convergence
 crosses the root and closes the bracket: the estimate is the midpoint of
-a bracket ``[a, b]`` of width at most ``tol max(1, b)``, within
-``tol max(1, b)`` of the root.  ``tau`` is assumed known throughout.
+a bracket ``[a, b]`` of width at most ``TOL max(1, b)``, within
+``TOL max(1, b)`` of the root.  ``tau`` is assumed known throughout.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +54,10 @@ __all__ = [
 ]
 
 ESTIMATORS = ("mle", "rv", "rv_uncorrected")
+
+# the sigma^2 range the MLE searches, and its relative stopping width
+BRACKET = (1e-8, 1e4)
+TOL = 1e-10
 
 
 def replicate_rng(seed: int, *stream) -> np.random.Generator:
@@ -110,8 +115,18 @@ def sample_m1_profile_diff(interval_sds, tau: float, n: int,
     return out
 
 
-def mle_const_sigma_m1(diff_data, n: int, tau: float, bracket=(1e-8, 1e4),
-                       tol: float = 1e-10) -> float | np.ndarray:
+@functools.lru_cache(maxsize=1)
+def _spectral_constants(width: int, n: int, tau: float):
+    """Read-only ``tau^2 lambda_i`` of a block ``width`` wide at rate ``n``,
+    ``u_i = (1/n + tau^2 lambda_i)^-2`` and their sum.  One is cached: a
+    rate experiment runs one n at a time, and its chunks share them."""
+    noise = tau * tau * eigvals_closed(width)
+    u = (1.0 / n + noise) ** -2
+    noise.flags.writeable = u.flags.writeable = False
+    return noise, u, float(np.sum(u))
+
+
+def mle_const_sigma_m1(diff_data, n: int, tau: float) -> float | np.ndarray:
     """Exact constant-``sigma^2`` MLE from first-differenced m1 data.
 
     ``diff_data`` may be the full differenced sample (length n) or a
@@ -120,8 +135,8 @@ def mle_const_sigma_m1(diff_data, n: int, tau: float, bracket=(1e-8, 1e4),
     block-local sine basis.  A 2-d ``diff_data`` holds one such sample per
     row and gives one estimate per row, each equal bit for bit to the
     estimate from that row alone: the block is validated and transformed
-    once, and the spectral constants are computed once, then each row is
-    solved on its own coordinates.  A 1-d sample gives a float.
+    once, and the spectral constants are cached per (width, n, tau), then
+    each row is solved on its own coordinates.  A 1-d sample gives a float.
 
     A score negative over the whole bracket means the likelihood peaks at
     the floor (noise-dominated sample); the floor is returned.  A score
@@ -130,14 +145,14 @@ def mle_const_sigma_m1(diff_data, n: int, tau: float, bracket=(1e-8, 1e4),
     (sigma^2, loglik) profile; in a block, the first such row raises.
 
     Otherwise the stationarity equation is solved by Newton iteration on
-    ``bracket = (lo, hi)``, kept inside the sign-change bracket ``[a, b]``
+    ``BRACKET = (lo, hi)``, kept inside the sign-change bracket ``[a, b]``
     by bisection.  It starts from the moment estimate
     ``n sum u_i (c_i^2 - tau^2 lambda_i) / sum u_i`` with
     ``u_i = (1/n + tau^2 lambda_i)^-2``, clipped into the bracket.  A
-    Newton step shorter than ``h = tol max(1, s) / 2`` is lengthened to
+    Newton step shorter than ``h = TOL max(1, s) / 2`` is lengthened to
     ``h``, so a converged iterate steps across the root and closes the
     bracket.  The result is the midpoint of a bracket of width at most
-    ``tol max(1, b)``, so ``|est - root| <= tol max(1, b)``.
+    ``TOL max(1, b)``, so ``|est - root| <= TOL max(1, b)``.
     """
     data = np.asarray(diff_data, dtype=float)
     if data.ndim not in (1, 2) or data.size < 1:
@@ -146,25 +161,19 @@ def mle_const_sigma_m1(diff_data, n: int, tau: float, bracket=(1e-8, 1e4),
         raise ValueError("tau must be positive and finite (assumed known)")
     if not np.all(np.isfinite(data)):
         raise ValueError("diff_data must be finite")
-    lo, hi = (float(x) for x in bracket)
-    if not (0.0 < lo < hi < math.inf):
-        raise ValueError("bracket must satisfy 0 < lo < hi < inf")
-    if not (0.0 < tol < math.inf):
-        raise ValueError("tol must be positive and finite")
     coords_sq = sine_transform(data) ** 2
-    noise = tau * tau * eigvals_closed(data.shape[-1])
-    u = (1.0 / n + noise) ** -2
-    u_sum = float(np.sum(u))
+    noise, u, u_sum = _spectral_constants(data.shape[-1], n, tau)
     estimates = np.array([
-        _mle_row(c2, n, noise, u, u_sum, lo, hi, tol)
+        _mle_row(c2, n, noise, u, u_sum)
         for c2 in coords_sq.reshape(-1, data.shape[-1])
     ])
     return float(estimates[0]) if data.ndim == 1 else estimates
 
 
 def _mle_row(c2: np.ndarray, n: int, noise: np.ndarray, u: np.ndarray,
-             u_sum: float, lo: float, hi: float, tol: float) -> float:
+             u_sum: float) -> float:
     """One sample's estimate from its squared coordinates ``c2``."""
+    lo, hi = BRACKET
 
     def score(s: float):
         """Score at ``s``, with the ``1 / v_i`` and ``c_i^2 / v_i`` it used."""
@@ -200,11 +209,11 @@ def _mle_row(c2: np.ndarray, n: int, noise: np.ndarray, u: np.ndarray,
             b = s
         else:
             return s
-        if b - a <= tol * max(1.0, b):
+        if b - a <= TOL * max(1.0, b):
             break
         gp = float(np.sum(w * w * (1.0 - 2.0 * cw))) / n
         step = -g / gp if gp != 0.0 else math.inf  # flat score: bisect
-        h = 0.5 * tol * max(1.0, s)
+        h = 0.5 * TOL * max(1.0, s)
         if abs(step) < h:
             step = math.copysign(h, step)
         s = s + step if a < s + step < b else 0.5 * (a + b)
@@ -288,9 +297,7 @@ class ExperimentResult:
     seed: int
     slope: float
     slope_se: float
-    version: str = __version__
     config_hash: str = ""
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -306,9 +313,9 @@ class ExperimentResult:
             "seed": self.seed,
             "slope": null_if_nan(self.slope),
             "slope_se": null_if_nan(self.slope_se),
-            "version": self.version,
+            "version": __version__,
             "config_hash": self.config_hash,
-            "extra": self.extra,
+            "extra": {},
         }
 
     def to_csv_rows(self) -> list[list]:

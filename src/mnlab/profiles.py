@@ -138,14 +138,6 @@ class VolatilityProfile:
         return float(checked_cells(
             lambda u, k: _shifted_poly(coeffs, shift, u) * self.eval(u), a, b)[0])
 
-    def bump_integral(self, a: float, b: float, shift: float, coeffs) -> float:
-        """``integral_a^b sum_r coeffs[r] (u - shift)^r * (sigma^2(u) - 1) du``.
-
-        Only bump profiles, which sit on the base level 1, have a bump
-        part.
-        """
-        raise InvalidProfile(f"a {self.kind} profile has no bump part")
-
     def cell_integrals(self, lo, hi, shift, coeffs, bump_only: bool = False) -> np.ndarray:
         """:meth:`poly_integral` over each cell ``[lo[k], hi[k]]``.
 
@@ -155,13 +147,15 @@ class VolatilityProfile:
         order; a bump profile integrates each bump in one checked
         Gauss-Legendre pass instead.  Either way the result is
         bit-identical to the scalar loop.  ``bump_only`` integrates the
-        bump part ``sigma^2 - 1`` instead (:meth:`bump_integral`), which is
-        exactly zero on cells no bump touches.
+        bump part ``sigma^2 - 1`` instead, which is exactly zero on cells no
+        bump touches; only bump profiles, which sit on the base level 1,
+        have one, and any other profile raises :class:`InvalidProfile`.
         """
-        integral = self.bump_integral if bump_only else self.poly_integral
+        if bump_only:
+            raise InvalidProfile(f"a {self.kind} profile has no bump part")
         lo, hi, shift = _cells(lo, hi, shift)
         cells = zip(lo.tolist(), hi.tolist(), shift.tolist())
-        return np.fromiter((integral(a, b, s, coeffs) for a, b, s in cells),
+        return np.fromiter((self.poly_integral(a, b, s, coeffs) for a, b, s in cells),
                            dtype=float, count=lo.size)
 
 
@@ -235,9 +229,7 @@ class CallableProfile(VolatilityProfile):
 
     kind = "callable"
 
-    def __init__(self, fn, lower: float, upper: float):
-        if not 0.0 < lower <= upper:
-            raise ValueError("bounds must satisfy 0 < lower <= upper")
+    def __init__(self, fn):
         self._fn = fn
 
     def eval(self, t):

@@ -76,3 +76,23 @@ def test_model3_structure_keeps_a_zero_family_constant():
     with pytest.raises(ValueError, match="c > 0"):
         checks.verify_model3_structure(n=32, tau=0.05, alpha=1.0, l_const=1.0,
                                        c=0.0, seed=5, max_hypotheses=2)
+
+
+def test_model3_structure_builds_no_dense_alternative(monkeypatch):
+    # the family is compared on the kernel's support; only the unit null is
+    # ever built densely, for the dense reference decomposition
+    kinds = []
+    original = checks.models.cov_differenced
+
+    def recording(spec, profile):
+        kinds.append(profile.kind)
+        return original(spec, profile)
+
+    monkeypatch.setattr(checks.models, "cov_differenced", recording)
+    records = checks.verify_model3_structure(n=32, tau=0.05, alpha=1.0, l_const=1.0,
+                                             c=None, seed=5, max_hypotheses=2)
+    assert kinds and set(kinds) == {"constant"}
+    family = {r["lemma"]: r for r in records}
+    assert family["alternative_minus_null_psd"]["parameters"]["hypotheses"] == 2
+    assert family["alternative_minus_null_psd"]["pass"]
+    assert family["alternative_minus_null_dominated"]["pass"]

@@ -29,3 +29,8 @@ def test_compare_folds_list_positions_and_lists_other_differences(tmp_path):
     assert largest["[].kl"] == (0.5, "b")
     assert other == ["a.exit: '0\\n' -> '2\\n'", "a.stdout result.pass: true -> false",
                      "gone.exit: only in old"]
+
+
+def test_every_demo_is_a_case():
+    demos = {path.name for path in (TOOL.parent.parent / "demos").glob("*.py")}
+    assert demos and set(golden.DEMO_SCRIPTS) == demos

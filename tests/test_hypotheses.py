@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from mnlab import hypotheses as hyp
 from mnlab.errors import (
-    ConstructionFailure,
     IndexOutOfRange,
     TooFewBumps,
     UnsupportedAlpha,
@@ -141,10 +140,6 @@ class TestCodeConstruction:
 
     def test_deterministic(self):
         assert np.array_equal(hyp.vg_code(16, seed=9), hyp.vg_code(16, seed=9))
-
-    def test_unreachable_target_fails(self):
-        with pytest.raises(ConstructionFailure):
-            hyp.vg_code(8, seed=0, target=300)  # only 256 words exist
 
 
 class TestFamily:

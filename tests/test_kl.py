@@ -215,11 +215,12 @@ def dense_oracle(sigma0, delta, c=1.0):
     }
 
 
-_DIFF = {"m1": "first", "m2": "first", "m3": "second"}
+def unit_bands(spec):
+    return models.differenced_bands(spec, ConstantProfile(1.0))
 
 
 def null_law(spec):
-    return kl.GaussianLaw(models.differenced_bands(spec, ConstantProfile(1.0)))
+    return kl.GaussianLaw(unit_bands(spec))
 
 
 def family_alternative(model, n, index, amplitude=None, seed=0):
@@ -243,7 +244,7 @@ class TestKernelAgainstDenseOracle:
     @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_bounds_and_loewner_constant(self, model, n):
-        spec = models.ModelSpec(model, n, 0.1, differencing=_DIFF[model])
+        spec = models.differenced_spec(model, n, 0.1)
         null = null_law(spec)
         c = 1.0 / 14.0 if model == "m2" else 1.0
         # two backward-stable solves may differ by eps * cond(null): 1e-14 for
@@ -252,7 +253,7 @@ class TestKernelAgainstDenseOracle:
         tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(null.cov))
         for index in (1, 2):
             support, block = models.bump_difference(
-                spec, family_alternative(model, n, index))
+                spec, family_alternative(model, n, index), unit_bands(spec))
             got = kl.compare(null, support, block)
             want = dense_oracle(null.cov, scatter(n, support, block), c)
             bound = got.bound(c)
@@ -264,11 +265,11 @@ class TestKernelAgainstDenseOracle:
     @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_kl_at_amplitude_one(self, model, n):
-        spec = models.ModelSpec(model, n, 0.1, differencing=_DIFF[model])
+        spec = models.differenced_spec(model, n, 0.1)
         null = null_law(spec)
         tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(null.cov))
         support, block = models.bump_difference(
-            spec, family_alternative(model, n, 1, amplitude=1.0))
+            spec, family_alternative(model, n, 1, amplitude=1.0), unit_bands(spec))
         got = kl.compare(null, support, block).kl
         want = dense_oracle(null.cov, scatter(n, support, block))["kl"]
         assert rel(got, want) <= tol
@@ -316,16 +317,16 @@ class TestKernelAgainstMpmath:
     @pytest.mark.parametrize("model, n", [("m1", 32), ("m1", 64), ("m2", 64),
                                           ("m2", 128), ("m3", 32), ("m3", 64)])
     def test_small_divergences_keep_relative_precision(self, model, n):
-        spec = models.ModelSpec(model, n, 0.1, differencing=_DIFF[model])
+        spec = models.differenced_spec(model, n, 0.1)
         null = null_law(spec)
         inverse0 = mp_null_inverse(spec)
         base = kl.compare(null, *models.bump_difference(
-            spec, family_alternative(model, n, 1, amplitude=1e-2))).kl
+            spec, family_alternative(model, n, 1, amplitude=1e-2), unit_bands(spec))).kl
         for target in (1e-2, 1e-6, 1e-10, 1e-14):
             # KL grows like the amplitude squared
             amplitude = 1e-2 * math.sqrt(target / base)
             support, block = models.bump_difference(
-                spec, family_alternative(model, n, 1, amplitude=amplitude))
+                spec, family_alternative(model, n, 1, amplitude=amplitude), unit_bands(spec))
             got = kl.compare(null, support, block).kl
             want = mp_kl(inverse0, scatter(n, support, block))
             assert want == pytest.approx(target, rel=0.5)
@@ -339,9 +340,9 @@ class TestKernelAgainstMpmath:
         spec = models.ModelSpec("m2", n, 0.1, differencing="first")
         null = null_law(spec)
         base = kl.compare(null, *models.bump_difference(
-            spec, family_alternative("m2", n, 1, amplitude=1e-2))).kl
+            spec, family_alternative("m2", n, 1, amplitude=1e-2), unit_bands(spec))).kl
         profile = family_alternative("m2", n, 1, amplitude=1e-2 * math.sqrt(1e-14 / base))
-        got = kl.compare(null, *models.bump_difference(spec, profile)).kl
+        got = kl.compare(null, *models.bump_difference(spec, profile, unit_bands(spec))).kl
         sigma_sq = profile.eval(np.arange(1, n + 1) / n)
         inverse0 = mp_null_inverse(spec)
         with mpmath.workdps(60):
@@ -528,7 +529,7 @@ class TestBandedLaw:
 
     @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
     def test_matches_the_dense_law(self, model):
-        spec = models.ModelSpec(model, 64, 0.1, differencing=_DIFF[model])
+        spec = models.differenced_spec(model, 64, 0.1)
         banded = null_law(spec)
         dense = kl.GaussianLaw(models.cov_differenced(spec, ConstantProfile(1.0)))
         assert banded.banded and not dense.banded

@@ -8,7 +8,8 @@ from scipy.integrate import quad
 from mnlab import linalg as la
 from mnlab import models
 from mnlab import structures as st
-from mnlab.errors import InvalidDifferencing, InvalidProfile, QuadratureFailure
+from mnlab.errors import (DimensionMismatch, InvalidDifferencing, InvalidProfile,
+                          QuadratureFailure)
 from mnlab.hypotheses import BumpSumProfile, build_family
 from mnlab.profiles import (CallableProfile, ConstantProfile, PiecewiseConstantProfile,
                             checked_cells)
@@ -122,16 +123,12 @@ class TestCovRaw:
             assert np.max(np.abs(a - b)) <= 1e-12 * scale
 
     def test_invalid_profile_probed(self):
-        bad = CallableProfile(lambda t: np.cos(12.0 * np.asarray(t)),
-                              lower=0.1, upper=1.0)
+        bad = CallableProfile(lambda t: np.cos(12.0 * np.asarray(t)))
         with pytest.raises(InvalidProfile):
             models.cov_raw(models.ModelSpec("m1", 16, 0.1), bad)
 
     def test_quadrature_failure_surfaces(self):
-        wild = CallableProfile(
-            lambda t: 1.01 + np.sin(3.7e6 * np.asarray(t)),
-            lower=0.01, upper=2.01,
-        )
+        wild = CallableProfile(lambda t: 1.01 + np.sin(3.7e6 * np.asarray(t)))
         with pytest.raises(QuadratureFailure):
             models.cov_raw(models.ModelSpec("m1", 4, 0.1), wild)
 
@@ -275,8 +272,7 @@ class TestBuilderSymmetry:
         ONE,
         PiecewiseConstantProfile([0.3, 0.55, 0.8], [0.7, 1.9, 1.2, 0.9]),
         build_family(64, 1.0, 1.0, 7.5, "m1m2", seed=1).profile(1),
-        CallableProfile(lambda t: 1.0 + 0.5 * np.sin(3.0 * np.asarray(t)),
-                        lower=0.5, upper=1.5),
+        CallableProfile(lambda t: 1.0 + 0.5 * np.sin(3.0 * np.asarray(t))),
     )
 
     @pytest.mark.parametrize("n", [5, 64, 257])
@@ -329,8 +325,15 @@ class TestModel3Ordering:
             assert la.loewner_leq(cov_k - self.null, gamma)
 
 
+def unit_bands(spec):
+    return models.differenced_bands(spec, ONE)
+
+
 class TestBumpDifference:
-    DIFF = {"m1": "first", "m2": "first", "m3": "second"}
+    def test_differenced_spec_pairs_each_model_with_its_differencing(self):
+        for model, differencing in (("m1", "first"), ("m2", "first"), ("m3", "second")):
+            assert models.differenced_spec(model, 8, 0.1) \
+                == models.ModelSpec(model, 8, 0.1, differencing=differencing)
 
     def family(self, model, n):
         if model == "m3":
@@ -340,12 +343,12 @@ class TestBumpDifference:
     @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
     @pytest.mark.parametrize("n", [64, 257])
     def test_matches_the_dense_difference(self, model, n):
-        spec = models.ModelSpec(model, n, 0.1, differencing=self.DIFF[model])
+        spec = models.differenced_spec(model, n, 0.1)
         null = models.cov_differenced(spec, ONE)
         family = self.family(model, n)
         for k in range(1, min(4, family.count_alternatives + 1)):
             profile = family.profile(k)
-            support, block = models.bump_difference(spec, profile)
+            support, block = models.bump_difference(spec, profile, unit_bands(spec))
             alt = models.cov_differenced(spec, profile)
             diff = alt - null
             assert np.array_equal(block, block.T)
@@ -368,14 +371,16 @@ class TestBumpDifference:
 
     @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
     def test_null_codeword_has_empty_support(self, model):
-        spec = models.ModelSpec(model, 64, 0.1, differencing=self.DIFF[model])
-        support, block = models.bump_difference(spec, self.family(model, 64).profile(0))
+        spec = models.differenced_spec(model, 64, 0.1)
+        support, block = models.bump_difference(
+            spec, self.family(model, 64).profile(0), unit_bands(spec))
         assert support.size == 0 and block.shape == (0, 0)
 
     def test_needs_a_bump_profile_and_a_banded_model(self):
         spec = models.ModelSpec("m1", 16, 0.1, differencing="first")
+        null = unit_bands(spec)
         with pytest.raises(InvalidProfile):
-            models.bump_difference(spec, ConstantProfile(2.0))
+            models.bump_difference(spec, ConstantProfile(2.0), null)
         m2 = models.ModelSpec("m2", 16, 0.1, differencing="first")
         with pytest.raises(InvalidProfile):
             models.differenced_bands(m2, self.family("m2", 64).profile(1))
@@ -384,7 +389,37 @@ class TestBumpDifference:
             with pytest.raises(InvalidDifferencing):
                 models.differenced_bands(spec, ONE)
             with pytest.raises(InvalidDifferencing):
-                models.bump_difference(spec, self.family("m1", 64).profile(1))
+                models.bump_difference(spec, self.family("m1", 64).profile(1), null)
+
+    def test_rejects_a_null_of_another_size(self):
+        spec = models.differenced_spec("m3", 64, 0.1)
+        with pytest.raises(DimensionMismatch):
+            models.bump_difference(spec, self.family("m3", 64).profile(1),
+                                   unit_bands(models.differenced_spec("m3", 32, 0.1)))
+
+    @pytest.mark.parametrize("n", [64, 257])
+    def test_m3_block_subtracts_the_given_null(self, n, monkeypatch):
+        spec = models.differenced_spec("m3", n, 0.1)
+        null = unit_bands(spec)
+        profile = self.family("m3", n).profile(1)
+        want = models.differenced_bands(spec, profile).bands - null.bands
+        queries = []
+        for method in ("eval", "poly_integral"):
+            original = getattr(ConstantProfile, method)
+            monkeypatch.setattr(ConstantProfile, method,
+                                lambda self, *args, original=original:
+                                queries.append(self) or original(self, *args))
+        support, block = models.bump_difference(spec, profile, null)
+        # no unit-volatility bands are built for the alternative
+        assert queries == []
+        diag, off = want[0], want[1]
+        assert np.array_equal(np.diag(block), diag[support])
+        neighbours = np.flatnonzero(np.diff(support) == 1)
+        assert neighbours.size
+        assert np.array_equal(block[neighbours, neighbours + 1],
+                              off[support[neighbours]])
+        assert np.array_equal(scatter(n, support, block),
+                              la.Banded(want).dense())
 
     @pytest.mark.parametrize("n", [2, 3, 64, 1000])
     @pytest.mark.parametrize("tau", [0.0, 0.02, 0.1])
@@ -399,7 +434,7 @@ class TestBumpDifference:
 
     @pytest.mark.parametrize("model", ["m1", "m3"])
     def test_bands_hold_the_dense_covariance(self, model):
-        spec = models.ModelSpec(model, 33, 0.1, differencing=self.DIFF[model])
+        spec = models.differenced_spec(model, 33, 0.1)
         profile = self.family(model, 64).profile(1)
         bands = models.differenced_bands(spec, profile)
         assert bands.bands.shape == (2 if model == "m1" else 3, 33)
@@ -421,7 +456,7 @@ class TestModel2Difference:
         codeword = (np.arange(family.m) % every == 0).astype(float)
         profile = BumpSumProfile(family.kernel, family.centers, family.h,
                                  family.amplitude, codeword)
-        runs = as_runs(models.bump_difference(spec, profile)[0])
+        runs = as_runs(models.bump_difference(spec, profile, unit_bands(spec))[0])
         assert np.any(runs[1:, 1] - runs[1:, 0] > 1)
         s = np.sqrt(profile.eval(np.arange(1, n + 1) / n))
         t = models.diff_matrix(spec) @ np.diag(s) @ np.tril(np.ones((n, n)))

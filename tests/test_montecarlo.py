@@ -61,22 +61,6 @@ class TestMle:
             mc.mle_const_sigma_m1(data, n, 0.1)
         assert len(err.value.profile) == 41
 
-    @pytest.mark.parametrize("bracket, tol", [
-        ((0.0, 1e4), 1e-10),
-        ((-1.0, 1e4), 1e-10),
-        ((1.0, 1.0), 1e-10),
-        ((2.0, 1.0), 1e-10),
-        ((1e-8, np.inf), 1e-10),
-        ((np.nan, 1e4), 1e-10),
-        ((1e-8, 1e4), 0.0),
-        ((1e-8, 1e4), -1e-10),
-        ((1e-8, 1e4), np.nan),
-    ])
-    def test_rejects_unusable_bracket_or_tolerance(self, bracket, tol):
-        data = mc.sample_m1_constant_diff(1.0, 0.1, 64, rep=0, seed=1)
-        with pytest.raises(ValueError):
-            mc.mle_const_sigma_m1(data, 64, 0.1, bracket=bracket, tol=tol)
-
     @pytest.mark.parametrize("tau", [np.nan, np.inf])
     def test_rejects_non_finite_tau(self, tau):
         data = mc.sample_m1_constant_diff(1.0, 0.1, 64, rep=0, seed=1)
@@ -309,6 +293,17 @@ class TestRateExperiment:
         for i in range(2):
             ratio = a.mse_se[i] / b.mse_se[i]
             assert 1.1 <= ratio <= 1.9
+
+    def test_spectral_constants_once_per_n(self, monkeypatch):
+        calls = []
+        original = mc.eigvals_closed
+        monkeypatch.setattr(mc, "eigvals_closed", lambda n: calls.append(n) or original(n))
+        mc._spectral_constants.cache_clear()
+        # 2, 4 and 7 chunks of replicates, one estimator call each
+        mc.rate_experiment("m1", "mle", [256, 512, 1024], 100, seed=3)
+        assert calls == [256, 512, 1024]
+        noise, u, _ = mc._spectral_constants(1024, 1024, 0.1)
+        assert not noise.flags.writeable and not u.flags.writeable
 
     def test_workers_reproducibility(self):
         a = mc.rate_experiment("m1", "mle", [512, 1024], 100, seed=13, workers=1)

@@ -66,8 +66,7 @@ _PROFILES = (
     ConstantProfile(1.3),
     PiecewiseConstantProfile([0.3, 0.55, 0.8], [0.7, 1.9, 1.2, 0.9]),
     build_family(64, 1.0, 1.0, 7.5, "m1m2", seed=1).profile(1),
-    CallableProfile(lambda t: 1.0 + 0.5 * np.sin(3.0 * np.asarray(t)),
-                    lower=0.5, upper=1.5),
+    CallableProfile(lambda t: 1.0 + 0.5 * np.sin(3.0 * np.asarray(t))),
 )
 
 

@@ -202,7 +202,7 @@ class TestPsdMajorization:
                 return s * s
 
             lip = amp * np.pi * freq * 1.01 + 1e-9
-            profile = CallableProfile(sigma_sq, lower=1.0, upper=(1.0 + amp) ** 2)
+            profile = CallableProfile(sigma_sq)
             assert checks.verify_psd_majorization(profile, lip, 64).passed
 
     def test_out_of_class_profile_rejected(self):

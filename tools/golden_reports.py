@@ -18,8 +18,9 @@ other difference - exit codes, stderr, flags, strings, missing fields or
 files - one per line.  CSV reports are compared cell by cell under their
 column headers.  The list covers
 all ten subcommands, written reports, usage errors and config-file
-cases; ``MNLAB_SEED`` is cleared so the default seed is fixed.  A full
-capture takes a few minutes on two cores.
+cases, and every script in ``demos/`` (its stdout, stderr and exit code,
+as case ``demo-<script stem>``); ``MNLAB_SEED`` is cleared so the
+default seed is fixed.  A full capture takes a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+DEMOS = ROOT / "demos"
 
 _CERT = ["--alpha", "1", "--L", "1", "--tau", "0.1", "--kappa", "0.09"]
 _NS = ["--ns", "256,512,1024,2048,4096"]
@@ -167,6 +170,16 @@ CASES = {
     "rate-table-tau-inf": (["rate-table", "--tau", "inf"], None),
 }
 
+# the demo scripts, each run as ``python demos/<script>``
+DEMO_SCRIPTS = (
+    "01_closed_form_spectra.py",
+    "02_kl_divergence_bounds.py",
+    "03_model_covariances.py",
+    "04_hypothesis_families.py",
+    "05_lower_bound_certificates.py",
+    "06_volatility_rate_experiment.py",
+)
+
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -264,16 +277,18 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     env = {k: v for k, v in os.environ.items() if k != "MNLAB_SEED"}
     env["PYTHONPATH"] = str(SRC)
+    runs = [(name, ["-m", "mnlab.cli", *args], config)
+            for name, (args, config) in CASES.items()]
+    runs += [(f"demo-{Path(script).stem}", [str(DEMOS / script)], None)
+             for script in DEMO_SCRIPTS]
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (args, config) in CASES.items():
+        for name, args, config in runs:
             if config is not None:
                 path = Path(tmp) / f"{name}.cfg"
                 path.write_text(config, encoding="utf-8")
                 args = [*args, "--config", str(path)]
-            proc = subprocess.run(
-                [sys.executable, "-m", "mnlab.cli", *args],
-                capture_output=True, env=env, cwd=tmp,
-            )
+            proc = subprocess.run([sys.executable, *args],
+                                  capture_output=True, env=env, cwd=tmp)
             (out / f"{name}.stdout").write_bytes(proc.stdout)
             (out / f"{name}.stderr").write_bytes(proc.stderr)
             (out / f"{name}.exit").write_text(f"{proc.returncode}\n")
