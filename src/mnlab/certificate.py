@@ -430,9 +430,11 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     grow like ``n^(1/2)`` for models m1/m2 and ``n^(1/4)`` for m3 (times
     the fixed ``h^(2 alpha)`` factor); the log-log slope is returned with
     its standard error.  Each point is one kernel comparison against the
-    banded null, which reaches n = 16384 for m1 and m3; the m2 block
-    holds one row per moved row and grows to about n / 4 (k = 2019 at
-    n = 8192), so m2 stops at n = 8192.
+    banded null.  m1 takes the tridiagonal route, O(n + k^2) with k about
+    n / 8, and reaches n = 65536 (about 2 s); m3 pays an n x k solve and
+    a k x k eigenproblem and stops at n = 16384; the m2 block holds one
+    row per moved row and grows to about n / 4 (k = 2019 at n = 8192), so
+    m2 stops at n = 8192.
     """
     if model not in ("m1", "m2", "m3"):
         raise ValueError("probe covers models m1, m2, m3")
@@ -441,7 +443,7 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     if bump_width <= 0.0 or l_const <= 0.0:
         raise ValueError("need bump width > 0, L > 0")
     n_list = [int(n) for n in n_list]
-    limit = 8192 if model == "m2" else 16384
+    limit = {"m1": 65536, "m2": 8192, "m3": 16384}[model]
     if any(n > limit for n in n_list):
         raise ValueError(f"n > {limit} exceeds the exact-KL desk bound")
     alt = single_bump_profile(alpha, l_const, bump_width)

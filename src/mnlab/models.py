@@ -34,12 +34,12 @@ volatility: :func:`differenced_bands` builds them in band storage, and
 :func:`cov_differenced` returns the same entries densely.  A bump
 alternative differs from its unit-volatility null only on the cells its
 bumps touch; :func:`bump_difference` returns that difference as a
-support ``S`` of index runs and a dense block ``B`` (``alt - null = W B
-W^T``, see :func:`~mnlab.kl.compare`), never by subtracting two n x n
-matrices: for m1 from the bump part ``sigma^2 - 1``, for m2 in closed
-form from ``sigma(t_i)`` on the moved rows, with one run for each
-stretch of unmoved rows between them, and for m3 from the null's bands,
-which the caller builds once per spec.
+support ``S`` of index runs and a block ``B`` (``alt - null = W B W^T``,
+see :func:`~mnlab.kl.compare`), never by subtracting two n x n
+matrices: for m1 the diagonal of ``B`` as a vector, from the bump part
+``sigma^2 - 1``, for m2 in closed form from ``sigma(t_i)`` on the moved
+rows, with one run for each stretch of unmoved rows between them, and
+for m3 from the null's bands, which the caller builds once per spec.
 
 Every builder returns a bit-exactly symmetric float64 array.  Most are
 sums of terms whose ``(i, j)`` and ``(j, i)`` entries come from the same
@@ -396,10 +396,13 @@ def bump_difference(spec: ModelSpec, profile,
     noise parts cancel.  Returns ``(S, B)`` with
     ``alt - null = W B W^T``: for m1 and m3, ``S`` holds the sorted
     indices of the rows where the two covariances differ and ``B`` is the
-    dense symmetric block of the difference on them.
+    block of the difference on them.
 
-    * m1: ``B`` is diagonal, the per-cell integrals of the bump part
-      ``sigma^2 - 1``;
+    * m1: ``B`` is diagonal and returned as the vector ``b`` of its
+      diagonal, the per-cell integrals of the bump part ``sigma^2 - 1``;
+      :func:`~mnlab.kl.compare` reads it as ``diag(b)`` and, as bumps
+      that raise ``sigma^2`` make every ``b > 0``, takes its tridiagonal
+      route, so no ``k x k`` array is built;
     * m3: ``B`` is tridiagonal, the alternative's bands minus ``null``,
       noise part included.  Their entries lie within a factor 2 of each
       other, so the subtraction is exact and ``B`` is the difference of
@@ -422,7 +425,7 @@ def bump_difference(spec: ModelSpec, profile,
     if spec.model == "m1":
         diag = _m1_signal(profile, n, bump_only=True)
         support = np.flatnonzero(diag)
-        return support, np.diag(diag[support])
+        return support, diag[support]
     diff = differenced_bands(spec, profile).bands - null.bands
     diag, off = diff[0], diff[1, :-1]
     touched = diag != 0.0

@@ -20,7 +20,9 @@ def as_runs(support):
 
 def scatter(n, support, block):
     """``W B W^T`` as a dense n x n array, ``W`` holding one column
-    ``1_run / sqrt(len)`` per run; for indices, ``B`` placed exactly."""
+    ``1_run / sqrt(len)`` per run; for indices, ``B`` placed exactly.  A
+    vector ``B`` is the diagonal block ``np.diag(B)``."""
+    block = np.diag(block) if np.ndim(block) == 1 else block
     runs = as_runs(support)
     w = np.zeros((n, len(runs)))
     for r, (start, stop) in enumerate(runs):

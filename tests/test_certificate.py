@@ -148,7 +148,9 @@ class TestKLScaling:
 
     def test_desk_bounds(self):
         # every model compares on the bump support against a banded null
-        assert cert.kl_scaling_probe("m1", 1.0, 1.0, 0.1, [8192]).kl_values[0] > 0.0
+        assert cert.kl_scaling_probe("m1", 1.0, 1.0, 0.1, [32768]).kl_values[0] > 0.0
+        with pytest.raises(ValueError, match="n > 65536"):
+            cert.kl_scaling_probe("m1", 1.0, 1.0, 0.1, [131072])
         with pytest.raises(ValueError, match="n > 16384"):
             cert.kl_scaling_probe("m3", 1.0, 1.0, 0.01, [32768])
         assert cert.kl_scaling_probe("m2", 1.0, 1.0, 0.02, [8192]).kl_values[0] > 0.0
@@ -156,8 +158,7 @@ class TestKLScaling:
             cert.kl_scaling_probe("m2", 1.0, 1.0, 0.02, [16384])
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_evaluate_factors_each_law_once(monkeypatch, workers):
+def count_factors(monkeypatch):
     from mnlab import kl, linalg
 
     calls = []
@@ -169,11 +170,27 @@ def test_evaluate_factors_each_law_once(monkeypatch, workers):
 
     monkeypatch.setattr(kl, "cholesky_lower", counting)
     monkeypatch.setattr(linalg, "cholesky_lower", counting)
-    result = cert.evaluate("m1", 128, 1.0, 1.0, 0.1, 9.0, 0.09, seed=0,
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluate_factors_each_law_once(monkeypatch, workers):
+    calls = count_factors(monkeypatch)
+    result = cert.evaluate("m3", 128, 1.0, 1.0, 0.05, 10.0, 0.09, seed=2,
                            workers=workers)
     # the null law once, then each alternative's law once
     assert result.hypotheses_evaluated >= 2
     assert len(calls) == 1 + result.hypotheses_evaluated
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_m1_alternatives_factor_nothing(monkeypatch, workers):
+    calls = count_factors(monkeypatch)
+    result = cert.evaluate("m1", 128, 1.0, 1.0, 0.1, 9.0, 0.09, seed=0,
+                           workers=workers)
+    # the null law once; every alternative takes the tridiagonal route
+    assert result.hypotheses_evaluated >= 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("call, match", [

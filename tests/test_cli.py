@@ -33,6 +33,22 @@ def test_verify_spectral_passes(tmp_path):
     assert report["config"]["n"] == 64
 
 
+def test_m1_certificate_with_two_workers_equals_one_bit_for_bit(tmp_path):
+    reports, procs = [], []
+    for workers in ("1", "2"):
+        out = tmp_path / f"cert-{workers}.json"
+        procs.append(run_cli("certificate", "--model", "m1", "--n", "1024",
+                             "--alpha", "1", "--L", "1", "--tau", "0.1", "--c", "9",
+                             "--seed", "1", "--workers", workers, "--out", str(out)))
+        report = json.loads(out.read_text())
+        # the worker count itself is recorded twice; nothing else may differ
+        report["config"]["workers"] = report["certificate"]["details"]["workers"] = None
+        reports.append(json.dumps(report))
+    assert [p.returncode for p in procs] == [procs[0].returncode] * 2
+    assert procs[0].stderr == procs[1].stderr
+    assert reports[0] == reports[1]
+
+
 def test_tolerance_override_can_fail_checks(tmp_path):
     out = tmp_path / "strict.json"
     proc = run_cli("verify-spectral", "--n", "16", "--tol", "1e-30",

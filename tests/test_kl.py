@@ -560,3 +560,181 @@ class TestBandedLaw:
         with pytest.raises(NotPositiveDefinite) as banded:
             kl.GaussianLaw(self.banded(a, 1))
         assert banded.value.pivot == dense.value.pivot == n - 1
+
+
+# ---------------------------------------------------------------------------
+# the tridiagonal route: a diagonal block on one-index runs, tridiagonal null
+
+
+def m1_null(n, tau=0.1):
+    return null_law(models.differenced_spec("m1", n, tau))
+
+
+def random_run_support(rng, n):
+    """The indices of a random set of disjoint runs of consecutive rows."""
+    cuts = np.flatnonzero(rng.random(n - 1) < 4.0 / math.sqrt(n)) + 1
+    edges = np.concatenate(([0], cuts, [n]))
+    keep = rng.random(edges.size - 1) < 0.5
+    keep[rng.integers(keep.size)] = True
+    return np.concatenate([np.arange(a, b) for a, b, on
+                           in zip(edges[:-1], edges[1:], keep) if on])
+
+
+def log_uniform(rng, k, lo=1e-60):
+    return np.exp(rng.uniform(math.log(lo), 0.0, k))
+
+
+def general(null, support, b):
+    """The general path on the same alternative."""
+    return kl.compare(null, support, np.diag(b))
+
+
+def tridiagonal(a):
+    return a[0], a[1, :-1]
+
+
+class TestTridiagonalRoute:
+    @given(seed=hs.integers(0, 2**32 - 1), n=hs.integers(2, 2048),
+           tau=hs.floats(0.01, 0.3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_general_path(self, seed, n, tau):
+        rng = np.random.default_rng(seed)
+        null = m1_null(n, tau)
+        support = random_run_support(rng, n)
+        b = log_uniform(rng, support.size)
+        got = kl.compare(null, support, b)
+        want = general(null, support, b)
+        assert got.block.ndim == 1 and want.block.ndim == 2
+        assert got.dropped_bound == 0.0
+        assert rel(got.kl, want.kl) <= 1e-12
+        assert rel(got.middle_sq, want.middle_sq) <= 1e-12
+        assert rel(got.right_sq, want.right_sq) <= 1e-12
+        assert rel(got.loewner_constant, want.loewner_constant) <= 1e-12
+        # every mu of the route is positive and ascending; the general path
+        # has them to eps of the largest
+        assert np.all(got.mu > 0.0) and np.all(np.diff(got.mu) >= 0.0)
+        assert np.max(np.abs(got.mu - want.mu)) <= 1e-13 * got.mu[-1]
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_graded_block_against_mpmath(self, n):
+        spec = models.differenced_spec("m1", n, 0.1)
+        null = null_law(spec)
+        support = np.concatenate((np.arange(3, n // 2), np.arange(n // 2 + 4, n - 2)))
+        # b falls over 57 orders of magnitude, as at the edges of a bump
+        b = 1e-3 * np.logspace(0, -57, support.size)
+        got = kl.compare(null, support, b)
+        inverse0 = mp_null_inverse(spec)
+        delta = scatter(n, support, b)
+        with mpmath.workdps(60):
+            p = mpmath.matrix([[inverse0[i, j] for j in support] for i in support])
+            pb = p * mpmath.diag(b.tolist())
+            middle = mpmath.fsum(pb[i, j] * pb[j, i]
+                                 for i in range(len(b)) for j in range(len(b)))
+            # ||null^-1 W B||_F^2 = sum_j b_j^2 (null^-2)_jj
+            right = mpmath.fsum(mpmath.mpf(b[c]) ** 2
+                                * mpmath.fsum(inverse0[i, j] ** 2 for i in range(n))
+                                for c, j in enumerate(support))
+            log_det = mpmath.log(mpmath.det(p)) + mpmath.fsum(mpmath.log(x) for x in b)
+        assert rel(got.kl, mp_kl(inverse0, delta)) <= 1e-12
+        assert rel(got.middle_sq, float(middle)) <= 1e-12
+        assert rel(got.right_sq, float(right)) <= 1e-12
+        # the smallest mu (about 1e-60) keep their relative accuracy: their
+        # logs sum to log det(B P)
+        assert got.mu[0] < 1e-55
+        assert abs(math.fsum(np.log(got.mu)) - float(log_det)) <= 1e-12 * abs(float(log_det))
+
+    def test_inverse_diagonals_of_one_row(self):
+        gamma, gamma_s = kl._inverse_diagonals(np.array([0.5]), np.zeros(0))
+        assert gamma.tolist() == [0.5] and gamma_s.tolist() == [1.0]
+
+    @pytest.mark.parametrize("n, tau", [(2, 0.1), (3, 1.0), (17, 0.01), (64, 0.1),
+                                        (256, 0.3), (256, 0.01)])
+    def test_inverse_diagonals_against_dense_inverse(self, n, tau):
+        null = m1_null(n, tau)
+        inverse = np.linalg.inv(null.cov)
+        gamma, gamma_s = kl._inverse_diagonals(*tridiagonal(null._cov.bands))
+        assert np.allclose(1.0 / gamma, np.diag(inverse), rtol=1e-12, atol=0)
+        assert np.allclose(gamma_s / gamma ** 2, np.diag(inverse @ inverse),
+                           rtol=1e-12, atol=0)
+
+    def test_inverse_squared_diagonal_against_the_blocked_solve(self):
+        n = 4096
+        null = m1_null(n)
+        gamma, gamma_s = kl._inverse_diagonals(*tridiagonal(null._cov.bands))
+        rows = np.concatenate((np.arange(5), np.arange(0, n, 97), np.arange(n - 5, n)))
+        rows = np.unique(rows)
+        for j in rows:
+            want = kl._solve_norm_sq(null, kl._runs([j], n), np.ones((1, 1)))
+            assert rel(gamma_s[j] / gamma[j] ** 2, want) <= 1e-12
+        b = log_uniform(np.random.default_rng(4), rows.size, lo=1e-3)
+        want = kl._solve_norm_sq(null, kl._runs(rows, n), np.diag(b))
+        assert rel(kl.compare(null, rows, b).right_sq, want) <= 1e-12
+
+    @pytest.mark.parametrize("n, dropped", [(32, [10]), (32, [0, 31]), (48, [20, 21])])
+    def test_a_subnormal_row_is_dropped_within_its_bound(self, n, dropped):
+        spec = models.differenced_spec("m1", n, 0.1)
+        null = null_law(spec)
+        support = np.arange(n)
+        b = 1e-2 * np.logspace(0, -3, n)
+        b[dropped] = 5e-320
+        got = kl.compare(null, support, b)
+        kept = np.setdiff1d(support, dropped)
+        # the route on the kept rows, bit for bit
+        assert np.array_equal(got.mu, kl.compare(null, kept, b[kept]).mu)
+        assert 0.0 < got.dropped_bound < 1e-300
+        # the KL lost: adding b_j e_j e_j^T to a covariance S raises the KL
+        # by (b_j (null^-1)_jj - log1p(b_j (S^-1)_jj)) / 2, one row at a time
+        inverse0 = mp_null_inverse(spec)
+        with mpmath.workdps(60):
+            cov = mpmath.matrix(null.cov.tolist())
+            for j in kept:
+                cov[j, j] += mpmath.mpf(b[j])
+            lost = mpmath.mpf(0)
+            for j in dropped:
+                bj = mpmath.mpf(b[j])
+                lost += (bj * inverse0[j, j] - mpmath.log1p(bj * mpmath.inverse(cov)[j, j])) / 2
+                cov[j, j] += bj
+            assert got.dropped_bound >= lost > 0
+        assert rel(got.kl, mp_kl(inverse0, scatter(n, kept, b[kept]))) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["zero", "negative", "pentadiagonal", "dense",
+                                      "long-run"])
+    def test_other_blocks_take_the_general_path(self, case, monkeypatch):
+        n = 64
+        null = m1_null(n)
+        support = np.arange(10, 30)
+        b = log_uniform(np.random.default_rng(5), support.size, lo=1e-6) * 1e-2
+        if case == "zero":
+            b[3] = 0.0
+        elif case == "negative":
+            b[3] = -1e-4
+        elif case == "pentadiagonal":
+            null = null_law(models.differenced_spec("m3", n, 0.1))
+            b = b * 1e-6
+        elif case == "dense":
+            null = kl.GaussianLaw(null.cov)
+        else:
+            support = np.array([[10, 12], [15, 20]])
+            b = b[:2]
+        monkeypatch.setattr(kl, "_diagonal_route", None)
+        got = kl.compare(null, support, b)
+        want = general(null, support, b)
+        assert got.block.ndim == 2 and np.array_equal(got.block, np.diag(b))
+        assert np.array_equal(got.mu, want.mu)
+        assert got.middle_sq == want.middle_sq and got.right_sq == want.right_sq
+
+    @pytest.mark.parametrize("null", [m1_null(16), kl.GaussianLaw(np.eye(16))])
+    def test_an_empty_vector_block_compares_equal_laws(self, null):
+        got = kl.compare(null, np.zeros(0, dtype=int), np.zeros(0))
+        assert got.kl == got.right_sq == got.middle_sq == got.dropped_bound == 0.0
+        assert got.dominates(1.0) and got.loewner_constant == 1.0
+
+    @pytest.mark.parametrize("shift", [0.0, -1e-12, -1e-9, -1e-4])
+    def test_domination_equals_the_dense_test(self, shift):
+        null = m1_null(64)
+        support = np.arange(5, 40)
+        b = log_uniform(np.random.default_rng(6), support.size, lo=1e-40) * 1e-2
+        b[7] = shift * np.linalg.norm(b) if shift else b[7]
+        got = kl.compare(null, support, b)
+        assert (got.block.ndim == 1) == (shift == 0.0)
+        assert got.dominates(1.0) == la.is_psd(np.diag(b))

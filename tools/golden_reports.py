@@ -99,6 +99,9 @@ CASES = {
     "kl-scaling-m1-n16384": (
         ["kl-scaling", "--model", "m1", "--tau", "0.1",
          "--ns", "256,1024,4096,16384"], None),
+    "kl-scaling-m1-n65536": (
+        ["kl-scaling", "--model", "m1", "--tau", "0.1",
+         "--ns", "4096,16384,65536"], None),
     "kl-scaling-m2-n8192": (
         ["kl-scaling", "--model", "m2", "--tau", "0.02", "--width", "0.25",
          "--ns", "256,1024,4096,8192"], None),

@@ -10,13 +10,17 @@ script on one sample size at a time, each in a fresh process, with the
 for m1, 0.02 and width 0.25 for m2, 0.01 for m3, width 0.125 otherwise).
 Prints one JSON object: per model and n, the median seconds of
 ``--repeats`` probes in that process, the KL value and the process's
-peak resident memory.  A point that fails records its error instead.
+peak resident memory, and from the second n on the local slope
+``local_slope = (ln KL - ln KL_prev) / (ln n - ln n_prev)`` against the
+previous n (per octave when the n double).  A point that fails records
+its error instead, and the next point has no slope.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -62,9 +66,13 @@ def main(argv=None) -> int:
     curve = {}
     for model in args.models.split(","):
         curve[model] = {}
+        prev = None
         for n in (int(x) for x in args.ns.split(",")):
-            curve[model][str(n)] = point(model, n, args.repeats)
-            sys.stderr.write(f"{model} n={n}: {curve[model][str(n)]}\n")
+            row = curve[model][str(n)] = point(model, n, args.repeats)
+            if "kl" in row and prev is not None and "kl" in prev[1]:
+                row["local_slope"] = math.log(row["kl"] / prev[1]["kl"]) / math.log(n / prev[0])
+            prev = n, row
+            sys.stderr.write(f"{model} n={n}: {row}\n")
     print(json.dumps(curve, indent=1))
     return 0
 
