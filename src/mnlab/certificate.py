@@ -430,11 +430,14 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     grow like ``n^(1/2)`` for models m1/m2 and ``n^(1/4)`` for m3 (times
     the fixed ``h^(2 alpha)`` factor); the log-log slope is returned with
     its standard error.  Each point is one kernel comparison against the
-    banded null.  m1 takes the tridiagonal route, O(n + k^2) with k about
-    n / 8, and reaches n = 65536 (about 2 s); m3 pays an n x k solve and
-    a k x k eigenproblem and stops at n = 16384; the m2 block holds one
-    row per moved row and grows to about n / 4 (k = 2019 at n = 8192), so
-    m2 stops at n = 8192.
+    banded null, with no solve of size n.  m1 takes the tridiagonal
+    route, O(n + k^2) with k about n / 8, and reaches n = 65536 (about
+    2 s).  m2 and m3 take the banded route, whose k x k eigenproblem is
+    the O(k^3) floor.  m2, whose block holds one row per moved row (k
+    about n / 4), reaches n = 16384 (about 6 s and 450 MB).  m3 (k about
+    n / 8) stops at n = 16384: its null is so ill-conditioned that the
+    KL's rounding error, on either route, grows several-fold per
+    doubling of n, to about 1e-8 relative there.
     """
     if model not in ("m1", "m2", "m3"):
         raise ValueError("probe covers models m1, m2, m3")
@@ -443,7 +446,7 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     if bump_width <= 0.0 or l_const <= 0.0:
         raise ValueError("need bump width > 0, L > 0")
     n_list = [int(n) for n in n_list]
-    limit = {"m1": 65536, "m2": 8192, "m3": 16384}[model]
+    limit = {"m1": 65536, "m2": 16384, "m3": 16384}[model]
     if any(n > limit for n in n_list):
         raise ValueError(f"n > {limit} exceeds the exact-KL desk bound")
     alt = single_bump_profile(alpha, l_const, bump_width)

@@ -49,6 +49,25 @@ factorisation in O(n).  So the route costs O(n + k^2) time and O(n)
 memory.  A row whose ``b_j`` is too small to scale is dropped, and
 :attr:`Comparison.dropped_bound` bounds the KL it carried.
 
+A dense block against a banded null of bandwidth ``w`` takes the banded
+route when the support's runs tile their hull ``H = [a, b)`` (every row
+of ``H`` in exactly one run) and every run but the first and the last
+has one index; for a tridiagonal null the runs may also leave gaps.
+Then ``P^-1`` is itself banded with bandwidth ``w``.  Eliminating the
+pieces ``[0, a)`` and ``[b, n)`` leaves the Schur complement ``C_H``,
+``null_HH`` less two ``w x w`` corner corrections, each from the
+trailing triangle of the piece's banded Cholesky factor; a multi-index
+end run ``R`` is eliminated the same way and added back as the one
+coordinate ``v = 1_R / sqrt(|R|)`` (:func:`_fold_leading` holds the
+proof).  One banded Cholesky ``P^-1 = L L^T`` and two banded triangular
+solves give ``M = L^-1 B L^-T``, similar to ``B P``, whose ``eigvalsh``
+are the ``mu``: O(n w^2 + k^2 w + k^3) with no solve of size ``n``.
+This covers the m2 and m3 bump alternatives whose bumps are adjacent,
+the kl-scaling bumps among them (the unmoved stretch before an m2 bump
+is one run).  The outer bound, which only certificates ask for, keeps
+the blocked solve.  Any other support, and every dense null, takes the
+general path, which is the routes' test oracle.
+
 :func:`kl_exact`, :func:`kl_bound`,
 :func:`kl_bound_symmetrized` and :func:`find_loewner_constant` are views
 of the kernel that take two laws or two covariance arrays; for two
@@ -395,6 +414,133 @@ def _diagonal_route(diag: np.ndarray, off: np.ndarray, rows: np.ndarray,
     return mu, 0.5 * lost * top / (1.0 + top)
 
 
+def _reversed(bands: np.ndarray) -> np.ndarray:
+    """Lower band storage of ``J A J``, ``A`` in the reverse order of rows."""
+    out = np.zeros_like(bands)
+    n = bands.shape[1]
+    for d, band in enumerate(bands):
+        out[d, :n - d] = band[:n - d][::-1]
+    return out
+
+
+def _eliminate_leading(bands: np.ndarray, r: int):
+    """Eliminate rows ``[0, r)`` of the SPD band matrix ``A`` (lower band
+    storage, bandwidth ``w``): returns the ``dpbtrf`` factor of ``A_00 =
+    A[:r, :r]``, the coupling block ``K = A[r:r + w, r - p:r]`` (``p =
+    min(w, r)``) and the band storage of the Schur complement ``A_11 -
+    A_10 A_00^-1 A_01`` onto ``[r, n)``.
+
+    ``A_10`` is ``K`` in its leading rows and last columns, and the
+    trailing ``p x p`` block of ``A_00^-1 = L^-T L^-1`` is ``L_t^-T
+    L_t^-1``, ``L_t`` the trailing triangle of the factor ``L`` (``L^-1``
+    is lower triangular, so only its trailing rows reach those columns).
+    So the complement is ``A_11`` less ``G^T G``, ``G = L_t^-1 K^T``, on
+    its leading ``w x w`` block: O(r w^2) for the factor and nothing of
+    size ``n``.
+    """
+    w, n = bands.shape[0] - 1, bands.shape[1]
+    factor, info = lapack.dpbtrf(bands[:, :r], lower=1)
+    if info:
+        raise NotPositiveDefinite(f"banded pivot {info - 1} is not positive",
+                                  pivot=int(info - 1))
+    p, m = min(w, r), min(w, n - r)
+    coupling, trailing = np.zeros((m, p)), np.zeros((p, p))
+    for i in range(m):
+        for j in range(p):
+            if i + p - j <= w:  # A[r + i, r - p + j] lies in the band
+                coupling[i, j] = bands[i + p - j, r - p + j]
+    for i in range(p):
+        for j in range(i + 1):
+            trailing[i, j] = factor[i - j, r - p + j]
+    g = scipy.linalg.solve_triangular(trailing, coupling.T, lower=True,
+                                      check_finite=False)
+    correction = g.T @ g
+    rest = bands[:, r:].copy()
+    for e in range(m):
+        rest[e, :m - e] -= np.diagonal(correction, -e)
+    return factor, coupling, rest
+
+
+def _fold_leading(bands: np.ndarray, r: int) -> np.ndarray:
+    """Band storage of ``(U^T A^-1 U)^-1`` for an SPD band matrix ``A``:
+    its leading ``r`` rows ``R`` taken as one coordinate.  ``U`` maps the
+    coordinates ``(v, M)`` to the rows ``(R, M)``, with ``v = 1_R /
+    sqrt(r)`` its first column and the identity on the other rows ``M``.
+
+    With ``y = A_RR^-1 v``, ``s = v^T y`` and ``q = A_MR y``, the result
+    is ``1 / s`` at ``(v, v)``, ``q / s`` below it and ``S_M + q q^T / s``
+    on ``M``, where ``S_M = A_MM - A_MR A_RR^-1 A_RM`` is the elimination
+    of :func:`_eliminate_leading`.  It keeps the bandwidth ``w`` of ``A``,
+    as ``q`` is nonzero only on the ``w`` rows of ``M`` next to ``R``.
+
+    Proof.  Complete ``v`` to an orthonormal basis ``[v, V]`` of ``R``.
+    ``U^T A^-1 U`` is a principal block of the inverse of ``A`` in that
+    basis, so its inverse is the Schur complement that eliminates ``V``:
+    ``U^T A U - U^T A_:R Z A_R: U`` with ``Z = V (V^T A_RR V)^-1 V^T``.
+    Now ``Z = A_RR^-1 - y y^T / s``.  The right side ``X`` is symmetric
+    with ``X v = y - y = 0``, so ``X = V (V^T X V) V^T``; and ``A_RR X = I
+    - v y^T / s`` gives ``(V^T A_RR V)(V^T X V) = V^T A_RR X V = I``, as
+    ``V^T v = 0``.  Put ``Z`` in: as ``A_RR y = v`` and ``v^T v = 1``, the
+    ``(v, v)`` entry is ``v^T A_RR v - v^T A_RR v + (v^T A_RR y)^2 / s =
+    1 / s``, the ``(M, v)`` column ``A_MR v - A_MR v + q (y^T A_RR v) / s
+    = q / s``, and the ``(M, M)`` block ``A_MM - A_MR A_RR^-1 A_RM + q q^T
+    / s``.
+    """
+    w, n = bands.shape[0] - 1, bands.shape[1]
+    factor, coupling, rest = _eliminate_leading(bands, r)
+    v = np.full((r, 1), 1.0 / math.sqrt(r))
+    y = scipy.linalg.cho_solve_banded((factor, True), v, check_finite=False)[:, 0]
+    s = float(v[:, 0] @ y)
+    q = coupling @ y[r - coupling.shape[1]:]
+    m = q.size
+    out = np.zeros((w + 1, n - r + 1))
+    out[:, 1:] = rest
+    out[0, 0] = 1.0 / s
+    out[1:m + 1, 0] = q / s
+    for e in range(m):
+        out[e, 1:m + 1 - e] += q[e:] * q[:m - e] / s
+    return out
+
+
+def _hull_inverse(null: GaussianLaw, runs: _Runs):
+    """``P^-1 = (W^T null^-1 W)^-1`` in band storage, or None.
+
+    The support's runs must tile their hull ``H = [a, b)`` (for a
+    tridiagonal null, whose elimination :func:`_schur_tridiagonal` leaves
+    tridiagonal across gaps, they may leave gaps), and every run but the
+    first and the last must have one index.  Then ``P^-1`` has the null's
+    bandwidth ``w``: the Schur complement ``C_H`` of the null onto ``H``
+    (``null_HH`` less two ``w x w`` corner corrections from the pieces
+    ``[0, a)`` and ``[b, n)``, :func:`_eliminate_leading`), with a
+    multi-index first or last run folded into one coordinate by
+    :func:`_fold_leading`.  O(n w^2) time, and no solve of size ``n``.
+    """
+    if not null.banded:
+        return None
+    bands = null._cov.bands
+    w, n = bands.shape[0] - 1, bands.shape[1]
+    rows, lengths = runs.rows, runs.lengths
+    a, b = int(rows[0]), int(rows[-1]) + 1
+    if w < 1 or np.any(lengths[1:-1] > 1):
+        return None
+    if w == 1:
+        c_diag, c_off = _schur_tridiagonal(*_tridiagonal(null), rows)
+        c = np.zeros((2, rows.size))
+        c[0], c[1, :-1] = c_diag, c_off
+    elif b - a != rows.size or b - a < w:
+        # a gap, or a hull so short that the pieces outside it couple
+        return None
+    else:
+        c = bands if a == 0 else _eliminate_leading(bands, a)[2]
+        if b < n:
+            c = _reversed(_eliminate_leading(_reversed(c), n - b)[2])
+    if lengths[0] > 1:
+        c = _fold_leading(c, int(lengths[0]))
+    if runs.k > 1 and lengths[-1] > 1:
+        c = _reversed(_fold_leading(_reversed(c), int(lengths[-1])))
+    return c
+
+
 @dataclass(frozen=True, eq=False)
 class Comparison:
     """A null law against ``null + W B W^T``, reduced to ``k x k``.
@@ -408,7 +554,10 @@ class Comparison:
     ``dropped_bound`` bounds the KL of the rows that route dropped: ``kl``,
     ``mu`` and ``middle_sq`` are those of the kept rows, and ``kl +
     dropped_bound`` bounds the divergence from above.  It is 0 when no
-    row is dropped, and always on the general path.
+    row is dropped, and always on the other routes.  ``route`` names the
+    route :func:`compare` took: ``"tridiagonal"``, ``"banded"`` (where
+    ``mu`` and ``middle_sq`` come from ``L^-1 B L^-T``, ``P^-1 = L L^T``,
+    similar to ``R^T B R``) or ``"general"``.
     """
 
     null: GaussianLaw
@@ -417,10 +566,11 @@ class Comparison:
     mu: np.ndarray
     middle_sq: float
     dropped_bound: float = 0.0
+    route: str = "general"
 
     @cached_property
     def right_sq(self) -> float:
-        if self.block.ndim == 1:
+        if self.route == "tridiagonal":
             gamma, gamma_s = _inverse_diagonals(*_tridiagonal(self.null))
             rows = self.support.rows
             return math.fsum((self.block / gamma[rows]) ** 2 * gamma_s[rows])
@@ -473,10 +623,18 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
     eigenvalues of a ``k x k`` tridiagonal matrix by ``dpteqr`` in
     O(k^2), and the outer bound in O(n), with no solve, no Cholesky
     factor and no dense ``k x k`` array.  Rows it drops are bounded by
-    :attr:`Comparison.dropped_bound`.  Any other block takes the general
-    path (a vector as ``np.diag(b)``): one solve with ``k`` right-hand
-    sides (a second one when the outer bound is asked for), one ``k x
-    k`` Cholesky factor and one ``k x k`` eigenproblem.  Raises
+    :attr:`Comparison.dropped_bound`.  Any other vector is read as
+    ``np.diag(b)``.  Against a banded null, on runs that tile their hull
+    with one index each except perhaps the first and the last (gaps are
+    allowed for a tridiagonal null), a block takes the banded route:
+    ``P^-1`` built in O(n w^2) by :func:`_hull_inverse`, its banded
+    Cholesky factor, two banded triangular solves with ``k`` right-hand
+    sides and one ``k x k`` eigenproblem, O(n w^2 + k^2 w + k^3) with no
+    solve of size ``n``.  Any other block takes the general path: one
+    solve with ``k`` right-hand sides, one ``k x k`` Cholesky factor and
+    one ``k x k`` eigenproblem.  Off the tridiagonal route the outer
+    bound takes a second solve with ``k`` right-hand sides, when it is
+    asked for.  :attr:`Comparison.route` records the route.  Raises
     ``ValueError`` for runs that are empty, unsorted, overlapping or
     outside ``[0, n)``, and :class:`~mnlab.errors.NotPositiveDefinite`
     when the alternative is not positive definite (``1 + min(mu) <=
@@ -498,9 +656,45 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
                 and np.all((block > 0.0) & (block < math.inf)):
             mu, dropped = _diagonal_route(*bands, runs.rows, block)
             return Comparison(null=null, support=runs, block=block, mu=mu,
-                              middle_sq=math.fsum(mu * mu), dropped_bound=dropped)
+                              middle_sq=math.fsum(mu * mu), dropped_bound=dropped,
+                              route="tridiagonal")
         block = np.diag(block)
     block = check_symmetric(block, "block")
+    inverse = _hull_inverse(null, runs)
+    if inverse is None:
+        route, (mu, middle_sq) = "general", _general_route(null, runs, block)
+    else:
+        route, (mu, middle_sq) = "banded", _banded_route(inverse, block)
+    if 1.0 + mu[0] <= 0.0:
+        raise NotPositiveDefinite(
+            f"the alternative is not positive definite (1 + mu_min = {1.0 + mu[0]:.3e})"
+        )
+    return Comparison(null=null, support=runs, block=block, mu=mu,
+                      middle_sq=middle_sq, route=route)
+
+
+def _banded_route(inverse: np.ndarray, block: np.ndarray):
+    """``mu`` ascending and ``||M||_F^2`` of ``M = L^-1 B L^-T``, ``L L^T``
+    the band storage ``inverse`` of ``P^-1`` (:func:`_hull_inverse`).
+
+    ``M`` is similar to ``B P = B L^-T L^-1``, so it has the ``mu``, and
+    its Frobenius norm is that of ``R^T B R`` for any ``P = R R^T``.  Two
+    banded triangular solves with ``k`` right-hand sides, O(k^2 w), and
+    at most three ``k x k`` arrays, ``B`` included, at once.
+    """
+    low = cholesky_lower(Banded(inverse))
+    # B is symmetric, so B.T is B in column order; the second solve
+    # overwrites the column-order copy of X^T that it needs anyway
+    x = lapack.dtbtrs(low, block.T, uplo="L")[0]
+    m = lapack.dtbtrs(low, x.T, uplo="L", overwrite_b=1)[0]
+    del x
+    return np.linalg.eigvalsh(m), float(np.sum(m * m))
+
+
+def _general_route(null: GaussianLaw, runs: _Runs, block: np.ndarray):
+    """``mu`` ascending and ``||R^T B R||_F^2``, ``P = R R^T`` from a solve
+    with the null and ``k`` right-hand sides."""
+    k = runs.k
     p = np.empty((k, k))
     for cols, z in _solve_blocks(null, runs):
         p[:, cols] = runs.gather(z)
@@ -512,13 +706,7 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
     m = blas.dtrmm(1.0, r, blas.dtrmm(1.0, r, block, side=1, lower=1),
                    lower=1, trans_a=1)
     m = sym(m)
-    mu = np.linalg.eigvalsh(m)
-    if 1.0 + mu[0] <= 0.0:
-        raise NotPositiveDefinite(
-            f"the alternative is not positive definite (1 + mu_min = {1.0 + mu[0]:.3e})"
-        )
-    return Comparison(null=null, support=runs, block=block, mu=mu,
-                      middle_sq=float(np.sum(m * m)))
+    return np.linalg.eigvalsh(m), float(np.sum(m * m))
 
 
 def _laws(sigma0, sigma1) -> tuple[GaussianLaw, GaussianLaw]:

@@ -380,8 +380,12 @@ def _m2_bump_difference(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
     length = np.diff(edges)
     d = delta[start]
     u = np.sqrt(length) * (start * d + s[start])
-    lower = np.tril(np.outer(d, u) / n, -1)
-    block = lower + lower.T
+    # two k x k arrays: the block, and its strict lower triangle mirrored
+    # into it (each entry adds an exact 0 from the other triangle)
+    block = np.outer(d, u)
+    block /= n
+    lower = np.tril(block, -1)
+    np.add(lower, lower.T, out=block)
     np.fill_diagonal(block, (start * d * d + b[start]) / n)
     return np.column_stack((start, edges[1:])), block
 

@@ -154,8 +154,8 @@ class TestKLScaling:
         with pytest.raises(ValueError, match="n > 16384"):
             cert.kl_scaling_probe("m3", 1.0, 1.0, 0.01, [32768])
         assert cert.kl_scaling_probe("m2", 1.0, 1.0, 0.02, [8192]).kl_values[0] > 0.0
-        with pytest.raises(ValueError, match="n > 8192"):
-            cert.kl_scaling_probe("m2", 1.0, 1.0, 0.02, [16384])
+        with pytest.raises(ValueError, match="n > 16384"):
+            cert.kl_scaling_probe("m2", 1.0, 1.0, 0.02, [32768])
 
 
 def count_factors(monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import strategies as hs
 from mnlab import kl, models
 from mnlab import linalg as la
 from mnlab.errors import DimensionMismatch, InvalidC, NotPositiveDefinite
-from mnlab.hypotheses import BumpSumProfile, build_family
+from mnlab.hypotheses import BumpSumProfile, build_family, single_bump_profile
 from mnlab.profiles import ConstantProfile
 
 
@@ -585,8 +585,13 @@ def log_uniform(rng, k, lo=1e-60):
 
 
 def general(null, support, b):
-    """The general path on the same alternative."""
-    return kl.compare(null, support, np.diag(b))
+    """The general path on the same alternative (a vector read as
+    ``np.diag(b)``), with the banded route turned off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kl, "_hull_inverse", lambda null, runs: None)
+        want = kl.compare(null, support, b)
+    assert want.route == "general"
+    return want
 
 
 def tridiagonal(a):
@@ -603,7 +608,8 @@ class TestTridiagonalRoute:
         support = random_run_support(rng, n)
         b = log_uniform(rng, support.size)
         got = kl.compare(null, support, b)
-        want = general(null, support, b)
+        want = general(null, support, np.diag(b))
+        assert (got.route, want.route) == ("tridiagonal", "general")
         assert got.block.ndim == 1 and want.block.ndim == 2
         assert got.dropped_bound == 0.0
         assert rel(got.kl, want.kl) <= 1e-12
@@ -718,10 +724,18 @@ class TestTridiagonalRoute:
             b = b[:2]
         monkeypatch.setattr(kl, "_diagonal_route", None)
         got = kl.compare(null, support, b)
+        # the same vector on the general path, bit for bit the diagonal block
         want = general(null, support, b)
+        assert np.array_equal(want.mu, general(null, support, np.diag(b)).mu)
         assert got.block.ndim == 2 and np.array_equal(got.block, np.diag(b))
-        assert np.array_equal(got.mu, want.mu)
-        assert got.middle_sq == want.middle_sq and got.right_sq == want.right_sq
+        assert got.route == ("general" if case == "dense" else "banded")
+        assert got.right_sq == want.right_sq
+        if got.route == "general":
+            assert np.array_equal(got.mu, want.mu) and got.middle_sq == want.middle_sq
+        else:
+            tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(null.cov))
+            assert np.max(np.abs(got.mu - want.mu)) <= tol * np.max(np.abs(want.mu))
+            assert rel(got.middle_sq, want.middle_sq) <= tol
 
     @pytest.mark.parametrize("null", [m1_null(16), kl.GaussianLaw(np.eye(16))])
     def test_an_empty_vector_block_compares_equal_laws(self, null):
@@ -738,3 +752,133 @@ class TestTridiagonalRoute:
         got = kl.compare(null, support, b)
         assert (got.block.ndim == 1) == (shift == 0.0)
         assert got.dominates(1.0) == la.is_psd(np.diag(b))
+
+
+# ---------------------------------------------------------------------------
+# the banded route: a block on runs that tile their hull, banded null
+
+
+def random_banded_null(rng, n, width):
+    """A random diagonally dominant SPD band matrix of the given bandwidth."""
+    bands = np.zeros((width + 1, n))
+    for d in range(1, width + 1):
+        bands[d, :n - d] = rng.uniform(-1.0, 1.0, n - d)
+    dominance = np.zeros(n)
+    for d in range(1, width + 1):
+        dominance[:n - d] += np.abs(bands[d, :n - d])
+        dominance[d:] += np.abs(bands[d, :n - d])
+    bands[0] = dominance * rng.uniform(1.01, 2.0, n) + 1e-3
+    return la.Banded(bands)
+
+
+def random_hull_runs(rng, n, width):
+    """Runs tiling a random hull of at least two rows: one index each, but
+    perhaps the first and the last; for a tridiagonal null perhaps with
+    gaps, rows cut out of the middle."""
+    a = int(rng.integers(0, n - 1))
+    b = int(rng.integers(a + 2, n + 1))
+    first = int(rng.integers(1, b - a + 1)) if rng.random() < 0.5 else 1
+    last = int(rng.integers(1, b - a - first + 1)) if rng.random() < 0.5 \
+        and b - a > first else 1
+    if first + last > b - a:
+        return np.array([[a, b]])
+    middle = np.arange(a + first, b - last)
+    if width == 1 and middle.size and rng.random() < 0.5:
+        middle = middle[rng.random(middle.size) < 0.7]
+    starts = np.concatenate(([a], middle, [b - last]))
+    stops = np.concatenate(([a + first], middle + 1, [b]))
+    return np.column_stack((starts, stops))
+
+
+class TestBandedRoute:
+    @given(seed=hs.integers(0, 2**32 - 1), n=hs.integers(2, 512),
+           width=hs.sampled_from([1, 2]), indefinite=hs.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_general_path(self, seed, n, width, indefinite):
+        rng = np.random.default_rng(seed)
+        bands = random_banded_null(rng, n, width)
+        null, oracle = kl.GaussianLaw(bands), kl.GaussianLaw(bands.dense())
+        runs = random_hull_runs(rng, n, width)
+        k = len(runs)
+        lam_min = np.linalg.eigvalsh(oracle.cov)[0]
+        if indefinite:
+            # the first run's column sees null - 10 max(diag) < 0
+            block = -10.0 * float(np.max(bands.bands[0])) * np.eye(k)
+            for law in (null, oracle):
+                with pytest.raises(NotPositiveDefinite):
+                    kl.compare(law, runs, block)
+            return
+        g = rng.standard_normal((k, k + 2))
+        block = la.sym(g @ g.T / (k + 2) - 0.5 * lam_min * np.eye(k))
+        got, want = kl.compare(null, runs, block), kl.compare(oracle, runs, block)
+        assert (got.route, want.route) == ("banded", "general")
+        tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(oracle.cov))
+        assert rel(got.kl, want.kl) <= tol
+        assert rel(got.middle_sq, want.middle_sq) <= tol
+        assert rel(got.right_sq, want.right_sq) <= tol
+        assert rel(got.loewner_constant, want.loewner_constant) <= tol
+
+    @pytest.mark.parametrize("model, n", [("m2", 32), ("m2", 64), ("m3", 32), ("m3", 64)])
+    def test_kl_scaling_bump_against_mpmath(self, model, n):
+        tau, width = {"m2": (0.02, 0.25), "m3": (0.01, 0.125)}[model]
+        spec = models.differenced_spec(model, n, tau)
+        support, block = models.bump_difference(
+            spec, single_bump_profile(1.0, 1.0, width), unit_bands(spec))
+        if model == "m2":
+            assert support[0, 0] == 0 and support[0, 1] > 1  # a leading run
+        got = kl.compare(null_law(spec), support, block)
+        assert got.route == "banded"
+        inverse0 = mp_null_inverse(spec)
+        delta = scatter(n, support, block)
+        with mpmath.workdps(60):
+            x = inverse0 * mpmath.matrix(delta.tolist())
+            middle = mpmath.fsum(x[i, j] * x[j, i] for i in range(n) for j in range(n))
+        assert rel(got.kl, mp_kl(inverse0, delta)) <= 1e-12
+        assert rel(got.middle_sq, float(middle)) <= 1e-12
+
+    @pytest.mark.parametrize("model", ["m2", "m3"])
+    def test_kl_scaling_probe_solves_nothing(self, model, monkeypatch):
+        from mnlab import certificate as cert
+
+        solves, seen = [], []
+        solve, compare = kl.GaussianLaw.solve, cert.compare
+        monkeypatch.setattr(kl.GaussianLaw, "solve",
+                            lambda law, rhs: solves.append(rhs) or solve(law, rhs))
+        monkeypatch.setattr(cert, "compare",
+                            lambda *args: seen.append(compare(*args)) or seen[-1])
+        cert.kl_scaling_probe(model, 1.0, 1.0, 0.02, [128, 256, 512])
+        assert [c.route for c in seen] == ["banded"] * 3
+        assert solves == []
+
+    def test_two_point_m3_takes_the_route(self, monkeypatch):
+        from mnlab import certificate as cert
+
+        seen, compare = [], cert.compare
+        monkeypatch.setattr(cert, "compare",
+                            lambda *args: seen.append(compare(*args)) or seen[-1])
+        cert.two_point_certificate_m3(256, 1.0, 4.0, 1.0, 0.1)
+        assert [c.route for c in seen] == ["banded"]
+
+    @pytest.mark.parametrize("model, support", [
+        ("m3", np.array([[10, 11], [11, 12], [13, 14], [14, 15]])),  # a gap
+        ("m3", np.array([[10, 11], [11, 14], [14, 15]])),            # a middle run
+        ("m2", np.array([[10, 11], [11, 14], [14, 15]])),
+        ("m3", np.array([[10, 11]])),      # a hull shorter than the bandwidth
+    ])
+    def test_other_supports_take_the_general_path(self, model, support):
+        null = null_law(models.differenced_spec(model, 32, 0.1))
+        block = 1e-6 * np.eye(len(support))
+        got = kl.compare(null, support, block)
+        want = kl.compare(kl.GaussianLaw(null.cov), support, block)
+        assert got.route == want.route == "general"
+        tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(null.cov))
+        assert np.allclose(got.mu, want.mu, rtol=tol, atol=0)
+
+    def test_a_tridiagonal_null_takes_gaps(self):
+        null = m1_null(64)
+        support = np.array([[3, 9], [12, 13], [20, 21], [30, 40]])
+        block = la.sym(1e-4 * np.arange(1.0, 17.0).reshape(4, 4))
+        got = kl.compare(null, support, block)
+        want = kl.compare(kl.GaussianLaw(null.cov), support, block)
+        assert (got.route, want.route) == ("banded", "general")
+        assert rel(got.kl, want.kl) <= 1e-12

@@ -108,6 +108,9 @@ CASES = {
     "kl-scaling-m3-n16384": (
         ["kl-scaling", "--model", "m3", "--tau", "0.01",
          "--ns", "256,1024,4096,16384"], None),
+    "kl-scaling-m2-n16384": (
+        ["kl-scaling", "--model", "m2", "--tau", "0.02", "--width", "0.25",
+         "--ns", "4096,8192,16384"], None),
     "kl-scaling-one-n": (
         ["kl-scaling", "--model", "m1", "--ns", "256"], None),
     "kl-scaling-two-n": (

@@ -9,8 +9,9 @@ script on one sample size at a time, each in a fresh process, with the
 ``kl-scaling`` defaults of the benchmark workload (alpha 1, L 1, tau 0.1
 for m1, 0.02 and width 0.25 for m2, 0.01 for m3, width 0.125 otherwise).
 Prints one JSON object: per model and n, the median seconds of
-``--repeats`` probes in that process, the KL value and the process's
-peak resident memory, and from the second n on the local slope
+``--repeats`` probes in that process, the KL value, the kernel's route
+(``Comparison.route``) and support size ``k``, the process's peak
+resident memory, and from the second n on the local slope
 ``local_slope = (ln KL - ln KL_prev) / (ln n - ln n_prev)`` against the
 previous n (per octave when the n double).  A point that fails records
 its error instead, and the next point has no slope.
@@ -32,7 +33,15 @@ SETTINGS = {"m1": (0.1, 0.125), "m2": (0.02, 0.25), "m3": (0.01, 0.125)}
 
 _POINT = """
 import json, resource, statistics, sys, time
+from mnlab import certificate
 from mnlab.certificate import kl_scaling_probe
+seen = []  # (route, k) of each comparison; the comparison itself holds its block
+compare = certificate.compare
+def recording(*args):
+    comparison = compare(*args)
+    seen.append((comparison.route, comparison.support.k))
+    return comparison
+certificate.compare = recording
 model, n, tau, width, repeats = sys.argv[1], int(sys.argv[2]), float(sys.argv[3]), \\
     float(sys.argv[4]), int(sys.argv[5])
 times = []
@@ -41,7 +50,8 @@ for _ in range(repeats):
     kl = kl_scaling_probe(model, 1.0, 1.0, tau, [n], bump_width=width).kl_values[0]
     times.append(time.perf_counter() - t0)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
-print(json.dumps({"seconds": statistics.median(times), "kl": kl, "peak_rss_mb": rss}))
+print(json.dumps({"seconds": statistics.median(times), "kl": kl, "route": seen[-1][0],
+                  "k": seen[-1][1], "peak_rss_mb": rss}))
 """
 
 
