@@ -84,10 +84,14 @@ def sample_m1_constant_diff(sigma_sq: float, tau: float, n: int,
 
 
 def _require_sampling(sigma_sq: float, n: int) -> None:
-    if not n >= 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
+    _require_rate(n)
     if not sigma_sq >= 0.0:
         raise ValueError(f"sigma_sq must be non-negative, got {sigma_sq!r}")
+
+
+def _require_rate(n: int) -> None:
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
 
 
 def m1_interval_sds(profile, n: int) -> np.ndarray:
@@ -105,13 +109,21 @@ def sample_m1_profile_diff(interval_sds, tau: float, n: int,
     """First-differenced m1 sample for a non-constant profile, in O(n).
 
     ``interval_sds`` comes from :func:`m1_interval_sds` (precompute it once
-    per profile; it is the only profile-dependent piece).
+    per profile; it is the only profile-dependent piece), or is one scalar
+    for constant volatility.  The sample is drawn in place: no temporary
+    of length n beyond the two draws.
     """
+    sds = np.asarray(interval_sds, dtype=float)
+    if sds.shape not in ((), (n,)):
+        raise ValueError(f"interval_sds must be a scalar or of shape ({n},), "
+                         f"got shape {sds.shape}")
     rng = replicate_rng(seed, n, rep)
-    out = np.asarray(interval_sds, dtype=float) * rng.standard_normal(n)
+    out = rng.standard_normal(n)
+    out *= sds
     eps = rng.standard_normal(n)
-    out += tau * eps
-    out[1:] -= tau * eps[:-1]
+    eps *= tau
+    out += eps
+    out[1:] -= eps[:-1]
     return out
 
 
@@ -157,6 +169,7 @@ def mle_const_sigma_m1(diff_data, n: int, tau: float) -> float | np.ndarray:
     data = np.asarray(diff_data, dtype=float)
     if data.ndim not in (1, 2) or data.size < 1:
         raise ValueError("diff_data must be a non-empty vector or block of rows")
+    _require_rate(n)
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite (assumed known)")
     if not np.all(np.isfinite(data)):
@@ -331,9 +344,12 @@ class ExperimentResult:
 
 # samples of one chunk of replicates, in bytes: a chunk holds
 # CHUNK_BYTES / 8n replicates and at least one (16 at n = 1024, 4 at 4096,
-# 1 at 16384).  The sine transform's complex working arrays, of length
-# 2n per replicate, come to about 12 times the samples, so a chunk adds
-# about 1.5 MB to the peak memory of a rate experiment at this size
+# 1 at 16384).  The sine transform's complex workspace, of length 2n per
+# replicate at power-of-two n, is 4 times the samples and stays with the
+# thread between chunks; with the transform's result and the estimator's
+# temporaries a chunk peaks at about 8 times the samples, 1 MB (11 times
+# at n = 16384, where one replicate's Newton temporaries count in full;
+# measured with tracemalloc)
 CHUNK_BYTES = 2**17
 
 

@@ -12,6 +12,10 @@ with sine eigenvectors; the orthonormal sine basis of ``A`` also powers an
 O(n log n) transform used for exact maximum likelihood under constant
 volatility: one chirp-z (Bluestein) kernel on power-of-two FFTs serves
 both directions, one sample at a time or a block of samples per FFT call.
+The kernel allocates no FFT-length numpy array on a repeat call: it
+works in one complex workspace per thread, shaped like its input with
+the FFT length as the last axis, replaced when the shape changes and
+never returned, so a result never shares memory with it.
 
 Ordering convention: :func:`eigvals_closed` returns the spectrum ascending
 (position i, 1-based, is the i-th smallest); descending reports elsewhere
@@ -21,6 +25,7 @@ index it as ``values[n - i]``.
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
@@ -190,15 +195,40 @@ def _sine_kernel(z: np.ndarray, signs_on_input: bool) -> np.ndarray:
 
     The signs ``(-1)^(j+1)`` multiply the input, or else the output.  By
     ``2 l j = l^2 + j^2 - (l - j)^2`` the sum is a chirp times a circular
-    convolution: one FFT and one inverse FFT per row.  The products are
-    out of place, since an in-place one whose operand broadcasts over the
-    rows can round a row of a block differently from the row alone.
+    convolution: one FFT and one inverse FFT per row.  Both FFTs and the
+    products before them run in place in the calling thread's workspace
+    (see :func:`_workspace`), which has the input's own shape, so a row of
+    a block meets the same loops as that row alone.  The product with the
+    output chirp stays out of place: it is the result, and a view of the
+    workspace would be overwritten by the thread's next call.
     """
-    chirp, signed, response = _bluestein_plan(z.shape[-1])
+    n = z.shape[-1]
+    chirp, signed, response = _bluestein_plan(n)
     chirp_in, chirp_out = (signed, chirp) if signs_on_input else (chirp, signed)
-    spectrum = np.fft.fft(z * chirp_in, n=response.size, axis=-1)
-    wave = np.fft.ifft(spectrum * response, axis=-1)[..., : z.shape[-1]]
-    return (wave * chirp_out).imag
+    buf = _workspace(z.shape[:-1] + (response.size,))
+    np.multiply(z, chirp_in, out=buf[..., :n])
+    buf[..., n:] = 0.0
+    np.fft.fft(buf, axis=-1, out=buf)
+    buf *= response
+    np.fft.ifft(buf, axis=-1, out=buf)
+    return (buf[..., :n] * chirp_out).imag
+
+
+_local = threading.local()
+
+
+def _workspace(shape: tuple) -> np.ndarray:
+    """The calling thread's complex work array of ``shape``.
+
+    One per thread, kept between calls and replaced when the shape
+    changes; it never leaves the kernel.  Reusing it keeps the kernel from
+    allocating four or five arrays of the full FFT length per call, which
+    the allocator serves from fresh pages that then fault in again.
+    """
+    buf = getattr(_local, "buf", None)
+    if buf is None or buf.shape != shape:
+        buf = _local.buf = np.empty(shape, dtype=complex)
+    return buf
 
 
 def _require_size(n: int) -> None:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,28 @@ class TestSampler:
         spec = models.ModelSpec("m1", n, tau, differencing="first")
         cov = models.cov_differenced(spec, profile)
         assert np.max(np.abs(emp - cov)) <= 0.006
+
+    def test_draws_in_stream_order_bit_for_bit(self):
+        # the in-place draw gives the bits of the out-of-place formula
+        n, tau = 50, 0.3
+        sds = np.linspace(0.05, 0.2, n)
+        rng = mc.replicate_rng(9, n, 4)
+        xi, eps = rng.standard_normal(n), rng.standard_normal(n)
+        want = sds * xi + tau * eps
+        want[1:] -= tau * eps[:-1]
+        assert np.array_equal(mc.sample_m1_profile_diff(sds, tau, n, rep=4, seed=9),
+                              want)
+
+    @pytest.mark.parametrize("sds", [0.1, np.float64(0.1), np.array(0.1)])
+    def test_scalar_sds_is_constant_volatility(self, sds):
+        n = 32
+        assert np.array_equal(mc.sample_m1_profile_diff(sds, 0.2, n, rep=1, seed=3),
+                              mc.sample_m1_constant_diff(0.01 * n, 0.2, n, rep=1, seed=3))
+
+    @pytest.mark.parametrize("shape", [(1,), (31,), (33,), (1, 32), (32, 1)])
+    def test_rejects_sds_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match="interval_sds"):
+            mc.sample_m1_profile_diff(np.full(shape, 0.1), 0.2, 32)
 
 
 class TestMle:
@@ -66,6 +90,14 @@ class TestMle:
         data = mc.sample_m1_constant_diff(1.0, 0.1, 64, rep=0, seed=1)
         with pytest.raises(ValueError, match="tau"):
             mc.mle_const_sigma_m1(data, 64, tau)
+
+    @pytest.mark.parametrize("n", [0, -64])
+    def test_rejects_rate_below_one(self, n):
+        data = mc.sample_m1_constant_diff(1.0, 0.1, 64, rep=0, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                mc.mle_const_sigma_m1(data, n, 0.1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_data(self, bad):

@@ -1,3 +1,7 @@
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import mpmath
 import numpy as np
 import pytest
@@ -164,6 +168,55 @@ class TestSineTransform:
             block = rng.standard_normal((rows, n))
             expected = np.stack([st.sine_transform_inverse(row) for row in block])
             assert np.array_equal(st.sine_transform_inverse(block), expected)
+
+
+TRANSFORMS = [st.sine_transform, st.sine_transform_inverse]
+
+
+class TestSineWorkspace:
+    @pytest.mark.parametrize("transform", TRANSFORMS)
+    @pytest.mark.parametrize("shape", [(4, 4096), (1, 16384), (16, 1024)])
+    def test_repeat_call_allocates_under_one_and_a_half_blocks(self, transform, shape):
+        # a block is the kernel's rows x L complex FFT array; allocating
+        # afresh costs 3 of them, the thread's workspace at most one
+        rows, n = shape
+        block_bytes = rows * (1 << (2 * n - 1).bit_length()) * 16
+        x = np.random.default_rng(n).standard_normal(shape)
+        transform(x)
+        tracemalloc.start()
+        try:
+            transform(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block_bytes
+
+    @pytest.mark.parametrize("transform", TRANSFORMS)
+    @pytest.mark.parametrize("shape", [(64,), (3, 64)])
+    def test_results_do_not_share_the_workspace(self, transform, shape):
+        rng = np.random.default_rng(7)
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        first = transform(x)
+        kept = first.copy()
+        second = transform(y)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+    @pytest.mark.parametrize("transform", TRANSFORMS)
+    def test_threads_match_serial_bit_for_bit(self, transform):
+        rng = np.random.default_rng(11)
+        inputs = [rng.standard_normal(shape)
+                  for shape in [(1,), (3, 17), (4096,)] * 8]
+        serial = [transform(x) for x in inputs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(transform, inputs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(serial, threaded):
+            assert np.array_equal(want, got)
 
 
 class TestNullCovarianceSpectra:

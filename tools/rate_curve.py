@@ -10,8 +10,13 @@ script with the MLE on one n at a time, each in a fresh process, with the
 one worker).  Prints one JSON object: per n, the median seconds of
 ``--repeats`` experiments in that process, the median seconds of those
 spent in ``structures.sine_transform`` (timed by wrapping it where
-``montecarlo`` calls it), the MSE and the process's peak resident memory.
-A point that fails records its error instead.
+``montecarlo`` calls it), the minor page faults over all the repeats
+(``ru_minflt`` of the process, after minus before), the MSE and the
+process's peak resident memory.  A point that fails records its error
+instead.  The fault counts are those of a fresh process: one that ran
+larger arrays first, as the ``simulate-rate`` subcommand does over its
+n list, can fault far less, because the allocator's thresholds have
+grown by then.
 """
 
 from __future__ import annotations
@@ -40,15 +45,18 @@ def timed_transform(data):
 
 montecarlo.sine_transform = timed_transform
 times, transform_times = [], []
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(repeats):
     spent[0] = 0.0
     t0 = time.perf_counter()
     mse = montecarlo.rate_experiment("m1", "mle", [n], reps, seed=seed).mse[0]
     times.append(time.perf_counter() - t0)
     transform_times.append(spent[0])
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 print(json.dumps({"seconds": statistics.median(times),
                   "transform_seconds": statistics.median(transform_times),
+                  "minor_faults": faults,
                   "mse": mse, "peak_rss_mb": rss}))
 """
 
