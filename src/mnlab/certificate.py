@@ -148,12 +148,14 @@ _KERNEL_POWER = {"m1": 0.0, "m2": 0.0, "m3": 1.0}
 
 
 def rate_exponent(model: str, alpha: float, q: float | None = None) -> float:
-    """Lower-bound rate exponent ``-alpha / ((2q + 2)(2 alpha + 1))`` (power of n)."""
+    """Lower-bound rate exponent ``-alpha / ((2q + 2)(2 alpha + 1))`` (power of n).
+
+    ``"mq"`` with a kernel power ``q`` is a rate-table formula row only."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     if model == "mq":
         if q is None or q < 0.0:
-            raise ValueError("model mq needs q >= 0")
+            raise ValueError("kernel power q must be >= 0")
     elif model in _KERNEL_POWER:
         q = _KERNEL_POWER[model]
     else:
@@ -360,7 +362,8 @@ def two_point_certificate_m3(n: int, sigma_min: float, sigma_max: float,
 
 @dataclass(frozen=True)
 class RateRow:
-    """One line of the rate table: model (or kernel power), alpha, exponent."""
+    """One line of the rate table: model, alpha, exponent; ``"mq"`` rows carry a
+    kernel power ``q`` and are formula rows only, with no covariance behind them."""
 
     model: str
     q: float | None
@@ -377,7 +380,8 @@ class RateRow:
 
 
 def rate_table(alpha_list, q_list=()) -> list[RateRow]:
-    """Rate exponents for the three models and any fractional kernel powers."""
+    """Rate exponents for the three models, then one ``mq`` formula row per
+    kernel power in ``q_list`` (see :func:`rate_exponent`)."""
     rows = []
     for alpha in alpha_list:
         for model in ("m1", "m2", "m3"):

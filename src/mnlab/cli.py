@@ -20,9 +20,9 @@ kl-scaling               exact-KL growth probe across sample sizes
 simulate-rate            Monte Carlo estimator-rate experiment
 
 Exit codes: 0 all checks passed, 2 at least one check failed (stderr names
-what failed), 1 usage or configuration error, or a computation that could
-not finish (a likelihood, quadrature, eigensolver or code search failure);
-either way stderr holds one ``error:`` line.  Reports embed the fully
+what failed), 1 usage, configuration or ``--out`` write error, or a
+computation that could not finish (a likelihood, quadrature, eigensolver or
+code search failure); either way stderr holds one ``error:`` line.  Reports embed the fully
 resolved configuration, are byte-identical for identical configuration and
 seed, and are written atomically (temp file + rename).  A flat
 ``key = value`` config file can supply any flag (a key that names no flag
@@ -110,8 +110,7 @@ def _load_config_file(path: str) -> dict:
 # seed's default is MNLAB_SEED, else 0.  Float flags must be finite, and
 # trials, count, max_hypotheses and workers at least 1.
 _FLAGS = {
-    "model": (str, "m1", ("m1", "m2", "m3", "mq")),
-    "q": (_finite_float, None, None),
+    "model": (str, "m1", ("m1", "m2", "m3")),
     "n": (int, 256, None),
     "alpha": (_finite_float, 1.0, None),
     "L": (_finite_float, 1.0, None),
@@ -281,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
+        # exact flag names only: --q is no flag and must not parse as --qs
+        p = sub.add_parser(name, allow_abbrev=False)
         for key, (kind, _, choices) in _FLAGS.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
                            choices=choices)
@@ -306,7 +306,11 @@ def main(argv=None) -> int:
         data = reporting.json_bytes(_report(cfg, key, payload, passed))
 
     if cfg["out"]:
-        reporting.write_report(data, cfg["out"])
+        try:
+            reporting.write_report(data, cfg["out"])
+        except OSError as exc:
+            return _usage_error(f"cannot write {cfg['out']}: "
+                                f"{exc.strerror or exc}")
         sys.stdout.write(f"{cfg['out']}\n")
     else:
         sys.stdout.write(data.decode())

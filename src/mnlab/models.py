@@ -1,25 +1,23 @@
 """Exact covariance matrices for the noisy volatility observation models.
 
-Four observation schemes over the grid ``t_i = i/n`` share the form
+Three observation schemes over the grid ``t_i = i/n`` share the form
 "latent Gaussian signal plus independent N(0, tau^2) noise":
 
 * ``m1``: the diffusion itself, ``integral_0^{t_i} sigma dW + tau eps_i``;
 * ``m2``: scaled Brownian motion, ``sigma(t_i) W_{t_i} + tau eps_i``;
-* ``m3``: the time-integrated diffusion plus noise;
-* ``mq``: the generalisation with Volterra kernel ``(t - s)^q`` (``q = 0``
-  reproduces m1, ``q = 1`` reproduces m3); fractional ``q`` is exploratory
-  and priced at one checked quadrature per entry, all in one pass.
+* ``m3``: the time-integrated diffusion plus noise.
 
 Raw covariances come straight from the Ito isometry with all weighted
 integrals of ``sigma^2`` answered by the profile (closed form where the
-profile allows, quadrature otherwise).  Differenced covariances - first
-differences for m1/m2, second differences for m3 - are assembled directly
-from the differenced stochastic representation: each entry is a sum of
-short-interval integrals evaluated in shifted coordinates, so entries of
-size O(n^-3) keep full relative precision.  Conjugating the raw matrix
-with the differencing matrix gives the same result in exact arithmetic
-but loses ~n^3 * eps relative accuracy to cancellation; the test-suite
-checks the two routes against each other at an absolute tolerance.
+profile allows, quadrature otherwise).  Differenced covariances - each
+model's own differencing, ``_DIFFERENCING``: first differences for m1/m2,
+second differences for m3 - are assembled directly from the differenced
+stochastic representation: each entry is a sum of short-interval
+integrals evaluated in shifted coordinates, so entries of size O(n^-3)
+keep full relative precision.  Conjugating the raw matrix with the
+differencing matrix gives the same result in exact arithmetic but loses
+~n^3 * eps relative accuracy to cancellation; the test-suite checks the
+two routes against each other at an absolute tolerance.
 
 Structured identities (the ``(1/n) I + tau^2 A`` form of the differenced
 m1/m2 null covariance; the m3 decomposition over A, V1, A^2 + V2) are
@@ -46,8 +44,8 @@ sums of terms whose ``(i, j)`` and ``(j, i)`` entries come from the same
 operations on the same operands, so they are symmetric as computed and
 are returned without a copy.  :func:`~mnlab.linalg.sym` is applied only
 where the arithmetic can break symmetry or leave a ``-0.0``: the
-first-difference conjugation and the integer-q kernel sum.  Consumers
-validate symmetry but never restore it.
+first-difference conjugation of the m2 signal.  Consumers validate
+symmetry but never restore it.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidDifferencing, InvalidProfile
 from .linalg import Banded, sym
-from .profiles import VolatilityProfile, checked_cells
+from .profiles import VolatilityProfile
 from .structures import matrix_a, matrix_v1
 
 __all__ = [
@@ -75,48 +73,39 @@ __all__ = [
     "model3_reference_decomposition",
 ]
 
-_MODELS = ("m1", "m2", "m3", "mq")
-_DIFFERENCING = ("none", "first", "second")
-# rows of a fractional-q covariance integrated in one quadrature pass
-_FRACTIONAL_ROWS = 16
+# each model's differencing, under which its unit-volatility null is banded
+_DIFFERENCING = {"m1": "first", "m2": "first", "m3": "second"}
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which observation model, at which size, noise level and differencing."""
+    """Which observation model, at which size, noise level and differencing:
+    ``"none"`` (raw) or the model's own, from ``_DIFFERENCING``."""
 
     model: str
     n: int
     tau: float
-    q: float | None = None
     differencing: str = "none"
 
     def __post_init__(self):
-        if self.model not in _MODELS:
-            raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
+        if self.model not in _DIFFERENCING:
+            raise ValueError(f"model must be one of {tuple(_DIFFERENCING)}, "
+                             f"got {self.model!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not 0.0 <= self.tau < math.inf:
             raise ValueError("tau must be finite and >= 0")
-        if self.differencing not in _DIFFERENCING:
-            raise InvalidDifferencing(
-                f"differencing must be one of {_DIFFERENCING}"
-            )
-        if self.differencing == "second" and self.model != "m3":
-            raise InvalidDifferencing("second differences apply to model m3 only")
+        own = _DIFFERENCING[self.model]
+        if self.differencing not in ("none", own):
+            raise InvalidDifferencing(f"model {self.model} takes differencing "
+                                      f"'none' or '{own}'")
         if self.differencing != "none" and self.n < 2:
             raise ValueError("differencing needs n >= 2")
-        if self.model == "mq":
-            if self.q is None or self.q < 0.0:
-                raise ValueError("model mq needs q >= 0")
-        elif self.q is not None:
-            raise ValueError("q is only meaningful for model mq")
 
 
 def differenced_spec(model: str, n: int, tau: float) -> ModelSpec:
-    """``model`` at ``(n, tau)``, first-differenced (m1, m2) or second-differenced
-    (m3): the differencing under which its unit-volatility null is banded."""
-    return ModelSpec(model, n, tau, differencing="second" if model == "m3" else "first")
+    """``model`` at ``(n, tau)`` under its own differencing."""
+    return ModelSpec(model, n, tau, differencing=_DIFFERENCING[model])
 
 
 def _probe_profile(profile: VolatilityProfile, n: int) -> None:
@@ -169,46 +158,12 @@ def cov_raw(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
     if spec.model == "m2":
         return _m2_signal(profile, n) + noise
 
-    if spec.model == "m3":
-        mom = _cumulative_moments(profile, n, (0, 1, 2))
-        signal = (
-            np.outer(t, t) * mom[0][min_idx]
-            - np.add.outer(t, t) * mom[1][min_idx]
-            + mom[2][min_idx]
-        )
-        return signal + noise
-
-    # mq
-    q = spec.q
-    if q is not None and float(q).is_integer():
-        qi = int(round(q))
-        mom = _cumulative_moments(profile, n, tuple(range(2 * qi + 1)))
-        signal = np.zeros((n, n))
-        for r in range(qi + 1):
-            for s_ in range(qi + 1):
-                coef = math.comb(qi, r) * math.comb(qi, s_) * (-1.0) ** (r + s_)
-                signal += coef * np.outer(t ** (qi - r), t ** (qi - s_)) * mom[r + s_][min_idx]
-        # the (r, s) and (s, r) terms reach (i, j) in different orders
-        return sym(signal + noise)
-
-    if n > 512:
-        raise ValueError(
-            "fractional-q covariances run one quadrature per entry; "
-            "n > 512 is not supported"
-        )
-    i, j = np.triu_indices(n)
-    signal = np.zeros((n, n))
-    # entry (i, j), i <= j, integrates up to min(t_i, t_j) = t_i.  A pass
-    # takes _FRACTIONAL_ROWS rows, which bounds the quadrature's working
-    # set; no entry's value depends on the others in its pass
-    starts = np.searchsorted(i, np.arange(_FRACTIONAL_ROWS, n, _FRACTIONAL_ROWS))
-    for part in np.split(np.arange(i.size), starts):
-        ti, tj = t[i[part]], t[j[part]]
-
-        def integrand(u, k):
-            return (ti[k] - u) ** q * (tj[k] - u) ** q * profile.eval(u)
-
-        signal[i[part], j[part]] = signal[j[part], i[part]] = checked_cells(integrand, 0.0, ti)
+    mom = _cumulative_moments(profile, n, (0, 1, 2))
+    signal = (
+        np.outer(t, t) * mom[0][min_idx]
+        - np.add.outer(t, t) * mom[1][min_idx]
+        + mom[2][min_idx]
+    )
     return signal + noise
 
 
@@ -296,10 +251,6 @@ def _m3_signal(profile: VolatilityProfile, n: int):
     return diag, off
 
 
-# the (model, differencing) pairs whose covariance is banded
-_BANDED = (("m1", "first"), ("m3", "second"))
-
-
 def _m2_constant_signal(profile: VolatilityProfile, n: int) -> np.ndarray:
     """Diagonal of the first-differenced m2 signal under constant volatility.
 
@@ -325,11 +276,8 @@ def differenced_bands(spec: ModelSpec, profile: VolatilityProfile) -> Banded:
     returned bit for bit as :func:`cov_differenced` builds it.
     """
     n, tau = spec.n, spec.tau
-    if (spec.model, spec.differencing) not in _BANDED + (("m2", "first"),):
-        raise InvalidDifferencing(
-            "banded covariances are the first-differenced m1 and m2 and the "
-            "second-differenced m3 models"
-        )
+    if spec.differencing == "none":
+        raise InvalidDifferencing("banded covariances need a differenced spec")
     if spec.model == "m2" and profile.kind != "constant":
         raise InvalidProfile("the differenced m2 covariance is banded only "
                              "under constant volatility")
@@ -421,11 +369,10 @@ def bump_difference(spec: ModelSpec, profile,
     n = spec.n
     if null.size != n:
         raise DimensionMismatch(f"null of size {null.size} for n = {n}")
-    if spec.model == "m2" and spec.differencing == "first":
+    if spec.differencing == "none":
+        raise InvalidDifferencing("bump differences need a differenced spec")
+    if spec.model == "m2":
         return _m2_bump_difference(profile, n)
-    if (spec.model, spec.differencing) not in _BANDED:
-        raise InvalidDifferencing(f"no bump difference for {spec.model} with "
-                                  f"{spec.differencing} differences")
     if spec.model == "m1":
         diag = _m1_signal(profile, n, bump_only=True)
         support = np.flatnonzero(diag)
@@ -450,20 +397,13 @@ def cov_differenced(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
     differenced representation so small entries keep relative precision
     (see module docstring).
     """
-    if spec.differencing not in ("first", "second"):
-        raise InvalidDifferencing("cov_differenced needs 'first' or 'second'")
-    if (spec.model, spec.differencing) in _BANDED:
+    if spec.differencing == "none":
+        raise InvalidDifferencing("cov_differenced needs a differenced spec")
+    if spec.model != "m2":
         return differenced_bands(spec, profile).dense()
     _probe_profile(profile, spec.n)
     n, tau = spec.n, spec.tau
-    raw_spec = ModelSpec(spec.model, n, spec.tau, q=spec.q, differencing="none")
-
-    if spec.model == "m2" and spec.differencing == "first":
-        return _conjugate_first(_m2_signal(profile, n)) + tau * tau * matrix_a(n)
-
-    # generic fallback: first differences of the raw covariance (second
-    # differences are valid for m3 only, which is handled above)
-    return _conjugate_first(cov_raw(raw_spec, profile))
+    return _conjugate_first(_m2_signal(profile, n)) + tau * tau * matrix_a(n)
 
 
 def extract_v2(n: int, tau: float) -> np.ndarray:

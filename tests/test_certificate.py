@@ -25,6 +25,11 @@ class TestRateTable:
         assert cert.rate_exponent("mq", alpha, 1.0) == cert.rate_exponent("m3", alpha) \
             == -alpha / (8.0 * alpha + 4.0)
 
+    @pytest.mark.parametrize("q", [None, -0.5])
+    def test_kernel_power_row_needs_q_at_least_zero(self, q):
+        with pytest.raises(ValueError, match="kernel power q must be >= 0"):
+            cert.rate_exponent("mq", 1.0, q)
+
 
 class TestEvaluate:
     def test_parameter_guards(self):

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import mnlab
+from mnlab import cli
 from mnlab.reporting import write_report
 
 ENTRY = [sys.executable, "-m", "mnlab.cli"]
@@ -392,3 +394,55 @@ def test_write_report_replaces_and_leaves_no_temp_file(tmp_path):
     write_report(b"new\n", path)
     assert path.read_bytes() == b"new\n"
     assert sorted(p.name for p in path.parent.iterdir()) == ["report.json"]
+
+
+def error_lines(stderr):
+    return [line for line in stderr.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("target", ["dir", "file/report.json"])
+def test_unwritable_out_is_one_error_line(tmp_path, target):
+    # --out naming a directory, or a path under a regular file
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("a regular file\n")
+    out = tmp_path / target
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    proc = run_cli("rate-table", "--alphas", "1", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(error_lines(proc.stderr)) == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in proc.stderr
+    # no temp file is left behind
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
+
+def test_every_flag_is_read():
+    # a flag that no handler reads as cfg["<key>"] is dead surface
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)}
+    assert set(cli._FLAGS) - read == set()
+
+
+@pytest.mark.parametrize("args", [
+    ("kl-scaling", "--model", "mq", "--ns", "256,512"),
+    ("rate-table", "--model", "mq"),
+    ("rate-table", "--q", "0.5"),
+    ("certificate", "--q", "0.5", "--c", "9", "--n", "64"),
+])
+def test_no_mq_model_and_no_q_flag(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(error_lines(proc.stderr)) == 1, proc.stderr
+
+
+def test_config_file_q_is_an_unknown_key(tmp_path):
+    config = tmp_path / "q.cfg"
+    config.write_text("q = 0.5\n")
+    proc = run_cli("rate-table", "--config", str(config))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: unknown config key: q\n"

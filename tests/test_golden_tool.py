@@ -31,6 +31,19 @@ def test_compare_folds_list_positions_and_lists_other_differences(tmp_path):
                      "gone.exit: only in old"]
 
 
+def test_text_that_is_not_csv_is_compared_line_by_line(tmp_path):
+    # usage help has commas on its first line but is no table
+    old = "usage: mnlab [--model {m1,m2,m3,mq}] [--q Q]\n  [--n N]\nerror: x\n"
+    new = "usage: mnlab [--model {m1,m2,m3}]\n  [--n N]\nerror: x\n"
+    write(tmp_path / "old", {"h.stdout": old, "h.stderr": "a\nb\n"})
+    write(tmp_path / "new", {"h.stdout": new, "h.stderr": "a\nc\n"})
+    largest, other = golden.compare(tmp_path / "old", tmp_path / "new")
+    assert largest == {}
+    assert other == ["h.stderr - b", "h.stderr + c",
+                     "h.stdout - usage: mnlab [--model {m1,m2,m3,mq}] [--q Q]",
+                     "h.stdout + usage: mnlab [--model {m1,m2,m3}]"]
+
+
 def test_every_demo_is_a_case():
     demos = {path.name for path in (TOOL.parent.parent / "demos").glob("*.py")}
     assert demos and set(golden.DEMO_SCRIPTS) == demos

@@ -11,13 +11,12 @@ from mnlab import structures as st
 from mnlab.errors import (DimensionMismatch, InvalidDifferencing, InvalidProfile,
                           QuadratureFailure)
 from mnlab.hypotheses import BumpSumProfile, build_family
-from mnlab.profiles import (CallableProfile, ConstantProfile, PiecewiseConstantProfile,
-                            checked_cells)
+from mnlab.profiles import CallableProfile, ConstantProfile, PiecewiseConstantProfile
 
 ONE = ConstantProfile(1.0)
 
 
-def raw_entry_oracle(model, n, tau, profile, i, j, q=None):
+def raw_entry_oracle(model, n, tau, profile, i, j):
     """Direct quadrature of the defining integral, 1-based indices."""
     ti, tj, s = i / n, j / n, min(i, j) / n
     noise = tau * tau if i == j else 0.0
@@ -29,9 +28,8 @@ def raw_entry_oracle(model, n, tau, profile, i, j, q=None):
     if model == "m2":
         return (math.sqrt(float(profile.eval(ti)) * float(profile.eval(tj))) * s
                 + noise)
-    power = {"m3": 1.0}.get(model, q)
     val, _ = quad(
-        lambda u: (ti - u) ** power * (tj - u) ** power * float(profile.eval(u)),
+        lambda u: (ti - u) * (tj - u) * float(profile.eval(u)),
         0.0, s,
         points=quad_points(profile, 0.0, s),
         limit=200,
@@ -85,43 +83,6 @@ class TestCovRaw:
                 oracle = raw_entry_oracle(model, n, tau, profile, i, j)
                 assert cov[i - 1, j - 1] == pytest.approx(oracle, abs=1e-11)
 
-    def test_fractional_q_against_oracle(self):
-        n, tau, q = 6, 0.1, 0.5
-        # the step profile's jumps lie inside some entries' intervals
-        for profile in (ONE, PiecewiseConstantProfile([0.3, 0.55, 0.8],
-                                                      [0.7, 1.9, 1.2, 0.9])):
-            cov = models.cov_raw(models.ModelSpec("mq", n, tau, q=q), profile)
-            for i, j in ((1, 1), (2, 4), (6, 6), (5, 3)):
-                oracle = raw_entry_oracle("mq", n, tau, profile, i, j, q=q)
-                assert cov[i - 1, j - 1] == pytest.approx(oracle, abs=1e-11)
-
-    def test_fractional_q_row_passes_equal_one_pass(self):
-        # cov_raw integrates a few rows per pass; one pass over every
-        # entry gives the same bits
-        n, tau, q = 64, 0.1, 0.5
-        profile = build_family(64, 1.0, 1.0, 7.5, "m1m2", seed=1).profile(1)
-        assert n > models._FRACTIONAL_ROWS
-        t = np.arange(1, n + 1) / n
-        i, j = np.triu_indices(n)
-
-        def integrand(u, k):
-            return (t[i][k] - u) ** q * (t[j][k] - u) ** q * profile.eval(u)
-
-        signal = np.zeros((n, n))
-        signal[i, j] = signal[j, i] = checked_cells(integrand, 0.0, t[i])
-        expected = signal + tau * tau * np.eye(n)
-        cov = models.cov_raw(models.ModelSpec("mq", n, tau, q=q), profile)
-        assert np.array_equal(cov, expected)
-
-    def test_kernel_specialisation(self):
-        n, tau = 8, 0.2
-        profile = build_family(64, 1.0, 1.0, 7.5, "m1m2", seed=2).profile(1)
-        for q, ref_model in ((0.0, "m1"), (1.0, "m3")):
-            a = models.cov_raw(models.ModelSpec("mq", n, tau, q=q), profile)
-            b = models.cov_raw(models.ModelSpec(ref_model, n, tau), profile)
-            scale = np.max(np.abs(b))
-            assert np.max(np.abs(a - b)) <= 1e-12 * scale
-
     def test_invalid_profile_probed(self):
         bad = CallableProfile(lambda t: np.cos(12.0 * np.asarray(t)))
         with pytest.raises(InvalidProfile):
@@ -164,6 +125,17 @@ class TestDiffMatrix:
     def test_second_only_for_m3(self):
         with pytest.raises(InvalidDifferencing):
             models.ModelSpec("m1", 4, 0.1, differencing="second")
+
+    @pytest.mark.parametrize("model,differencing", [
+        ("m2", "second"), ("m3", "first"), ("m1", "third"),
+    ])
+    def test_each_model_takes_only_its_own_differencing(self, model, differencing):
+        with pytest.raises(InvalidDifferencing):
+            models.ModelSpec(model, 4, 0.1, differencing=differencing)
+
+    def test_three_models(self):
+        with pytest.raises(ValueError, match="model must be one of"):
+            models.ModelSpec("mq", 4, 0.1)
 
 
 class TestCovDifferenced:
@@ -248,11 +220,6 @@ class TestCovDifferenced:
         spec = models.ModelSpec(model, n, 0.1, differencing=differencing)
         assert la.is_psd(models.cov_differenced(spec, random_piecewise(rng)))
 
-    def test_psd_fractional_kernel(self):
-        for q in (0.5, 1.5):
-            spec = models.ModelSpec("mq", 24, 0.1, q=q)
-            assert la.is_psd(models.cov_raw(spec, ONE))
-
 
 def assert_built_symmetric(out):
     # the builders, not their consumers, own symmetry: each output must be
@@ -276,24 +243,16 @@ class TestBuilderSymmetry:
     )
 
     @pytest.mark.parametrize("n", [5, 64, 257])
-    @pytest.mark.parametrize("model,q,differencing", [
-        ("m1", None, "none"), ("m1", None, "first"),
-        ("m2", None, "none"), ("m2", None, "first"),
-        ("m3", None, "none"), ("m3", None, "first"), ("m3", None, "second"),
-        ("mq", 2.0, "none"), ("mq", 2.0, "first"),
+    @pytest.mark.parametrize("model,differencing", [
+        ("m1", "none"), ("m1", "first"),
+        ("m2", "none"), ("m2", "first"),
+        ("m3", "none"), ("m3", "second"),
     ])
-    def test_covariances(self, model, q, differencing, n):
+    def test_covariances(self, model, differencing, n):
         for profile in self.PROFILES:
             for tau in (0.0, 0.1):
-                spec = models.ModelSpec(model, n, tau, q=q,
-                                        differencing=differencing)
+                spec = models.ModelSpec(model, n, tau, differencing=differencing)
                 assert_built_symmetric(build(spec, profile))
-
-    def test_fractional_q(self):
-        for differencing in ("none", "first"):
-            spec = models.ModelSpec("mq", 5, 0.1, q=0.5,
-                                    differencing=differencing)
-            assert_built_symmetric(build(spec, ONE))
 
     @pytest.mark.parametrize("n", [5, 64, 257])
     def test_decompositions(self, n):
@@ -387,10 +346,14 @@ class TestBumpDifference:
         m2 = models.ModelSpec("m2", 16, 0.1, differencing="first")
         with pytest.raises(InvalidProfile):
             models.differenced_bands(m2, self.family("m2", 64).profile(1))
-        for spec in (models.ModelSpec("m3", 16, 0.1, differencing="first"),
-                     models.ModelSpec("mq", 16, 0.1, q=2.0, differencing="first")):
+        # raw specs have no bands, no differenced covariance and no bump
+        # difference
+        for model in ("m1", "m2", "m3"):
+            spec = models.ModelSpec(model, 16, 0.1)
             with pytest.raises(InvalidDifferencing):
                 models.differenced_bands(spec, ONE)
+            with pytest.raises(InvalidDifferencing):
+                models.cov_differenced(spec, ONE)
             with pytest.raises(InvalidDifferencing):
                 models.bump_difference(spec, self.family("m1", 64).profile(1), null)
 

@@ -14,9 +14,11 @@ then comparing the two directories with ``diff -r``.  A change that may
 move only floating-point digits is checked with ``--compare``: it prints,
 per JSON field path (list positions written ``[]``), the largest relative
 change between the two captures and the case where it occurs, then every
-other difference - exit codes, stderr, flags, strings, missing fields or
-files - one per line.  CSV reports are compared cell by cell under their
-column headers.  The list covers
+other difference - exit codes, flags, strings, missing fields or files -
+one per line.  CSV reports (a first line with a comma, and that many
+cells on every line) are compared cell by cell under their column
+headers; any other text, such as stderr or usage help, by its changed
+lines, each printed as ``- line`` or ``+ line``.  The list covers
 all ten subcommands, written reports, usage errors and config-file
 cases, and every script in ``demos/`` (its stdout, stderr and exit code,
 as case ``demo-<script stem>``); ``MNLAB_SEED`` is cleared so the
@@ -25,6 +27,7 @@ default seed is fixed.  A full capture takes a few minutes on two cores.
 
 from __future__ import annotations
 
+import difflib
 import json
 import os
 import re
@@ -210,16 +213,19 @@ def _walk(old, new, path, numeric, other):
         other.append(f"{path}: {json.dumps(old)} -> {json.dumps(new)}")
 
 
-def _parse(data: bytes):
-    """A JSON report, or a CSV report as a list of {header: cell} rows."""
-    text = data.decode()
+def _parse(text: str):
+    """A JSON report, or a CSV report as a list of {header: cell} rows.
+
+    Raises ``ValueError`` on any other text.
+    """
     try:
         return json.loads(text)
     except ValueError:
         pass
     lines = [line.split(",") for line in text.splitlines()]
-    if not lines:
-        return text
+    if not lines or len(lines[0]) < 2 or any(len(row) != len(lines[0])
+                                             for row in lines):
+        raise ValueError("neither JSON nor CSV")
     header = lines[0]
 
     def cell(value):
@@ -240,14 +246,20 @@ def compare(old_dir: Path, new_dir: Path):
         if not (a.exists() and b.exists()):
             other.append(f"{name}: only in {'new' if b.exists() else 'old'}")
             continue
-        old, new = a.read_bytes(), b.read_bytes()
+        old, new = a.read_bytes().decode(), b.read_bytes().decode()
         if old == new:
             continue
-        if name.endswith((".exit", ".stderr")):
-            other.append(f"{name}: {old.decode()!r} -> {new.decode()!r}")
+        if name.endswith(".exit"):
+            other.append(f"{name}: {old!r} -> {new!r}")
+            continue
+        try:
+            parsed = _parse(old), _parse(new)
+        except ValueError:
+            other.extend(f"{name} {line}" for line in difflib.ndiff(
+                old.splitlines(), new.splitlines()) if line[:2] in ("- ", "+ "))
             continue
         numeric, found = {}, []
-        _walk(_parse(old), _parse(new), "", numeric, found)
+        _walk(*parsed, "", numeric, found)
         other.extend(f"{name} {line}" for line in found)
         for path, changes in numeric.items():
             field = re.sub(r"\[\d+\]", "[]", path)
