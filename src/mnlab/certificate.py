@@ -59,6 +59,21 @@ __all__ = [
 
 LN2 = math.log(2.0)
 
+# the largest n of each exact-KL entry point, per model: m1's tridiagonal
+# route is O(n); the banded route's k x k eigenproblem bounds m2 and m3,
+# and the two-point block is a dense n x n array
+_DESK_BOUND = {
+    "evaluate": {"m1": 262144, "m2": 4096, "m3": 4096},
+    "kl_scaling_probe": {"m1": 1048576, "m2": 16384, "m3": 16384},
+    "two_point_certificate_m3": {"m3": 8192},
+}
+
+
+def _check_desk_bound(entry: str, model: str, n: int) -> None:
+    limit = _DESK_BOUND[entry][model]
+    if n > limit:
+        raise ValueError(f"n > {limit} exceeds the exact-KL desk bound")
+
 
 @dataclass(frozen=True)
 class SeparationCondition:
@@ -182,8 +197,7 @@ def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
     """
     if model not in ("m1", "m2", "m3"):
         raise ValueError("certificates cover models m1, m2, m3")
-    if n > 4096:
-        raise ValueError("n > 4096 exceeds the exact-KL desk bound")
+    _check_desk_bound("evaluate", model, n)
     if not 0.0 < kappa < 0.1:
         raise ValueError("kappa must lie in (0, 1/10)")
     if max_hypotheses < 1:
@@ -305,6 +319,7 @@ def two_point_certificate_m3(n: int, sigma_min: float, sigma_max: float,
     """
     if n < 2:
         raise ValueError("differencing needs n >= 2")
+    _check_desk_bound("two_point_certificate_m3", "m3", n)
     if not 0.0 < sigma_min < sigma_max:
         raise ValueError("need 0 < sigma_min < sigma_max")
     if c < 0.0:
@@ -435,12 +450,12 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     the fixed ``h^(2 alpha)`` factor); the log-log slope is returned with
     its standard error.  Each point is one kernel comparison against the
     banded null, with no solve of size n.  m1 takes the tridiagonal
-    route, O(n + k^2) with k about n / 8, and reaches n = 65536 (about
-    2 s).  m2 and m3 take the banded route, whose k x k eigenproblem is
-    the O(k^3) floor.  m2, whose block holds one row per moved row (k
-    about n / 4), reaches n = 16384 (about 6 s and 450 MB).  m3 (k about
-    n / 8) stops at n = 16384: its null is so ill-conditioned that the
-    KL's rounding error, on either route, grows several-fold per
+    route, O(n) with no eigenvalue, and reaches n = 1048576 (about 3 s
+    and 340 MB).  m2 and m3 take the banded route, whose k x k
+    eigenproblem is the O(k^3) floor.  m2, whose block holds one row per
+    moved row (k about n / 4), reaches n = 16384 (about 6 s and 450 MB).
+    m3 (k about n / 8) stops at n = 16384: its null is so ill-conditioned
+    that the KL's rounding error, on either route, grows several-fold per
     doubling of n, to about 1e-8 relative there.
     """
     if model not in ("m1", "m2", "m3"):
@@ -450,9 +465,7 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     if bump_width <= 0.0 or l_const <= 0.0:
         raise ValueError("need bump width > 0, L > 0")
     n_list = [int(n) for n in n_list]
-    limit = {"m1": 65536, "m2": 16384, "m3": 16384}[model]
-    if any(n > limit for n in n_list):
-        raise ValueError(f"n > {limit} exceeds the exact-KL desk bound")
+    _check_desk_bound("kl_scaling_probe", model, max(n_list, default=0))
     alt = single_bump_profile(alpha, l_const, bump_width)
     predicted = 1.0 / (2.0 * _KERNEL_POWER[model] + 2.0)
     kls, refs = [], []

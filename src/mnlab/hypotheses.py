@@ -151,8 +151,8 @@ def bump_kernel(alpha: float) -> BumpKernel:
 
 def holder_check(f, alpha: float, l_const: float, grid_size: int = 800,
                  lower: float | None = None, upper: float | None = None,
-                 deriv=None, domain=(0.0, 1.0)) -> bool:
-    """Grid test of membership in C(alpha, l_const) on ``domain``.
+                 deriv=None) -> bool:
+    """Grid test of membership in C(alpha, l_const) on [0, 1].
 
     Calls ``f`` (and, for ``p = ceil(alpha) - 1 = 1``, its analytic
     derivative ``deriv``) once on an equispaced grid, broadcasting a scalar
@@ -166,7 +166,7 @@ def holder_check(f, alpha: float, l_const: float, grid_size: int = 800,
     p = holder_exponent_order(alpha)
     if p >= 2 or (p == 1 and deriv is None):
         raise UnsupportedAlpha(f"alpha = {alpha} needs p <= 1 and, for p = 1, deriv=")
-    xs = np.linspace(domain[0], domain[1], grid_size)
+    xs = np.linspace(0.0, 1.0, grid_size)
 
     def on_grid(fn):
         return np.broadcast_to(np.asarray(fn(xs), dtype=float), xs.shape)
@@ -204,9 +204,8 @@ def vg_code(m: int, seed: int = 0) -> np.ndarray:
     Greedy in integer order for m <= 24, seeded random greedy beyond; the
     search stops once the guarantee plus one words are collected, so the
     alternatives alone meet the 2^(m/8) count.  The guarantee is
-    certified a posteriori; a search that cannot certify within its
-    attempt budget (then a 10x larger one) raises
-    :class:`ConstructionFailure`.
+    certified a posteriori; a search that cannot collect the words within
+    ``5500 * count`` random draws raises :class:`ConstructionFailure`.
 
     Returns an array of shape (count, m) with uint8 entries, all-zeros row
     first.  Deterministic given (m, seed).
@@ -228,16 +227,12 @@ def vg_code(m: int, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
         nbytes = (m + 7) // 8
         mask = (1 << m) - 1
-        budget = 500 * total
-        for _ in range(2):
-            while len(accepted) < total and budget > 0:
-                cand = int.from_bytes(rng.bytes(nbytes), "little") & mask
-                budget -= 1
-                if cand and all((cand ^ w).bit_count() >= d for w in accepted):
-                    accepted.append(cand)
+        for _ in range(5500 * total):
             if len(accepted) >= total:
                 break
-            budget = 5000 * total
+            cand = int.from_bytes(rng.bytes(nbytes), "little") & mask
+            if cand and all((cand ^ w).bit_count() >= d for w in accepted):
+                accepted.append(cand)
     if len(accepted) < total:
         raise ConstructionFailure(
             f"collected {len(accepted)} of {total} words within budget"

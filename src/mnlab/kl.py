@@ -38,16 +38,14 @@ held at large ``n``.
 
 A bump alternative of model m1 differs from its tridiagonal null by a
 diagonal block ``B = diag(b)``, ``b > 0``, on one-index runs, and
-``compare`` takes it by the tridiagonal route instead.  ``P`` is the
-inverse of the Schur complement ``C_S`` of the null onto the support,
-which is tridiagonal and built gap by gap in O(n).  The ``mu`` are the
-reciprocals of the eigenvalues of ``D^-1/2 C_S D^-1/2`` (``D = diag(b)``),
-which ``lapack.dpteqr`` finds to high relative accuracy in O(k^2) even
-when ``b`` spans sixty orders of magnitude, and the outer bound is
-``sum_j b_j^2 (sigma0^-2)_jj`` with that diagonal from a twisted
-factorisation in O(n).  So the route costs O(n + k^2) time and O(n)
-memory.  A row whose ``b_j`` is too small to scale is dropped, and
-:attr:`Comparison.dropped_bound` bounds the KL it carried.
+``compare`` takes it by the tridiagonal route instead, which computes no
+eigenvalue.  ``P`` is the inverse of the Schur complement ``C_S`` of the
+null onto the support, tridiagonal and built gap by gap in O(n).  As
+``mu - log1p(mu) = int_0^1 (1 - t) mu^2 / (1 + t mu)^2 dt``, the KL is
+one checked quadrature of the O(k) trace ``h(t) = tr((B (C_S +
+t B)^-1)^2)``, and the outer bound is ``sum_j b_j^2 (sigma0^-2)_jj``,
+both from twisted factorisations: O(n) time and memory, even when ``b``
+spans sixty orders of magnitude.
 
 A dense block against a banded null of bandwidth ``w`` takes the banded
 route when the support's runs tile their hull ``H = [a, b)`` (every row
@@ -97,8 +95,9 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas, lapack
 
-from .errors import DimensionMismatch, InvalidC, NoConvergence, NotPositiveDefinite
+from .errors import DimensionMismatch, InvalidC, NotPositiveDefinite
 from .linalg import Banded, check_symmetric, cholesky_lower, is_psd, sym
+from .profiles import checked_cells
 
 __all__ = [
     "GaussianLaw",
@@ -325,32 +324,32 @@ def _schur_tridiagonal(diag: np.ndarray, off: np.ndarray, rows: np.ndarray):
     return c_diag, c_off
 
 
-def _inverse_diagonals(diag: np.ndarray, off: np.ndarray):
-    """``gamma`` and ``gamma'`` of an SPD tridiagonal matrix ``A``:
-    ``(A^-1)_jj = 1 / gamma_j`` and ``(A^-2)_jj = gamma'_j / gamma_j^2``.
+def _inverse_diagonals(diag: np.ndarray, off: np.ndarray, rate=1.0):
+    """``gamma``, ``gamma'`` of an SPD tridiagonal ``A``: ``(A^-1)_jj = 1 /
+    gamma_j``, ``(A^-1 R A^-1)_jj = gamma'_j / gamma_j^2``, ``R = diag(rate)``.
 
     From the twisted factorisation: with pivots ``d`` and multipliers
     ``l_j = e_j / d_j`` eliminated top down, and ``u`` and ``m_j = e_j /
     u_{j+1}`` bottom up, ``gamma_j = a_jj - e_{j-1} l_{j-1} - e_j m_j``.
-    Its derivative under the shift ``A + sI`` is ``gamma'_j = 1 +
-    l_{j-1}^2 d'_{j-1} + m_j^2 u'_{j+1}``, as ``(A + sI)^-1`` has
-    derivative ``-(A + sI)^-2``; the pivots' own derivatives ``d'_j = 1 +
-    l_{j-1}^2 d'_{j-1}`` (and ``u'`` in the other direction) are one
-    bidiagonal solve each.  Every term of a derivative is positive, so
-    nothing cancels.
+    Its derivative under the shift ``A + sR``, whose inverse has
+    derivative ``-(A + sR)^-1 R (A + sR)^-1``, is ``gamma'_j = rate_j +
+    l_{j-1}^2 d'_{j-1} + m_j^2 u'_{j+1}``; the pivots' own derivatives
+    ``d'_j = rate_j + l_{j-1}^2 d'_{j-1}`` (and ``u'`` bottom up) are one
+    bidiagonal solve each.  For ``rate >= 0`` nothing cancels.
     """
     l = _ldl(diag, off)[1]
     m_up = _ldl(diag[::-1], off[::-1])[1]
     m = m_up[::-1]
+    rate = np.full(diag.shape, rate)
 
-    def slope(mult):
+    def slope(mult, rhs):
         band = np.ones((2, mult.size + 1))
         band[1, :-1] = -mult * mult
-        return blas.dtbsv(1, band, np.ones(mult.size + 1), lower=1)
+        return blas.dtbsv(1, band, rhs, lower=1)
 
     gamma = diag - np.concatenate(([0.0], off * l)) - np.concatenate((off * m, [0.0]))
-    slope_d, slope_u = slope(l), slope(m_up)[::-1]
-    gamma_s = 1.0 + np.concatenate(([0.0], l * l * slope_d[:-1])) \
+    slope_d, slope_u = slope(l, rate), slope(m_up, rate[::-1])[::-1]
+    gamma_s = rate + np.concatenate(([0.0], l * l * slope_d[:-1])) \
         + np.concatenate((m * m * slope_u[1:], [0.0]))
     return gamma, gamma_s
 
@@ -365,53 +364,40 @@ def _tridiagonal(law: GaussianLaw):
 
 def _diagonal_route(diag: np.ndarray, off: np.ndarray, rows: np.ndarray,
                     b: np.ndarray):
-    """``mu`` ascending and the dropped rows' KL bound, for ``B = diag(b)``
-    with ``b > 0`` on the sorted ``rows`` against the tridiagonal null
-    with the given diagonal and off-diagonal.
+    """``kl`` and ``middle_sq`` of ``B = diag(b)``, ``b > 0``, on the sorted
+    ``rows`` against the tridiagonal null of the given diagonals.
 
-    ``B P`` with ``P = C_S^-1`` (see :func:`_schur_tridiagonal`) has the
-    eigenvalues ``mu = 1 / lam``, ``lam`` those of the SPD tridiagonal
-    ``T = D^-1/2 C_S D^-1/2`` with ``D = diag(b)``.  ``lapack.dpteqr``
-    finds them to high relative accuracy however strongly ``T`` is
-    graded (Demmel & Kahan 1990), as it is when ``b`` falls over tens of
-    orders of magnitude at the edge of a bump.
-
-    A row whose diagonal entry of ``T`` overflows (a subnormal ``b_j``) is
-    dropped from ``S`` and ``C_S`` is built again; that only lowers the
-    other rows' entries.  Dropping it lowers the KL by at most ``(1/2) x
-    f'(mu_max + x)``, with ``f(mu) = mu - log1p(mu)``, ``f'(mu) = mu / (1
-    + mu)``, ``mu_max`` the largest ``mu`` of the kept rows and ``x`` the
-    sum of ``b_j P_jj`` over the dropped rows, ``P_jj = (null^-1)_jj``.
-    Proof: adding the dropped rows back, one at a time, adds ``v v^T``
-    with ``|v|^2 = b_j P_jj`` to the whitened difference ``null^-1/2 W B
-    W^T null^-1/2``, whose eigenvalues then interlace: each rises by
-    ``delta_i >= 0``, with ``sum delta_i = b_j P_jj``, and none rises past
-    ``mu_max + x``.  As ``f`` is convex and increasing, ``f(mu_i +
-    delta_i) - f(mu_i) <= f'(mu_i + delta_i) delta_i <= f'(mu_max + x)
-    delta_i``; sum over ``i`` and over the dropped rows.
+    With ``mu`` the eigenvalues of ``B P``, ``P = C_S^-1``
+    (:func:`_schur_tridiagonal`), and ``mu - log1p(mu) = int_0^1 (1 - t)
+    mu^2 / (1 + t mu)^2 dt``, the KL is ``(1/2) int_0^1 (1 - t) h(t) dt``:
+    ``h(t) = tr((B X_t^-1)^2) = sum_j b_j gamma'_j / gamma_j^2``, ``X_t =
+    C_S + t B``, by :func:`_inverse_diagonals` at rate ``b`` in O(k), all
+    terms positive and nothing scaled by ``1 / sqrt(b_j)`` to overflow.
+    ``middle_sq = sum(mu^2) = h(0)``.  ``h`` varies on the scale ``1 /
+    mu_max >= t0 = h(0)^-1/2``, so one checked quadrature integrates ``[0,
+    t0]`` and pieces growing fourfold up to 1.  Shifts are factored side
+    by side in one block-diagonal tridiagonal of up to 65536 rows.
     """
     c_diag, c_off = _schur_tridiagonal(diag, off, rows)
-    with np.errstate(over="ignore"):
-        t_diag = c_diag / b
-    keep = np.isfinite(t_diag)
-    lost = 0.0
-    if not keep.all():
-        gamma = _inverse_diagonals(diag, off)[0]
-        lost = math.fsum(b[~keep] / gamma[rows[~keep]])
-        rows, b = rows[keep], b[keep]
-        c_diag, c_off = _schur_tridiagonal(diag, off, rows)
-        t_diag = c_diag / b
-    r = 1.0 / np.sqrt(b)
-    lam = t_diag
-    if lam.size > 1:
-        lam, _, _, info = lapack.dpteqr(t_diag, c_off * r[:-1] * r[1:],
-                                        np.zeros((1, 1)))
-        if info:
-            raise NoConvergence(f"dpteqr failed on the support's Schur "
-                                f"complement (info {info})")
-    mu = 1.0 / lam  # lam descending, so mu ascending
-    top = (float(mu[-1]) if mu.size else 0.0) + lost
-    return mu, 0.5 * lost * top / (1.0 + top)
+    group = max(1, (1 << 16) // b.size)
+
+    def h(ts: np.ndarray) -> np.ndarray:
+        out = np.empty(ts.size)
+        for i in range(0, ts.size, group):
+            t = ts[i:i + group, None]
+            rate = np.tile(b, t.size)
+            # a zero off-diagonal parts two shifted matrices
+            off_t = np.tile(np.append(c_off, 0.0), t.size)[:-1]
+            gamma, gamma_s = _inverse_diagonals((c_diag + t * b).ravel(), off_t, rate)
+            out[i:i + group] = np.sum((rate / gamma * (gamma_s / gamma)).reshape(t.size, -1), 1)
+        return out
+
+    middle_sq = float(h(np.zeros(1))[0])
+    t0 = 1.0 / math.sqrt(middle_sq) if 1.0 < middle_sq < math.inf else 1.0
+    edges = [0.0] + [min(t0 * 4.0 ** i, 1.0) for i in range(math.ceil(-math.log(t0, 4)) + 1)]
+    pieces = checked_cells(lambda t, _: (1.0 - t) * h(t.ravel()).reshape(t.shape),
+                           edges[:-1], edges[1:])
+    return 0.5 * math.fsum(pieces), middle_sq
 
 
 def _reversed(bands: np.ndarray) -> np.ndarray:
@@ -546,18 +532,16 @@ class Comparison:
     """A null law against ``null + W B W^T``, reduced to ``k x k``.
 
     ``support`` holds the validated runs of ``W``, ``mu`` the eigenvalues
-    of ``R^T B R`` ascending and ``middle_sq`` is ``||R^T B R||_F^2 =
-    sum(mu^2)`` (see the module docstring).  ``right_sq = ||X B||_F^2`` is
-    computed on first use, by :meth:`bound`: by a second solve with ``k``
-    right-hand sides, or on the tridiagonal route, where ``block`` holds
-    the diagonal ``b`` of ``B``, as ``sum_j b_j^2 (null^-2)_jj`` in O(n).
-    ``dropped_bound`` bounds the KL of the rows that route dropped: ``kl``,
-    ``mu`` and ``middle_sq`` are those of the kept rows, and ``kl +
-    dropped_bound`` bounds the divergence from above.  It is 0 when no
-    row is dropped, and always on the other routes.  ``route`` names the
-    route :func:`compare` took: ``"tridiagonal"``, ``"banded"`` (where
-    ``mu`` and ``middle_sq`` come from ``L^-1 B L^-T``, ``P^-1 = L L^T``,
-    similar to ``R^T B R``) or ``"general"``.
+    of ``R^T B R`` ascending, ``middle_sq`` is ``||R^T B R||_F^2 =
+    sum(mu^2)`` and ``kl`` the exact divergence (nats), ``(1/2) sum(mu -
+    log1p(mu))``.  ``right_sq = ||X B||_F^2`` is computed on first use,
+    by :meth:`bound`: by a second solve with ``k`` right-hand sides, or on
+    the tridiagonal route, where ``block`` holds the diagonal ``b`` of
+    ``B``, as ``sum_j b_j^2 (null^-2)_jj`` in O(n).  ``route`` names the
+    route :func:`compare` took: ``"tridiagonal"`` (no eigenvalues, so
+    ``mu`` is empty; as ``b > 0``, the Loewner constant is 1),
+    ``"banded"`` (``mu`` and ``middle_sq`` from ``L^-1 B L^-T``, ``P^-1 =
+    L L^T``, similar to ``R^T B R``) or ``"general"``.
     """
 
     null: GaussianLaw
@@ -565,7 +549,7 @@ class Comparison:
     block: np.ndarray
     mu: np.ndarray
     middle_sq: float
-    dropped_bound: float = 0.0
+    kl: float
     route: str = "general"
 
     @cached_property
@@ -575,11 +559,6 @@ class Comparison:
             rows = self.support.rows
             return math.fsum((self.block / gamma[rows]) ** 2 * gamma_s[rows])
         return _solve_norm_sq(self.null, self.support, self.block)
-
-    @property
-    def kl(self) -> float:
-        """Exact divergence (nats) of the alternative from the null."""
-        return 0.5 * math.fsum(_kl_terms(self.mu))
 
     def bound(self, c: float) -> KLBound:
         """Frobenius bounds, valid when ``c * null <= alternative``."""
@@ -617,28 +596,26 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
     vector of ``k`` entries read as the diagonal ``B = diag(b)``.
 
     When the null is tridiagonal (a :class:`~mnlab.linalg.Banded` of
-    bandwidth 1), every run is one index and every ``b > 0``, the
-    comparison takes the tridiagonal route of :func:`_diagonal_route`:
-    the Schur complement of the null onto the support in O(n), the
-    eigenvalues of a ``k x k`` tridiagonal matrix by ``dpteqr`` in
-    O(k^2), and the outer bound in O(n), with no solve, no Cholesky
-    factor and no dense ``k x k`` array.  Rows it drops are bounded by
-    :attr:`Comparison.dropped_bound`.  Any other vector is read as
-    ``np.diag(b)``.  Against a banded null, on runs that tile their hull
-    with one index each except perhaps the first and the last (gaps are
-    allowed for a tridiagonal null), a block takes the banded route:
-    ``P^-1`` built in O(n w^2) by :func:`_hull_inverse`, its banded
-    Cholesky factor, two banded triangular solves with ``k`` right-hand
-    sides and one ``k x k`` eigenproblem, O(n w^2 + k^2 w + k^3) with no
-    solve of size ``n``.  Any other block takes the general path: one
-    solve with ``k`` right-hand sides, one ``k x k`` Cholesky factor and
-    one ``k x k`` eigenproblem.  Off the tridiagonal route the outer
-    bound takes a second solve with ``k`` right-hand sides, when it is
-    asked for.  :attr:`Comparison.route` records the route.  Raises
-    ``ValueError`` for runs that are empty, unsorted, overlapping or
-    outside ``[0, n)``, and :class:`~mnlab.errors.NotPositiveDefinite`
-    when the alternative is not positive definite (``1 + min(mu) <=
-    0``).
+    bandwidth 1), every run is one index and every ``b > 0``, the comparison
+    takes the tridiagonal route of :func:`_diagonal_route`: the Schur
+    complement of the null onto the support in O(n), the KL as one checked
+    quadrature of an O(k) trace, and the outer bound in O(n), with no
+    eigenvalue, no solve, no Cholesky factor and no dense ``k x k``
+    array.  Any other vector is read as ``np.diag(b)``.  Against a banded
+    null, on runs that tile their hull with one index each except perhaps
+    the first and the last (gaps are allowed for a tridiagonal null), a
+    block takes the banded route: ``P^-1`` built in O(n w^2) by
+    :func:`_hull_inverse`, its banded Cholesky factor, two banded triangular
+    solves with ``k`` right-hand sides and one ``k x k`` eigenproblem, O(n
+    w^2 + k^2 w + k^3) with no solve of size ``n``.  Any other block takes
+    the general path: one solve with ``k`` right-hand sides, one ``k x k``
+    Cholesky factor and one ``k x k`` eigenproblem.  Off the tridiagonal
+    route the outer bound takes a second solve with ``k`` right-hand sides,
+    when it is asked for.  :attr:`Comparison.route` records the
+    route.  Raises ``ValueError`` for runs that are empty, unsorted,
+    overlapping or outside ``[0, n)``, and
+    :class:`~mnlab.errors.NotPositiveDefinite` when the alternative is not
+    positive definite (``1 + min(mu) <= 0``).
     """
     runs = _runs(support, null.size)
     block = np.asarray(block, dtype=float)
@@ -649,15 +626,14 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
         )
     if k == 0:
         return Comparison(null=null, support=runs, block=np.zeros((0, 0)),
-                          mu=np.zeros(0), middle_sq=0.0)
+                          mu=np.zeros(0), middle_sq=0.0, kl=0.0)
     if block.ndim == 1:
         bands = _tridiagonal(null)
         if bands is not None and np.all(runs.lengths == 1) \
                 and np.all((block > 0.0) & (block < math.inf)):
-            mu, dropped = _diagonal_route(*bands, runs.rows, block)
-            return Comparison(null=null, support=runs, block=block, mu=mu,
-                              middle_sq=math.fsum(mu * mu), dropped_bound=dropped,
-                              route="tridiagonal")
+            kl, middle_sq = _diagonal_route(*bands, runs.rows, block)
+            return Comparison(null=null, support=runs, block=block, mu=np.zeros(0),
+                              middle_sq=middle_sq, kl=kl, route="tridiagonal")
         block = np.diag(block)
     block = check_symmetric(block, "block")
     inverse = _hull_inverse(null, runs)
@@ -670,7 +646,8 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
             f"the alternative is not positive definite (1 + mu_min = {1.0 + mu[0]:.3e})"
         )
     return Comparison(null=null, support=runs, block=block, mu=mu,
-                      middle_sq=middle_sq, route=route)
+                      middle_sq=middle_sq, kl=0.5 * math.fsum(_kl_terms(mu)),
+                      route=route)
 
 
 def _banded_route(inverse: np.ndarray, block: np.ndarray):
@@ -733,7 +710,7 @@ def _compare_laws(sigma0, sigma1) -> Comparison:
 def kl_exact(sigma0, sigma1) -> float:
     """Exact divergence (nats) of ``N(0, sigma1)`` from ``N(0, sigma0)``.
 
-    Both inputs must be positive definite; see :meth:`Comparison.kl`.
+    Both inputs must be positive definite; see :attr:`Comparison.kl`.
     """
     return _compare_laws(sigma0, sigma1).kl
 

@@ -33,8 +33,11 @@ class TestRateTable:
 
 class TestEvaluate:
     def test_parameter_guards(self):
-        with pytest.raises(ValueError):
-            cert.evaluate("m1", 8192, 1.0, 1.0, 0.1, 8.0, 0.09)
+        with pytest.raises(ValueError, match="n > 262144"):
+            cert.evaluate("m1", 262145, 1.0, 1.0, 0.1, 8.0, 0.09)
+        for model in ("m2", "m3"):
+            with pytest.raises(ValueError, match="n > 4096"):
+                cert.evaluate(model, 4097, 1.0, 1.0, 0.1, 8.0, 0.09)
         with pytest.raises(ValueError):
             cert.evaluate("m1", 256, 1.0, 1.0, 0.1, 8.0, 0.2)
         with pytest.raises(BudgetExceeded):
@@ -153,9 +156,9 @@ class TestKLScaling:
 
     def test_desk_bounds(self):
         # every model compares on the bump support against a banded null
-        assert cert.kl_scaling_probe("m1", 1.0, 1.0, 0.1, [32768]).kl_values[0] > 0.0
-        with pytest.raises(ValueError, match="n > 65536"):
-            cert.kl_scaling_probe("m1", 1.0, 1.0, 0.1, [131072])
+        assert cert.kl_scaling_probe("m1", 1.0, 1.0, 0.1, [131072]).kl_values[0] > 0.0
+        with pytest.raises(ValueError, match="n > 1048576"):
+            cert.kl_scaling_probe("m1", 1.0, 1.0, 0.1, [1048577])
         with pytest.raises(ValueError, match="n > 16384"):
             cert.kl_scaling_probe("m3", 1.0, 1.0, 0.01, [32768])
         assert cert.kl_scaling_probe("m2", 1.0, 1.0, 0.02, [8192]).kl_values[0] > 0.0
@@ -201,6 +204,7 @@ def test_m1_alternatives_factor_nothing(monkeypatch, workers):
 @pytest.mark.parametrize("call, match", [
     (lambda: cert.two_point_certificate_m3(0, 1.0, 4.0, 1.0, 0.1), "n >= 2"),
     (lambda: cert.two_point_certificate_m3(-4, 1.0, 4.0, 1.0, 0.1), "n >= 2"),
+    (lambda: cert.two_point_certificate_m3(8193, 1.0, 4.0, 1.0, 0.1), "n > 8192"),
     (lambda: cert.two_point_certificate_m3(256, 4.0, 4.0, 0.3, 0.1),
      "sigma_min < sigma_max"),
     (lambda: cert.two_point_certificate_m3(256, 1.0, 4.0, -0.1, 0.1), "c must be"),

@@ -353,6 +353,14 @@ def test_simulate_rate_rejects_bad_inputs(args, line):
     assert proc.stderr == line
 
 
+def test_two_point_rejects_n_above_the_desk_bound():
+    proc = run_cli("two-point-m3", "--n", "8193", "--sigma-min", "1",
+                   "--sigma-max", "4", "--c", "1", "--tau", "0.1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: n > 8192 exceeds the exact-KL desk bound\n"
+
+
 @pytest.mark.parametrize("args", [
     ("--width", "0"), ("--width", "-0.1"), ("--L", "0"), ("--L", "-0.5"),
 ])

@@ -37,9 +37,10 @@ class TestKernelConstant:
         assert kernel.a > 0.0
         assert kernel.eval(0.5) == 0.0 and kernel.eval(-0.5) == 0.0
         assert kernel.eval(0.0) == pytest.approx(kernel.a / math.e)
+        # the kernel's support [-1/2, 1/2], shifted onto [0, 1]
         assert hyp.holder_check(
-            kernel.eval, alpha, 0.5, grid_size=900,
-            deriv=kernel.deriv1, domain=(-0.6, 0.6),
+            lambda x: kernel.eval(x - 0.5), alpha, 0.5, grid_size=900,
+            deriv=lambda x: kernel.deriv1(x - 0.5),
         )
 
     @pytest.mark.parametrize("alpha", [0.5, 0.3, 2.1])

@@ -598,6 +598,47 @@ def tridiagonal(a):
     return a[0], a[1, :-1]
 
 
+def dpteqr_mu(null, support, b):
+    """The ``mu`` of ``B = diag(b)``, ascending: the reciprocals of the
+    eigenvalues of ``D^-1/2 C_S D^-1/2``, ``D = diag(b)``, which
+    ``lapack.dpteqr`` finds to high relative accuracy however strongly
+    ``b`` is graded (Demmel & Kahan 1990).  The tridiagonal route's oracle."""
+    c_diag, c_off = kl._schur_tridiagonal(*tridiagonal(null._cov.bands), support)
+    r = 1.0 / np.sqrt(b)
+    lam = c_diag / b
+    if lam.size > 1:
+        lam, _, _, info = scipy.linalg.lapack.dpteqr(lam, c_off * r[:-1] * r[1:],
+                                                     np.zeros((1, 1)))
+        assert info == 0
+    return 1.0 / lam  # lam descending, so mu ascending
+
+
+def long_double_kl(bands, support, b):
+    """``(1/2) (sum_j b_j / gamma_j - sum_j log1p(delta_j / d0_j))`` in long
+    double, for ``B = diag(b)`` on ``support`` against the tridiagonal null
+    of lower band storage ``bands``: ``d0`` are the null's pivots top down,
+    ``gamma_j = d0_j + u0_j - a_jj`` (``u0`` bottom up) its twisted
+    diagonal, ``1 / (null^-1)_jj``, and ``delta = d1 - d0`` the pivot gap
+    of the alternative, by its own recurrence ``delta_j = b_j + e_{j-1}^2
+    delta_{j-1} / (d0_{j-1} d1_{j-1})``.  It shares no code with either
+    route of the kernel."""
+    ld = np.longdouble
+    a, e2 = bands[0].astype(ld), bands[1, :-1].astype(ld) ** 2
+    n = a.size
+    full = np.zeros(n, dtype=ld)
+    full[support] = b
+    d0, u0, delta = (np.empty(n, dtype=ld) for _ in range(3))
+    d0[0], u0[-1], delta[0] = a[0], a[-1], full[0]
+    for j in range(1, n):
+        d0[j] = a[j] - e2[j - 1] / d0[j - 1]
+        delta[j] = full[j] + e2[j - 1] * delta[j - 1] \
+            / (d0[j - 1] * (d0[j - 1] + delta[j - 1]))
+    for j in range(n - 2, -1, -1):
+        u0[j] = a[j] - e2[j] / u0[j + 1]
+    gamma = d0 + u0 - a
+    return ld(0.5) * (np.sum(full / gamma) - np.sum(np.log1p(delta / d0)))
+
+
 class TestTridiagonalRoute:
     @given(seed=hs.integers(0, 2**32 - 1), n=hs.integers(2, 2048),
            tau=hs.floats(0.01, 0.3))
@@ -611,15 +652,17 @@ class TestTridiagonalRoute:
         want = general(null, support, np.diag(b))
         assert (got.route, want.route) == ("tridiagonal", "general")
         assert got.block.ndim == 1 and want.block.ndim == 2
-        assert got.dropped_bound == 0.0
+        assert got.mu.size == 0
         assert rel(got.kl, want.kl) <= 1e-12
         assert rel(got.middle_sq, want.middle_sq) <= 1e-12
         assert rel(got.right_sq, want.right_sq) <= 1e-12
         assert rel(got.loewner_constant, want.loewner_constant) <= 1e-12
-        # every mu of the route is positive and ascending; the general path
+        # every mu of the oracle is positive and ascending; the general path
         # has them to eps of the largest
-        assert np.all(got.mu > 0.0) and np.all(np.diff(got.mu) >= 0.0)
-        assert np.max(np.abs(got.mu - want.mu)) <= 1e-13 * got.mu[-1]
+        mu = dpteqr_mu(null, support, b)
+        assert np.all(mu > 0.0) and np.all(np.diff(mu) >= 0.0)
+        assert np.max(np.abs(mu - want.mu)) <= 1e-13 * mu[-1]
+        assert rel(got.kl, 0.5 * math.fsum(kl._kl_terms(mu))) <= 1e-12
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_graded_block_against_mpmath(self, n):
@@ -644,10 +687,23 @@ class TestTridiagonalRoute:
         assert rel(got.kl, mp_kl(inverse0, delta)) <= 1e-12
         assert rel(got.middle_sq, float(middle)) <= 1e-12
         assert rel(got.right_sq, float(right)) <= 1e-12
-        # the smallest mu (about 1e-60) keep their relative accuracy: their
-        # logs sum to log det(B P)
-        assert got.mu[0] < 1e-55
-        assert abs(math.fsum(np.log(got.mu)) - float(log_det)) <= 1e-12 * abs(float(log_det))
+        # the oracle's smallest mu (about 1e-60) keep their relative
+        # accuracy: their logs sum to log det(B P)
+        mu = dpteqr_mu(null, support, b)
+        assert mu[0] < 1e-55
+        assert abs(math.fsum(np.log(mu)) - float(log_det)) <= 1e-12 * abs(float(log_det))
+        assert rel(got.kl, 0.5 * math.fsum(kl._kl_terms(mu))) <= 1e-12
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="long double is no wider than double here")
+    def test_kl_scaling_bump_against_long_double(self):
+        spec = models.differenced_spec("m1", 1 << 16, 0.1)
+        bands = unit_bands(spec)
+        support, b = models.bump_difference(spec, single_bump_profile(1.0, 1.0, 0.125),
+                                            bands)
+        got = kl.compare(kl.GaussianLaw(bands), support, b)
+        assert got.route == "tridiagonal"
+        assert rel(got.kl, float(long_double_kl(bands.bands, support, b))) <= 1e-13
 
     def test_inverse_diagonals_of_one_row(self):
         gamma, gamma_s = kl._inverse_diagonals(np.array([0.5]), np.zeros(0))
@@ -676,32 +732,18 @@ class TestTridiagonalRoute:
         want = kl._solve_norm_sq(null, kl._runs(rows, n), np.diag(b))
         assert rel(kl.compare(null, rows, b).right_sq, want) <= 1e-12
 
-    @pytest.mark.parametrize("n, dropped", [(32, [10]), (32, [0, 31]), (48, [20, 21])])
-    def test_a_subnormal_row_is_dropped_within_its_bound(self, n, dropped):
+    @pytest.mark.parametrize("n, subnormal", [(32, [10]), (32, [0, 31]), (48, [20, 21])])
+    def test_a_subnormal_row_keeps_the_kl(self, n, subnormal):
         spec = models.differenced_spec("m1", n, 0.1)
         null = null_law(spec)
         support = np.arange(n)
         b = 1e-2 * np.logspace(0, -3, n)
-        b[dropped] = 5e-320
+        b[subnormal] = 5e-320
         got = kl.compare(null, support, b)
-        kept = np.setdiff1d(support, dropped)
-        # the route on the kept rows, bit for bit
-        assert np.array_equal(got.mu, kl.compare(null, kept, b[kept]).mu)
-        assert 0.0 < got.dropped_bound < 1e-300
-        # the KL lost: adding b_j e_j e_j^T to a covariance S raises the KL
-        # by (b_j (null^-1)_jj - log1p(b_j (S^-1)_jj)) / 2, one row at a time
+        assert got.route == "tridiagonal"
+        # nothing is scaled by 1 / sqrt(b_j), so every row stays in
         inverse0 = mp_null_inverse(spec)
-        with mpmath.workdps(60):
-            cov = mpmath.matrix(null.cov.tolist())
-            for j in kept:
-                cov[j, j] += mpmath.mpf(b[j])
-            lost = mpmath.mpf(0)
-            for j in dropped:
-                bj = mpmath.mpf(b[j])
-                lost += (bj * inverse0[j, j] - mpmath.log1p(bj * mpmath.inverse(cov)[j, j])) / 2
-                cov[j, j] += bj
-            assert got.dropped_bound >= lost > 0
-        assert rel(got.kl, mp_kl(inverse0, scatter(n, kept, b[kept]))) <= 1e-12
+        assert rel(got.kl, mp_kl(inverse0, scatter(n, support, b))) <= 1e-12
 
     @pytest.mark.parametrize("case", ["zero", "negative", "pentadiagonal", "dense",
                                       "long-run"])
@@ -740,7 +782,7 @@ class TestTridiagonalRoute:
     @pytest.mark.parametrize("null", [m1_null(16), kl.GaussianLaw(np.eye(16))])
     def test_an_empty_vector_block_compares_equal_laws(self, null):
         got = kl.compare(null, np.zeros(0, dtype=int), np.zeros(0))
-        assert got.kl == got.right_sq == got.middle_sq == got.dropped_bound == 0.0
+        assert got.kl == got.right_sq == got.middle_sq == 0.0
         assert got.dominates(1.0) and got.loewner_constant == 1.0
 
     @pytest.mark.parametrize("shift", [0.0, -1e-12, -1e-9, -1e-4])
