@@ -2,9 +2,16 @@
 
 This module only parses flags, dispatches and writes.  The ``verify-*``
 suites live in :mod:`mnlab.checks`; the other commands call
-:mod:`mnlab.certificate` and :mod:`mnlab.montecarlo`.  Every command
-returns one payload that goes into the same report envelope, is
-serialised once, and is written to stdout or atomically to ``--out``.
+:mod:`mnlab.certificate` and :mod:`mnlab.montecarlo`.  Each handler
+imports the module it calls when it runs, so a command loads only what it
+uses: the ``verify-*`` suites, ``certificate``, ``two-point-m3``,
+``rate-table`` and ``kl-scaling`` load :mod:`scipy.linalg` through
+:mod:`mnlab.checks` or :mod:`mnlab.certificate`, while ``simulate-rate``,
+``--help``, ``--version`` and every usage error the parser, the config
+file or a missing ``--c`` raises load no scipy module.
+Every command returns one payload that goes into the same report
+envelope, is serialised once, and is written to stdout or atomically to
+``--out``.
 
 Subcommands
 -----------
@@ -37,8 +44,7 @@ import math
 import os
 import sys
 
-from . import certificate as cert_mod
-from . import checks, montecarlo, reporting
+from . import montecarlo, reporting
 from ._version import __version__
 from .errors import (ConstructionFailure, NoConvergence, OptimizationFailure,
                      QuadratureFailure)
@@ -66,8 +72,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _list_of(kind, text: str) -> list:
+    values = [kind(x) for x in str(text).split(",") if x != ""]
+    # an empty list would silently stand for a command's default sizes
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+    return values
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in str(text).split(",") if x != ""]
+    return _list_of(int, text)
 
 
 def _finite_float(text: str) -> float:
@@ -88,7 +102,7 @@ def _positive_int(text: str) -> int:
 
 
 def _float_list(text: str) -> list[float]:
-    return [_finite_float(x) for x in str(text).split(",") if x != ""]
+    return _list_of(_finite_float, text)
 
 
 def _load_config_file(path: str) -> dict:
@@ -107,8 +121,8 @@ def _load_config_file(path: str) -> dict:
 
 # every flag, in the order the usage lists them: name -> (type, default,
 # allowed values).  The parser and config files both read this table; the
-# seed's default is MNLAB_SEED, else 0.  Float flags must be finite, and
-# trials, count, max_hypotheses and workers at least 1.
+# seed's default is MNLAB_SEED, else 0.  Float flags must be finite,
+# trials, count, max_hypotheses and workers at least 1, and lists non-empty.
 _FLAGS = {
     "model": (str, "m1", ("m1", "m2", "m3")),
     "n": (int, 256, None),
@@ -173,10 +187,14 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 # ---------------------------------------------------------------------------
 # command handlers: (payload key, payload, CSV rows or None, passed,
-# failure line)
+# failure line).  A handler imports checks or certificate when it runs:
+# both load scipy.linalg, which simulate-rate never needs
 
 
-def _verify(records):
+def _verify(suite: str, **kwargs):
+    from . import checks
+
+    records = getattr(checks, suite)(**kwargs)
     failing = [c["lemma"] for c in records if not c["pass"]]
     return ("checks", records, None, not failing,
             "failed checks: " + ", ".join(failing))
@@ -192,9 +210,12 @@ def _require_c(cfg):
 
 
 def _run_certificate(cfg):
+    c = _require_c(cfg)
+    from . import certificate as cert_mod
+
     cert = cert_mod.evaluate(
         cfg["model"], cfg["n"], cfg["alpha"], cfg["L"], cfg["tau"],
-        _require_c(cfg), cfg["kappa"], max_hypotheses=cfg["max_hypotheses"],
+        c, cfg["kappa"], max_hypotheses=cfg["max_hypotheses"],
         seed=cfg["seed"], workers=cfg["workers"],
     )
     return ("certificate", cert.to_dict(), None, cert.overall_pass,
@@ -202,8 +223,11 @@ def _run_certificate(cfg):
 
 
 def _run_two_point(cfg):
+    c = _require_c(cfg)
+    from . import certificate as cert_mod
+
     cert = cert_mod.two_point_certificate_m3(
-        cfg["n"], cfg["sigma_min"], cfg["sigma_max"], _require_c(cfg),
+        cfg["n"], cfg["sigma_min"], cfg["sigma_max"], c,
         cfg["tau"], kappa=cfg["kappa"],
     )
     return ("certificate", cert.to_dict(), None, cert.overall_pass,
@@ -211,6 +235,8 @@ def _run_two_point(cfg):
 
 
 def _run_rate_table(cfg):
+    from . import certificate as cert_mod
+
     rows = cert_mod.rate_table(cfg["alphas"], cfg["qs"])
     csv_rows = [["model", "q", "alpha", "exponent"]]
     for r in rows:
@@ -220,6 +246,8 @@ def _run_rate_table(cfg):
 
 
 def _run_kl_scaling(cfg):
+    from . import certificate as cert_mod
+
     ns = cfg["ns"] or [256, 512, 1024, 2048, 4096]
     result = cert_mod.kl_scaling_probe(
         cfg["model"], cfg["alpha"], cfg["L"], cfg["tau"], ns,
@@ -243,17 +271,18 @@ def _run_simulate_rate(cfg):
 
 
 _HANDLERS = {
-    "verify-linalg": lambda cfg: _verify(checks.verify_linalg(
-        seed=cfg["seed"], trials=cfg["trials"], tol=cfg["tol"])),
-    "verify-spectral": lambda cfg: _verify(checks.verify_spectral(
-        n=cfg["n"], seed=cfg["seed"], tol=cfg["tol"])),
-    "verify-kl": lambda cfg: _verify(checks.verify_kl(
-        seed=cfg["seed"], trials=cfg["trials"], tol=cfg["tol"])),
-    "verify-posdefmaj": lambda cfg: _verify(checks.verify_posdefmaj(
-        seed=cfg["seed"], ns=cfg["ns"], count=cfg["count"])),
-    "verify-model3-structure": lambda cfg: _verify(checks.verify_model3_structure(
-        n=cfg["n"], tau=cfg["tau"], alpha=cfg["alpha"], l_const=cfg["L"],
-        c=cfg["c"], seed=cfg["seed"], max_hypotheses=cfg["max_hypotheses"])),
+    "verify-linalg": lambda cfg: _verify(
+        "verify_linalg", seed=cfg["seed"], trials=cfg["trials"], tol=cfg["tol"]),
+    "verify-spectral": lambda cfg: _verify(
+        "verify_spectral", n=cfg["n"], seed=cfg["seed"], tol=cfg["tol"]),
+    "verify-kl": lambda cfg: _verify(
+        "verify_kl", seed=cfg["seed"], trials=cfg["trials"], tol=cfg["tol"]),
+    "verify-posdefmaj": lambda cfg: _verify(
+        "verify_posdefmaj", seed=cfg["seed"], ns=cfg["ns"], count=cfg["count"]),
+    "verify-model3-structure": lambda cfg: _verify(
+        "verify_model3_structure", n=cfg["n"], tau=cfg["tau"],
+        alpha=cfg["alpha"], l_const=cfg["L"], c=cfg["c"], seed=cfg["seed"],
+        max_hypotheses=cfg["max_hypotheses"]),
     "certificate": _run_certificate,
     "two-point-m3": _run_two_point,
     "rate-table": _run_rate_table,

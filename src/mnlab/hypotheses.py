@@ -35,8 +35,8 @@ from .errors import (
     TooFewBumps,
     UnsupportedAlpha,
 )
-from .profiles import (VolatilityProfile, _cells, _shifted_poly,
-                       _shifted_poly_antiderivative, checked_cells)
+from .profiles import (VolatilityProfile, _cells, _closed_form_cells,
+                       _shifted_poly, checked_cells)
 
 __all__ = [
     "BumpKernel",
@@ -282,21 +282,16 @@ class BumpSumProfile(VolatilityProfile):
 
         Each nonzero bump adds, in bump order, one :func:`checked_cells`
         pass over the cells it touches, clipped to its support, so no
-        interval crosses a bump edge.  The base level is the scalar
-        closed form per cell, in Python floats.  Both integrate in the
-        shifted variable ``v = u - shift``, so short cells near their
-        shift keep full relative precision.  An empty or reversed cell
-        integrates to 0.
+        interval crosses a bump edge.  The base level is one closed-form
+        pass over the cells.  Both integrate in the shifted variable
+        ``v = u - shift``, so short cells near their shift keep full
+        relative precision.  An empty or reversed cell integrates to 0.
         """
         lo, hi, shift = _cells(lo, hi, shift)
         if bump_only:
             total = np.zeros(lo.size)
         else:
-            total = np.fromiter(
-                (_shifted_poly_antiderivative(coeffs, s, b)
-                 - _shifted_poly_antiderivative(coeffs, s, a) if b > a else 0.0
-                 for a, b, s in zip(lo.tolist(), hi.tolist(), shift.tolist())),
-                dtype=float, count=lo.size)
+            total = _closed_form_cells(lo, hi, shift, coeffs)
         for c, w in zip(self.centers, self.weights):
             if w == 0.0:
                 continue

@@ -185,20 +185,39 @@ def mle_const_sigma_m1(diff_data, n: int, tau: float) -> float | np.ndarray:
 
 def _mle_row(c2: np.ndarray, n: int, noise: np.ndarray, u: np.ndarray,
              u_sum: float) -> float:
-    """One sample's estimate from its squared coordinates ``c2``."""
-    lo, hi = BRACKET
+    """One sample's estimate from its squared coordinates ``c2``.
 
-    def score(s: float):
-        """Score at ``s``, with the ``1 / v_i`` and ``c_i^2 / v_i`` it used."""
-        w = 1.0 / (s / n + noise)
-        cw = c2 * w
-        return float(np.sum(w * (cw - 1.0))), w, cw
+    The score, its slope and the start estimate run in three row buffers,
+    ``w``, ``cw`` and ``t``, filled in place: a Newton iteration allocates
+    nothing of length n, and every operation keeps the order of the
+    out-of-place formulas, so the estimate keeps their bits.
+    """
+    lo, hi = BRACKET
+    w, cw, t = (np.empty_like(c2) for _ in range(3))
+
+    def score(s: float) -> float:
+        """Score at ``s``; leaves ``1 / v_i`` in ``w`` and ``c_i^2 / v_i`` in ``cw``."""
+        np.add(noise, s / n, out=w)
+        np.divide(1.0, w, out=w)
+        np.multiply(c2, w, out=cw)
+        np.subtract(cw, 1.0, out=t)
+        np.multiply(w, t, out=t)
+        return float(np.sum(t))
+
+    def slope() -> float:
+        """The score's derivative ``sum w_i^2 (1 - 2 cw_i) / n`` at the last
+        ``score`` call; overwrites ``cw``."""
+        np.multiply(2.0, cw, out=t)
+        np.subtract(1.0, t, out=t)
+        np.multiply(w, w, out=cw)
+        np.multiply(cw, t, out=t)
+        return float(np.sum(t)) / n
 
     def loglik(s: float) -> float:
         v = s / n + noise
         return -0.5 * float(np.sum(np.log(v) + c2 / v))
 
-    g_lo, g_hi = score(lo)[0], score(hi)[0]
+    g_lo, g_hi = score(lo), score(hi)
     if g_lo == 0.0:
         return lo
     if g_hi == 0.0:
@@ -211,11 +230,13 @@ def _mle_row(c2: np.ndarray, n: int, noise: np.ndarray, u: np.ndarray,
             "score is still positive at the bracket ceiling",
             profile=[(float(s), loglik(float(s))) for s in grid],
         )
-    start = n * float(np.sum(u * (c2 - noise))) / u_sum
+    np.subtract(c2, noise, out=t)
+    np.multiply(u, t, out=t)
+    start = n * float(np.sum(t)) / u_sum
     a, b = lo, hi
     s = min(max(start, lo), hi)
     for _ in range(200):
-        g, w, cw = score(s)
+        g = score(s)
         if g > 0.0:
             a = s
         elif g < 0.0:
@@ -224,7 +245,7 @@ def _mle_row(c2: np.ndarray, n: int, noise: np.ndarray, u: np.ndarray,
             return s
         if b - a <= TOL * max(1.0, b):
             break
-        gp = float(np.sum(w * w * (1.0 - 2.0 * cw))) / n
+        gp = slope()
         step = -g / gp if gp != 0.0 else math.inf  # flat score: bisect
         h = 0.5 * TOL * max(1.0, s)
         if abs(step) < h:
@@ -346,10 +367,10 @@ class ExperimentResult:
 # CHUNK_BYTES / 8n replicates and at least one (16 at n = 1024, 4 at 4096,
 # 1 at 16384).  The sine transform's complex workspace, of length 2n per
 # replicate at power-of-two n, is 4 times the samples and stays with the
-# thread between chunks; with the transform's result and the estimator's
-# temporaries a chunk peaks at about 8 times the samples, 1 MB (11 times
-# at n = 16384, where one replicate's Newton temporaries count in full;
-# measured with tracemalloc)
+# thread between chunks; beyond it, the transform's result and the Newton
+# solve's three row buffers make a chunk peak at about 4 times the
+# samples, 0.5 MB, at n = 1024, 4096 and 16384 (measured with tracemalloc
+# on a second chunk)
 CHUNK_BYTES = 2**17
 
 

@@ -109,14 +109,26 @@ def _shifted_poly(coeffs, shift: float, u: float) -> float:
     return p
 
 
-def _shifted_poly_antiderivative(coeffs, shift: float, x: float) -> float:
-    """Antiderivative of ``sum_r coeffs[r] (u - shift)^r`` at ``u = x``."""
-    v = x - shift
-    total = 0.0
-    for r, c in enumerate(coeffs):
-        if c != 0.0:
-            total += c * v ** (r + 1) / (r + 1)
-    return total
+def _closed_form_cells(lo, hi, shift, coeffs) -> np.ndarray:
+    """``integral_lo^hi sum_r coeffs[r] (u - shift)^r du`` per cell, 0 where
+    ``hi <= lo``, in one pass over the cells.
+
+    The antiderivative sums ``coeffs[r] v^(r+1) / (r+1)``, ``v = x - shift``,
+    over the nonzero coefficients from 0.0, as the same loop in Python
+    floats would, and gives its bits: products, quotients and sums are
+    IEEE's in both, and a power ``v^k`` with k >= 2 is Python's ``v ** k``
+    (libm ``pow``), which numpy's vectorised ``power`` does not match.
+    """
+    def antiderivative(x):
+        v = x - shift
+        total = np.zeros(v.shape)
+        for r, c in enumerate(coeffs):
+            if c != 0.0:
+                vk = v if r == 0 else np.array([vi ** (r + 1) for vi in v.tolist()])
+                total += c * vk / (r + 1)
+        return total
+
+    return np.where(hi > lo, antiderivative(hi) - antiderivative(lo), 0.0)
 
 
 def _cells(lo, hi, shift):
@@ -144,12 +156,13 @@ class VolatilityProfile:
         ``lo``, ``hi`` and ``shift`` broadcast to one value per cell; the
         shared ``coeffs`` are in powers of ``u - shift[k]``.  Here each
         cell is one ``poly_integral`` call with Python floats, in cell
-        order; a bump profile integrates each bump in one checked
-        Gauss-Legendre pass instead.  Either way the result is
-        bit-identical to the scalar loop.  ``bump_only`` integrates the
-        bump part ``sigma^2 - 1`` instead, which is exactly zero on cells no
-        bump touches; only bump profiles, which sit on the base level 1,
-        have one, and any other profile raises :class:`InvalidProfile`.
+        order; constant and piecewise profiles answer in one closed-form
+        pass over the cells per piece, and a bump profile integrates each
+        bump in one checked Gauss-Legendre pass.  Either way the result is
+        bit-identical to the scalar loop.  ``bump_only`` integrates the bump
+        part ``sigma^2 - 1`` instead, which is exactly zero on cells no bump
+        touches; only bump profiles, which sit on the base level 1, have
+        one, and any other profile raises :class:`InvalidProfile`.
         """
         if bump_only:
             raise InvalidProfile(f"a {self.kind} profile has no bump part")
@@ -175,12 +188,14 @@ class ConstantProfile(VolatilityProfile):
         return float(out) if out.ndim == 0 else out
 
     def poly_integral(self, a, b, shift, coeffs):
-        if b <= a:
-            return 0.0
-        return self.value * (
-            _shifted_poly_antiderivative(coeffs, shift, b)
-            - _shifted_poly_antiderivative(coeffs, shift, a)
-        )
+        return float(self.cell_integrals(a, b, shift, coeffs)[0])
+
+    def cell_integrals(self, lo, hi, shift, coeffs, bump_only: bool = False) -> np.ndarray:
+        """One closed-form pass over all cells, bit-identical to the closed
+        form per cell in Python floats."""
+        if bump_only:
+            raise InvalidProfile(f"a {self.kind} profile has no bump part")
+        return self.value * _closed_form_cells(*_cells(lo, hi, shift), coeffs)
 
 
 class PiecewiseConstantProfile(VolatilityProfile):
@@ -213,14 +228,20 @@ class PiecewiseConstantProfile(VolatilityProfile):
         return float(out) if out.ndim == 0 else out
 
     def poly_integral(self, a, b, shift, coeffs):
-        total = 0.0
+        return float(self.cell_integrals(a, b, shift, coeffs)[0])
+
+    def cell_integrals(self, lo, hi, shift, coeffs, bump_only: bool = False) -> np.ndarray:
+        """One closed-form pass per piece over all cells, each cell clipped
+        to the piece, bit-identical to the same sum per cell in Python
+        floats (a piece a cell misses adds +0.0)."""
+        if bump_only:
+            raise InvalidProfile(f"a {self.kind} profile has no bump part")
+        lo, hi, shift = _cells(lo, hi, shift)
+        total = np.zeros(lo.size)
         for k, v in enumerate(self.values):
-            lo, hi = max(a, self._edges[k]), min(b, self._edges[k + 1])
-            if hi > lo:
-                total += v * (
-                    _shifted_poly_antiderivative(coeffs, shift, hi)
-                    - _shifted_poly_antiderivative(coeffs, shift, lo)
-                )
+            total += v * _closed_form_cells(np.maximum(lo, self._edges[k]),
+                                            np.minimum(hi, self._edges[k + 1]),
+                                            shift, coeffs)
         return total
 
 

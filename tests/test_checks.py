@@ -61,13 +61,18 @@ def test_cli_imports_no_numerics():
 
 
 def test_no_function_local_imports():
+    # the one exception: a CLI handler imports the scipy-loading module it
+    # runs, checks or certificate, when it runs, so simulate-rate never
+    # loads scipy
+    lazy = {("cli.py", "checks"), ("cli.py", "certificate")}
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(func)
-                              if isinstance(node, (ast.Import, ast.ImportFrom))]
+                              if isinstance(node, (ast.Import, ast.ImportFrom))
+                              and not {(path.name, name) for name in _imports(node)} <= lazy]
     assert offenders == []
 
 

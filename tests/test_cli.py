@@ -371,19 +371,52 @@ def test_kl_scaling_rejects_bad_inputs(args):
     assert proc.stderr == "error: need bump width > 0, L > 0\n"
 
 
+_SCIPY_AFTER_MAIN = """
+import sys
+from mnlab import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+print()
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+
+
+def _scipy_after_main(*args):
+    """The scipy modules a fresh process holds after ``cli.main(args)``."""
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_AFTER_MAIN, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
 def test_importing_montecarlo_loads_no_covariance_modules():
-    # montecarlo loads no scipy module at all, and no mnlab process loads
-    # scipy.integrate: every quadrature is profiles.checked_cells
+    # montecarlo and cli load no scipy module at all, and no mnlab process
+    # loads scipy.integrate: every quadrature is profiles.checked_cells
     for module, loaded in (
             ("mnlab.montecarlo", "m in ('mnlab.kl', 'mnlab.models', 'mnlab.certificate', "
                                  "'mnlab.checks') or m.split('.')[0] == 'scipy'"),
-            ("mnlab.cli", "m.startswith('scipy.integrate')")):
+            ("mnlab.cli", "m.split('.')[0] == 'scipy'")):
         code = (f"import sys, {module}; "
                 f"print(sorted(m for m in sys.modules if {loaded}))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n", module
+    # each subcommand imports what it runs: simulate-rate, help, version
+    # and usage errors load no scipy module
+    for args in (("simulate-rate", "--ns", "64,128", "--reps", "100"),
+                 ("--help",), ("--version",), ("simulate-rate", "--ns", ","),
+                 ("no-such-command",), ("certificate", "--n", "64"),
+                 ("two-point-m3", "--n", "64")):
+        assert _scipy_after_main(*args) == [], args
+    # the covariance commands load scipy.linalg, never scipy.integrate
+    for args in (("certificate", "--model", "m1", "--n", "256", "--c", "9"),
+                 ("kl-scaling", "--model", "m1", "--ns", "256,512")):
+        loaded = _scipy_after_main(*args)
+        assert "scipy.linalg" in loaded, args
+        assert not [m for m in loaded if m.startswith("scipy.integrate")], args
     # and no process-global warning filter is touched
     for path in sorted(Path(mnlab.__file__).parent.glob("*.py")):
         assert "catch_warnings" not in path.read_text(), path.name
@@ -423,6 +456,34 @@ def test_unwritable_out_is_one_error_line(tmp_path, target):
     assert "Traceback" not in proc.stderr
     # no temp file is left behind
     assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("args", [
+    ("kl-scaling", "--model", "m1", "--ns", ","),
+    ("simulate-rate", "--reps", "100", "--ns", ","),
+    ("verify-posdefmaj", "--ns", ""),
+    ("rate-table", "--alphas", ","),
+    ("rate-table", "--qs", ""),
+])
+def test_empty_list_flag_exits_one(args):
+    # an empty list would silently run the command's default sizes, or no rows
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert error_lines(proc.stderr) == [
+        f"error: argument {args[-2]}: empty list: {args[-1]!r}"], proc.stderr
+
+
+@pytest.mark.parametrize("command, line", [
+    ("simulate-rate", "ns ="), ("kl-scaling", "ns = ,"), ("rate-table", "alphas =")])
+def test_empty_list_config_value_exits_one(tmp_path, command, line):
+    config = tmp_path / "empty.cfg"
+    config.write_text(line + "\n")
+    proc = run_cli(command, "--config", str(config))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    key, _, value = line.partition(" =")
+    assert proc.stderr == f"error: config value {key}: empty list: {value.strip()!r}\n"
 
 
 def test_every_flag_is_read():

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -227,6 +228,100 @@ class TestMleCertificate:
                                       workers=workers).to_dict()
 
         assert run(2) == run(1)
+
+
+def _allocating_mle_row(c2, n, noise, u, u_sum):
+    """The out-of-place Newton solve that ``mc._mle_row`` runs in place."""
+    lo, hi = mc.BRACKET
+
+    def score(s):
+        w = 1.0 / (s / n + noise)
+        cw = c2 * w
+        return float(np.sum(w * (cw - 1.0))), w, cw
+
+    def loglik(s):
+        v = s / n + noise
+        return -0.5 * float(np.sum(np.log(v) + c2 / v))
+
+    g_lo, g_hi = score(lo)[0], score(hi)[0]
+    if g_lo == 0.0:
+        return lo
+    if g_hi == 0.0:
+        return hi
+    if g_lo < 0.0 and g_hi < 0.0:
+        return lo
+    if not (g_lo > 0.0 > g_hi):
+        grid = np.geomspace(lo, hi, 41)
+        raise OptimizationFailure(
+            "score is still positive at the bracket ceiling",
+            profile=[(float(s), loglik(float(s))) for s in grid],
+        )
+    start = n * float(np.sum(u * (c2 - noise))) / u_sum
+    a, b = lo, hi
+    s = min(max(start, lo), hi)
+    for _ in range(200):
+        g, w, cw = score(s)
+        if g > 0.0:
+            a = s
+        elif g < 0.0:
+            b = s
+        else:
+            return s
+        if b - a <= mc.TOL * max(1.0, b):
+            break
+        gp = float(np.sum(w * w * (1.0 - 2.0 * cw))) / n
+        step = -g / gp if gp != 0.0 else math.inf
+        h = 0.5 * mc.TOL * max(1.0, s)
+        if abs(step) < h:
+            step = math.copysign(h, step)
+        s = s + step if a < s + step < b else 0.5 * (a + b)
+    return 0.5 * (a + b)
+
+
+def _row_outcome(row_fn, n, tau, sigma_sq, seed):
+    """``row_fn`` on one sample: the estimate's bits, or the failure's
+    message and profile bits."""
+    data = mc.sample_m1_constant_diff(sigma_sq, tau, n, seed=seed)
+    c2 = st.sine_transform(data) ** 2
+    noise = tau * tau * st.eigvals_closed(n)
+    u = (1.0 / n + noise) ** -2
+    try:
+        est = row_fn(c2, n, noise, u, float(np.sum(u)))
+    except OptimizationFailure as err:
+        return "failure", str(err), np.array(err.profile).view(np.int64).tolist()
+    return "estimate", np.float64(est).view(np.int64)
+
+
+# one sample per way out of the solve; the multimodal sample's score is
+# negative at both bracket ends although the likelihood has an interior
+# maximum, so it returns the floor
+_ORACLE_CASES = {
+    "floor": dict(n=256, tau=0.5, sigma_sq=0.0, seed=1),
+    "failure": dict(n=128, tau=0.1, sigma_sq=1e6, seed=1),
+    "root": dict(n=512, tau=0.1, sigma_sq=1.0, seed=7),
+    "multimodal": dict(n=17, tau=0.19008, sigma_sq=1e-3, seed=3767594629),
+}
+
+
+class TestNewtonInPlace:
+    @settings(max_examples=200, deadline=None)
+    @given(n=hs.integers(1, 512), tau=hs.floats(1e-3, 1.0),
+           sigma_sq=hs.one_of(hs.just(0.0), hs.floats(-10.0, 7.0).map(lambda e: 10.0**e)),
+           seed=hs.integers(0, 2**32 - 1))
+    def test_matches_the_allocating_solve_bit_for_bit(self, n, tau, sigma_sq, seed):
+        case = dict(n=n, tau=tau, sigma_sq=sigma_sq, seed=seed)
+        assert (_row_outcome(mc._mle_row, **case)
+                == _row_outcome(_allocating_mle_row, **case))
+
+    @pytest.mark.parametrize("name", list(_ORACLE_CASES))
+    def test_each_way_out_matches(self, name):
+        case = _ORACLE_CASES[name]
+        outcome = _row_outcome(mc._mle_row, **case)
+        assert outcome == _row_outcome(_allocating_mle_row, **case)
+        floor = np.float64(mc.BRACKET[0]).view(np.int64)
+        way = ("failure" if outcome[0] == "failure"
+               else "floor" if outcome[1] == floor else "root")
+        assert way == ("floor" if name == "multimodal" else name)
 
 
 class TestBinned:

@@ -5,6 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.integrate import quad
 
 from mnlab import hypotheses
@@ -94,6 +96,81 @@ def test_cell_integrals_equal_the_scalar_loop_bit_for_bit(profile):
     got = profile.cell_integrals(grid[:-1], grid[1:], 0.0, (1.0,))
     assert got.tobytes() == profile.cell_integrals(
         grid[:-1], grid[1:], np.zeros(n), (1.0,)).tobytes()
+
+
+def _scalar_closed_form(pieces, a, b, shift, coeffs):
+    """The closed-form cell integral of a piecewise-constant ``sigma^2``,
+    given as ``(edge, edge, value)`` pieces, in Python floats, one cell at
+    a time: the loop that ``cell_integrals`` vectorises."""
+    def antiderivative(x):
+        v = x - shift
+        total = 0.0
+        for r, c in enumerate(coeffs):
+            if c != 0.0:
+                total += c * v ** (r + 1) / (r + 1)
+        return total
+
+    total = 0.0
+    for e0, e1, value in pieces:
+        lo, hi = max(a, e0), min(b, e1)
+        if hi > lo:
+            total += value * (antiderivative(hi) - antiderivative(lo))
+    return total
+
+
+def _pieces(profile):
+    if profile.kind == "constant":
+        return [(-math.inf, math.inf, profile.value)]
+    if profile.kind == "piecewise":
+        edges = (-math.inf,) + profile.breaks + (math.inf,)
+        return list(zip(edges[:-1], edges[1:], profile.values))
+    return [(-math.inf, math.inf, 1.0)]  # the base level of a bump profile
+
+
+def _closed_form_loop(profile, lo, hi, shift, coeffs):
+    lo, hi, shift = np.broadcast_arrays(lo, hi, shift)
+    return np.array([_scalar_closed_form(_pieces(profile), a, b, s, coeffs)
+                     for a, b, s in zip(lo.tolist(), hi.tolist(), shift.tolist())])
+
+
+_COEFFS = hs.lists(hs.sampled_from([0.0, 1.0, -1.0, 0.37, 1.0 / 3.0, -2.5e-3]),
+                   min_size=1, max_size=5)
+_BREAKS = hs.lists(hs.floats(0.01, 0.99), max_size=4, unique=True).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=hs.lists(hs.tuples(*[hs.floats(-2.0, 2.0)] * 3), min_size=1, max_size=40),
+       coeffs=_COEFFS, breaks=_BREAKS, values=hs.lists(hs.floats(1e-3, 1e3), min_size=5,
+                                                        max_size=5))
+def test_closed_form_cells_equal_the_python_float_loop_bit_for_bit(cells, coeffs, breaks,
+                                                                   values):
+    # powers k >= 2 are Python's v ** k: numpy's power misses those bits
+    lo, hi, shift = (np.array(x) for x in zip(*cells))
+    for profile in (ConstantProfile(values[0]),
+                    PiecewiseConstantProfile(breaks, values[:len(breaks) + 1])):
+        got = profile.cell_integrals(lo, hi, shift, coeffs)
+        want = _closed_form_loop(profile, lo, hi, shift, coeffs)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), profile.kind
+
+
+@pytest.mark.parametrize("n", [1000, 2**12])
+def test_model_queries_equal_the_python_float_loop_bit_for_bit(n):
+    # the m1, m2 and m3 queries of the covariance builders, on constant and
+    # piecewise profiles and on the base level of a bump profile (the null
+    # of a family)
+    grid = np.arange(n + 1) / n
+    lo, hi = grid[:-1], grid[1:]
+    queries = [(lo, hi, 0.0, (1.0,)), (0.0, hi, 0.0, (0.0, 1.0)),
+               (0.0, hi, 0.0, (0.0, 0.0, 1.0)), (lo, hi, hi, SQ),
+               (lo[:-1], hi[:-1], lo[:-1], SQ), (lo, hi, lo, (0.0, 1.0 / n, -1.0))]
+    profiles = (ConstantProfile(1.0), ConstantProfile(0.7), _PROFILES[1],
+                build_family(64, 1.0, 1.0, 7.5, "m1m2", seed=1).profile(0))
+    for a, b, shift, coeffs in queries:
+        for profile in profiles:
+            got = profile.cell_integrals(a, b, shift, coeffs)
+            want = _closed_form_loop(profile, a, b, shift, coeffs)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                (profile.kind, coeffs)
 
 
 def test_piecewise_outer_pieces_extend_beyond_the_unit_interval():

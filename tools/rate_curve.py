@@ -9,10 +9,11 @@ script with the MLE on one n at a time, each in a fresh process, with the
 ``simulate-rate`` defaults of the benchmark workload (sigma^2 1, tau 0.1,
 one worker).  Prints one JSON object: per n, the median seconds of
 ``--repeats`` experiments in that process, the median seconds of those
-spent in ``structures.sine_transform`` (timed by wrapping it where
-``montecarlo`` calls it), the minor page faults over all the repeats
-(``ru_minflt`` of the process, after minus before), the MSE and the
-process's peak resident memory.  A point that fails records its error
+spent in ``montecarlo.mle_const_sigma_m1`` (the MLE stage: the sine
+transform and the Newton solves) and in ``structures.sine_transform``
+(each timed by wrapping it where ``montecarlo`` calls it), the minor page
+faults over all the repeats (``ru_minflt`` of the process, after minus
+before), the MSE and the process's peak resident memory.  A point that fails records its error
 instead.  The fault counts are those of a fresh process: one that ran
 larger arrays first, as the ``simulate-rate`` subcommand does over its
 n list, can fault far less, because the allocator's thresholds have
@@ -34,28 +35,35 @@ _POINT = """
 import json, resource, statistics, sys, time
 from mnlab import montecarlo
 n, reps, seed, repeats = (int(x) for x in sys.argv[1:5])
-transform, spent = montecarlo.sine_transform, [0.0]
+spent = {"mle_const_sigma_m1": [], "sine_transform": []}
 
-def timed_transform(data):
-    t0 = time.perf_counter()
-    try:
-        return transform(data)
-    finally:
-        spent[0] += time.perf_counter() - t0
+def timed(name):
+    fn = getattr(montecarlo, name)
 
-montecarlo.sine_transform = timed_transform
-times, transform_times = [], []
+    def wrapper(*args):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            spent[name][-1] += time.perf_counter() - t0
+
+    setattr(montecarlo, name, wrapper)
+
+for name in spent:
+    timed(name)
+times = []
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(repeats):
-    spent[0] = 0.0
+    for name in spent:
+        spent[name].append(0.0)
     t0 = time.perf_counter()
     mse = montecarlo.rate_experiment("m1", "mle", [n], reps, seed=seed).mse[0]
     times.append(time.perf_counter() - t0)
-    transform_times.append(spent[0])
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 print(json.dumps({"seconds": statistics.median(times),
-                  "transform_seconds": statistics.median(transform_times),
+                  "mle_seconds": statistics.median(spent["mle_const_sigma_m1"]),
+                  "transform_seconds": statistics.median(spent["sine_transform"]),
                   "minor_faults": faults,
                   "mse": mse, "peak_rss_mb": rss}))
 """
