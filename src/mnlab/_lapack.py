@@ -1,0 +1,58 @@
+"""The LAPACK and BLAS routines mnlab calls, from scipy's own extensions.
+
+scipy builds its LAPACK and BLAS wrappers into two extension modules,
+``scipy.linalg._flapack`` and ``scipy.linalg._fblas``.  Importing them
+the usual way runs the ``scipy.linalg`` package ``__init__`` first, which
+costs far more than the extensions themselves (its array-API layer loads
+``numpy.f2py`` and ``numpy.testing``).  This module loads each extension
+from its file under its canonical name instead, or reuses the entry
+``sys.modules`` already holds, so every routine here is the very object
+``scipy.linalg.lapack`` and ``scipy.linalg.blas`` export: same code, same
+bits.  A later ``import scipy.linalg`` finds the extensions in
+``sys.modules`` and uses them as they are.
+"""
+
+from __future__ import annotations
+
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from pathlib import Path
+
+__all__ = ["dpttrf", "dpbtrf", "dpbtrs", "dpotrf", "dpotrs", "dtbtrs", "dtrtrs",
+           "dtbsv", "dtrmm"]
+
+
+def _extension(name: str):
+    """The extension module ``scipy.linalg.<name>``, loaded from its file."""
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    scipy = find_spec("scipy")
+    if scipy is None or scipy.origin is None:
+        raise ImportError("scipy is not installed", name=full)
+    folder = Path(scipy.origin).parent / "linalg"
+    paths = [folder / (name + suffix) for suffix in EXTENSION_SUFFIXES]
+    path = next((str(p) for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"no extension module {full} at {paths[0]}",
+                          name=full, path=str(paths[0]))
+    spec = spec_from_file_location(full, path, loader=ExtensionFileLoader(full, path))
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[full] = module
+    return module
+
+
+_flapack = _extension("_flapack")
+_fblas = _extension("_fblas")
+
+dpttrf = _flapack.dpttrf
+dpbtrf = _flapack.dpbtrf
+dpbtrs = _flapack.dpbtrs
+dpotrf = _flapack.dpotrf
+dpotrs = _flapack.dpotrs
+dtbtrs = _flapack.dtbtrs
+dtrtrs = _flapack.dtrtrs
+dtbsv = _fblas.dtbsv
+dtrmm = _fblas.dtrmm

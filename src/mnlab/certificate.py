@@ -456,7 +456,10 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     moved row (k about n / 4), reaches n = 16384 (about 6 s and 450 MB).
     m3 (k about n / 8) stops at n = 16384: its null is so ill-conditioned
     that the KL's rounding error, on either route, grows several-fold per
-    doubling of n, to about 1e-8 relative there.
+    doubling of n, to about 1e-8 relative there.  A KL of exactly 0 (m2
+    reads ``sigma(t_i)`` on the grid, and at n = 3, 5 or 7 no grid point
+    lies in the default bump) has no logarithm: with two or more sizes it
+    raises ``ValueError`` naming the n; one size fits no slope anyway.
     """
     if model not in ("m1", "m2", "m3"):
         raise ValueError("probe covers models m1, m2, m3")
@@ -475,6 +478,9 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
         kls.append(compare(GaussianLaw(null_bands),
                            *bump_difference(spec, alt, null_bands)).kl)
         refs.append(float(n) ** predicted * bump_width ** (2.0 * alpha))
+        if kls[-1] == 0.0 and len(n_list) > 1:
+            raise ValueError(f"the exact KL is 0 at n = {n}: the bump moves no "
+                             f"covariance entry, so the log-log slope is undefined")
     slope, slope_se = ols_slope(np.log(n_list), np.log(kls))
     return KLScalingResult(
         model=model, alpha=float(alpha), l_const=float(l_const),

@@ -5,10 +5,11 @@ suites live in :mod:`mnlab.checks`; the other commands call
 :mod:`mnlab.certificate` and :mod:`mnlab.montecarlo`.  Each handler
 imports the module it calls when it runs, so a command loads only what it
 uses: the ``verify-*`` suites, ``certificate``, ``two-point-m3``,
-``rate-table`` and ``kl-scaling`` load :mod:`scipy.linalg` through
-:mod:`mnlab.checks` or :mod:`mnlab.certificate`, while ``simulate-rate``,
-``--help``, ``--version`` and every usage error the parser, the config
-file or a missing ``--c`` raises load no scipy module.
+``rate-table`` and ``kl-scaling`` load scipy's LAPACK and BLAS extension
+modules through :mod:`mnlab.checks` or :mod:`mnlab.certificate` (by
+:mod:`mnlab._lapack`, never the :mod:`scipy.linalg` package), while
+``simulate-rate``, ``--help``, ``--version`` and every usage error the
+parser, the config file or a missing ``--c`` raises load no scipy module.
 Every command returns one payload that goes into the same report
 envelope, is serialised once, and is written to stdout or atomically to
 ``--out``.
@@ -188,7 +189,7 @@ def _resolve(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 # command handlers: (payload key, payload, CSV rows or None, passed,
 # failure line).  A handler imports checks or certificate when it runs:
-# both load scipy.linalg, which simulate-rate never needs
+# both load scipy's LAPACK extensions, which simulate-rate never needs
 
 
 def _verify(suite: str, **kwargs):

@@ -90,12 +90,24 @@ def holder_exponent_order(alpha: float) -> int:
     return max(int(math.ceil(alpha)) - 1, 0)
 
 
+_PAIR_ROWS = 64
+
+
 def _pair_seminorm(values: np.ndarray, xs: np.ndarray, beta: float) -> float:
-    """max over grid pairs of |f(x) - f(y)| / |x - y|^beta, one row at a time."""
-    return float(np.max([
-        np.max(np.abs(values[i] - values[i + 1:]) / np.abs(xs[i] - xs[i + 1:]) ** beta)
-        for i in range(xs.size - 1)
-    ]))
+    """max over grid pairs of |f(x) - f(y)| / |x - y|^beta.
+
+    Takes ``_PAIR_ROWS`` rows ``i`` at a time against the columns after
+    the first, dividing only where ``j > i``, so each temporary stays
+    under 1 MB on the 1601-point grid and no ``0 / 0`` is formed.
+    """
+    maxima = []
+    for i in range(0, xs.size - 1, _PAIR_ROWS):
+        top = min(i + _PAIR_ROWS, xs.size - 1)
+        dv = np.abs(values[i:top, None] - values[i + 1:])
+        dx = np.abs(xs[i:top, None] - xs[i + 1:]) ** beta
+        later = np.arange(i + 1, xs.size) > np.arange(i, top)[:, None]
+        maxima.append(np.max(np.divide(dv, dx, out=np.zeros_like(dv), where=later)))
+    return float(np.max(maxima))
 
 
 @lru_cache(maxsize=None)

@@ -92,9 +92,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas, lapack
 
+from . import _lapack
 from .errors import DimensionMismatch, InvalidC, NotPositiveDefinite
 from .linalg import Banded, check_symmetric, cholesky_lower, is_psd, sym
 from .profiles import checked_cells
@@ -112,6 +111,16 @@ __all__ = [
 
 # doubles held by one block of right-hand sides in a support solve (16 MB)
 _BLOCK_ELEMENTS = 1 << 21
+
+
+def _solved(routine: str, x: np.ndarray, info: int) -> np.ndarray:
+    """The solution ``x`` of a LAPACK solve, checked: a nonzero ``info``
+    raises (a negative one names an illegal argument)."""
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} passed to {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} failed at row {info - 1}")
+    return x
 
 
 class GaussianLaw:
@@ -152,9 +161,8 @@ class GaussianLaw:
     def solve(self, rhs) -> np.ndarray:
         """``cov^-1 rhs`` by the two triangular solves of the Cholesky factor."""
         if self.banded:
-            return scipy.linalg.cho_solve_banded((self.chol, True), rhs,
-                                                 check_finite=False)
-        return scipy.linalg.cho_solve((self.chol, True), rhs, check_finite=False)
+            return _solved("dpbtrs", *_lapack.dpbtrs(self.chol, rhs, lower=1))
+        return _solved("dpotrs", *_lapack.dpotrs(self.chol, rhs, lower=1))
 
 
 def _kl_terms(mu: np.ndarray) -> np.ndarray:
@@ -271,10 +279,13 @@ def _solve_norm_sq(law: GaussianLaw, runs: _Runs, block: np.ndarray) -> float:
 
 def _ldl(diag: np.ndarray, off: np.ndarray):
     """Pivots ``d`` and multipliers ``l = off / d`` of ``L D L^T`` of an SPD
-    tridiagonal matrix, eliminated top down (``lapack.dpttrf``)."""
+    tridiagonal matrix, eliminated top down (``dpttrf``)."""
     if diag.size < 2:
-        return diag.copy(), off.copy()
-    d, l, info = lapack.dpttrf(diag, off)
+        # dpttrf rejects an empty off-diagonal; test the one pivot as it would
+        d, l = diag.copy(), off.copy()
+        info = int(d.size == 1 and d[0] <= 0.0)
+    else:
+        d, l, info = _lapack.dpttrf(diag, off)
     if info:
         raise NotPositiveDefinite(f"tridiagonal pivot {info - 1} is not positive",
                                   pivot=int(info - 1))
@@ -345,7 +356,7 @@ def _inverse_diagonals(diag: np.ndarray, off: np.ndarray, rate=1.0):
     def slope(mult, rhs):
         band = np.ones((2, mult.size + 1))
         band[1, :-1] = -mult * mult
-        return blas.dtbsv(1, band, rhs, lower=1)
+        return _lapack.dtbsv(1, band, rhs, lower=1)
 
     gamma = diag - np.concatenate(([0.0], off * l)) - np.concatenate((off * m, [0.0]))
     slope_d, slope_u = slope(l, rate), slope(m_up, rate[::-1])[::-1]
@@ -425,7 +436,7 @@ def _eliminate_leading(bands: np.ndarray, r: int):
     size ``n``.
     """
     w, n = bands.shape[0] - 1, bands.shape[1]
-    factor, info = lapack.dpbtrf(bands[:, :r], lower=1)
+    factor, info = _lapack.dpbtrf(bands[:, :r], lower=1)
     if info:
         raise NotPositiveDefinite(f"banded pivot {info - 1} is not positive",
                                   pivot=int(info - 1))
@@ -438,8 +449,8 @@ def _eliminate_leading(bands: np.ndarray, r: int):
     for i in range(p):
         for j in range(i + 1):
             trailing[i, j] = factor[i - j, r - p + j]
-    g = scipy.linalg.solve_triangular(trailing, coupling.T, lower=True,
-                                      check_finite=False)
+    # G = L_t^-1 K^T: trailing.T is L_t^T in column order, solved transposed
+    g = _solved("dtrtrs", *_lapack.dtrtrs(trailing.T, coupling.T, lower=0, trans=1))
     correction = g.T @ g
     rest = bands[:, r:].copy()
     for e in range(m):
@@ -475,7 +486,7 @@ def _fold_leading(bands: np.ndarray, r: int) -> np.ndarray:
     w, n = bands.shape[0] - 1, bands.shape[1]
     factor, coupling, rest = _eliminate_leading(bands, r)
     v = np.full((r, 1), 1.0 / math.sqrt(r))
-    y = scipy.linalg.cho_solve_banded((factor, True), v, check_finite=False)[:, 0]
+    y = _solved("dpbtrs", *_lapack.dpbtrs(factor, v, lower=1))[:, 0]
     s = float(v[:, 0] @ y)
     q = coupling @ y[r - coupling.shape[1]:]
     m = q.size
@@ -662,8 +673,8 @@ def _banded_route(inverse: np.ndarray, block: np.ndarray):
     low = cholesky_lower(Banded(inverse))
     # B is symmetric, so B.T is B in column order; the second solve
     # overwrites the column-order copy of X^T that it needs anyway
-    x = lapack.dtbtrs(low, block.T, uplo="L")[0]
-    m = lapack.dtbtrs(low, x.T, uplo="L", overwrite_b=1)[0]
+    x = _lapack.dtbtrs(low, block.T, uplo="L")[0]
+    m = _lapack.dtbtrs(low, x.T, uplo="L", overwrite_b=1)[0]
     del x
     return np.linalg.eigvalsh(m), float(np.sum(m * m))
 
@@ -680,8 +691,8 @@ def _general_route(null: GaussianLaw, runs: _Runs, block: np.ndarray):
     # change R^T B R by less than its rounding, and slow dtrmm many fold
     r[np.abs(r) < np.finfo(float).tiny] = 0.0
     # R^T B R by two triangular products
-    m = blas.dtrmm(1.0, r, blas.dtrmm(1.0, r, block, side=1, lower=1),
-                   lower=1, trans_a=1)
+    m = _lapack.dtrmm(1.0, r, _lapack.dtrmm(1.0, r, block, side=1, lower=1),
+                      lower=1, trans_a=1)
     m = sym(m)
     return np.linalg.eigvalsh(m), float(np.sum(m * m))
 

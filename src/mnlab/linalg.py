@@ -10,9 +10,8 @@ only on request.  All routines are deterministic pure functions of their
 inputs, so results are reproducible bit for bit and safe to use from
 multiple threads.
 
-Factorisations and eigendecompositions are delegated to LAPACK (via
-numpy/scipy), which at the desk scales targeted here (n <= 4096) is both
-faster and more robust than anything hand-rolled.  Failure modes are
+Factorisations and eigendecompositions are delegated to LAPACK, which is
+both faster and more robust than anything hand-rolled.  Failure modes are
 translated into the package's exception types.
 """
 
@@ -21,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
+from . import _lapack
 from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
 
 __all__ = [
@@ -128,12 +127,12 @@ def cholesky_lower(m):
     """
     if isinstance(m, Banded):
         diag = m.bands[0]
-        c, info = lapack.dpbtrf(m.bands, lower=1)
+        c, info = _lapack.dpbtrf(m.bands, lower=1)
         pivots = c[0]
     else:
         a = check_symmetric(m)
         diag = np.diag(a)
-        c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=0)
+        c, info = _lapack.dpotrf(a, lower=1, clean=1, overwrite_a=0)
         pivots = np.diag(c)
     if info > 0:
         raise NotPositiveDefinite(
@@ -188,7 +187,7 @@ def is_psd(m, tol: float = 1e-9) -> bool:
         return True
     shift = tol * fro
     shifted = a + shift * np.eye(a.shape[0])
-    _, info = lapack.dpotrf(shifted, lower=1, clean=0, overwrite_a=1)
+    _, info = _lapack.dpotrf(shifted, lower=1, clean=0, overwrite_a=1)
     if info == 0:
         return True
     lam_min = float(np.linalg.eigvalsh(a)[0])

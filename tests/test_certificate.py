@@ -150,6 +150,14 @@ class TestKLScaling:
         assert result.predicted_slope == 0.5
         assert len(result.to_dict()["rows"]) == 3
 
+    @pytest.mark.parametrize("n_list", [[3, 5, 7], [64, 5], [7, 128, 256]])
+    def test_zero_kl_names_its_n(self, n_list):
+        # m2 reads sigma(t_i) on the grid: at n = 3, 5 and 7 no grid point
+        # lies in the default bump, and log(0) has no slope
+        zero = next(n for n in n_list if n < 8)
+        with pytest.raises(ValueError, match=f"KL is 0 at n = {zero}:"):
+            cert.kl_scaling_probe("m2", 1.0, 1.0, 0.1, n_list)
+
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError):
             cert.kl_scaling_probe("mq", 1.0, 1.0, 0.1, [128])

@@ -411,15 +411,62 @@ def test_importing_montecarlo_loads_no_covariance_modules():
                  ("no-such-command",), ("certificate", "--n", "64"),
                  ("two-point-m3", "--n", "64")):
         assert _scipy_after_main(*args) == [], args
-    # the covariance commands load scipy.linalg, never scipy.integrate
+    # the covariance commands load scipy's two LAPACK and BLAS extensions
+    # through mnlab._lapack, and neither the scipy.linalg package nor
+    # scipy.integrate
     for args in (("certificate", "--model", "m1", "--n", "256", "--c", "9"),
                  ("kl-scaling", "--model", "m1", "--ns", "256,512")):
-        loaded = _scipy_after_main(*args)
-        assert "scipy.linalg" in loaded, args
-        assert not [m for m in loaded if m.startswith("scipy.integrate")], args
+        assert _scipy_after_main(*args) == [
+            "scipy.linalg._fblas", "scipy.linalg._flapack"], args
     # and no process-global warning filter is touched
     for path in sorted(Path(mnlab.__file__).parent.glob("*.py")):
         assert "catch_warnings" not in path.read_text(), path.name
+
+
+@pytest.mark.parametrize("suite", [
+    ("verify-linalg", "--trials", "20"), ("verify-spectral", "--n", "32"),
+    ("verify-kl", "--trials", "20"), ("verify-posdefmaj", "--ns", "16"),
+    ("verify-model3-structure", "--n", "32")])
+def test_verify_suites_load_no_scipy_package(suite):
+    # checks runs on mnlab.kl and mnlab.linalg, so only their two extensions
+    assert _scipy_after_main(*suite) == [
+        "scipy.linalg._fblas", "scipy.linalg._flapack"], suite
+
+
+_LAPACK_IDENTITY = """
+import numpy as np
+from mnlab import _lapack, kl
+import scipy.linalg
+from scipy.linalg import blas, lapack
+for name in _lapack.__all__:
+    scipy_module = blas if name in ("dtbsv", "dtrmm") else lapack
+    assert getattr(_lapack, name) is getattr(scipy_module, name), name
+ab = np.array([[4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
+x = scipy.linalg.cho_solve_banded((scipy.linalg.cholesky_banded(ab, lower=True), True),
+                                  np.ones(3))
+dense = np.diag(ab[0]) + np.diag(ab[1, :-1], 1) + np.diag(ab[1, :-1], -1)
+assert np.allclose(dense @ x, 1.0, rtol=1e-14, atol=0)
+print("ok")
+"""
+
+
+def test_lapack_binding_is_what_scipy_exports():
+    # mnlab._lapack loads first; scipy.linalg imported after it reuses the
+    # same extension modules and keeps working
+    proc = subprocess.run([sys.executable, "-c", _LAPACK_IDENTITY],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+@pytest.mark.parametrize("ns, zero", [("3,5,7", 3), ("64,5", 5), ("7,128", 7)])
+def test_kl_scaling_zero_kl_is_one_error_line(ns, zero):
+    # m2 reads sigma(t_i) on the grid; below n = 8 no point meets the bump
+    proc = run_cli("kl-scaling", "--model", "m2", "--ns", ns)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: the exact KL is 0 at n = {zero}: the bump moves "
+                           f"no covariance entry, so the log-log slope is undefined\n")
 
 
 def test_simulate_rate_accepts_zero_variance():

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from conftest import quad_points
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 from scipy.integrate import quad
 
 from mnlab import hypotheses as hyp
@@ -56,6 +58,14 @@ class TestKernelConstant:
         assert np.max(np.abs(fd1 - kernel.deriv1(xs))) <= 1e-5
 
 
+def row_seminorm(values, xs, beta):
+    """max over grid pairs of |f(x) - f(y)| / |x - y|^beta, one row at a time."""
+    return float(np.max([
+        np.max(np.abs(values[i] - values[i + 1:]) / np.abs(xs[i] - xs[i + 1:]) ** beta)
+        for i in range(xs.size - 1)
+    ]))
+
+
 def all_pairs_seminorm(values, xs, beta):
     """max over grid pairs of |f(x) - f(y)| / |x - y|^beta, from G x G arrays."""
     dv = np.abs(values[:, None] - values[None, :])
@@ -71,8 +81,21 @@ class TestHolderCheck:
         p = hyp.holder_exponent_order(alpha)
         xs = np.linspace(-0.55, 0.55, 1601)
         values = hyp._bump_raw(xs) if p == 0 else hyp._bump_raw_d1(xs)
-        assert hyp._pair_seminorm(values, xs, alpha - p) == \
-            all_pairs_seminorm(values, xs, alpha - p)
+        got = hyp._pair_seminorm(values, xs, alpha - p)
+        assert got == all_pairs_seminorm(values, xs, alpha - p)
+        assert got == row_seminorm(values, xs, alpha - p)
+
+    @given(seed=hs.integers(0, 2**32 - 1), size=hs.integers(2, 300),
+           beta=hs.floats(0.05, 1.0), sorted_grid=hs.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_blocked_seminorm_matches_row_loop_bits(self, seed, size, beta, sorted_grid):
+        # sizes on both sides of the 64-row block, grids in either order
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-1.0, 1.0, size)
+        xs = np.sort(xs) if sorted_grid else xs
+        assume(np.unique(xs).size == size)
+        values = rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 3)
+        assert hyp._pair_seminorm(values, xs, beta) == row_seminorm(values, xs, beta)
 
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
     def test_order_one_needs_a_derivative(self, alpha):

@@ -705,6 +705,16 @@ class TestTridiagonalRoute:
         assert got.route == "tridiagonal"
         assert rel(got.kl, float(long_double_kl(bands.bands, support, b))) <= 1e-13
 
+    @pytest.mark.parametrize("pivot", [0.0, -0.5])
+    def test_ldl_rejects_a_one_row_pivot_at_or_below_zero(self, pivot):
+        # dpttrf takes no empty off-diagonal, so one row is tested by hand
+        with pytest.raises(NotPositiveDefinite) as err:
+            kl._ldl(np.array([pivot]), np.zeros(0))
+        assert err.value.pivot == 0
+        d, l = kl._ldl(np.array([0.5]), np.zeros(0))
+        assert d.tolist() == [0.5] and l.size == 0
+        assert [a.size for a in kl._ldl(np.zeros(0), np.zeros(0))] == [0, 0]
+
     def test_inverse_diagonals_of_one_row(self):
         gamma, gamma_s = kl._inverse_diagonals(np.array([0.5]), np.zeros(0))
         assert gamma.tolist() == [0.5] and gamma_s.tolist() == [1.0]
