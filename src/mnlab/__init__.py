@@ -9,8 +9,9 @@ structures : the structured matrices A, Q, Q^-1, V1 with closed-form
 kl : Gaussian laws, validated and factored once (dense or banded), and
     the one kernel comparing two laws on the support where they differ:
     exact Kullback-Leibler divergence, Frobenius bounds, Loewner constant
-profiles : squared-volatility profiles, their per-cell weighted integrals,
-    and the one checked quadrature helper
+profiles : squared-volatility profiles, their one integral query (weighted
+    integrals over many cells at once), and the one checked quadrature
+    helper
 models : exact raw and differenced covariances of the observation models,
     banded where they are, and bump alternatives as a support and block
 hypotheses : bump kernels, Hoelder checks, binary codes, hypothesis

@@ -459,7 +459,8 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     doubling of n, to about 1e-8 relative there.  A KL of exactly 0 (m2
     reads ``sigma(t_i)`` on the grid, and at n = 3, 5 or 7 no grid point
     lies in the default bump) has no logarithm: with two or more sizes it
-    raises ``ValueError`` naming the n; one size fits no slope anyway.
+    raises ``ValueError`` naming the n; one size fits no slope anyway, and
+    no logarithm is taken.
     """
     if model not in ("m1", "m2", "m3"):
         raise ValueError("probe covers models m1, m2, m3")
@@ -481,7 +482,10 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
         if kls[-1] == 0.0 and len(n_list) > 1:
             raise ValueError(f"the exact KL is 0 at n = {n}: the bump moves no "
                              f"covariance entry, so the log-log slope is undefined")
-    slope, slope_se = ols_slope(np.log(n_list), np.log(kls))
+    if len(n_list) > 1:
+        slope, slope_se = ols_slope(np.log(n_list), np.log(kls))
+    else:  # one size fits no slope, and its KL may be 0, which has no logarithm
+        slope = slope_se = math.nan
     return KLScalingResult(
         model=model, alpha=float(alpha), l_const=float(l_const),
         tau=float(tau), bump_width=float(bump_width),

@@ -50,20 +50,6 @@ from ._version import __version__
 from .errors import (ConstructionFailure, NoConvergence, OptimizationFailure,
                      QuadratureFailure)
 
-COMMANDS = (
-    "verify-linalg",
-    "verify-spectral",
-    "verify-kl",
-    "verify-posdefmaj",
-    "verify-model3-structure",
-    "certificate",
-    "two-point-m3",
-    "rate-table",
-    "kl-scaling",
-    "simulate-rate",
-)
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with the exit-code contract (1 on usage errors)."""
 
@@ -271,6 +257,7 @@ def _run_simulate_rate(cfg):
     return "result", result.to_dict(), result.to_csv_rows(), True, None
 
 
+# every subcommand, in the order the usage lists them
 _HANDLERS = {
     "verify-linalg": lambda cfg: _verify(
         "verify_linalg", seed=cfg["seed"], trials=cfg["trials"], tol=cfg["tol"]),
@@ -309,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mnlab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _HANDLERS:
         # exact flag names only: --q is no flag and must not parse as --qs
         p = sub.add_parser(name, allow_abbrev=False)
         for key, (kind, _, choices) in _FLAGS.items():

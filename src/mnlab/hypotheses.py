@@ -298,6 +298,8 @@ class BumpSumProfile(VolatilityProfile):
         pass over the cells.  Both integrate in the shifted variable
         ``v = u - shift``, so short cells near their shift keep full
         relative precision.  An empty or reversed cell integrates to 0.
+        ``bump_only`` integrates the bump part ``sigma^2 - 1`` instead,
+        which is exactly zero on cells no bump touches.
         """
         lo, hi, shift = _cells(lo, hi, shift)
         if bump_only:
@@ -319,9 +321,6 @@ class BumpSumProfile(VolatilityProfile):
             total[cells] += checked_cells(integrand, a[cells] - shift[cells],
                                           b[cells] - shift[cells])
         return total
-
-    def poly_integral(self, a, b, shift, coeffs):
-        return float(self.cell_integrals(a, b, shift, coeffs)[0])
 
 
 def single_bump_profile(alpha: float, l_const: float, width: float,

@@ -159,10 +159,14 @@ class GaussianLaw:
         return self._cov.dense() if self.banded else self._cov
 
     def solve(self, rhs) -> np.ndarray:
-        """``cov^-1 rhs`` by the two triangular solves of the Cholesky factor."""
+        """``cov^-1 rhs`` by the two triangular solves of the Cholesky factor.
+
+        ``rhs`` may be overwritten: a column-order float array is solved in
+        place, with no copy.
+        """
         if self.banded:
-            return _solved("dpbtrs", *_lapack.dpbtrs(self.chol, rhs, lower=1))
-        return _solved("dpotrs", *_lapack.dpotrs(self.chol, rhs, lower=1))
+            return _solved("dpbtrs", *_lapack.dpbtrs(self.chol, rhs, lower=1, overwrite_b=1))
+        return _solved("dpotrs", *_lapack.dpotrs(self.chol, rhs, lower=1, overwrite_b=1))
 
 
 def _kl_terms(mu: np.ndarray) -> np.ndarray:
@@ -673,8 +677,8 @@ def _banded_route(inverse: np.ndarray, block: np.ndarray):
     low = cholesky_lower(Banded(inverse))
     # B is symmetric, so B.T is B in column order; the second solve
     # overwrites the column-order copy of X^T that it needs anyway
-    x = _lapack.dtbtrs(low, block.T, uplo="L")[0]
-    m = _lapack.dtbtrs(low, x.T, uplo="L", overwrite_b=1)[0]
+    x = _solved("dtbtrs", *_lapack.dtbtrs(low, block.T, uplo="L"))
+    m = _solved("dtbtrs", *_lapack.dtbtrs(low, x.T, uplo="L", overwrite_b=1))
     del x
     return np.linalg.eigvalsh(m), float(np.sum(m * m))
 

@@ -228,11 +228,10 @@ def _a_bands(n: int) -> np.ndarray:
     return a
 
 
-def _m1_signal(profile: VolatilityProfile, n: int, bump_only: bool = False):
+def _m1_signal(profile: VolatilityProfile, n: int):
     """Diagonal of the first-differenced m1 signal: one integral per cell."""
     grid = np.arange(n + 1) / n
-    return profile.cell_integrals(grid[:-1], grid[1:], 0.0, (1.0,),
-                                  bump_only=bump_only)
+    return profile.cell_integrals(grid[:-1], grid[1:], 0.0, (1.0,))
 
 
 def _m3_signal(profile: VolatilityProfile, n: int):
@@ -343,9 +342,10 @@ def bump_difference(spec: ModelSpec, profile,
     """Differenced covariance of a bump alternative minus the unit null.
 
     ``profile`` is a :class:`~mnlab.hypotheses.BumpSumProfile` (base level
-    1) and ``null`` its ``sigma^2 = 1`` counterpart at the same ``spec``
-    from :func:`differenced_bands`, built once per spec by the caller; the
-    noise parts cancel.  Returns ``(S, B)`` with
+    1; m1 raises :class:`~mnlab.errors.InvalidProfile` for any other
+    profile) and ``null`` its ``sigma^2 = 1`` counterpart at the same
+    ``spec`` from :func:`differenced_bands`, built once per spec by the
+    caller; the noise parts cancel.  Returns ``(S, B)`` with
     ``alt - null = W B W^T``: for m1 and m3, ``S`` holds the sorted
     indices of the rows where the two covariances differ and ``B`` is the
     block of the difference on them.
@@ -374,7 +374,10 @@ def bump_difference(spec: ModelSpec, profile,
     if spec.model == "m2":
         return _m2_bump_difference(profile, n)
     if spec.model == "m1":
-        diag = _m1_signal(profile, n, bump_only=True)
+        if profile.kind != "bump":
+            raise InvalidProfile(f"a {profile.kind} profile has no bump part")
+        grid = np.arange(n + 1) / n
+        diag = profile.cell_integrals(grid[:-1], grid[1:], 0.0, (1.0,), bump_only=True)
         support = np.flatnonzero(diag)
         return support, diag[support]
     diff = differenced_bands(spec, profile).bands - null.bands

@@ -10,7 +10,8 @@ over many cells at once (:meth:`VolatilityProfile.cell_integrals`), which
 constant and piecewise-constant profiles answer in closed form, bump
 profiles answer in closed form for the base level plus one checked
 Gauss-Legendre pass per bump, and everything else answers by one checked
-pass per cell.  Polynomials are passed in shifted coordinates
+pass over all cells.  It is a profile's only integral query: one interval
+is a query of one cell.  Polynomials are passed in shifted coordinates
 (coefficients of powers of ``u - shift``) so that short-interval
 integrals near ``u = shift`` come out at full relative precision instead
 of through catastrophic cancellation.
@@ -35,7 +36,7 @@ import functools
 
 import numpy as np
 
-from .errors import InvalidProfile, QuadratureFailure
+from .errors import QuadratureFailure
 
 __all__ = ["checked_cells", "VolatilityProfile", "ConstantProfile",
            "PiecewiseConstantProfile", "CallableProfile"]
@@ -100,8 +101,8 @@ def checked_cells(fn, lo, hi) -> np.ndarray:
     return total
 
 
-def _shifted_poly(coeffs, shift: float, u: float) -> float:
-    """``sum_r coeffs[r] (u - shift)^r``."""
+def _shifted_poly(coeffs, shift, u):
+    """``sum_r coeffs[r] (u - shift)^r``, elementwise."""
     v = u - shift
     p = 0.0
     for r, c in enumerate(coeffs):
@@ -145,31 +146,21 @@ class VolatilityProfile:
     def eval(self, t):
         raise NotImplementedError
 
-    def poly_integral(self, a: float, b: float, shift: float, coeffs) -> float:
-        """``integral_a^b sum_r coeffs[r] (u - shift)^r * sigma^2(u) du``."""
-        return float(checked_cells(
-            lambda u, k: _shifted_poly(coeffs, shift, u) * self.eval(u), a, b)[0])
-
-    def cell_integrals(self, lo, hi, shift, coeffs, bump_only: bool = False) -> np.ndarray:
-        """:meth:`poly_integral` over each cell ``[lo[k], hi[k]]``.
+    def cell_integrals(self, lo, hi, shift, coeffs) -> np.ndarray:
+        """``integral_lo[k]^hi[k] sum_r coeffs[r] (u - shift[k])^r * sigma^2(u) du``
+        for each cell ``k``.
 
         ``lo``, ``hi`` and ``shift`` broadcast to one value per cell; the
-        shared ``coeffs`` are in powers of ``u - shift[k]``.  Here each
-        cell is one ``poly_integral`` call with Python floats, in cell
-        order; constant and piecewise profiles answer in one closed-form
-        pass over the cells per piece, and a bump profile integrates each
-        bump in one checked Gauss-Legendre pass.  Either way the result is
-        bit-identical to the scalar loop.  ``bump_only`` integrates the bump
-        part ``sigma^2 - 1`` instead, which is exactly zero on cells no bump
-        touches; only bump profiles, which sit on the base level 1, have
-        one, and any other profile raises :class:`InvalidProfile`.
+        shared ``coeffs`` are in powers of ``u - shift[k]``.  Here all cells
+        go through one :func:`checked_cells` pass, so each cell's value is
+        the one a call for that cell alone gives, bit for bit; constant and
+        piecewise profiles answer in one closed-form pass over the cells
+        per piece, and a bump profile integrates each bump in one checked
+        Gauss-Legendre pass.  An empty or reversed cell integrates to 0.
         """
-        if bump_only:
-            raise InvalidProfile(f"a {self.kind} profile has no bump part")
         lo, hi, shift = _cells(lo, hi, shift)
-        cells = zip(lo.tolist(), hi.tolist(), shift.tolist())
-        return np.fromiter((self.poly_integral(a, b, s, coeffs) for a, b, s in cells),
-                           dtype=float, count=lo.size)
+        return checked_cells(
+            lambda u, k: _shifted_poly(coeffs, shift[k], u) * self.eval(u), lo, hi)
 
 
 class ConstantProfile(VolatilityProfile):
@@ -187,14 +178,9 @@ class ConstantProfile(VolatilityProfile):
         out = np.full(t.shape, self.value)
         return float(out) if out.ndim == 0 else out
 
-    def poly_integral(self, a, b, shift, coeffs):
-        return float(self.cell_integrals(a, b, shift, coeffs)[0])
-
-    def cell_integrals(self, lo, hi, shift, coeffs, bump_only: bool = False) -> np.ndarray:
+    def cell_integrals(self, lo, hi, shift, coeffs) -> np.ndarray:
         """One closed-form pass over all cells, bit-identical to the closed
         form per cell in Python floats."""
-        if bump_only:
-            raise InvalidProfile(f"a {self.kind} profile has no bump part")
         return self.value * _closed_form_cells(*_cells(lo, hi, shift), coeffs)
 
 
@@ -227,15 +213,10 @@ class PiecewiseConstantProfile(VolatilityProfile):
         out = np.asarray(self.values, dtype=float)[idx]
         return float(out) if out.ndim == 0 else out
 
-    def poly_integral(self, a, b, shift, coeffs):
-        return float(self.cell_integrals(a, b, shift, coeffs)[0])
-
-    def cell_integrals(self, lo, hi, shift, coeffs, bump_only: bool = False) -> np.ndarray:
+    def cell_integrals(self, lo, hi, shift, coeffs) -> np.ndarray:
         """One closed-form pass per piece over all cells, each cell clipped
         to the piece, bit-identical to the same sum per cell in Python
         floats (a piece a cell misses adds +0.0)."""
-        if bump_only:
-            raise InvalidProfile(f"a {self.kind} profile has no bump part")
         lo, hi, shift = _cells(lo, hi, shift)
         total = np.zeros(lo.size)
         for k, v in enumerate(self.values):

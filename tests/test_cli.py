@@ -469,6 +469,15 @@ def test_kl_scaling_zero_kl_is_one_error_line(ns, zero):
                            f"no covariance entry, so the log-log slope is undefined\n")
 
 
+def test_kl_scaling_one_size_with_zero_kl_fits_no_slope():
+    # one size takes no logarithm, so its KL of 0 warns of nothing
+    proc = run_cli("kl-scaling", "--model", "m2", "--ns", "5")
+    assert proc.returncode == 2
+    assert proc.stderr == "kl-scaling slope is not within 0.1 of the predicted slope\n"
+    result = json.loads(proc.stdout)["result"]
+    assert result["slope"] is None and result["rows"][0]["kl"] == 0.0
+
+
 def test_simulate_rate_accepts_zero_variance():
     proc = run_cli("simulate-rate", "--ns", "64,128", "--reps", "100",
                    "--sigma-sq", "0")

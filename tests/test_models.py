@@ -370,7 +370,7 @@ class TestBumpDifference:
         profile = self.family("m3", n).profile(1)
         want = models.differenced_bands(spec, profile).bands - null.bands
         queries = []
-        for method in ("eval", "poly_integral"):
+        for method in ("eval", "cell_integrals"):
             original = getattr(ConstantProfile, method)
             monkeypatch.setattr(ConstantProfile, method,
                                 lambda self, *args, original=original:

@@ -72,6 +72,19 @@ _PROFILES = (
 )
 
 
+def _one_cell(profile, a, b, shift, coeffs):
+    """The integral over the one cell ``[a, b]``: a one-cell query, or for
+    a callable profile one :func:`checked_cells` call of its integrand."""
+    if profile.kind != "callable":
+        return profile.cell_integrals(a, b, shift, coeffs)[0]
+
+    def integrand(u, k):
+        v = u - shift
+        return sum(c * v**r for r, c in enumerate(coeffs)) * profile.eval(u)
+
+    return checked_cells(integrand, a, b)[0]
+
+
 @pytest.mark.parametrize("profile", _PROFILES, ids=lambda p: p.kind)
 def test_cell_integrals_equal_the_scalar_loop_bit_for_bit(profile):
     n = 37
@@ -87,7 +100,7 @@ def test_cell_integrals_equal_the_scalar_loop_bit_for_bit(profile):
         ([0.0] * n, [k / n for k in range(1, n + 1)], [0.0] * n, [0.0, 0.0, 1.0]),
     ]
     for lo, hi, shift, coeffs in cases:
-        loop = np.array([profile.poly_integral(a, b, s, coeffs)
+        loop = np.array([_one_cell(profile, a, b, s, coeffs)
                          for a, b, s in zip(lo, hi, shift)])
         got = profile.cell_integrals(np.array(lo), np.array(hi), np.array(shift),
                                      coeffs)
@@ -175,9 +188,16 @@ def test_model_queries_equal_the_python_float_loop_bit_for_bit(n):
 
 def test_piecewise_outer_pieces_extend_beyond_the_unit_interval():
     prof = PiecewiseConstantProfile([0.5], [2.0, 3.0])
-    assert prof.poly_integral(-0.25, 1.5, 0.0, (1.0,)) == pytest.approx(
+    assert prof.cell_integrals(-0.25, 1.5, 0.0, (1.0,))[0] == pytest.approx(
         2.0 * 0.75 + 3.0 * 1.0, rel=1e-15)
-    assert prof.poly_integral(0.75, 0.25, 0.0, (1.0,)) == 0.0
+    assert prof.cell_integrals(0.75, 0.25, 0.0, (1.0,))[0] == 0.0
+
+
+@pytest.mark.parametrize("profile", [p for p in _PROFILES if p.kind != "bump"],
+                         ids=lambda p: p.kind)
+def test_only_a_bump_profile_has_a_bump_part(profile):
+    with pytest.raises(TypeError):
+        profile.cell_integrals(0.0, 1.0, 0.0, (1.0,), bump_only=True)
 
 
 def _bump_cell_oracle(profile, lo, hi, shift, power, bump_only):
@@ -353,11 +373,11 @@ class TestCheckedCells:
     def test_thread_pool_gives_the_serial_values(self):
         profile = build_family(256, 1.0, 1.0, 9.0, "m1m2", seed=2).profile(3)
         grid = np.arange(257) / 256
-        serial = [profile.poly_integral(grid[k], grid[k + 1], grid[k], SQ)
+        serial = [profile.cell_integrals(grid[k], grid[k + 1], grid[k], SQ)[0]
                   for k in range(256)]
         with ThreadPoolExecutor(max_workers=4) as pool:
             threaded = list(pool.map(
-                lambda k: profile.poly_integral(grid[k], grid[k + 1], grid[k], SQ),
+                lambda k: profile.cell_integrals(grid[k], grid[k + 1], grid[k], SQ)[0],
                 range(256)))
         assert threaded == serial
 

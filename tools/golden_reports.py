@@ -116,6 +116,7 @@ CASES = {
          "--ns", "4096,8192,16384"], None),
     "kl-scaling-one-n": (
         ["kl-scaling", "--model", "m1", "--ns", "256"], None),
+    "kl-scaling-one-n-zero-kl": (["kl-scaling", "--model", "m2", "--ns", "5"], None),
     "kl-scaling-two-n": (
         ["kl-scaling", "--model", "m3", "--ns", "256,512"], None),
     "kl-scaling-tau-nan": (
