@@ -254,10 +254,10 @@ def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
         rows = [one_hypothesis(k) for k in indices]
 
     cond_i = all(r["in_class"] for r in rows)
-    avg_kl = float(np.mean([r["kl"] for r in rows])) if rows else 0.0
-    bound_avg = float(np.mean([r["frobenius_bound"] for r in rows])) if rows else 0.0
+    avg_kl = float(np.mean([r["kl"] for r in rows]))
+    bound_avg = float(np.mean([r["frobenius_bound"] for r in rows]))
     pre_all = all(r["precondition_ok"] for r in rows)
-    log2_m = math.log2(m_alt) if m_alt >= 1 else float("-inf")
+    log2_m = math.log2(m_alt)
     kappa_bound = kappa * log2_m * LN2
 
     total = family.codewords.shape[0]
@@ -450,8 +450,8 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     the fixed ``h^(2 alpha)`` factor); the log-log slope is returned with
     its standard error.  Each point is one kernel comparison against the
     banded null, with no solve of size n.  m1 takes the tridiagonal
-    route, O(n) with no eigenvalue, and reaches n = 1048576 (about 3 s
-    and 340 MB).  m2 and m3 take the banded route, whose k x k
+    route, O(n) with no eigenvalue, and reaches n = 1048576 (about 1.1 s
+    and 310 MB on two cores).  m2 and m3 take the banded route, whose k x k
     eigenproblem is the O(k^3) floor.  m2, whose block holds one row per
     moved row (k about n / 4), reaches n = 16384 (about 6 s and 450 MB).
     m3 (k about n / 8) stops at n = 16384: its null is so ill-conditioned
@@ -460,7 +460,8 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     reads ``sigma(t_i)`` on the grid, and at n = 3, 5 or 7 no grid point
     lies in the default bump) has no logarithm: with two or more sizes it
     raises ``ValueError`` naming the n; one size fits no slope anyway, and
-    no logarithm is taken.
+    no logarithm is taken.  A repeated n, which would count twice in the
+    slope, raises ``ValueError`` naming it before any KL is computed.
     """
     if model not in ("m1", "m2", "m3"):
         raise ValueError("probe covers models m1, m2, m3")
@@ -469,6 +470,9 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     if bump_width <= 0.0 or l_const <= 0.0:
         raise ValueError("need bump width > 0, L > 0")
     n_list = [int(n) for n in n_list]
+    repeated = [n for i, n in enumerate(n_list) if n in n_list[:i]]
+    if repeated:
+        raise ValueError(f"the sizes (--ns) repeat n = {repeated[0]}")
     _check_desk_bound("kl_scaling_probe", model, max(n_list, default=0))
     alt = single_bump_profile(alpha, l_const, bump_width)
     predicted = 1.0 / (2.0 * _KERNEL_POWER[model] + 2.0)

@@ -143,7 +143,7 @@ def _from_file(key: str, text: str):
     kind, _, choices = _FLAGS[key]
     try:
         value = kind(text)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, ValueError) as exc:
         raise ValueError(f"config value {key}: {exc}") from None
     if choices is not None and value not in choices:
         raise ValueError(f"config value {key} = {value!r} is not one of "
@@ -166,7 +166,10 @@ def _resolve(args: argparse.Namespace) -> dict:
             cfg[key] = _from_file(key, file_values[key])
         elif key == "seed":
             env = os.environ.get("MNLAB_SEED")
-            cfg[key] = int(env) if env else 0
+            try:
+                cfg[key] = int(env) if env else 0
+            except ValueError:
+                raise ValueError(f"MNLAB_SEED is not an integer: {env!r}") from None
         else:
             cfg[key] = default
     return cfg

@@ -27,8 +27,9 @@ at entry (1, 1) by exactly ``1/(6 n^3)`` in the signal part; consumers
 compare away from that corner and report the discrepancy.
 
 The differenced m1 and m3 covariances are banded (tridiagonal and
-pentadiagonal), and so is the differenced m2 covariance under constant
-volatility: :func:`differenced_bands` builds them in band storage, and
+pentadiagonal), and so is m2's under constant volatility, where it is
+m1's law ``(sigma^2/n) I + tau^2 A`` and built as m1's:
+:func:`differenced_bands` builds them in band storage, and
 :func:`cov_differenced` returns the same entries densely.  A bump
 alternative differs from its unit-volatility null only on the cells its
 bumps touch; :func:`bump_difference` returns that difference as a
@@ -250,29 +251,13 @@ def _m3_signal(profile: VolatilityProfile, n: int):
     return diag, off
 
 
-def _m2_constant_signal(profile: VolatilityProfile, n: int) -> np.ndarray:
-    """Diagonal of the first-differenced m2 signal under constant volatility.
-
-    The same operations as ``_conjugate_first(_m2_signal(profile, n))``,
-    whose off-diagonal entries cancel to exactly 0 when ``sigma`` is
-    constant: the raw entry ``sigma^2 (min(i, j) + 1) / n`` depends on the
-    smaller index only.
-    """
-    s = math.sqrt(profile.value)
-    col = (s * s) * ((np.arange(n) + 1) / n)
-    diag = col.copy()
-    diag[1:] = col[1:] - col[:-1]
-    return diag
-
-
 def differenced_bands(spec: ModelSpec, profile: VolatilityProfile) -> Banded:
     """Differenced m1 (tridiagonal) or m3 (pentadiagonal) covariance, banded.
 
-    Signal plus ``tau^2`` times the noise Gram matrix, entry for entry the
-    same arithmetic as :func:`cov_differenced`, whose dense result is this
-    matrix's :meth:`~mnlab.linalg.Banded.dense`.  The first-differenced m2
-    covariance is tridiagonal too when the profile is constant, and is
-    returned bit for bit as :func:`cov_differenced` builds it.
+    Signal plus ``tau^2`` times the noise Gram matrix; :func:`cov_differenced`
+    returns this matrix's :meth:`~mnlab.linalg.Banded.dense`.  m2 takes only
+    a constant profile and gets m1's bands, bit for bit; at ``sigma^2 = 1``
+    they are also the bits of the conjugated raw m2 matrix.
     """
     n, tau = spec.n, spec.tau
     if spec.differencing == "none":
@@ -284,9 +269,8 @@ def differenced_bands(spec: ModelSpec, profile: VolatilityProfile) -> Banded:
     if spec.model == "m3":
         noise, signal = _second_diff_gram_bands(n), _m3_signal(profile, n)
     else:
-        noise = _a_bands(n)
-        signal = [_m1_signal(profile, n) if spec.model == "m1"
-                  else _m2_constant_signal(profile, n)]
+        # under constant volatility m2 differences to m1's law
+        noise, signal = _a_bands(n), [_m1_signal(profile, n)]
     bands = np.zeros_like(noise)
     for d, values in enumerate(signal):
         bands[d, :values.size] = values
@@ -398,11 +382,13 @@ def cov_differenced(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
 
     Mathematically equal to ``D @ cov_raw @ D.T``; computed from the
     differenced representation so small entries keep relative precision
-    (see module docstring).
+    (see module docstring).  Dense :func:`differenced_bands`, except m2
+    under a non-constant profile: the conjugated raw signal, the oracle of
+    :func:`bump_difference`'s m2 block.
     """
     if spec.differencing == "none":
         raise InvalidDifferencing("cov_differenced needs a differenced spec")
-    if spec.model != "m2":
+    if spec.model != "m2" or profile.kind == "constant":
         return differenced_bands(spec, profile).dense()
     _probe_profile(profile, spec.n)
     n, tau = spec.n, spec.tau

@@ -163,27 +163,6 @@ class VolatilityProfile:
             lambda u, k: _shifted_poly(coeffs, shift[k], u) * self.eval(u), lo, hi)
 
 
-class ConstantProfile(VolatilityProfile):
-    """``sigma^2(t) = value`` everywhere; all integrals in closed form."""
-
-    kind = "constant"
-
-    def __init__(self, value: float):
-        if not value > 0.0:
-            raise ValueError("a constant profile must be positive")
-        self.value = float(value)
-
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, self.value)
-        return float(out) if out.ndim == 0 else out
-
-    def cell_integrals(self, lo, hi, shift, coeffs) -> np.ndarray:
-        """One closed-form pass over all cells, bit-identical to the closed
-        form per cell in Python floats."""
-        return self.value * _closed_form_cells(*_cells(lo, hi, shift), coeffs)
-
-
 class PiecewiseConstantProfile(VolatilityProfile):
     """Step function: ``values[k]`` on the k-th interval between breaks.
 
@@ -198,10 +177,10 @@ class PiecewiseConstantProfile(VolatilityProfile):
         values = tuple(float(v) for v in values)
         if len(values) != len(breaks) + 1:
             raise ValueError("need exactly len(breaks) + 1 values")
-        if any(x <= 0.0 or x >= 1.0 for x in breaks) or list(breaks) != sorted(set(breaks)):
+        if not all(0.0 < x < 1.0 for x in breaks) or list(breaks) != sorted(set(breaks)):
             raise ValueError("breaks must be strictly increasing inside (0, 1)")
-        if min(values) <= 0.0:
-            raise ValueError("piecewise values must be positive")
+        if not all(0.0 < v < np.inf for v in values):
+            raise ValueError("profile values must be positive and finite")
         self.breaks = breaks
         self.values = values
         # the outer pieces extend beyond [0, 1], as in eval
@@ -224,6 +203,15 @@ class PiecewiseConstantProfile(VolatilityProfile):
                                             np.minimum(hi, self._edges[k + 1]),
                                             shift, coeffs)
         return total
+
+
+class ConstantProfile(PiecewiseConstantProfile):
+    """``sigma^2(t) = value`` everywhere: the step profile of one piece."""
+
+    kind = "constant"
+
+    def __init__(self, value: float):
+        super().__init__((), (value,))
 
 
 class CallableProfile(VolatilityProfile):

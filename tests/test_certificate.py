@@ -158,6 +158,21 @@ class TestKLScaling:
         with pytest.raises(ValueError, match=f"KL is 0 at n = {zero}:"):
             cert.kl_scaling_probe("m2", 1.0, 1.0, 0.1, n_list)
 
+    @pytest.mark.parametrize("n_list, repeated", [
+        ([256, 256], 256), ([256, 256, 512], 256), ([512, 128, 512], 512)])
+    def test_a_repeated_size_is_rejected_before_any_kl(self, n_list, repeated,
+                                                        monkeypatch):
+        # it would count twice in the slope and its standard error
+        monkeypatch.setattr(cert, "compare", lambda *args: pytest.fail("KL computed"))
+        with pytest.raises(ValueError, match=f"repeat n = {repeated}$"):
+            cert.kl_scaling_probe("m1", 1.0, 1.0, 0.1, n_list)
+
+    def test_distinct_sizes_in_any_order_are_accepted(self):
+        result = cert.kl_scaling_probe("m1", 1.0, 1.0, 0.1, [512, 128, 256])
+        assert result.n_list == (512, 128, 256)
+        ascending = cert.kl_scaling_probe("m1", 1.0, 1.0, 0.1, [128, 256, 512])
+        assert result.kl_values == tuple(ascending.kl_values[i] for i in (2, 0, 1))
+
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError):
             cert.kl_scaling_probe("mq", 1.0, 1.0, 0.1, [128])

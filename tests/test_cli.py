@@ -264,6 +264,34 @@ def test_env_seed_fallback(tmp_path):
     assert json.loads(out.read_text())["config"]["seed"] == 99
 
 
+def test_env_seed_that_is_no_integer_names_the_variable():
+    proc = run_cli("rate-table", env={"MNLAB_SEED": "abc"})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: MNLAB_SEED is not an integer: 'abc'\n"
+
+
+@pytest.mark.parametrize("line, detail", [
+    ("n = abc", "invalid literal for int() with base 10: 'abc'"),
+    ("tau = x", "could not convert string to float: 'x'"),
+    ("ns = 256,x", "invalid literal for int() with base 10: 'x'")])
+def test_config_value_that_does_not_parse_names_its_key(tmp_path, line, detail):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    proc = run_cli("rate-table", "--config", str(config))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    key = line.partition(" =")[0]
+    assert proc.stderr == f"error: config value {key}: {detail}\n"
+
+
+def test_kl_scaling_repeated_size_is_one_error_line():
+    proc = run_cli("kl-scaling", "--model", "m1", "--ns", "256,512,256")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: the sizes (--ns) repeat n = 256\n"
+
+
 def test_stdout_json_when_no_out():
     proc = run_cli("rate-table", "--alphas", "1", "--qs", "1")
     assert proc.returncode == 0

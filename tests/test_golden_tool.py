@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "golden_reports.py"
@@ -47,3 +49,27 @@ def test_text_that_is_not_csv_is_compared_line_by_line(tmp_path):
 def test_every_demo_is_a_case():
     demos = {path.name for path in (TOOL.parent.parent / "demos").glob("*.py")}
     assert demos and set(golden.DEMO_SCRIPTS) == demos
+
+
+def test_traffic_lists_the_lines_a_case_does_not_run():
+    # one config-file case: its parse error is raised, the seed is never read
+    proc = subprocess.run([sys.executable, str(TOOL.parent / "traffic.py"),
+                           "config-not-a-number"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "config-not-a-number: done\n"
+    reports = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
+    missed = set()
+    for part in reports["src/mnlab/cli.py"].split(": ", 1)[1].split(", "):
+        first, _, last = part.partition("-")
+        missed.update(range(int(first), int(last or first) + 1))
+    source = (TOOL.parent.parent / "src" / "mnlab" / "cli.py").read_text().splitlines()
+
+    def line_of(text):
+        return next(i for i, line in enumerate(source, 1) if text in line)
+
+    assert line_of('raise ValueError(f"config value {key}: {exc}")') not in missed
+    assert line_of('raise ValueError(f"MNLAB_SEED is not an integer') in missed
+    assert line_of("def main(argv=None)") not in missed  # run at import
+    # certificate is never imported by this case: every line is missed
+    missed_count, _, total = reports["src/mnlab/certificate.py"].split()[:3]
+    assert missed_count == total

@@ -398,6 +398,33 @@ class TestBumpDifference:
         assert np.array_equal(bands.dense(), dense)
         assert np.array_equal(np.signbit(bands.dense()), np.signbit(dense))
 
+    @pytest.mark.parametrize("n", [2, 3, 64, 1000])
+    @pytest.mark.parametrize("value", [1.0, 2.25, 0.7])
+    def test_constant_m2_bands_are_m1s_bit_for_bit(self, n, value):
+        # under constant volatility m1 and m2 difference to one law
+        m1, m2 = (models.differenced_bands(models.differenced_spec(model, n, 0.1),
+                                           ConstantProfile(value)).bands
+                  for model in ("m1", "m2"))
+        assert np.array_equal(m1.view(np.int64), m2.view(np.int64))
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 1000])
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    def test_constant_m2_bands_against_the_conjugated_raw_signal(self, n, tau):
+        # the first-difference conjugation of the raw m2 matrix: the same
+        # bits at sigma^2 = 1, the unit null of every certificate and probe;
+        # within rounding at other levels
+        for value in (1.0, 2.25, 0.7):
+            profile = ConstantProfile(value)
+            conjugated = (models._conjugate_first(models._m2_signal(profile, n))
+                          + tau * tau * st.matrix_a(n))
+            got = models.differenced_bands(models.ModelSpec("m2", n, tau, "first"),
+                                           profile).dense()
+            if value == 1.0:
+                assert np.array_equal(got, conjugated)
+                assert np.array_equal(np.signbit(got), np.signbit(conjugated))
+            else:
+                np.testing.assert_allclose(got, conjugated, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("model", ["m1", "m3"])
     def test_bands_hold_the_dense_covariance(self, model):
         spec = models.differenced_spec(model, 33, 0.1)

@@ -132,9 +132,7 @@ def _scalar_closed_form(pieces, a, b, shift, coeffs):
 
 
 def _pieces(profile):
-    if profile.kind == "constant":
-        return [(-math.inf, math.inf, profile.value)]
-    if profile.kind == "piecewise":
+    if profile.kind in ("constant", "piecewise"):
         edges = (-math.inf,) + profile.breaks + (math.inf,)
         return list(zip(edges[:-1], edges[1:], profile.values))
     return [(-math.inf, math.inf, 1.0)]  # the base level of a bump profile
@@ -191,6 +189,35 @@ def test_piecewise_outer_pieces_extend_beyond_the_unit_interval():
     assert prof.cell_integrals(-0.25, 1.5, 0.0, (1.0,))[0] == pytest.approx(
         2.0 * 0.75 + 3.0 * 1.0, rel=1e-15)
     assert prof.cell_integrals(0.75, 0.25, 0.0, (1.0,))[0] == 0.0
+
+
+def test_a_constant_profile_is_the_step_profile_of_one_piece():
+    constant, step = ConstantProfile(1.3), PiecewiseConstantProfile((), (1.3,))
+    assert constant.kind == "constant" and step.kind == "piecewise"
+    assert (constant.breaks, constant.values) == ((), (1.3,))
+    assert not hasattr(constant, "value")
+    t = np.linspace(-0.5, 1.5, 9)
+    assert np.array_equal(constant.eval(t), step.eval(t)) and constant.eval(0.25) == 1.3
+    grid = np.arange(65) / 64
+    for coeffs in ((1.0,), SQ, (0.0, 1.0 / 64, -1.0)):
+        got = constant.cell_integrals(grid[:-1], grid[1:], grid[1:], coeffs)
+        want = step.cell_integrals(grid[:-1], grid[1:], grid[1:], coeffs)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_step_values_must_be_positive_and_finite(bad):
+    for make in (lambda: ConstantProfile(bad),
+                 lambda: PiecewiseConstantProfile([0.5], [1.0, bad]),
+                 lambda: PiecewiseConstantProfile([0.5], [bad, 1.0])):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make()
+
+
+@pytest.mark.parametrize("breaks", [[math.nan], [0.5, math.nan], [0.0], [1.0], [0.6, 0.4]])
+def test_breaks_must_increase_strictly_inside_the_unit_interval(breaks):
+    with pytest.raises(ValueError, match="strictly increasing inside"):
+        PiecewiseConstantProfile(breaks, [1.0] * (len(breaks) + 1))
 
 
 @pytest.mark.parametrize("profile", [p for p in _PROFILES if p.kind != "bump"],

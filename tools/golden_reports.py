@@ -77,6 +77,9 @@ CASES = {
     "certificate-m3-n1024-alpha2": (
         ["certificate", "--model", "m3", "--n", "1024", "--alpha", "2",
          "--L", "1", "--tau", "0.1", "--c", "12", "--max-hypotheses", "4"], None),
+    "certificate-m1-n2048-random-code": (
+        ["certificate", "--model", "m1", "--n", "2048", *_CERT, "--c", "20",
+         "--seed", "3", "--max-hypotheses", "4"], None),
     "certificate-config": (
         ["certificate", "--c", "10", "--seed", "2"],
         "model = m3\nn = 128\ntau = 0.05\n"),
@@ -117,6 +120,8 @@ CASES = {
     "kl-scaling-one-n": (
         ["kl-scaling", "--model", "m1", "--ns", "256"], None),
     "kl-scaling-one-n-zero-kl": (["kl-scaling", "--model", "m2", "--ns", "5"], None),
+    "kl-scaling-repeated-n": (
+        ["kl-scaling", "--model", "m1", "--ns", "256,256,512"], None),
     "kl-scaling-two-n": (
         ["kl-scaling", "--model", "m3", "--ns", "256,512"], None),
     "kl-scaling-tau-nan": (
@@ -174,6 +179,7 @@ CASES = {
     "config-bad-format": (["rate-table"], "format = xml\n"),
     "config-unknown-key": (["rate-table"], "modle = m3\n"),
     "config-not-finite": (["rate-table"], "tau = nan\n"),
+    "config-not-a-number": (["rate-table"], "n = abc\n"),
     "config-count-zero": (["verify-posdefmaj", "--ns", "16"], "count = 0\n"),
     "config-max-hypotheses-zero": (
         ["verify-model3-structure", "--n", "32"], "max_hypotheses = 0\n"),

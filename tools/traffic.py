@@ -1,0 +1,151 @@
+"""List the lines of ``src/mnlab`` that no golden case and no demo runs.
+
+Usage::
+
+    python3 tools/traffic.py [CASE ...]
+
+Runs every case of ``golden_reports.CASES`` through ``mnlab.cli.main`` in
+this process, with the same config files and a fresh working directory
+per case, and every script in ``demos/`` through ``runpy`` (as case
+``demo-<script stem>``); naming cases runs those alone.  A line tracer
+(``sys.settrace`` and ``threading.settrace``, so worker threads count)
+records the lines run in the modules under ``src/mnlab``, which are
+imported after it starts, so their import-time lines count too.  Then,
+per module, it prints how many of its executable lines (those ``co_lines``
+of its code objects name) nothing ran, and those lines as ranges::
+
+    src/mnlab/models.py: 12 of 180 lines not run: 101, 230-233
+
+Case output is discarded and exit codes are not checked: the golden
+reports pin those.  A full scan takes about half a minute on two cores.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import runpy
+import sys
+import tempfile
+import threading
+from pathlib import Path
+
+import golden_reports as golden
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mnlab"
+
+
+def executable_lines(path: Path) -> set:
+    """The line numbers of ``path`` that some instruction of its code maps to."""
+    lines, codes = set(), [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    while codes:
+        code = codes.pop()
+        # no line event names a code object's first instruction: a module's is
+        # on line 0, and a function's on its def line, run by the enclosing code
+        lines.update(line for _, _, line in code.co_lines() if line)
+        codes.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    return lines
+
+
+class LineTracer:
+    """Collects ``(file, line)`` for every line run in a module under PACKAGE."""
+
+    def __init__(self):
+        self.ran = set()
+        self._inside = {}  # co_filename -> resolved path under PACKAGE, or None
+
+    def _path(self, filename):
+        if filename not in self._inside:
+            path = Path(os.path.realpath(filename))
+            self._inside[filename] = path if path.parent == PACKAGE else None
+        return self._inside[filename]
+
+    def _global(self, frame, event, arg):
+        path = self._path(frame.f_code.co_filename)
+        if path is None:
+            return None
+
+        def local(frame, event, arg):
+            if event == "line":
+                self.ran.add((path, frame.f_lineno))
+            return local
+
+        return local
+
+    def __enter__(self):
+        threading.settrace(self._global)
+        sys.settrace(self._global)
+        return self
+
+    def __exit__(self, *exc):
+        sys.settrace(None)
+        threading.settrace(None)
+
+
+def _run_case(name: str, main, tmp: Path) -> None:
+    if name.startswith("demo-"):
+        script = golden.DEMOS / f"{name[len('demo-'):]}.py"
+        runpy.run_path(str(script), run_name="__main__")
+        return
+    args, config = golden.CASES[name]
+    if config is not None:
+        path = tmp / f"{name}.cfg"
+        path.write_text(config, encoding="utf-8")
+        args = [*args, "--config", str(path)]
+    try:
+        main(args)
+    except SystemExit:
+        pass
+
+
+def _ranges(lines) -> str:
+    spans = []
+    for line in sorted(lines):
+        if spans and line == spans[-1][1] + 1:
+            spans[-1][1] = line
+        else:
+            spans.append([line, line])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    demos = [f"demo-{Path(script).stem}" for script in golden.DEMO_SCRIPTS]
+    names = argv or [*golden.CASES, *demos]
+    unknown = [name for name in names if name not in golden.CASES and name not in demos]
+    if unknown:
+        sys.stderr.write(f"unknown case: {', '.join(unknown)}\n")
+        return 1
+    if "mnlab" in sys.modules:
+        sys.stderr.write("mnlab is already imported: its import-time lines "
+                         "would not count\n")
+        return 1
+    os.environ.pop("MNLAB_SEED", None)
+    sys.path.insert(0, str(PACKAGE.parent))
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, LineTracer() as tracer:
+        from mnlab.cli import main as cli_main
+
+        for name in names:
+            case_dir = Path(tmp) / name
+            case_dir.mkdir()
+            os.chdir(case_dir)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    _run_case(name, cli_main, case_dir)
+            finally:
+                os.chdir(home)
+            sys.stderr.write(f"{name}: done\n")
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = executable_lines(path)
+        missed = lines - {line for p, line in tracer.ran if p == path}
+        print(f"{path.relative_to(ROOT)}: {len(missed)} of {len(lines)} lines "
+              f"not run" + (f": {_ranges(missed)}" if missed else ""))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
