@@ -19,8 +19,8 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from pathlib import Path
 
-__all__ = ["dpttrf", "dpbtrf", "dpbtrs", "dpotrf", "dpotrs", "dtbtrs", "dtrtrs",
-           "dtbsv", "dtrmm"]
+__all__ = ["dpttrf", "dpbtrf", "dpbtrs", "dpotrf", "dpotrs", "dsyevd", "dsyevd_lwork",
+           "dtbtrs", "dtrtrs", "dtbsv", "dtrmm"]
 
 
 def _extension(name: str):
@@ -52,6 +52,8 @@ dpbtrf = _flapack.dpbtrf
 dpbtrs = _flapack.dpbtrs
 dpotrf = _flapack.dpotrf
 dpotrs = _flapack.dpotrs
+dsyevd = _flapack.dsyevd
+dsyevd_lwork = _flapack.dsyevd_lwork
 dtbtrs = _flapack.dtbtrs
 dtrtrs = _flapack.dtrtrs
 dtbsv = _fblas.dtbsv

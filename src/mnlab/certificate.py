@@ -453,7 +453,7 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     route, O(n) with no eigenvalue, and reaches n = 1048576 (about 1.1 s
     and 310 MB on two cores).  m2 and m3 take the banded route, whose k x k
     eigenproblem is the O(k^3) floor.  m2, whose block holds one row per
-    moved row (k about n / 4), reaches n = 16384 (about 6 s and 450 MB).
+    moved row (k about n / 4), reaches n = 16384 (about 5 s and 305 MB).
     m3 (k about n / 8) stops at n = 16384: its null is so ill-conditioned
     that the KL's rounding error, on either route, grows several-fold per
     doubling of n, to about 1e-8 relative there.  A KL of exactly 0 (m2

@@ -58,7 +58,7 @@ trailing triangle of the piece's banded Cholesky factor; a multi-index
 end run ``R`` is eliminated the same way and added back as the one
 coordinate ``v = 1_R / sqrt(|R|)`` (:func:`_fold_leading` holds the
 proof).  One banded Cholesky ``P^-1 = L L^T`` and two banded triangular
-solves give ``M = L^-1 B L^-T``, similar to ``B P``, whose ``eigvalsh``
+solves give ``M = L^-1 B L^-T``, similar to ``B P``, whose eigenvalues
 are the ``mu``: O(n w^2 + k^2 w + k^3) with no solve of size ``n``.
 This covers the m2 and m3 bump alternatives whose bumps are adjacent,
 the kl-scaling bumps among them (the unmoved stretch before an m2 bump
@@ -95,7 +95,8 @@ import numpy as np
 
 from . import _lapack
 from .errors import DimensionMismatch, InvalidC, NotPositiveDefinite
-from .linalg import Banded, check_symmetric, cholesky_lower, is_psd, sym
+from .linalg import (Banded, check_symmetric, cholesky_lower, is_psd, mirror_lower,
+                     transpose_in_place)
 from .profiles import checked_cells
 
 __all__ = [
@@ -672,15 +673,16 @@ def _banded_route(inverse: np.ndarray, block: np.ndarray):
     ``M`` is similar to ``B P = B L^-T L^-1``, so it has the ``mu``, and
     its Frobenius norm is that of ``R^T B R`` for any ``P = R R^T``.  Two
     banded triangular solves with ``k`` right-hand sides, O(k^2 w), and
-    at most three ``k x k`` arrays, ``B`` included, at once.
+    two ``k x k`` arrays, ``B`` included, at once: the first solve copies
+    ``B`` into the column-order work matrix, and everything after it,
+    the eigenvalues included, overwrites that matrix.
     """
     low = cholesky_lower(Banded(inverse))
-    # B is symmetric, so B.T is B in column order; the second solve
-    # overwrites the column-order copy of X^T that it needs anyway
+    # B is symmetric, so B.T is B in column order
     x = _solved("dtbtrs", *_lapack.dtbtrs(low, block.T, uplo="L"))
-    m = _solved("dtbtrs", *_lapack.dtbtrs(low, x.T, uplo="L", overwrite_b=1))
-    del x
-    return np.linalg.eigvalsh(m), float(np.sum(m * m))
+    m = _solved("dtbtrs", *_lapack.dtbtrs(low, transpose_in_place(x), uplo="L",
+                                         overwrite_b=1))
+    return _spectrum(m)
 
 
 def _general_route(null: GaussianLaw, runs: _Runs, block: np.ndarray):
@@ -690,15 +692,31 @@ def _general_route(null: GaussianLaw, runs: _Runs, block: np.ndarray):
     p = np.empty((k, k))
     for cols, z in _solve_blocks(null, runs):
         p[:, cols] = runs.gather(z)
-    r = cholesky_lower(sym(p))
+    r = cholesky_lower(mirror_lower(p))
     # subnormal entries of R (the null's inverse decays off the diagonal)
     # change R^T B R by less than its rounding, and slow dtrmm many fold
     r[np.abs(r) < np.finfo(float).tiny] = 0.0
-    # R^T B R by two triangular products
+    # R^T B R by two triangular products, the second in place
     m = _lapack.dtrmm(1.0, r, _lapack.dtrmm(1.0, r, block, side=1, lower=1),
-                      lower=1, trans_a=1)
-    m = sym(m)
-    return np.linalg.eigvalsh(m), float(np.sum(m * m))
+                      lower=1, trans_a=1, overwrite_b=1)
+    return _spectrum(mirror_lower(m))
+
+
+def _spectrum(m: np.ndarray):
+    """``mu`` ascending and ``||m||_F^2`` of the column-order ``k x k`` work
+    matrix ``m``, which is overwritten.
+
+    The eigenvalues are ``dsyevd``'s of the lower triangle, the bits of
+    ``np.linalg.eigvalsh(m)``, with no copy of ``m``: its workspace is the
+    one ``dsyevd_lwork`` asks for, as the minimal one runs ``dsytrd``
+    unblocked, which changes the bits.  The norm sums the squares with no
+    ``k x k`` temporary.
+    """
+    middle_sq = float(np.einsum("ij,ij->", m, m))
+    work, iwork, _ = _lapack.dsyevd_lwork(m.shape[0], compute_v=0, lower=1)
+    mu, _, info = _lapack.dsyevd(m, compute_v=0, lower=1, lwork=int(work),
+                                 liwork=iwork, overwrite_a=1)
+    return _solved("dsyevd", mu, info), middle_sq
 
 
 def _laws(sigma0, sigma1) -> tuple[GaussianLaw, GaussianLaw]:

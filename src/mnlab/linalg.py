@@ -26,6 +26,8 @@ from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
 
 __all__ = [
     "sym",
+    "mirror_lower",
+    "transpose_in_place",
     "check_symmetric",
     "Banded",
     "EigenResult",
@@ -44,10 +46,59 @@ def sym(a) -> np.ndarray:
     overwritten with its mirror image so that ``out[i, j] == out[j, i]``
     holds exactly, not merely up to rounding.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.array(a, dtype=float, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return np.tril(a) + np.tril(a, -1).T
+    return mirror_lower(a)
+
+
+# side of the square tiles that the in-place routines copy through, and
+# the strict upper triangle of one
+_TILE = 64
+_UPPER = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
+
+
+def _tiles(k: int):
+    """``(rows, cols)`` of each tile strictly below the diagonal of a
+    ``k x k`` array, and ``(rows, rows)`` of each diagonal tile."""
+    for i in range(0, k, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(0, i, _TILE):
+            yield rows, slice(j, j + _TILE)
+        yield rows, rows
+
+
+def mirror_lower(a: np.ndarray) -> np.ndarray:
+    """Make the square float array ``a`` bit-exactly symmetric in place, as
+    :func:`sym` would return it, and return it.
+
+    The strict lower triangle is copied onto the upper one a tile at a
+    time, so the only temporary is one tile; ``+ 0.0`` then turns every
+    ``-0.0`` into ``+0.0``, as the sum of the two triangles does.
+    """
+    for rows, cols in _tiles(a.shape[0]):
+        if rows == cols:
+            tile = a[rows, rows]
+            t = tile.shape[0]
+            np.copyto(tile, tile.T, where=_UPPER[:t, :t])
+        else:
+            a[cols, rows] = a[rows, cols].T
+    a += 0.0
+    return a
+
+
+def transpose_in_place(a: np.ndarray) -> np.ndarray:
+    """Transpose the square array ``a`` in place, a tile at a time, and
+    return it: its memory order is kept, so a column-order ``a`` becomes
+    the column-order ``a.T`` with no second square array."""
+    for rows, cols in _tiles(a.shape[0]):
+        if rows == cols:
+            a[rows, rows] = a[rows, rows].T
+        else:
+            below = a[rows, cols].copy()
+            a[rows, cols] = a[cols, rows].T
+            a[cols, rows] = below.T
+    return a
 
 
 _SYM_BLOCK = 256

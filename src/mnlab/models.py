@@ -57,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDifferencing, InvalidProfile
-from .linalg import Banded, sym
-from .profiles import VolatilityProfile
+from .linalg import Banded, mirror_lower, sym
+from .profiles import PiecewiseConstantProfile, VolatilityProfile
 from .structures import matrix_a, matrix_v1
 
 __all__ = [
@@ -251,6 +251,12 @@ def _m3_signal(profile: VolatilityProfile, n: int):
     return diag, off
 
 
+def _constant(profile: VolatilityProfile) -> bool:
+    """Whether ``profile`` is constant: a step profile of one piece, which
+    :class:`~mnlab.profiles.ConstantProfile` is."""
+    return isinstance(profile, PiecewiseConstantProfile) and len(profile.values) == 1
+
+
 def differenced_bands(spec: ModelSpec, profile: VolatilityProfile) -> Banded:
     """Differenced m1 (tridiagonal) or m3 (pentadiagonal) covariance, banded.
 
@@ -262,7 +268,7 @@ def differenced_bands(spec: ModelSpec, profile: VolatilityProfile) -> Banded:
     n, tau = spec.n, spec.tau
     if spec.differencing == "none":
         raise InvalidDifferencing("banded covariances need a differenced spec")
-    if spec.model == "m2" and profile.kind != "constant":
+    if spec.model == "m2" and not _constant(profile):
         raise InvalidProfile("the differenced m2 covariance is banded only "
                              "under constant volatility")
     _probe_profile(profile, n)
@@ -311,12 +317,13 @@ def _m2_bump_difference(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
     length = np.diff(edges)
     d = delta[start]
     u = np.sqrt(length) * (start * d + s[start])
-    # two k x k arrays: the block, and its strict lower triangle mirrored
-    # into it (each entry adds an exact 0 from the other triangle)
-    block = np.outer(d, u)
+    # one k x k array, np.outer(d, u) built row by row (a broadcast product
+    # takes a buffer of its own), its strict lower triangle then mirrored
+    block = np.empty((d.size, d.size))
+    for row, d_i in zip(block, d):
+        np.multiply(d_i, u, out=row)
     block /= n
-    lower = np.tril(block, -1)
-    np.add(lower, lower.T, out=block)
+    mirror_lower(block)
     np.fill_diagonal(block, (start * d * d + b[start]) / n)
     return np.column_stack((start, edges[1:])), block
 
@@ -388,7 +395,7 @@ def cov_differenced(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
     """
     if spec.differencing == "none":
         raise InvalidDifferencing("cov_differenced needs a differenced spec")
-    if spec.model != "m2" or profile.kind == "constant":
+    if spec.model != "m2" or _constant(profile):
         return differenced_bands(spec, profile).dense()
     _probe_profile(profile, spec.n)
     n, tau = spec.n, spec.tau

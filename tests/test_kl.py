@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -936,3 +937,67 @@ class TestBandedRoute:
         want = kl.compare(kl.GaussianLaw(null.cov), support, block)
         assert (got.route, want.route) == ("banded", "general")
         assert rel(got.kl, want.kl) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# work arrays: B and one k x k work matrix, and nothing of the caller's
+
+
+class TestWorkArrays:
+    @pytest.mark.parametrize("route", ["tridiagonal", "banded", "general"])
+    def test_leaves_the_callers_block_unchanged(self, route):
+        null = m1_null(64)
+        support = np.arange(10, 30)
+        rng = np.random.default_rng(8)
+        block = log_uniform(rng, support.size, lo=1e-6) * 1e-2
+        if route != "tridiagonal":
+            g = 1e-3 * rng.standard_normal((support.size, support.size))
+            block = la.sym(np.diag(block) + g @ g.T)
+        if route == "general":
+            null = kl.GaussianLaw(null.cov)
+        before = block.copy()
+        got = kl.compare(null, support, block)
+        got.bound(1.0)
+        assert got.route == route
+        assert np.array_equal(block.view(np.int64), before.view(np.int64))
+
+    def test_m2_kl_scaling_bump_holds_two_k_by_k_arrays(self):
+        # the block and the work matrix; the m2 block alone, built in place
+        n = 2048
+        spec = models.differenced_spec("m2", n, 0.02)
+        null = null_law(spec)
+        profile = single_bump_profile(1.0, 1.0, 0.25)
+        kl.compare(null, *models.bump_difference(spec, profile, unit_bands(spec)))
+        tracemalloc.start()
+        try:
+            support, block = models._m2_bump_difference(profile, n)
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            got = kl.compare(null, support, block)
+            compared = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = block.shape[0]
+        assert got.route == "banded" and k == 507
+        assert built < 1.1 * block.nbytes
+        assert compared < block.nbytes + 1.25 * 8 * k * k
+
+    @given(seed=hs.integers(0, 2**32 - 1), k=hs.integers(1, 512), banded=hs.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_spectrum_matches_eigvalsh(self, seed, k, banded):
+        rng = np.random.default_rng(seed)
+        if banded:
+            # the banded route's own work matrix, symmetric up to rounding
+            inverse = random_banded_null(rng, k, min(int(rng.integers(1, 4)), k - 1)).bands
+            seen, spectrum = [], kl._spectrum
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kl, "_spectrum",
+                              lambda m: seen.append(m.copy(order="F")) or spectrum(m))
+                mu, middle_sq = kl._banded_route(inverse, la.sym(rng.standard_normal((k, k))))
+            m = seen[0]
+        else:
+            m = np.asfortranarray(la.sym(rng.standard_normal((k, k))))
+            mu, middle_sq = kl._spectrum(m.copy(order="F"))
+        want = np.linalg.eigvalsh(m)
+        assert np.max(np.abs(mu - want)) <= 4 * np.spacing(np.max(np.abs(want)))
+        assert rel(middle_sq, float(np.sum(m * m))) <= 1e-14

@@ -15,6 +15,24 @@ def test_sym_mirror_is_bit_exact():
     assert np.array_equal(np.tril(s), np.tril(a))
 
 
+@pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 130, 200])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_in_place_mirror_and_transpose_are_bit_exact(k, order):
+    # tiles of 64: sizes on both sides of one and two tile edges
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((k, k))
+    a[rng.random((k, k)) < 0.1] = -0.0
+    mirrored = la.mirror_lower(np.array(a, order=order))
+    # the sum of the two triangles: every -0.0 becomes +0.0
+    want = np.tril(a) + np.tril(a, -1).T
+    assert np.array_equal(mirrored.view(np.int64), want.view(np.int64))
+    assert np.array_equal(la.sym(a).view(np.int64), want.view(np.int64))
+    x = np.array(a, order=order)
+    got = la.transpose_in_place(x)
+    assert got is x and got.flags[f"{order}_CONTIGUOUS"]
+    assert np.array_equal(got.view(np.int64), a.T.view(np.int64))
+
+
 def test_check_symmetric_rejects_near_symmetry():
     a = np.eye(3)
     a[0, 1] = 1e-16

@@ -407,6 +407,17 @@ class TestBumpDifference:
                   for model in ("m1", "m2"))
         assert np.array_equal(m1.view(np.int64), m2.view(np.int64))
 
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_a_one_piece_step_profile_is_constant(self, n):
+        spec = models.differenced_spec("m2", n, 0.1)
+        step, constant = PiecewiseConstantProfile((), (2.0,)), ConstantProfile(2.0)
+        got, want = (models.differenced_bands(spec, p).bands for p in (step, constant))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got, want = (models.cov_differenced(spec, p) for p in (step, constant))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        with pytest.raises(InvalidProfile):
+            models.differenced_bands(spec, PiecewiseConstantProfile((0.5,), (2.0, 2.0)))
+
     @pytest.mark.parametrize("n", [2, 3, 64, 1000])
     @pytest.mark.parametrize("tau", [0.0, 0.1])
     def test_constant_m2_bands_against_the_conjugated_raw_signal(self, n, tau):
