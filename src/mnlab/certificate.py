@@ -61,7 +61,7 @@ LN2 = math.log(2.0)
 
 # the largest n of each exact-KL entry point, per model: m1's tridiagonal
 # route is O(n); the banded route's k x k eigenproblem bounds m2 and m3,
-# and the two-point block is a dense n x n array
+# and the two-point block is built as a dense n x n work matrix
 _DESK_BOUND = {
     "evaluate": {"m1": 262144, "m2": 4096, "m3": 4096},
     "kl_scaling_probe": {"m1": 1048576, "m2": 16384, "m3": 16384},
@@ -335,10 +335,12 @@ def two_point_certificate_m3(n: int, sigma_min: float, sigma_max: float,
     law0 = GaussianLaw(differenced_bands(differenced_spec("m3", n, tau),
                                          ConstantProfile(sigma_min)))
     # the noise parts cancel: the laws differ by (sigma1 - sigma_min) times
-    # the unit signal, on every index
-    signal = differenced_bands(differenced_spec("m3", n, 0.0),
-                               ConstantProfile(1.0)).dense()
-    comparison = compare(law0, np.arange(n), (sigma1 - sigma_min) * signal)
+    # the unit signal, on every index, which compare builds in its own work
+    # matrix
+    signal = differenced_bands(differenced_spec("m3", n, 0.0), ConstantProfile(1.0))
+    scale = sigma1 - sigma_min
+    comparison = compare(law0, np.arange(n),
+                         lambda out: np.multiply(scale, signal.dense(out), out=out))
     kl = comparison.kl
     separation = sigma1 - sigma_min
     kappa_bound = kappa * 1.0 * LN2  # log2(M) = 1 for M = 2 hypotheses
@@ -453,7 +455,8 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     route, O(n) with no eigenvalue, and reaches n = 1048576 (about 1.1 s
     and 310 MB on two cores).  m2 and m3 take the banded route, whose k x k
     eigenproblem is the O(k^3) floor.  m2, whose block holds one row per
-    moved row (k about n / 4), reaches n = 16384 (about 5 s and 305 MB).
+    moved row (k about n / 4), reaches n = 16384 (about 4 s and 175 MB, the
+    k x k work matrix into which the block is built the one k x k array).
     m3 (k about n / 8) stops at n = 16384: its null is so ill-conditioned
     that the KL's rounding error, on either route, grows several-fold per
     doubling of n, to about 1e-8 relative there.  A KL of exactly 0 (m2

@@ -401,7 +401,8 @@ def verify_model3_structure(*, n: int, tau: float, alpha: float, l_const: float,
     for k in range(1, take + 1):
         # alternative - null = W B W^T with orthonormal W: on the support,
         # PSD is is_psd(B) and domination by gamma I is B <= gamma I_k
-        _, block = models.bump_difference(spec_f, family.profile(k), null)
+        support, block = models.bump_difference(spec_f, family.profile(k), null)
+        block = kl_mod.block_array(block, len(support))
         psd_ok &= linalg.is_psd(block)
         dom_ok &= linalg.loewner_leq(block, gamma * np.eye(block.shape[0]))
     checks.append(_check("alternative_minus_null_psd", n_fam,

@@ -61,12 +61,22 @@ ALPHA_MIN, ALPHA_MAX = 0.5, 2.0
 _PANELS = 16
 
 
+def _bump_arg(u):
+    """``w = 1 - (2u)^2`` and the mask ``w > 1e-12`` of the bump's inside.
+
+    Far outside, where ``u * u`` overflows (a tiny bump width), ``w`` is
+    ``-inf`` with no warning; inside, ``|u| < 1/2``, nothing overflows.
+    """
+    u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore"):
+        w = 1.0 - 4.0 * u * u
+    return w, w > 1e-12
+
+
 def _bump_raw(u):
     """Unnormalised bump ``exp(-1 / (1 - (2u)^2))`` on |2u| < 1, else 0."""
-    u = np.asarray(u, dtype=float)
-    w = 1.0 - 4.0 * u * u
-    inside = w > 1e-12
-    out = np.zeros(u.shape)
+    w, inside = _bump_arg(u)
+    out = np.zeros(w.shape)
     with np.errstate(divide="ignore", over="ignore"):
         out[inside] = np.exp(-1.0 / w[inside])
     return out
@@ -75,8 +85,7 @@ def _bump_raw(u):
 def _bump_raw_d1(u):
     """First derivative of the unnormalised bump."""
     u = np.asarray(u, dtype=float)
-    w = 1.0 - 4.0 * u * u
-    inside = w > 1e-12
+    w, inside = _bump_arg(u)
     out = np.zeros(u.shape)
     ui, wi = u[inside], w[inside]
     out[inside] = -8.0 * ui / wi**2 * np.exp(-1.0 / wi)

@@ -60,6 +60,13 @@ coordinate ``v = 1_R / sqrt(|R|)`` (:func:`_fold_leading` holds the
 proof).  One banded Cholesky ``P^-1 = L L^T`` and two banded triangular
 solves give ``M = L^-1 B L^-T``, similar to ``B P``, whose eigenvalues
 are the ``mu``: O(n w^2 + k^2 w + k^3) with no solve of size ``n``.
+``B`` is written into one column-order ``k x k`` work matrix, which both
+solves and the eigenproblem overwrite.  The block may be a builder, a
+callable that writes ``B`` into the array it is handed, as the m2 and m3
+blocks of :func:`~mnlab.models.bump_difference` are: then that work
+matrix is the only ``k x k`` array of the comparison, and
+:attr:`Comparison.block` builds ``B`` again only when a bound or the
+Loewner test at 1 asks for it.  An array block is copied, never written.
 This covers the m2 and m3 bump alternatives whose bumps are adjacent,
 the kl-scaling bumps among them (the unmoved stretch before an m2 bump
 is one run).  The outer bound, which only certificates ask for, keeps
@@ -103,6 +110,7 @@ __all__ = [
     "GaussianLaw",
     "Comparison",
     "compare",
+    "block_array",
     "kl_exact",
     "KLBound",
     "kl_bound",
@@ -547,13 +555,16 @@ def _hull_inverse(null: GaussianLaw, runs: _Runs):
 class Comparison:
     """A null law against ``null + W B W^T``, reduced to ``k x k``.
 
-    ``support`` holds the validated runs of ``W``, ``mu`` the eigenvalues
-    of ``R^T B R`` ascending, ``middle_sq`` is ``||R^T B R||_F^2 =
-    sum(mu^2)`` and ``kl`` the exact divergence (nats), ``(1/2) sum(mu -
-    log1p(mu))``.  ``right_sq = ||X B||_F^2`` is computed on first use,
-    by :meth:`bound`: by a second solve with ``k`` right-hand sides, or on
-    the tridiagonal route, where ``block`` holds the diagonal ``b`` of
-    ``B``, as ``sum_j b_j^2 (null^-2)_jj`` in O(n).  ``route`` names the
+    ``support`` holds the validated runs of ``W`` and ``source`` the block
+    ``B`` as :func:`compare` read it: an array, or a builder.  ``mu`` holds
+    the eigenvalues of ``R^T B R`` ascending, ``middle_sq`` is ``||R^T B
+    R||_F^2 = sum(mu^2)`` and ``kl`` the exact divergence (nats), ``(1/2)
+    sum(mu - log1p(mu))``.  ``block``, ``B`` as an array, is built from a
+    builder only when :meth:`bound` or :meth:`dominates` at 1 asks for it.
+    ``right_sq = ||X B||_F^2`` is computed on first use, by :meth:`bound`:
+    by a second solve with ``k`` right-hand sides, or on the tridiagonal
+    route, where ``block`` holds the diagonal ``b`` of ``B``, as ``sum_j
+    b_j^2 (null^-2)_jj`` in O(n).  ``route`` names the
     route :func:`compare` took: ``"tridiagonal"`` (no eigenvalues, so
     ``mu`` is empty; as ``b > 0``, the Loewner constant is 1),
     ``"banded"`` (``mu`` and ``middle_sq`` from ``L^-1 B L^-T``, ``P^-1 =
@@ -562,11 +573,15 @@ class Comparison:
 
     null: GaussianLaw
     support: _Runs
-    block: np.ndarray
+    source: object
     mu: np.ndarray
     middle_sq: float
     kl: float
     route: str = "general"
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        return block_array(self.source, self.support.k)
 
     @cached_property
     def right_sq(self) -> float:
@@ -608,8 +623,14 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
 
     ``support`` holds the ``k`` runs of ``W``: sorted distinct indices,
     or a ``k x 2`` array of sorted disjoint half-open ``(start, stop)``
-    runs; ``block`` is the exactly symmetric ``k x k`` matrix ``B``, or a
-    vector of ``k`` entries read as the diagonal ``B = diag(b)``.
+    runs; ``block`` is the exactly symmetric ``k x k`` matrix ``B``, a
+    vector of ``k`` entries read as the diagonal ``B = diag(b)``, or a
+    builder: a callable ``block(out)`` that writes ``B`` into the
+    row-order ``k x k`` array ``out`` it is handed.  Off the tridiagonal
+    route ``B`` is written into one column-order ``k x k`` work matrix,
+    built there or copied, so an array passed in is never written, and
+    the route overwrites that matrix: with a builder it is the only ``k x
+    k`` array the comparison holds.
 
     When the null is tridiagonal (a :class:`~mnlab.linalg.Banded` of
     bandwidth 1), every run is one index and every ``b > 0``, the comparison
@@ -629,65 +650,82 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
     route the outer bound takes a second solve with ``k`` right-hand sides,
     when it is asked for.  :attr:`Comparison.route` records the
     route.  Raises ``ValueError`` for runs that are empty, unsorted,
-    overlapping or outside ``[0, n)``, and
+    overlapping or outside ``[0, n)`` and for a ``B`` that is not exactly
+    symmetric, and
     :class:`~mnlab.errors.NotPositiveDefinite` when the alternative is not
     positive definite (``1 + min(mu) <= 0``).
     """
     runs = _runs(support, null.size)
-    block = np.asarray(block, dtype=float)
     k = runs.k
-    if block.shape not in ((k, k), (k,)):
-        raise DimensionMismatch(
-            f"block shape {block.shape} does not match a support of {k}"
-        )
+    if not callable(block):
+        block = np.asarray(block, dtype=float)
+        if block.shape not in ((k, k), (k,)):
+            raise DimensionMismatch(
+                f"block shape {block.shape} does not match a support of {k}"
+            )
     if k == 0:
-        return Comparison(null=null, support=runs, block=np.zeros((0, 0)),
+        return Comparison(null=null, support=runs, source=np.zeros((0, 0)),
                           mu=np.zeros(0), middle_sq=0.0, kl=0.0)
-    if block.ndim == 1:
+    if not callable(block) and block.ndim == 1:
         bands = _tridiagonal(null)
         if bands is not None and np.all(runs.lengths == 1) \
                 and np.all((block > 0.0) & (block < math.inf)):
             kl, middle_sq = _diagonal_route(*bands, runs.rows, block)
-            return Comparison(null=null, support=runs, block=block, mu=np.zeros(0),
+            return Comparison(null=null, support=runs, source=block, mu=np.zeros(0),
                               middle_sq=middle_sq, kl=kl, route="tridiagonal")
         block = np.diag(block)
-    block = check_symmetric(block, "block")
+    # the one k x k array: B, built or copied, then overwritten by the route
+    work = np.empty((k, k), order="F")
+    if callable(block):
+        block(work.T)
+    else:
+        np.copyto(work.T, block)
+    check_symmetric(work.T, "block")
     inverse = _hull_inverse(null, runs)
     if inverse is None:
-        route, (mu, middle_sq) = "general", _general_route(null, runs, block)
+        route, (mu, middle_sq) = "general", _general_route(null, runs, work)
     else:
-        route, (mu, middle_sq) = "banded", _banded_route(inverse, block)
+        route, (mu, middle_sq) = "banded", _banded_route(inverse, work)
     if 1.0 + mu[0] <= 0.0:
         raise NotPositiveDefinite(
             f"the alternative is not positive definite (1 + mu_min = {1.0 + mu[0]:.3e})"
         )
-    return Comparison(null=null, support=runs, block=block, mu=mu,
+    return Comparison(null=null, support=runs, source=block, mu=mu,
                       middle_sq=middle_sq, kl=0.5 * math.fsum(_kl_terms(mu)),
                       route=route)
 
 
-def _banded_route(inverse: np.ndarray, block: np.ndarray):
+def block_array(block, k: int) -> np.ndarray:
+    """``B`` as an array: a builder's block built in a new ``k x k`` array,
+    an array or a vector of diagonal entries returned as it is."""
+    if not callable(block):
+        return np.asarray(block, dtype=float)
+    out = np.empty((k, k))
+    block(out)
+    return out
+
+
+def _banded_route(inverse: np.ndarray, work: np.ndarray):
     """``mu`` ascending and ``||M||_F^2`` of ``M = L^-1 B L^-T``, ``L L^T``
     the band storage ``inverse`` of ``P^-1`` (:func:`_hull_inverse`).
 
     ``M`` is similar to ``B P = B L^-T L^-1``, so it has the ``mu``, and
     its Frobenius norm is that of ``R^T B R`` for any ``P = R R^T``.  Two
     banded triangular solves with ``k`` right-hand sides, O(k^2 w), and
-    two ``k x k`` arrays, ``B`` included, at once: the first solve copies
-    ``B`` into the column-order work matrix, and everything after it,
-    the eigenvalues included, overwrites that matrix.
+    one ``k x k`` array: both solves and the eigenvalues overwrite the
+    column-order ``work``, which holds ``B`` on entry.
     """
     low = cholesky_lower(Banded(inverse))
-    # B is symmetric, so B.T is B in column order
-    x = _solved("dtbtrs", *_lapack.dtbtrs(low, block.T, uplo="L"))
+    x = _solved("dtbtrs", *_lapack.dtbtrs(low, work, uplo="L", overwrite_b=1))
     m = _solved("dtbtrs", *_lapack.dtbtrs(low, transpose_in_place(x), uplo="L",
                                          overwrite_b=1))
     return _spectrum(m)
 
 
-def _general_route(null: GaussianLaw, runs: _Runs, block: np.ndarray):
+def _general_route(null: GaussianLaw, runs: _Runs, work: np.ndarray):
     """``mu`` ascending and ``||R^T B R||_F^2``, ``P = R R^T`` from a solve
-    with the null and ``k`` right-hand sides."""
+    with the null and ``k`` right-hand sides; the column-order ``work``
+    holds ``B`` on entry and is overwritten."""
     k = runs.k
     p = np.empty((k, k))
     for cols, z in _solve_blocks(null, runs):
@@ -697,7 +735,7 @@ def _general_route(null: GaussianLaw, runs: _Runs, block: np.ndarray):
     # change R^T B R by less than its rounding, and slow dtrmm many fold
     r[np.abs(r) < np.finfo(float).tiny] = 0.0
     # R^T B R by two triangular products, the second in place
-    m = _lapack.dtrmm(1.0, r, _lapack.dtrmm(1.0, r, block, side=1, lower=1),
+    m = _lapack.dtrmm(1.0, r, _lapack.dtrmm(1.0, r, work, side=1, lower=1, overwrite_b=1),
                       lower=1, trans_a=1, overwrite_b=1)
     return _spectrum(mirror_lower(m))
 

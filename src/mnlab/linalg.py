@@ -139,10 +139,14 @@ class Banded:
     def size(self) -> int:
         return self.bands.shape[1]
 
-    def dense(self) -> np.ndarray:
-        """The full ``n x n`` matrix; zeros outside the band."""
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The full ``n x n`` matrix; zeros outside the band.  Written into
+        ``out`` when it is given."""
         n = self.size
-        out = np.zeros((n, n))
+        if out is None:
+            out = np.zeros((n, n))
+        else:
+            out.fill(0.0)
         for d, band in enumerate(self.bands):
             j = np.arange(n - d)
             out[j + d, j] = out[j, j + d] = band[:n - d]
@@ -237,8 +241,11 @@ def is_psd(m, tol: float = 1e-9) -> bool:
     if fro == 0.0:
         return True
     shift = tol * fro
-    shifted = a + shift * np.eye(a.shape[0])
-    _, info = _lapack.dpotrf(shifted, lower=1, clean=0, overwrite_a=1)
+    # a + shift * I with no identity array; as a is symmetric, shifted.T is
+    # the same matrix in column order, factored in place
+    shifted = a.copy()
+    shifted.flat[::a.shape[0] + 1] += shift
+    _, info = _lapack.dpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)
     if info == 0:
         return True
     lam_min = float(np.linalg.eigvalsh(a)[0])

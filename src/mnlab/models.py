@@ -34,7 +34,8 @@ m1's law ``(sigma^2/n) I + tau^2 A`` and built as m1's:
 alternative differs from its unit-volatility null only on the cells its
 bumps touch; :func:`bump_difference` returns that difference as a
 support ``S`` of index runs and a block ``B`` (``alt - null = W B W^T``,
-see :func:`~mnlab.kl.compare`), never by subtracting two n x n
+see :func:`~mnlab.kl.compare`; for m2 and m3 a builder that writes ``B``
+into the comparison's own work matrix), never by subtracting two n x n
 matrices: for m1 the diagonal of ``B`` as a vector, from the bump part
 ``sigma^2 - 1``, for m2 in closed form from ``sigma(t_i)`` on the moved
 rows, with one run for each stretch of unmoved rows between them, and
@@ -284,8 +285,9 @@ def differenced_bands(spec: ModelSpec, profile: VolatilityProfile) -> Banded:
     return Banded(bands + tau * tau * noise)
 
 
-def _m2_bump_difference(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Runs and block of the differenced m2 alternative minus its unit null.
+def _m2_bump_difference(profile, n: int):
+    """Runs and block builder of the differenced m2 alternative minus its
+    unit null.
 
     With ``s_i = sigma(t_i)``, first differences ``D`` and ``L = D^-1``
     the lower matrix of ones, the differenced covariance is ``T T^T / n
@@ -304,6 +306,9 @@ def _m2_bump_difference(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
     s_i)``, ``delta_i`` is the difference of those, and the diagonal uses
     ``b_i`` for ``s_i^2 - 1``, so no entry is the cancellation of two
     rounded numbers near 1.
+
+    Only ``d``, ``u`` and the diagonal, O(k), are kept; the builder writes
+    the ``k x k`` block into the array :func:`~mnlab.kl.compare` hands it.
     """
     _probe_profile(profile, n)
     sigma_sq = np.asarray(profile.eval(np.arange(1, n + 1) / n), dtype=float)
@@ -311,25 +316,29 @@ def _m2_bump_difference(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
     s = np.sqrt(sigma_sq)
     delta = np.diff(b / (1.0 + s), prepend=0.0)
     moved = np.flatnonzero((b != 0.0) | (delta != 0.0))
-    # run boundaries: every moved row alone, and the stretches between them
-    edges = np.unique(np.concatenate(([0], moved, moved + 1)))
+    # run boundaries: every moved row alone, and the stretches between them,
+    # sorted with repeats dropped
+    edges = np.sort(np.concatenate(([0], moved, moved + 1)))
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
     start = edges[:-1]
     length = np.diff(edges)
     d = delta[start]
     u = np.sqrt(length) * (start * d + s[start])
-    # one k x k array, np.outer(d, u) built row by row (a broadcast product
-    # takes a buffer of its own), its strict lower triangle then mirrored
-    block = np.empty((d.size, d.size))
-    for row, d_i in zip(block, d):
-        np.multiply(d_i, u, out=row)
-    block /= n
-    mirror_lower(block)
-    np.fill_diagonal(block, (start * d * d + b[start]) / n)
-    return np.column_stack((start, edges[1:])), block
+    diagonal = (start * d * d + b[start]) / n
+
+    def build(out: np.ndarray) -> None:
+        # np.outer(d, u) row by row into out (a broadcast product takes a
+        # buffer of its own), its strict lower triangle then mirrored
+        for row, d_i in zip(out, d):
+            np.multiply(d_i, u, out=row)
+        out /= n
+        mirror_lower(out)
+        np.fill_diagonal(out, diagonal)
+
+    return np.column_stack((start, edges[1:])), build
 
 
-def bump_difference(spec: ModelSpec, profile,
-                    null: Banded) -> tuple[np.ndarray, np.ndarray]:
+def bump_difference(spec: ModelSpec, profile, null: Banded):
     """Differenced covariance of a bump alternative minus the unit null.
 
     ``profile`` is a :class:`~mnlab.hypotheses.BumpSumProfile` (base level
@@ -339,7 +348,10 @@ def bump_difference(spec: ModelSpec, profile,
     caller; the noise parts cancel.  Returns ``(S, B)`` with
     ``alt - null = W B W^T``: for m1 and m3, ``S`` holds the sorted
     indices of the rows where the two covariances differ and ``B`` is the
-    block of the difference on them.
+    block of the difference on them.  For m2 and m3 ``B`` is a builder,
+    which :func:`~mnlab.kl.compare` has write the block into its own work
+    matrix, so no ``k x k`` array is held here;
+    :func:`~mnlab.kl.block_array` builds it as an array.
 
     * m1: ``B`` is diagonal and returned as the vector ``b`` of its
       diagonal, the per-cell integrals of the bump part ``sigma^2 - 1``;
@@ -377,11 +389,17 @@ def bump_difference(spec: ModelSpec, profile,
     touched[:-1] |= off != 0.0
     touched[1:] |= off != 0.0
     support = np.flatnonzero(touched)
-    block = np.diag(diag[support])
+    diagonal = diag[support]
     # neighbours in S that are neighbours on the grid share an off-diagonal
     pos = np.flatnonzero(np.diff(support) == 1)
-    block[pos, pos + 1] = block[pos + 1, pos] = off[support[pos]]
-    return support, block
+    neighbours = off[support[pos]]
+
+    def build(out: np.ndarray) -> None:
+        out.fill(0.0)
+        np.fill_diagonal(out, diagonal)
+        out[pos, pos + 1] = out[pos + 1, pos] = neighbours
+
+    return support, build
 
 
 def cov_differenced(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:

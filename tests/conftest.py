@@ -1,5 +1,6 @@
 import numpy as np
 
+from mnlab.kl import block_array
 from mnlab.linalg import sym
 
 
@@ -21,9 +22,11 @@ def as_runs(support):
 def scatter(n, support, block):
     """``W B W^T`` as a dense n x n array, ``W`` holding one column
     ``1_run / sqrt(len)`` per run; for indices, ``B`` placed exactly.  A
-    vector ``B`` is the diagonal block ``np.diag(B)``."""
-    block = np.diag(block) if np.ndim(block) == 1 else block
+    vector ``B`` is the diagonal block ``np.diag(B)``, a builder's block
+    is built."""
     runs = as_runs(support)
+    block = block_array(block, len(runs))
+    block = np.diag(block) if block.ndim == 1 else block
     w = np.zeros((n, len(runs)))
     for r, (start, stop) in enumerate(runs):
         w[start:stop, r] = 1.0 / np.sqrt(stop - start)

@@ -399,6 +399,18 @@ def test_kl_scaling_rejects_bad_inputs(args):
     assert proc.stderr == "error: need bump width > 0, L > 0\n"
 
 
+@pytest.mark.parametrize("model, width", [
+    ("m1", "1e-300"), ("m2", "1e-300"), ("m3", "1e-300"), ("m2", "1e-170"), ("m3", "1e-170"),
+])
+def test_kl_scaling_with_a_tiny_width_prints_one_error_line(model, width):
+    # far outside a bump of tiny width u * u overflows, with no warning
+    proc = run_cli("kl-scaling", "--model", model, "--ns", "64,128", "--width", width)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: the exact KL is 0 at n = 64: the bump moves no "
+                           "covariance entry, so the log-log slope is undefined\n")
+
+
 _SCIPY_AFTER_MAIN = """
 import sys
 from mnlab import cli

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,24 @@ def all_pairs_seminorm(values, xs, beta):
     dx = np.abs(xs[:, None] - xs[None, :])
     iu = np.triu_indices(xs.size, k=1)
     return float(np.max(dv[iu] / dx[iu] ** beta))
+
+
+class TestBumpShape:
+    def test_far_points_raise_no_warning_and_inside_keeps_its_bits(self):
+        # u * u overflows past |u| ~ 1e154, as for a bump of width 1e-300
+        inside = np.linspace(-0.55, 0.55, 1601)
+        u = np.concatenate((inside, [1e160, -1e300, np.inf, -np.inf]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw, d1 = hyp._bump_raw(u), hyp._bump_raw_d1(u)
+        assert not np.any(raw[inside.size:]) and not np.any(d1[inside.size:])
+        w = 1.0 - 4.0 * inside * inside
+        on = w > 1e-12
+        want = np.zeros(inside.size)
+        want[on] = np.exp(-1.0 / w[on])
+        assert np.array_equal(raw[:inside.size], want)
+        want[on] = -8.0 * inside[on] / w[on] ** 2 * np.exp(-1.0 / w[on])
+        assert np.array_equal(d1[:inside.size], want)
 
 
 class TestHolderCheck:

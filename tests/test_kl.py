@@ -961,8 +961,9 @@ class TestWorkArrays:
         assert got.route == route
         assert np.array_equal(block.view(np.int64), before.view(np.int64))
 
-    def test_m2_kl_scaling_bump_holds_two_k_by_k_arrays(self):
-        # the block and the work matrix; the m2 block alone, built in place
+    def test_m2_kl_scaling_bump_holds_one_k_by_k_array(self):
+        # the work matrix alone: the m2 builder keeps O(n), compare builds
+        # B once, into its work matrix, and the comparison never builds it
         n = 2048
         spec = models.differenced_spec("m2", n, 0.02)
         null = null_law(spec)
@@ -970,17 +971,58 @@ class TestWorkArrays:
         kl.compare(null, *models.bump_difference(spec, profile, unit_bands(spec)))
         tracemalloc.start()
         try:
-            support, block = models._m2_bump_difference(profile, n)
+            support, build = models._m2_bump_difference(profile, n)
             built = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            got = kl.compare(null, support, block)
+            calls = []
+            got = kl.compare(null, support, lambda out: calls.append(out.shape) or build(out))
             compared = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        k = block.shape[0]
+        k = got.support.k
         assert got.route == "banded" and k == 507
-        assert built < 1.1 * block.nbytes
-        assert compared < block.nbytes + 1.25 * 8 * k * k
+        assert calls == [(k, k)] and "block" not in got.__dict__
+        assert built < 16 * 8 * n
+        assert compared < 1.25 * 8 * k * k
+
+    @given(seed=hs.integers(0, 2**32 - 1), n=hs.integers(64, 512),
+           model=hs.sampled_from(["m2", "m3"]), spread=hs.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_a_builder_gives_the_bits_of_its_array(self, seed, n, model, spread):
+        # bumps apart take the general route, adjacent bumps the banded one
+        rng = np.random.default_rng(seed)
+        base = family_alternative(model, n, 0, seed=int(rng.integers(8)))
+        m = base.centers.size
+        if spread:
+            codeword = (np.arange(m) + int(rng.integers(2))) % 2
+        else:
+            a = int(rng.integers(m - 1))
+            codeword = (np.arange(m) >= a) & (np.arange(m) < int(rng.integers(a + 1, m + 1)))
+        profile = BumpSumProfile(base.kernel, base.centers, base.h,
+                                 base.amplitude * rng.uniform(0.5, 2.0),
+                                 codeword.astype(float))
+        spec = models.differenced_spec(model, n, 0.1)
+        null = null_law(spec)
+        support, build = models.bump_difference(spec, profile, unit_bands(spec))
+        block = kl.block_array(build, len(support))
+        got, want = kl.compare(null, support, build), kl.compare(null, support, block)
+        assert got.route == want.route == ("general" if spread else "banded")
+        assert np.array_equal(got.mu.view(np.int64), want.mu.view(np.int64))
+        for name in ("kl", "middle_sq", "right_sq", "loewner_constant"):
+            assert getattr(got, name).hex() == getattr(want, name).hex()
+        assert got.dominates(1.0) == want.dominates(1.0)
+        assert np.array_equal(got.block.view(np.int64), block.view(np.int64))
+
+    def test_a_builder_that_breaks_symmetry_is_refused(self):
+        null = m1_null(64)
+        support = np.arange(10, 14)
+
+        def build(out):
+            out[:] = np.eye(4)
+            out[0, 1] = 1e-3
+
+        with pytest.raises(ValueError, match="symmetric"):
+            kl.compare(null, support, build)
 
     @given(seed=hs.integers(0, 2**32 - 1), k=hs.integers(1, 512), banded=hs.booleans())
     @settings(max_examples=40, deadline=None)

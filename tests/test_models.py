@@ -1,10 +1,13 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from conftest import as_runs, quad_points, scatter
 from scipy.integrate import quad
 
+from mnlab import kl
 from mnlab import linalg as la
 from mnlab import models
 from mnlab import structures as st
@@ -310,7 +313,10 @@ class TestBumpDifference:
             support, block = models.bump_difference(spec, profile, unit_bands(spec))
             alt = models.cov_differenced(spec, profile)
             diff = alt - null
-            # m1 returns the diagonal of its block as a vector
+            # m1 returns the diagonal of its block as a vector, m2 and m3 a
+            # builder of it
+            assert callable(block) == (model != "m1")
+            block = kl.block_array(block, len(support))
             assert block.ndim == (1 if model == "m1" else 2)
             block = np.diag(block) if model == "m1" else block
             assert np.array_equal(block, block.T)
@@ -336,6 +342,7 @@ class TestBumpDifference:
         spec = models.differenced_spec(model, 64, 0.1)
         support, block = models.bump_difference(
             spec, self.family(model, 64).profile(0), unit_bands(spec))
+        block = kl.block_array(block, len(support))
         assert support.size == 0 and block.shape == ((0,) if model == "m1" else (0, 0))
 
     def test_needs_a_bump_profile_and_a_banded_model(self):
@@ -376,6 +383,7 @@ class TestBumpDifference:
                                 lambda self, *args, original=original:
                                 queries.append(self) or original(self, *args))
         support, block = models.bump_difference(spec, profile, null)
+        block = kl.block_array(block, len(support))
         # no unit-volatility bands are built for the alternative
         assert queries == []
         diag, off = want[0], want[1]
@@ -469,6 +477,18 @@ class TestModel2Difference:
         got = alt - models.cov_differenced(spec, ONE)
         tol = 4 * np.finfo(float).eps * max(np.max(np.abs(alt)), 1.0)
         assert np.max(np.abs(got - want)) <= tol
+
+
+    def test_m2_probe_loads_no_masked_arrays(self):
+        # the run edges are sorted with repeats dropped, not np.unique,
+        # which imports numpy.ma
+        code = ("import sys\n"
+                "from mnlab.certificate import kl_scaling_probe\n"
+                "kl_scaling_probe('m2', 1.0, 1.0, 0.02, [256, 512], bump_width=0.25)\n"
+                "print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestNoiseResidual:

@@ -130,6 +130,8 @@ CASES = {
         ["kl-scaling", "--model", "m3", "--tau", "inf", "--ns", "256,512"], None),
     "kl-scaling-width-zero": (
         ["kl-scaling", "--model", "m1", "--width", "0", "--ns", "256,512"], None),
+    "kl-scaling-width-tiny": (
+        ["kl-scaling", "--model", "m2", "--ns", "64,128", "--width", "1e-300"], None),
     "kl-scaling-L-zero": (
         ["kl-scaling", "--model", "m1", "--L", "0", "--ns", "256,512"], None),
     "simulate-rate-mle": (

@@ -35,7 +35,7 @@ _POINT = """
 import json, resource, statistics, sys, time
 from mnlab import certificate
 from mnlab.certificate import kl_scaling_probe
-seen = []  # (route, k) of each comparison; the comparison itself holds its block
+seen = []  # (route, k) of each comparison; a comparison keeps no k x k block
 compare = certificate.compare
 def recording(*args):
     comparison = compare(*args)
