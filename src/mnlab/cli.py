@@ -7,9 +7,11 @@ imports the module it calls when it runs, so a command loads only what it
 uses: the ``verify-*`` suites, ``certificate``, ``two-point-m3``,
 ``rate-table`` and ``kl-scaling`` load scipy's LAPACK and BLAS extension
 modules through :mod:`mnlab.checks` or :mod:`mnlab.certificate` (by
-:mod:`mnlab._lapack`, never the :mod:`scipy.linalg` package), while
-``simulate-rate``, ``--help``, ``--version`` and every usage error the
-parser, the config file or a missing ``--c`` raises load no scipy module.
+:mod:`mnlab._lapack`, never the :mod:`scipy.linalg` package), and
+``simulate-rate`` loads numpy through :mod:`mnlab.montecarlo` but no scipy
+module.  Importing this module, ``--help``, ``--version`` and every usage
+error the parser, the config file or a missing ``--c`` raises load no numpy
+module either.
 Every command returns one payload that goes into the same report
 envelope, is serialised once, and is written to stdout or atomically to
 ``--out``.
@@ -45,7 +47,7 @@ import math
 import os
 import sys
 
-from . import montecarlo, reporting
+from . import reporting
 from ._version import __version__
 from .errors import (ConstructionFailure, NoConvergence, OptimizationFailure,
                      QuadratureFailure)
@@ -129,7 +131,8 @@ _FLAGS = {
     "sigma_min": (_finite_float, 1.0, None),
     "sigma_max": (_finite_float, 4.0, None),
     "sigma_sq": (_finite_float, 1.0, None),
-    "estimator": (str, "mle", montecarlo.ESTIMATORS),
+    # montecarlo.ESTIMATORS, written out so parsing loads no numpy
+    "estimator": (str, "mle", ("mle", "rv", "rv_uncorrected")),
     "width": (_finite_float, 0.125, None),
     "tol": (_finite_float, None, None),
     "out": (str, None, None),
@@ -177,8 +180,10 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 # ---------------------------------------------------------------------------
 # command handlers: (payload key, payload, CSV rows or None, passed,
-# failure line).  A handler imports checks or certificate when it runs:
-# both load scipy's LAPACK extensions, which simulate-rate never needs
+# failure line).  A handler imports the module it runs when it runs:
+# checks and certificate load scipy's LAPACK extensions, which
+# simulate-rate never needs, and montecarlo loads numpy, which parsing,
+# help and usage errors never need
 
 
 def _verify(suite: str, **kwargs):
@@ -252,6 +257,8 @@ def _run_kl_scaling(cfg):
 
 
 def _run_simulate_rate(cfg):
+    from . import montecarlo
+
     ns = cfg["ns"] or [1024, 2048, 4096]
     result = montecarlo.rate_experiment(
         cfg["model"], cfg["estimator"], ns, cfg["reps"], seed=cfg["seed"],
@@ -296,16 +303,18 @@ def _usage_error(message: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the flag table is added once, to a parent every subcommand shares
+    flags = argparse.ArgumentParser(add_help=False)
+    for key, (kind, _, choices) in _FLAGS.items():
+        flags.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                           choices=choices)
+    flags.add_argument("--config")
     parser = _Parser(prog="mnlab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
         # exact flag names only: --q is no flag and must not parse as --qs
-        p = sub.add_parser(name, allow_abbrev=False)
-        for key, (kind, _, choices) in _FLAGS.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
-                           choices=choices)
-        p.add_argument("--config")
+        sub.add_parser(name, allow_abbrev=False, parents=[flags])
     return parser
 
 

@@ -99,24 +99,58 @@ def holder_exponent_order(alpha: float) -> int:
     return max(int(math.ceil(alpha)) - 1, 0)
 
 
-_PAIR_ROWS = 64
+# points per block of the pruned pair search
+_PAIR_BLOCK = 32
+
+
+def _pair_ratios(dv: np.ndarray, dx: np.ndarray, beta: float) -> np.ndarray:
+    """``|dv| / |dx|^beta`` elementwise, the three operations of every pair."""
+    return np.abs(dv) / np.abs(dx) ** beta
 
 
 def _pair_seminorm(values: np.ndarray, xs: np.ndarray, beta: float) -> float:
-    """max over grid pairs of |f(x) - f(y)| / |x - y|^beta.
+    """max over grid pairs of |f(x) - f(y)| / |x - y|^beta, exactly.
 
-    Takes ``_PAIR_ROWS`` rows ``i`` at a time against the columns after
-    the first, dividing only where ``j > i``, so each temporary stays
-    under 1 MB on the 1601-point grid and no ``0 / 0`` is formed.
+    Sorts the grid by ``xs`` and evaluates every pair fewer than
+    ``2 * _PAIR_BLOCK`` positions apart, one diagonal at a time.  Pairs
+    further apart lie in blocks of ``_PAIR_BLOCK`` points at least two
+    blocks apart; those block pairs are visited in descending order of the
+    bound ``(max - min over both blocks) / gap^beta * (1 + 1e-12)``, ``gap``
+    the distance between the blocks' nearest points, until the bound falls
+    below the running maximum.  The margin covers the rounding of
+    ``pow``; every evaluated pair takes the same three operations as an
+    all-pairs scan, so the result is its maximum bit for bit.  A
+    non-finite value or point, or a repeated point, turns the pruning off
+    and every diagonal is scanned, so a NaN gives NaN.  Each temporary
+    holds one diagonal or one block pair.
     """
-    maxima = []
-    for i in range(0, xs.size - 1, _PAIR_ROWS):
-        top = min(i + _PAIR_ROWS, xs.size - 1)
-        dv = np.abs(values[i:top, None] - values[i + 1:])
-        dx = np.abs(xs[i:top, None] - xs[i + 1:]) ** beta
-        later = np.arange(i + 1, xs.size) > np.arange(i, top)[:, None]
-        maxima.append(np.max(np.divide(dv, dx, out=np.zeros_like(dv), where=later)))
-    return float(np.max(maxima))
+    order = np.argsort(xs, kind="stable")
+    x, v = xs[order], values[order]
+    size = x.size
+    # finite spreads of distinct points bound every pair's ratio
+    prune = bool(np.all(np.diff(x) > 0.0)
+                 and np.isfinite([x[-1] - x[0], v.max() - v.min()]).all())
+    near = 2 * _PAIR_BLOCK if prune else size
+    best = float(np.max([np.max(_pair_ratios(v[:-d] - v[d:], x[:-d] - x[d:], beta))
+                         for d in range(1, min(near, size))]))
+    if not prune:
+        return best
+    starts = np.arange(0, size, _PAIR_BLOCK)
+    top = np.maximum.reduceat(v, starts)
+    bottom = np.minimum.reduceat(v, starts)
+    # block pairs (a, c), c >= a + 2, so block a is full
+    a, c = np.triu_indices(starts.size, k=2)
+    gap = x[starts[c]] - x[starts[a] + _PAIR_BLOCK - 1]
+    bound = (np.maximum(top[a], top[c]) - np.minimum(bottom[a], bottom[c])) \
+        / gap ** beta * (1.0 + 1e-12)
+    for pair in np.argsort(-bound, kind="stable"):
+        if bound[pair] < best:
+            break
+        rows = slice(starts[a[pair]], starts[a[pair]] + _PAIR_BLOCK)
+        cols = slice(starts[c[pair]], starts[c[pair]] + _PAIR_BLOCK)
+        best = max(best, float(np.max(_pair_ratios(v[rows, None] - v[cols],
+                                                   x[rows, None] - x[cols], beta))))
+    return best
 
 
 @lru_cache(maxsize=None)
@@ -182,8 +216,12 @@ def holder_check(f, alpha: float, l_const: float, grid_size: int = 800,
     finite differences: ``p = 1`` without ``deriv`` and ``p >= 2`` raise
     :class:`UnsupportedAlpha`.  ``lower``/``upper``, when given, bound the
     function values themselves.  A grid check is necessary, not
-    sufficient.
+    sufficient.  A grid of fewer than 2 points, which holds no pair,
+    raises ``ValueError``; a NaN on the grid gives a NaN seminorm, so
+    ``False``.
     """
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     p = holder_exponent_order(alpha)
     if p >= 2 or (p == 1 and deriv is None):
         raise UnsupportedAlpha(f"alpha = {alpha} needs p <= 1 and, for p = 1, deriv=")

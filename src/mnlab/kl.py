@@ -230,8 +230,16 @@ class _Runs(NamedTuple):
         return self.lengths.size
 
     def scatter(self, values: np.ndarray, out: np.ndarray) -> None:
-        """``out[rows] = W V`` for ``k x m`` values ``V``."""
-        out[self.rows] = np.repeat(values * self.scale[:, None], self.lengths, axis=0)
+        """``out[rows] = W V`` for ``k x m`` values ``V``.
+
+        When every run has one index, ``W``'s columns are unit vectors and
+        ``V``'s rows go into ``out`` as they are, with no scaled copy.
+        """
+        if self.rows.size == self.k:
+            out[self.rows] = values
+        else:
+            out[self.rows] = np.repeat(values * self.scale[:, None], self.lengths,
+                                       axis=0)
 
     def gather(self, z: np.ndarray) -> np.ndarray:
         """``W^T z`` for ``n x m`` rows ``z``: each run's sum, scaled."""

@@ -45,15 +45,43 @@ __all__ = ["checked_cells", "VolatilityProfile", "ConstantProfile",
 QUAD_EPSABS, QUAD_EPSREL, QUAD_LIMIT = 1e-15, 1e-12, 200
 
 
+# the non-negative half of the 16- and 24-node Gauss-Legendre rules on
+# [-1, 1], nodes ascending, as numpy.polynomial.legendre.leggauss gives them
+_GL_HALVES = {
+    16: ((0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+          0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+          0.9445750230732326, 0.9894009349916499),
+         (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+          0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+          0.062253523938647456, 0.027152459411754176)),
+    24: ((0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+          0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+          0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+          0.9382745520027328, 0.9747285559713095, 0.9951872199970213),
+         (0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+          0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+          0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+          0.04427743881741941, 0.02853138862893356, 0.01234122979998869)),
+}
+
+
 @functools.cache
 def _gauss_legendre():
     """Nodes and weights on [-1, 1] of the 16-node check and the 24-node rule.
 
-    Built on first use, not at import: ``leggauss`` is an eigenvalue
-    problem, and the first LAPACK call adds about 1 MB of resident memory
-    to processes that never integrate (``montecarlo`` imports this module).
+    Bit for bit the arrays ``numpy.polynomial.legendre.leggauss(16)`` and
+    ``leggauss(24)`` return, whose nodes are exactly odd and weights
+    exactly even: each rule is its tabulated non-negative half, mirrored.
+    Tabulating them spares every integrating process the import of
+    ``numpy.polynomial`` and ``leggauss``'s eigenvalue problem, whose
+    first LAPACK call adds about 1 MB of resident memory.
     """
-    return tuple(np.polynomial.legendre.leggauss(nodes) for nodes in (16, 24))
+    rules = []
+    for half_nodes, half_weights in _GL_HALVES.values():
+        nodes, weights = np.array(half_nodes), np.array(half_weights)
+        rules.append((np.concatenate((-nodes[::-1], nodes)),
+                      np.concatenate((weights[::-1], weights))))
+    return tuple(rules)
 
 
 def checked_cells(fn, lo, hi) -> np.ndarray:

@@ -61,10 +61,10 @@ def test_cli_imports_no_numerics():
 
 
 def test_no_function_local_imports():
-    # the one exception: a CLI handler imports the scipy-loading module it
-    # runs, checks or certificate, when it runs, so simulate-rate never
-    # loads scipy
-    lazy = {("cli.py", "checks"), ("cli.py", "certificate")}
+    # the one exception: a CLI handler imports the module it runs when it
+    # runs: checks or certificate, which load scipy, so simulate-rate never
+    # loads scipy, and montecarlo, which loads numpy, so parsing never does
+    lazy = {("cli.py", "checks"), ("cli.py", "certificate"), ("cli.py", "montecarlo")}
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -463,6 +463,29 @@ def test_importing_montecarlo_loads_no_covariance_modules():
         assert "catch_warnings" not in path.read_text(), path.name
 
 
+def test_parsing_loads_no_numpy():
+    # cli imports montecarlo in the simulate-rate handler, so importing cli,
+    # help, version and every usage error load no numpy module
+    code = ("import sys, mnlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    numpy_after_main = _SCIPY_AFTER_MAIN.replace("'scipy'", "'numpy'")
+    for args in (("--help",), ("--version",), ("no-such-command",),
+                 ("certificate", "--n", "64")):
+        proc = subprocess.run([sys.executable, "-c", numpy_after_main, *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", args
+
+
+def test_estimator_choices_are_the_montecarlo_estimators():
+    from mnlab import montecarlo
+
+    assert cli._FLAGS["estimator"][2] == montecarlo.ESTIMATORS
+
+
 @pytest.mark.parametrize("suite", [
     ("verify-linalg", "--trials", "20"), ("verify-spectral", "--n", "32"),
     ("verify-kl", "--trials", "20"), ("verify-posdefmaj", "--ns", "16"),

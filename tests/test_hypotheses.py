@@ -75,6 +75,9 @@ def all_pairs_seminorm(values, xs, beta):
     return float(np.max(dv[iu] / dx[iu] ** beta))
 
 
+BLOCK = hyp._PAIR_BLOCK
+
+
 class TestBumpShape:
     def test_far_points_raise_no_warning_and_inside_keeps_its_bits(self):
         # u * u overflows past |u| ~ 1e154, as for a bump of width 1e-300
@@ -115,6 +118,71 @@ class TestHolderCheck:
         assume(np.unique(xs).size == size)
         values = rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 3)
         assert hyp._pair_seminorm(values, xs, beta) == row_seminorm(values, xs, beta)
+
+    @given(seed=hs.integers(0, 2**32 - 1),
+           size=hs.sampled_from([2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1,
+                                 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 1, 300]),
+           beta=hs.floats(0.0, 1.0, exclude_min=True), shuffle=hs.booleans(),
+           shape=hs.sampled_from(["noise", "walk", "bump"]))
+    @settings(max_examples=300, deadline=None)
+    def test_pruned_seminorm_matches_all_pairs_bits(self, seed, size, beta, shuffle,
+                                                    shape):
+        # sizes at the edges of the near diagonals and the far blocks, grids
+        # in either order, values rough, smooth or bump shaped
+        rng = np.random.default_rng(seed)
+        xs = np.sort(rng.uniform(-1.0, 1.0, size))
+        assume(np.unique(xs).size == size)
+        if shape == "noise":
+            values = rng.standard_normal(size)
+        elif shape == "walk":
+            values = np.cumsum(rng.standard_normal(size))
+        else:
+            values = hyp._bump_raw((xs - rng.uniform(-1.0, 1.0)) / rng.uniform(0.1, 2.0))
+        values = values * 10.0 ** rng.uniform(-8, 3)
+        if shuffle:
+            order = rng.permutation(size)
+            xs, values = xs[order], values[order]
+        assert hyp._pair_seminorm(values, xs, beta) == all_pairs_seminorm(values, xs, beta)
+
+    @given(seed=hs.integers(0, 2**32 - 1),
+           size=hs.sampled_from([2 * BLOCK + 1, 3 * BLOCK + 1, 5 * BLOCK, 257]),
+           beta=hs.one_of(hs.just(1.0), hs.floats(0.0, 1.0, exclude_min=True)),
+           shuffle=hs.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_pruned_seminorm_keeps_exact_ties(self, seed, size, beta, shuffle):
+        # piecewise-linear values on a dyadic grid are exact: at beta = 1
+        # every pair inside a run of the steepest slope attains the
+        # maximum, the first run spans more than two blocks, and the last
+        # run, blocks away, attains it too
+        rng = np.random.default_rng(seed)
+        xs = np.arange(size) / 64.0
+        runs = rng.integers(1, 3 * BLOCK, size=size)
+        slopes = np.repeat(rng.choice([-3, -2, -1, 0, 1, 2, 3], size=size), runs)[:size - 1]
+        slopes[:size // 2] = 3
+        slopes[-BLOCK:] = 3
+        values = np.concatenate(([0.0], np.cumsum(slopes) / 64.0))
+        if shuffle:
+            order = rng.permutation(size)
+            xs, values = xs[order], values[order]
+        got = hyp._pair_seminorm(values, xs, beta)
+        assert got == all_pairs_seminorm(values, xs, beta)
+        if beta == 1.0:
+            assert got == 3.0
+
+    def test_a_grid_without_pairs_is_refused(self):
+        for size in (0, 1):
+            with pytest.raises(ValueError, match=f"grid_size must be at least 2, got {size}"):
+                hyp.holder_check(lambda x: x, 1.0, 1.0, grid_size=size)
+
+    def test_a_nan_on_the_grid_fails_the_check(self):
+        def f(x):
+            return np.where(x > 0.5, np.nan, x)
+
+        xs = np.linspace(0.0, 1.0, 800)
+        assert math.isnan(hyp._pair_seminorm(f(xs), xs, 1.0))
+        assert math.isnan(all_pairs_seminorm(f(xs), xs, 1.0))
+        assert not hyp.holder_check(f, 1.0, 10.0)
+        assert not hyp.holder_check(lambda x: x, 1.5, 10.0, deriv=f)
 
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
     def test_order_one_needs_a_derivative(self, alpha):

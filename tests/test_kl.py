@@ -985,6 +985,26 @@ class TestWorkArrays:
         assert built < 16 * 8 * n
         assert compared < 1.25 * 8 * k * k
 
+    def test_one_index_runs_scatter_with_no_scaled_copy(self):
+        # W's columns are unit vectors: V's rows go into the right-hand
+        # side as they are, the bits of the scaled and repeated copy
+        rng = np.random.default_rng(3)
+        n, m = 2048, 256
+        runs = kl._runs(np.sort(rng.choice(n, 1024, replace=False)), n)
+        values = rng.standard_normal((runs.k, m))
+        values[0, 0] = -0.0
+        want = np.zeros((n, m), order="F")
+        want[runs.rows] = np.repeat(values * runs.scale[:, None], runs.lengths, axis=0)
+        out = np.zeros((n, m), order="F")
+        tracemalloc.start()
+        try:
+            runs.scatter(values, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.tobytes() == want.tobytes()
+        assert peak < 0.1 * values.nbytes
+
     @given(seed=hs.integers(0, 2**32 - 1), n=hs.integers(64, 512),
            model=hs.sampled_from(["m2", "m3"]), spread=hs.booleans())
     @settings(max_examples=30, deadline=None)

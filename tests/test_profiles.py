@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -16,6 +18,7 @@ from mnlab.profiles import (
     CallableProfile,
     ConstantProfile,
     PiecewiseConstantProfile,
+    _gauss_legendre,
     checked_cells,
 )
 
@@ -315,6 +318,22 @@ class TestCheckedCells:
         assert got.tobytes() == want.tobytes()
         # the empty and the reversed interval keep their signed zeros
         assert np.signbit(got[2:]).all()
+
+    def test_the_tabulated_rules_are_leggauss_bits(self):
+        from numpy.polynomial.legendre import leggauss
+
+        for (nodes, weights), size in zip(_gauss_legendre(), (16, 24)):
+            want_nodes, want_weights = leggauss(size)
+            assert nodes.tobytes() == want_nodes.tobytes(), size
+            assert weights.tobytes() == want_weights.tobytes(), size
+
+    def test_integrating_loads_no_polynomial_package(self):
+        code = ("import sys; from mnlab.profiles import checked_cells; "
+                "checked_cells(lambda u, k: u * u, 0.0, 1.0); "
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_an_interval_keeps_its_bits_beside_intervals_that_bisect(self):
         shapes = (lambda u: np.exp(-u) * np.cos(5.0 * u), lambda u: np.abs(u - 0.3))

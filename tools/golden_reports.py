@@ -167,6 +167,9 @@ CASES = {
     "usage-certificate-without-c": (["certificate", "--model", "m1", "--n", "64"],
                                     None),
     "usage-help": (["certificate", "--help"], None),
+    "usage-top-help": (["--help"], None),
+    "usage-version": (["--version"], None),
+    "usage-unknown-estimator": (["simulate-rate", "--estimator", "bogus"], None),
     "usage-unknown-flag": (["certificate", "--bogus", "1"], None),
     "usage-unknown-model": (["kl-scaling", "--model", "m9"], None),
     "usage-no-command": ([], None),
