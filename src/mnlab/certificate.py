@@ -33,9 +33,8 @@ import numpy as np
 from .errors import BudgetExceeded
 from .hypotheses import (
     build_family,
-    hamming,
     holder_check,
-    l2_separation,
+    separation_closed_form,
     single_bump_profile,
 )
 from .kl import GaussianLaw, compare
@@ -190,10 +189,11 @@ def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
              workers: int = 1) -> Certificate:
     """Build the family at (n, alpha, L, c) and certify conditions (i)-(iii).
 
-    When the family has more alternatives than ``max_hypotheses``, a
-    seeded uniform sample estimates the average divergence and the
-    certificate is labelled "sampled".  Deterministic for fixed inputs
-    and seed.
+    Condition (ii) is the code distance times the closed form, the
+    separation ``sqrt(family.min_distance * separation_closed_form(family))``.
+    Past ``max_hypotheses`` alternatives, a seeded uniform sample estimates
+    the average divergence and the certificate is labelled "sampled".
+    Deterministic for fixed inputs and seed.
     """
     if model not in ("m1", "m2", "m3"):
         raise ValueError("certificates cover models m1, m2, m3")
@@ -260,16 +260,7 @@ def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
     log2_m = math.log2(m_alt)
     kappa_bound = kappa * log2_m * LN2
 
-    total = family.codewords.shape[0]
-    min_sep_sq = math.inf
-    min_rho = None
-    for i in range(total):
-        for j in range(i + 1, total):
-            sep = l2_separation(family, i, j)
-            if sep < min_sep_sq:
-                min_sep_sq = sep
-                min_rho = hamming(family.codewords[i], family.codewords[j])
-    min_separation = math.sqrt(min_sep_sq)
+    min_separation = math.sqrt(family.min_distance * separation_closed_form(family))
     threshold = c * float(n) ** rate_exponent(model, alpha)
 
     cond_ii = SeparationCondition(
@@ -290,7 +281,7 @@ def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
     )
     details = {
         "per_hypothesis": rows,
-        "min_separation_hamming": min_rho,
+        "min_separation_hamming": family.min_distance,
         "workers": workers,
     }
     if model == "m3":

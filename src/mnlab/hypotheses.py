@@ -10,11 +10,16 @@ in the Hoelder ball of radius 1/2, placed on ``m`` disjoint intervals of
 width ``h = 1/(2m)`` inside [1/4, 3/4].  Binary words ``omega`` are drawn
 from a code with pairwise Hamming distance at least m/8 and at least
 2^(m/8) alternatives (the classical counting guarantee; this module
-*constructs* such a code greedily and certifies the guarantee after the
-fact).  Disjoint supports give the exact separation identity
+*constructs* such a code greedily, of at most 2^13 + 1 words (m <= 104),
+and certifies it after the fact by counting the bits of ``a ^ b`` over
+all pairs of W integer codewords, in O(W^2) time and O(W) memory).
+Disjoint supports give the exact separation identity
 
     integral (sigma_omega^2 - sigma_omega'^2)^2
-        = L^2 h^(2 alpha + 1) ||K||_2^2 * hamming(omega, omega').
+        = L^2 h^(2 alpha + 1) ||K||_2^2 * hamming(omega, omega'),
+
+so the minimum separation is the code's minimum distance times
+:func:`separation_closed_form`.
 
 Hoelder convention: membership in C(alpha, L) constrains the derivative of
 order ``p = ceil(alpha) - 1`` with exponent ``alpha - p``, so C(1, L) is
@@ -244,17 +249,19 @@ def hamming(w1, w2) -> int:
     return int(np.sum(np.asarray(w1) != np.asarray(w2)))
 
 
-def _certify_code(words: np.ndarray, m: int) -> None:
-    total = words.shape[0]
-    if total - 1 < 2.0 ** (m / 8.0) - 1e-12:
+_MAX_WORDS = 2**13 + 1  # the largest code the search builds: m <= 104
+
+
+def _certify_code(accepted: list[int], m: int) -> int:
+    """Check the count and distance guarantees; return the minimum distance."""
+    if len(accepted) - 1 < 2.0 ** (m / 8.0) - 1e-12:
         raise ConstructionFailure(
-            f"only {total - 1} alternatives, need at least 2^(m/8)"
+            f"only {len(accepted) - 1} alternatives, need at least 2^(m/8)"
         )
-    x = words.astype(np.int16)
-    dist = np.abs(x[:, None, :] - x[None, :, :]).sum(axis=2)
-    iu = np.triu_indices(total, k=1)
-    if np.min(dist[iu]) * 8 < m:
+    distance = min((a ^ b).bit_count() for i, a in enumerate(accepted) for b in accepted[:i])
+    if distance * 8 < m:
         raise ConstructionFailure("pairwise Hamming distance below m/8")
+    return distance
 
 
 def vg_code(m: int, seed: int = 0) -> np.ndarray:
@@ -264,43 +271,42 @@ def vg_code(m: int, seed: int = 0) -> np.ndarray:
     search stops once the guarantee plus one words are collected, so the
     alternatives alone meet the 2^(m/8) count.  The guarantee is
     certified a posteriori; a search that cannot collect the words within
-    ``5500 * count`` random draws raises :class:`ConstructionFailure`.
+    ``5500 * count`` random draws raises :class:`ConstructionFailure`, as
+    does, before any search, a code of more than 2^13 + 1 words (m > 104).
 
     Returns an array of shape (count, m) with uint8 entries, all-zeros row
     first.  Deterministic given (m, seed).
     """
+    return _certified_code(m, seed)[0]
+
+
+def _certified_code(m: int, seed: int) -> tuple[np.ndarray, int]:
+    """:func:`vg_code`'s words and their certified minimum distance."""
     if m < 8:
         raise TooFewBumps(f"the code guarantee needs m >= 8, got {m}")
     d = math.ceil(m / 8.0)
     total = int(math.ceil(2.0 ** (m / 8.0))) + 1
-
-    accepted = [0]
+    if total > _MAX_WORDS:
+        raise ConstructionFailure(
+            f"m = {m} needs {total} codewords, over the limit {_MAX_WORDS}")
     if m <= 24:
-        cand = 1
-        limit = 1 << m
-        while len(accepted) < total and cand < limit:
-            if all((cand ^ w).bit_count() >= d for w in accepted):
-                accepted.append(cand)
-            cand += 1
+        candidates = range(1, 1 << m)
     else:
         rng = np.random.default_rng(seed)
-        nbytes = (m + 7) // 8
-        mask = (1 << m) - 1
-        for _ in range(5500 * total):
-            if len(accepted) >= total:
-                break
-            cand = int.from_bytes(rng.bytes(nbytes), "little") & mask
-            if cand and all((cand ^ w).bit_count() >= d for w in accepted):
-                accepted.append(cand)
+        candidates = (int.from_bytes(rng.bytes((m + 7) // 8), "little") & ((1 << m) - 1)
+                      for _ in range(5500 * total))
+    accepted = [0]
+    for cand in candidates:
+        if len(accepted) >= total:
+            break
+        if cand and all((cand ^ w).bit_count() >= d for w in accepted):
+            accepted.append(cand)
     if len(accepted) < total:
         raise ConstructionFailure(
             f"collected {len(accepted)} of {total} words within budget"
         )
-    words = np.array(
-        [[(w >> k) & 1 for k in range(m)] for w in accepted], dtype=np.uint8
-    )
-    _certify_code(words, m)
-    return words
+    words = np.array([[(w >> k) & 1 for k in range(m)] for w in accepted], dtype=np.uint8)
+    return words, _certify_code(accepted, m)
 
 
 class BumpSumProfile(VolatilityProfile):
@@ -388,7 +394,8 @@ class HypothesisFamily:
     """A grid of disjoint bumps plus the codewords selecting alternatives.
 
     ``codewords[0]`` is all-zeros (the null); rows 1.. are the
-    alternatives.  ``model_class`` picks the bump-count formula:
+    alternatives, any two at least ``min_distance`` (certified) apart.
+    ``model_class`` picks the bump-count formula:
     ``m = floor(c n^(1/(4 alpha + 2)) / 2 + 1)`` for "m1m2" and exponent
     ``1/(8 alpha + 4)`` for "m3".
     """
@@ -404,6 +411,7 @@ class HypothesisFamily:
     centers: np.ndarray
     codewords: np.ndarray
     kernel: BumpKernel
+    min_distance: int
 
     @property
     def count_alternatives(self) -> int:
@@ -472,11 +480,12 @@ def build_family(n: int, alpha: float, l_const: float, c: float,
     h = 1.0 / (2.0 * m)
     k = np.arange(1, m + 1, dtype=float)
     centers = h * (k - 0.5) + 0.25
-    codewords = vg_code(m, seed=seed)
+    codewords, min_distance = _certified_code(m, seed)
     return HypothesisFamily(
         n=n, alpha=float(alpha), l_const=float(l_const), c=float(c),
         model_class=model_class, seed=int(seed), m=m, h=h,
         centers=centers, codewords=codewords, kernel=kernel,
+        min_distance=min_distance,
     )
 
 

@@ -59,14 +59,27 @@ class TestEvaluate:
             result.cond_i and result.cond_ii.passed and result.cond_iii.passed
         )
 
-    def test_separation_consistency_with_closed_form(self):
-        from mnlab.hypotheses import separation_closed_form
+    @pytest.mark.parametrize("model, alpha, c", [
+        ("m1", 0.6, 20.0), ("m1", 1.0, 12.0), ("m1", 2.0, 30.0),
+        ("m2", 0.6, 14.0), ("m2", 1.0, 24.0), ("m2", 2.0, 16.0),
+        ("m3", 0.6, 30.0), ("m3", 1.0, 16.0), ("m3", 2.0, 40.0),
+    ])
+    def test_separation_consistency_with_closed_form(self, model, alpha, c):
+        # condition (ii) comes from the code distance and the closed form;
+        # the quadrature over every codeword pair is the oracle.  Six of
+        # the nine families (m = 25..36) draw a random code.
+        from mnlab.hypotheses import hamming, l2_separation
 
-        result = cert.evaluate("m2", 256, 1.0, 1.0, 0.1, 8.0, 0.09, seed=7)
-        family = build_family(256, 1.0, 1.0, 8.0, "m1m2", seed=7)
-        rho = result.details["min_separation_hamming"]
-        closed = math.sqrt(separation_closed_form(family) * rho)
-        assert result.cond_ii.min_separation == pytest.approx(closed, rel=1e-8)
+        result = cert.evaluate(model, 256, alpha, 1.0, 0.1, c, 0.09,
+                               max_hypotheses=2, seed=7)
+        family = build_family(256, alpha, 1.0, c, "m3" if model == "m3" else "m1m2",
+                              seed=7)
+        words = family.codewords
+        pairs = [(i, j) for i in range(len(words)) for j in range(i + 1, len(words))]
+        assert result.cond_ii.min_separation == pytest.approx(
+            math.sqrt(min(l2_separation(family, i, j) for i, j in pairs)), rel=1e-12)
+        assert result.details["min_separation_hamming"] == \
+            min(hamming(words[i], words[j]) for i, j in pairs)
 
     def test_m3_ordering_flag(self):
         c = 14.001 / 256 ** (1.0 / 12.0)

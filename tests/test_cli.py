@@ -361,6 +361,36 @@ def test_failure_line_names_the_command():
     assert proc.stderr == "certificate conditions not all satisfied\n"
 
 
+def test_certificate_over_a_large_code_reports(capsys):
+    # m = 85, 1581 codewords: condition (ii) is read from the code distance,
+    # not from a quadrature over 1.25 M codeword pairs (minutes)
+    import time
+
+    start = time.perf_counter()
+    code = cli.main(["certificate", "--model", "m1", "--n", "2048", "--alpha", "0.6",
+                     "--c", "30", "--max-hypotheses", "2"])
+    assert time.perf_counter() - start < 60.0
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == "certificate conditions not all satisfied\n"
+    report = json.loads(out)["certificate"]
+    assert report["family"]["m"] == 85 and len(report["family"]["codewords"]) == 1581
+    assert report["details"]["min_separation_hamming"] * 8 >= 85
+
+
+def test_oversized_code_is_one_error_line(capsys, monkeypatch):
+    # m = 199 needs 30,769,551 codewords; refused before any random draw
+    import numpy as np
+
+    monkeypatch.setattr(np.random, "default_rng", None)
+    code = cli.main(["certificate", "--model", "m1", "--n", "4096", "--alpha", "0.6",
+                     "--c", "60"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: m = 199 needs 30769551 codewords, over the limit 8193\n"
+
+
 def test_optimization_failure_is_one_error_line():
     proc = run_cli("simulate-rate", "--estimator", "mle", "--ns", "64,128",
                    "--reps", "100", "--sigma-sq", "1e9")

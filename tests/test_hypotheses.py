@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 from mnlab import hypotheses as hyp
 from mnlab.errors import (
+    ConstructionFailure,
     IndexOutOfRange,
     TooFewBumps,
     UnsupportedAlpha,
@@ -251,6 +252,50 @@ class TestCodeConstruction:
 
     def test_deterministic(self):
         assert np.array_equal(hyp.vg_code(16, seed=9), hyp.vg_code(16, seed=9))
+
+
+class TestCodeDistance:
+    @given(m=hs.integers(8, 47), seed=hs.integers(0, 2**32 - 1),
+           alpha=hs.sampled_from([0.6, 1.0, 2.0]),
+           model_class=hs.sampled_from(["m1m2", "m3"]))
+    @settings(max_examples=40, deadline=None)
+    def test_min_distance_matches_all_pairs(self, m, seed, alpha, model_class):
+        # m <= 47 keeps W <= 64; m > 24 draws a random code
+        exponent = 1.0 / (4.0 * alpha + 2.0) if model_class == "m1m2" \
+            else 1.0 / (8.0 * alpha + 4.0)
+        c = 2.0 * (m - 0.5) / 256**exponent
+        family = hyp.build_family(256, alpha, 1.0, c, model_class, seed=seed)
+        words = family.codewords
+        assert family.m == m and words.shape[0] <= 64
+        assert family.min_distance == min(
+            hyp.hamming(words[i], words[j])
+            for i in range(words.shape[0]) for j in range(i + 1, words.shape[0]))
+
+    def test_certification_memory_is_linear_in_the_code(self):
+        # m = 85, W = 1581: an all-pairs W x W x m array would take 400 MiB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            family = hyp.build_family(2048, 0.6, 1.0, 30.0, "m1m2", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (family.m, family.codewords.shape[0]) == (85, 1581)
+        assert peak < 32 * 2**20
+
+    def test_oversized_code_is_refused_before_the_search(self, monkeypatch):
+        # m = 105 needs 8935 words, over the 2^13 + 1 the search builds
+        monkeypatch.setattr(hyp.np.random, "default_rng", None)
+        with pytest.raises(ConstructionFailure, match="m = 105 needs 8935 codewords"):
+            hyp.vg_code(105)
+
+    def test_size_limit_admits_the_limit_itself(self, monkeypatch):
+        # m = 16 needs 5 words, m = 17 needs 6
+        monkeypatch.setattr(hyp, "_MAX_WORDS", 5)
+        assert hyp.vg_code(16).shape == (5, 16)
+        with pytest.raises(ConstructionFailure, match="m = 17 needs 6 codewords"):
+            hyp.vg_code(17)
 
 
 class TestFamily:

@@ -80,6 +80,9 @@ CASES = {
     "certificate-m1-n2048-random-code": (
         ["certificate", "--model", "m1", "--n", "2048", *_CERT, "--c", "20",
          "--seed", "3", "--max-hypotheses", "4"], None),
+    "certificate-m1-n512-alpha0.6-c30": (
+        ["certificate", "--model", "m1", "--n", "512", "--alpha", "0.6",
+         "--L", "1", "--tau", "0.1", "--c", "30", "--max-hypotheses", "4"], None),
     "certificate-config": (
         ["certificate", "--c", "10", "--seed", "2"],
         "model = m3\nn = 128\ntau = 0.05\n"),
