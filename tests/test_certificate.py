@@ -4,6 +4,7 @@ import math
 import pytest
 
 from mnlab import certificate as cert
+from mnlab import hypotheses as hyp
 from mnlab.errors import BudgetExceeded, TooFewBumps
 from mnlab.hypotheses import build_family
 
@@ -235,6 +236,20 @@ def test_m1_alternatives_factor_nothing(monkeypatch, workers):
     # the null law once; every alternative takes the tridiagonal route
     assert result.hypotheses_evaluated >= 2
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("model, n, c", [("m1", 256, 9.0), ("m3", 512, 9.0)])
+def test_condition_i_comes_from_the_construction(monkeypatch, model, n, c):
+    # no alternative is tested on a grid: the kernel's certificate covers them
+    def refuse(*args, **kwargs):
+        raise AssertionError("holder_check called")
+
+    monkeypatch.setattr(hyp, "holder_check", refuse)
+    monkeypatch.setattr(cert, "holder_check", refuse, raising=False)
+    result = cert.evaluate(model, n, 1.0, 1.0, 0.1, c, 0.09, seed=7)
+    rows = result.details["per_hypothesis"]
+    assert result.cond_i and rows
+    assert all(row["in_class"] is True for row in rows)
 
 
 @pytest.mark.parametrize("call, match", [

@@ -46,6 +46,18 @@ def test_text_that_is_not_csv_is_compared_line_by_line(tmp_path):
                      "h.stdout + usage: mnlab [--model {m1,m2,m3}]"]
 
 
+def test_an_option_is_never_an_output_directory(tmp_path):
+    # one process per argument list, each in an empty directory
+    for argv, code in ((["--help"], 0), (["-h"], 0), (["--bogus"], 1), (["-x"], 1),
+                       (["--compare", "a"], 1)):
+        proc = subprocess.run([sys.executable, str(TOOL), *argv], cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert proc.returncode == code, argv
+        assert (proc.stdout if code == 0 else proc.stderr) == golden.USAGE, argv
+        assert (proc.stderr if code == 0 else proc.stdout) == "", argv
+        assert not any(tmp_path.iterdir()), argv
+
+
 def test_every_demo_is_a_case():
     demos = {path.name for path in (TOOL.parent.parent / "demos").glob("*.py")}
     assert demos and set(golden.DEMO_SCRIPTS) == demos
@@ -73,3 +85,10 @@ def test_traffic_lists_the_lines_a_case_does_not_run():
     # certificate is never imported by this case: every line is missed
     missed_count, _, total = reports["src/mnlab/certificate.py"].split()[:3]
     assert missed_count == total
+    # the last line sums the modules
+    assert proc.stdout.splitlines()[-1].startswith("src/mnlab: ")
+    counts = {name: tuple(int(report.split()[i]) for i in (0, 2))
+              for name, report in reports.items()}
+    modules = [count for name, count in counts.items() if name.endswith(".py")]
+    assert len(modules) == len(counts) - 1
+    assert counts["src/mnlab"] == tuple(map(sum, zip(*modules)))

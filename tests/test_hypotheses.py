@@ -7,6 +7,7 @@ import pytest
 from conftest import quad_points
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
+from mpmath import iv
 from scipy.integrate import quad
 
 from mnlab import hypotheses as hyp
@@ -24,6 +25,91 @@ def bump_raw(u):
     out = np.zeros(u.shape)
     out[w > 0] = np.exp(-1.0 / w[w > 0])
     return out
+
+
+def bump_raw_d1(u):
+    u = np.asarray(u, dtype=float)
+    w = 1.0 - 4.0 * u * u
+    out = np.zeros(u.shape)
+    out[w > 0] = -8.0 * u[w > 0] / w[w > 0] ** 2 * np.exp(-1.0 / w[w > 0])
+    return out
+
+
+# The raw bump g = exp(-1/w), w = 1 - 4u^2, has |g'| = 8|u| g / w^2 and
+# |g''| = g |-8/w^2 - 128 u^2/w^3 + 64 u^2/w^4|, both even in u.  On
+# EDGE <= |u| < 1/2, where w <= w0 = 1 - 4 EDGE^2 < 1/4, they are at most
+# 4 g/w^2 and g (8/w^2 + 32/w^3 + 16/w^4); each g/w^k increases with w
+# below 1/k, so its value at w0 bounds it there.  Past |u| = 1/2 every
+# derivative is 0.
+EDGE = 0.49
+_W0 = 1 - 4 * iv.mpf(EDGE) ** 2
+
+
+def bump_d1_iv(u):
+    w = 1 - 4 * u * u
+    return abs(8 * u * iv.exp(-1 / w) / w**2)
+
+
+def bump_d2_iv(u):
+    w = 1 - 4 * u * u
+    return abs(iv.exp(-1 / w) * (-8 / w**2 - 128 * u * u / w**3 + 64 * u * u / w**4))
+
+
+EDGE_BOUND = {
+    1: float((4 * iv.exp(-1 / _W0) / _W0**2).b),
+    2: float((iv.exp(-1 / _W0) * (8 / _W0**2 + 32 / _W0**3 + 16 / _W0**4)).b),
+}
+
+
+def derivative_sup(order, pieces=64, tol=1e-3):
+    """A rigorous upper bound on sup |g^(order)| over the real line.
+
+    Interval enclosures (outward rounded) on pieces of [0, EDGE]; a piece
+    whose enclosure exceeds (1 + tol) times the best point value so far
+    is bisected, so the bound ends within tol of the supremum.
+    """
+    fn = {1: bump_d1_iv, 2: bump_d2_iv}[order]
+    edges = np.linspace(0.0, EDGE, pieces + 1)
+    work = list(zip(edges[:-1], edges[1:]))
+    best, upper = 0.0, EDGE_BOUND[order]
+    while work:
+        a, b = work.pop()
+        enclosed = float(fn(iv.mpf([a, b])).b)
+        mid = 0.5 * (a + b)
+        best = max(best, float(fn(iv.mpf(mid)).a))
+        if enclosed <= best * (1.0 + tol):
+            upper = max(upper, enclosed)
+        else:
+            work += [(a, mid), (mid, b)]
+    return upper
+
+
+def seminorm_bound(f, beta, lipschitz, points=2**14):
+    """A rigorous upper bound on the beta-seminorm over the real line of a
+    function f supported on [-1/2, 1/2], with sup |f'| <= lipschitz.
+
+    Points outside the support move to its edge, where f is 0 as well, so
+    only pairs inside count.  Pairs closer than r differ by at most
+    ``lipschitz * r``.  Pairs at distance r, each point moved to its
+    nearest point of a grid of spacing delta, differ by at most
+    ``S_grid (r + delta)^beta + lipschitz * delta``, with S_grid the
+    seminorm over grid pairs (the float values are within 1e-13 of f).
+    The bound is the largest, over r, of the smaller of the two ratios.
+    """
+    delta = 1.0 / points
+    xs = (np.arange(points + 1) - points // 2) * delta
+    s_grid = hyp._pair_seminorm(f(xs), xs, beta) * (1.0 + 1e-12) + 2e-13 / delta**beta
+    # near grows with r and far falls, so on [r_k, r_k+1] both are bounded
+    # by near at r_k+1 and far at r_k
+    r = np.geomspace(1e-12, 1.0, 20001)
+    near = lipschitz * r ** (1.0 - beta)
+    far = s_grid * (1.0 + delta / r) ** beta + lipschitz * delta / r**beta
+    return max(near[0], float(np.max(np.minimum(near[1:], far[:-1])))) * (1.0 + 1e-12)
+
+
+@pytest.fixture(scope="module")
+def derivative_sups():
+    return {order: derivative_sup(order) for order in (1, 2)}
 
 
 class TestKernelConstant:
@@ -46,6 +132,20 @@ class TestKernelConstant:
             lambda x: kernel.eval(x - 0.5), alpha, 0.5, grid_size=900,
             deriv=lambda x: kernel.deriv1(x - 0.5),
         )
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.8, 1.0, 1.2, 1.5, 2.0])
+    def test_kernel_is_proven_in_the_half_ball(self, alpha, derivative_sups):
+        # the disjoint-bump lemma's hypothesis, on the real line and not
+        # on a grid: the order-p derivative of K = a g has beta-seminorm
+        # at most 1/2; at beta = 1 that is a sup |g^(p+1)| <= 1/2
+        p = hyp.holder_exponent_order(alpha)
+        beta = alpha - p
+        lipschitz = derivative_sups[p + 1]
+        if beta == 1.0:
+            seminorm = lipschitz
+        else:
+            seminorm = seminorm_bound(bump_raw if p == 0 else bump_raw_d1, beta, lipschitz)
+        assert hyp.kernel_constant(alpha) * seminorm <= 0.5
 
     @pytest.mark.parametrize("alpha", [0.5, 0.3, 2.1])
     def test_unsupported_alpha(self, alpha):
@@ -204,11 +304,6 @@ class TestHolderCheck:
         assert hyp.holder_check(lambda x: x, 1.0, 1.0)
         assert not hyp.holder_check(lambda x: x, 1.0, 0.9)
 
-    def test_bounds_are_enforced(self):
-        assert hyp.holder_check(lambda x: 1.0 + 0 * x, 1.0, 1.0,
-                                lower=1.0, upper=1.0)
-        assert not hyp.holder_check(lambda x: 0.5 + 0 * x, 1.0, 1.0, lower=1.0)
-
 
 class TestCodeConstruction:
     def test_minimum_length_guard(self):
@@ -329,16 +424,26 @@ class TestFamily:
             for j in range(i + 1, words.shape[0]):
                 assert hyp.hamming(words[i], words[j]) * 8 >= m
 
-    def test_membership_and_bounds(self):
-        family = hyp.build_family(128, 1.0, 1.0, 7.2, "m1m2", seed=1)
-        ts = np.linspace(0.0, 1.0, 2001)
-        for k in range(words_total := family.codewords.shape[0]):
+    @pytest.mark.parametrize("model_class", ["m1m2", "m3"])
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5, 2.0])
+    def test_membership_and_bounds(self, alpha, model_class):
+        # the oracle of condition (i): every alternative of an m = 30
+        # family (a random code of 15 words) on the max(800, 40 m) grid the
+        # certificate once checked it on
+        exponent = 1.0 / (4.0 * alpha + 2.0) if model_class == "m1m2" \
+            else 1.0 / (8.0 * alpha + 4.0)
+        family = hyp.build_family(2048, alpha, 1.0, 2.0 * 29.5 / 2048**exponent,
+                                  model_class, seed=1)
+        assert family.m == 30 and family.codewords.shape[0] == 15
+        grid_size = max(800, 40 * family.m)
+        ts = np.linspace(0.0, 1.0, grid_size)
+        for k in range(family.codewords.shape[0]):
             prof = family.profile(k)
             vals = prof.eval(ts)
             assert vals.min() >= 1.0
             assert vals.max() <= family.upper_bound + 1e-12
             assert hyp.holder_check(prof.eval, family.alpha, family.l_const,
-                                    grid_size=1200, deriv=prof.deriv)
+                                    grid_size=grid_size, deriv=prof.deriv)
 
     def test_deterministic_construction(self):
         a = hyp.build_family(256, 1.0, 1.0, 7.2, "m1m2", seed=11)

@@ -4,6 +4,7 @@ Usage::
 
     python3 tools/golden_reports.py OUTDIR
     python3 tools/golden_reports.py --compare OLD NEW
+    python3 tools/golden_reports.py --help
 
 Runs a fixed list of ``mnlab`` invocations against the ``src/`` tree next
 to this script and writes ``OUTDIR/<case>.stdout``, ``<case>.stderr`` and
@@ -23,6 +24,9 @@ all ten subcommands, written reports, usage errors and config-file
 cases, and every script in ``demos/`` (its stdout, stderr and exit code,
 as case ``demo-<script stem>``); ``MNLAB_SEED`` is cleared so the
 default seed is fixed.  A full capture takes a few minutes on two cores.
+No argument starting with ``-`` names an output directory: ``-h`` and
+``--help`` print the usage and exit 0, any other option prints it on
+stderr and exits 1, and neither creates anything.
 """
 
 from __future__ import annotations
@@ -297,14 +301,21 @@ def _print_comparison(largest: dict, other: list) -> None:
         print("  none")
 
 
+USAGE = ("usage: golden_reports.py OUTDIR\n"
+         "       golden_reports.py --compare OLD NEW\n")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 3 and argv[0] == "--compare":
         _print_comparison(*compare(Path(argv[1]), Path(argv[2])))
         return 0
-    if len(argv) != 1:
-        sys.stderr.write("usage: golden_reports.py OUTDIR\n"
-                         "       golden_reports.py --compare OLD NEW\n")
+    if argv in (["-h"], ["--help"]):
+        sys.stdout.write(USAGE)
+        return 0
+    # any other option is no output directory
+    if len(argv) != 1 or argv[0].startswith("-"):
+        sys.stderr.write(USAGE)
         return 1
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)

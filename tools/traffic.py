@@ -16,6 +16,10 @@ of its code objects name) nothing ran, and those lines as ranges::
 
     src/mnlab/models.py: 12 of 180 lines not run: 101, 230-233
 
+and last the totals over the package, its executable line count among them::
+
+    src/mnlab: 190 of 2410 lines not run
+
 Case output is discarded and exit codes are not checked: the golden
 reports pin those.  A full scan takes about half a minute on two cores.
 """
@@ -139,11 +143,15 @@ def main(argv=None) -> int:
             finally:
                 os.chdir(home)
             sys.stderr.write(f"{name}: done\n")
+    total_missed = total_lines = 0
     for path in sorted(PACKAGE.glob("*.py")):
         lines = executable_lines(path)
         missed = lines - {line for p, line in tracer.ran if p == path}
         print(f"{path.relative_to(ROOT)}: {len(missed)} of {len(lines)} lines "
               f"not run" + (f": {_ranges(missed)}" if missed else ""))
+        total_missed += len(missed)
+        total_lines += len(lines)
+    print(f"{PACKAGE.relative_to(ROOT)}: {total_missed} of {total_lines} lines not run")
     return 0
 
 
