@@ -18,7 +18,7 @@ one = ConstantProfile(1.0)
 n, tau = 64, 0.1
 
 # model m1: differenced covariance is exactly (1/n) I + tau^2 A
-spec1 = models.ModelSpec("m1", n, tau, differencing="first")
+spec1 = models.ModelSpec("m1", n, tau)
 cov1 = models.cov_differenced(spec1, one)
 dev = np.max(np.abs(cov1 - (np.eye(n) / n + tau**2 * matrix_a(n))))
 print(f"m1 differenced vs (1/n) I + tau^2 A: {dev:.2e}")
@@ -33,8 +33,8 @@ sandwich = np.outer(s, s) * (np.minimum.outer(i, i) / n) + tau**2 * np.eye(n)
 print(f"m2 raw vs sandwich form:              {np.max(np.abs(cov2 - sandwich)):.2e}")
 
 # model m3 second differences: tridiagonal signal at the 1/n^3 scale
-spec3 = models.ModelSpec("m3", n, tau, differencing="second")
-sig = models.cov_differenced(models.ModelSpec("m3", n, 0.0, differencing="second"), one)
+spec3 = models.ModelSpec("m3", n, tau)
+sig = models.cov_differenced(models.ModelSpec("m3", n, 0.0), one)
 n3 = float(n) ** 3
 print(f"m3 signal diag * 3n^3/2:              {np.diag(sig)[4] * 3 * n3 / 2:.12f}"
       f"  (interior, exact 1)")

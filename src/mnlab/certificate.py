@@ -38,7 +38,7 @@ from .hypotheses import (
     single_bump_profile,
 )
 from .kl import GaussianLaw, compare
-from .models import bump_difference, differenced_bands, differenced_spec
+from .models import ModelSpec, bump_difference, differenced_bands
 from .profiles import ConstantProfile
 from .regression import ols_slope
 from .reporting import null_if_nan
@@ -226,7 +226,7 @@ def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
         )
         mode = "sampled"
 
-    spec = differenced_spec(model, n, tau)
+    spec = ModelSpec(model, n, tau)
     # built once: the law and every bump difference share the null's bands
     null_bands = differenced_bands(spec, ConstantProfile(1.0))
     null = GaussianLaw(null_bands)
@@ -323,12 +323,11 @@ def two_point_certificate_m3(n: int, sigma_min: float, sigma_max: float,
     if sigma1 > sigma_max + 1e-12:
         raise ValueError("sigma_1^2 exceeds sigma_max; lower c")
 
-    law0 = GaussianLaw(differenced_bands(differenced_spec("m3", n, tau),
-                                         ConstantProfile(sigma_min)))
+    law0 = GaussianLaw(differenced_bands(ModelSpec("m3", n, tau), ConstantProfile(sigma_min)))
     # the noise parts cancel: the laws differ by (sigma1 - sigma_min) times
     # the unit signal, on every index, which compare builds in its own work
     # matrix
-    signal = differenced_bands(differenced_spec("m3", n, 0.0), ConstantProfile(1.0))
+    signal = differenced_bands(ModelSpec("m3", n, 0.0), ConstantProfile(1.0))
     scale = sigma1 - sigma_min
     comparison = compare(law0, np.arange(n),
                          lambda out: np.multiply(scale, signal.dense(out), out=out))
@@ -472,7 +471,7 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     predicted = 1.0 / (2.0 * _KERNEL_POWER[model] + 2.0)
     kls, refs = [], []
     for n in n_list:
-        spec = differenced_spec(model, n, tau)
+        spec = ModelSpec(model, n, tau)
         null_bands = differenced_bands(spec, ConstantProfile(1.0))
         kls.append(compare(GaussianLaw(null_bands),
                            *bump_difference(spec, alt, null_bands)).kl)

@@ -334,7 +334,7 @@ def verify_model3_structure(*, n: int, tau: float, alpha: float, l_const: float,
 
     one = ConstantProfile(1.0)
     # the signal's diagonal and first off-diagonal, as stored
-    signal = models.differenced_bands(models.differenced_spec("m3", n, 0.0), one).bands
+    signal = models.differenced_bands(models.ModelSpec("m3", n, 0.0), one).bands
     n3 = float(n) ** 3
     diag = signal[0]
     rel_diag = float(np.max(np.abs(diag[1:] - 2.0 / (3.0 * n3)) / (2.0 / (3.0 * n3))))
@@ -349,7 +349,7 @@ def verify_model3_structure(*, n: int, tau: float, alpha: float, l_const: float,
                          max(rel_off, corner_off),
                          max(rel_off, corner_off) <= 1e-12))
 
-    v2 = models.extract_v2(n, tau if tau > 0 else 0.1)
+    v2 = models.extract_v2(n, tau)
     # support: the leading 3x3 block plus (n, n), where D2 D2^T has 6 and
     # A^2 has 5, so the residual there is exactly +1
     outside = v2.copy()
@@ -369,7 +369,7 @@ def verify_model3_structure(*, n: int, tau: float, alpha: float, l_const: float,
                          v2_12, v2_12 <= 1e-10))
 
     # dense only here, where the reference decomposition is dense
-    exact = models.cov_differenced(models.differenced_spec("m3", n, tau), one)
+    exact = models.cov_differenced(models.ModelSpec("m3", n, tau), one)
     reference = models.model3_reference_decomposition(n, tau)
     body = float(np.max(np.abs((exact - reference)[1:, 1:])))
     checks.append(_check("reference_decomposition_matches_off_corner", n,
@@ -391,7 +391,7 @@ def verify_model3_structure(*, n: int, tau: float, alpha: float, l_const: float,
     if c is None:
         c = _auto_c_m3(n_fam, alpha)
     family = build_family(n_fam, alpha, l_const, c, "m3", seed=seed)
-    spec_f = models.differenced_spec("m3", n_fam, tau)
+    spec_f = models.ModelSpec("m3", n_fam, tau)
     null = models.differenced_bands(spec_f, one)
     take = min(family.count_alternatives, max_hypotheses)
     psd_ok = True

@@ -7,11 +7,12 @@ Three observation schemes over the grid ``t_i = i/n`` share the form
 * ``m2``: scaled Brownian motion, ``sigma(t_i) W_{t_i} + tau eps_i``;
 * ``m3``: the time-integrated diffusion plus noise.
 
-Raw covariances come straight from the Ito isometry with all weighted
-integrals of ``sigma^2`` answered by the profile (closed form where the
-profile allows, quadrature otherwise).  Differenced covariances - each
-model's own differencing, ``_DIFFERENCING``: first differences for m1/m2,
-second differences for m3 - are assembled directly from the differenced
+Each model is analysed under its own differencing, ``_DIFFERENCING``
+(first differences for m1/m2, second for m3), which every
+:class:`ModelSpec` denotes.  Raw covariances come straight from the Ito
+isometry with all weighted integrals of ``sigma^2`` answered by the
+profile (closed form where the profile allows, quadrature otherwise).
+Differenced covariances are assembled directly from the differenced
 stochastic representation: each entry is a sum of short-interval
 integrals evaluated in shifted coordinates, so entries of size O(n^-3)
 keep full relative precision.  Conjugating the raw matrix with the
@@ -64,7 +65,6 @@ from .structures import matrix_a, matrix_v1
 
 __all__ = [
     "ModelSpec",
-    "differenced_spec",
     "cov_raw",
     "diff_matrix",
     "cov_differenced",
@@ -81,13 +81,13 @@ _DIFFERENCING = {"m1": "first", "m2": "first", "m3": "second"}
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which observation model, at which size, noise level and differencing:
-    ``"none"`` (raw) or the model's own, from ``_DIFFERENCING``."""
+    """Which observation model, at which size and noise level, under the
+    model's own differencing (``differencing`` may name it, not change it)."""
 
     model: str
     n: int
     tau: float
-    differencing: str = "none"
+    differencing: str | None = None
 
     def __post_init__(self):
         if self.model not in _DIFFERENCING:
@@ -98,16 +98,11 @@ class ModelSpec:
         if not 0.0 <= self.tau < math.inf:
             raise ValueError("tau must be finite and >= 0")
         own = _DIFFERENCING[self.model]
-        if self.differencing not in ("none", own):
-            raise InvalidDifferencing(f"model {self.model} takes differencing "
-                                      f"'none' or '{own}'")
-        if self.differencing != "none" and self.n < 2:
+        if self.differencing not in (None, own):
+            raise InvalidDifferencing(f"model {self.model} takes differencing '{own}'")
+        object.__setattr__(self, "differencing", own)
+        if self.n < 2:
             raise ValueError("differencing needs n >= 2")
-
-
-def differenced_spec(model: str, n: int, tau: float) -> ModelSpec:
-    """``model`` at ``(n, tau)`` under its own differencing."""
-    return ModelSpec(model, n, tau, differencing=_DIFFERENCING[model])
 
 
 def _probe_profile(profile: VolatilityProfile, n: int) -> None:
@@ -143,9 +138,8 @@ def _m2_signal(profile: VolatilityProfile, n: int) -> np.ndarray:
 
 
 def cov_raw(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
-    """Covariance of the raw (undifferenced) observation vector."""
-    if spec.differencing != "none":
-        raise InvalidDifferencing("cov_raw expects differencing='none'")
+    """Covariance of the raw (undifferenced) observation vector; conjugated
+    by :func:`diff_matrix`, it is :func:`cov_differenced`."""
     _probe_profile(profile, spec.n)
     n, tau = spec.n, spec.tau
     noise = tau * tau * np.eye(n)
@@ -170,22 +164,19 @@ def cov_raw(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
 
 
 def diff_matrix(spec: ModelSpec) -> np.ndarray:
-    """The differencing transform ``D`` as a dense invertible matrix.
+    """The model's differencing transform ``D`` as a dense invertible matrix.
 
-    First differences: row i is ``e_i - e_{i-1}`` (row 1 is ``e_1``).
-    Second differences: row 1 is ``sqrt(2) e_1``, row 2 encodes
+    First differences (m1, m2): row i is ``e_i - e_{i-1}`` (row 1 is ``e_1``).
+    Second differences (m3): row 1 is ``sqrt(2) e_1``, row 2 encodes
     ``y_2 - 2 y_1`` and row i >= 3 encodes ``y_i - 2 y_{i-1} + y_{i-2}``.
     """
     n = spec.n
-    if spec.differencing == "first":
+    if spec.model != "m3":
         return np.eye(n) - np.eye(n, k=-1)
-    if spec.differencing == "second":
-        d = np.eye(n) - 2.0 * np.eye(n, k=-1) + np.eye(n, k=-2)
-        d[0, 0] = math.sqrt(2.0)
-        if n >= 2:
-            d[1, 0] = -2.0
-        return d
-    raise InvalidDifferencing("diff_matrix needs differencing 'first' or 'second'")
+    d = np.eye(n) - 2.0 * np.eye(n, k=-1) + np.eye(n, k=-2)
+    d[0, 0] = math.sqrt(2.0)
+    d[1, 0] = -2.0
+    return d
 
 
 def _conjugate_first(m: np.ndarray) -> np.ndarray:
@@ -267,8 +258,6 @@ def differenced_bands(spec: ModelSpec, profile: VolatilityProfile) -> Banded:
     they are also the bits of the conjugated raw m2 matrix.
     """
     n, tau = spec.n, spec.tau
-    if spec.differencing == "none":
-        raise InvalidDifferencing("banded covariances need a differenced spec")
     if spec.model == "m2" and not _constant(profile):
         raise InvalidProfile("the differenced m2 covariance is banded only "
                              "under constant volatility")
@@ -372,8 +361,6 @@ def bump_difference(spec: ModelSpec, profile, null: Banded):
     n = spec.n
     if null.size != n:
         raise DimensionMismatch(f"null of size {null.size} for n = {n}")
-    if spec.differencing == "none":
-        raise InvalidDifferencing("bump differences need a differenced spec")
     if spec.model == "m2":
         return _m2_bump_difference(profile, n)
     if spec.model == "m1":
@@ -411,8 +398,6 @@ def cov_differenced(spec: ModelSpec, profile: VolatilityProfile) -> np.ndarray:
     under a non-constant profile: the conjugated raw signal, the oracle of
     :func:`bump_difference`'s m2 block.
     """
-    if spec.differencing == "none":
-        raise InvalidDifferencing("cov_differenced needs a differenced spec")
     if spec.model != "m2" or _constant(profile):
         return differenced_bands(spec, profile).dense()
     _probe_profile(profile, spec.n)
@@ -425,11 +410,10 @@ def extract_v2(n: int, tau: float) -> np.ndarray:
 
     Nonzero only in the leading 3x3 block and at (n, n), where it is
     exactly +1: the Gram's last diagonal entry is 6, that of ``A^2`` is 5.
+    The residual has no noise level, so ``tau`` is unused.
     """
     if n < 4:
         raise ValueError("extract_v2 needs n >= 4")
-    if tau <= 0.0:
-        raise ValueError("extract_v2 needs tau > 0")
     a = matrix_a(n)
     return sym(second_diff_noise_gram(n) - a @ a)
 

@@ -429,6 +429,20 @@ def test_kl_scaling_rejects_bad_inputs(args):
     assert proc.stderr == "error: need bump width > 0, L > 0\n"
 
 
+@pytest.mark.parametrize("args, line", [
+    (("kl-scaling", "--model", "m1", "--ns", "1"), "error: differencing needs n >= 2\n"),
+    (("verify-model3-structure", "--n", "1"), "error: differencing needs n >= 2\n"),
+    (("kl-scaling", "--model", "m3", "--ns", "0"), "error: n must be >= 1\n"),
+    (("verify-model3-structure", "--n", "0"), "error: n must be >= 1\n"),
+])
+def test_a_model_needs_two_observations(args, line):
+    # the model spec rejects these sizes before anything is built
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == line
+
+
 @pytest.mark.parametrize("model, width", [
     ("m1", "1e-300"), ("m2", "1e-300"), ("m3", "1e-300"), ("m2", "1e-170"), ("m3", "1e-170"),
 ])

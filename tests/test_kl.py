@@ -245,7 +245,7 @@ class TestKernelAgainstDenseOracle:
     @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_bounds_and_loewner_constant(self, model, n):
-        spec = models.differenced_spec(model, n, 0.1)
+        spec = models.ModelSpec(model, n, 0.1)
         null = null_law(spec)
         c = 1.0 / 14.0 if model == "m2" else 1.0
         # two backward-stable solves may differ by eps * cond(null): 1e-14 for
@@ -266,7 +266,7 @@ class TestKernelAgainstDenseOracle:
     @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_kl_at_amplitude_one(self, model, n):
-        spec = models.differenced_spec(model, n, 0.1)
+        spec = models.ModelSpec(model, n, 0.1)
         null = null_law(spec)
         tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(null.cov))
         support, block = models.bump_difference(
@@ -318,7 +318,7 @@ class TestKernelAgainstMpmath:
     @pytest.mark.parametrize("model, n", [("m1", 32), ("m1", 64), ("m2", 64),
                                           ("m2", 128), ("m3", 32), ("m3", 64)])
     def test_small_divergences_keep_relative_precision(self, model, n):
-        spec = models.differenced_spec(model, n, 0.1)
+        spec = models.ModelSpec(model, n, 0.1)
         null = null_law(spec)
         inverse0 = mp_null_inverse(spec)
         base = kl.compare(null, *models.bump_difference(
@@ -530,7 +530,7 @@ class TestBandedLaw:
 
     @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
     def test_matches_the_dense_law(self, model):
-        spec = models.differenced_spec(model, 64, 0.1)
+        spec = models.ModelSpec(model, 64, 0.1)
         banded = null_law(spec)
         dense = kl.GaussianLaw(models.cov_differenced(spec, ConstantProfile(1.0)))
         assert banded.banded and not dense.banded
@@ -570,7 +570,7 @@ class TestBandedLaw:
 
 
 def m1_null(n, tau=0.1):
-    return null_law(models.differenced_spec("m1", n, tau))
+    return null_law(models.ModelSpec("m1", n, tau))
 
 
 def random_run_support(rng, n):
@@ -669,7 +669,7 @@ class TestTridiagonalRoute:
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_graded_block_against_mpmath(self, n):
-        spec = models.differenced_spec("m1", n, 0.1)
+        spec = models.ModelSpec("m1", n, 0.1)
         null = null_law(spec)
         support = np.concatenate((np.arange(3, n // 2), np.arange(n // 2 + 4, n - 2)))
         # b falls over 57 orders of magnitude, as at the edges of a bump
@@ -700,7 +700,7 @@ class TestTridiagonalRoute:
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
                         reason="long double is no wider than double here")
     def test_kl_scaling_bump_against_long_double(self):
-        spec = models.differenced_spec("m1", 1 << 16, 0.1)
+        spec = models.ModelSpec("m1", 1 << 16, 0.1)
         bands = unit_bands(spec)
         support, b = models.bump_difference(spec, single_bump_profile(1.0, 1.0, 0.125),
                                             bands)
@@ -747,7 +747,7 @@ class TestTridiagonalRoute:
 
     @pytest.mark.parametrize("n, subnormal", [(32, [10]), (32, [0, 31]), (48, [20, 21])])
     def test_a_subnormal_row_keeps_the_kl(self, n, subnormal):
-        spec = models.differenced_spec("m1", n, 0.1)
+        spec = models.ModelSpec("m1", n, 0.1)
         null = null_law(spec)
         support = np.arange(n)
         b = 1e-2 * np.logspace(0, -3, n)
@@ -770,7 +770,7 @@ class TestTridiagonalRoute:
         elif case == "negative":
             b[3] = -1e-4
         elif case == "pentadiagonal":
-            null = null_law(models.differenced_spec("m3", n, 0.1))
+            null = null_law(models.ModelSpec("m3", n, 0.1))
             b = b * 1e-6
         elif case == "dense":
             null = kl.GaussianLaw(null.cov)
@@ -876,7 +876,7 @@ class TestBandedRoute:
     @pytest.mark.parametrize("model, n", [("m2", 32), ("m2", 64), ("m3", 32), ("m3", 64)])
     def test_kl_scaling_bump_against_mpmath(self, model, n):
         tau, width = {"m2": (0.02, 0.25), "m3": (0.01, 0.125)}[model]
-        spec = models.differenced_spec(model, n, tau)
+        spec = models.ModelSpec(model, n, tau)
         support, block = models.bump_difference(
             spec, single_bump_profile(1.0, 1.0, width), unit_bands(spec))
         if model == "m2":
@@ -921,7 +921,7 @@ class TestBandedRoute:
         ("m3", np.array([[10, 11]])),      # a hull shorter than the bandwidth
     ])
     def test_other_supports_take_the_general_path(self, model, support):
-        null = null_law(models.differenced_spec(model, 32, 0.1))
+        null = null_law(models.ModelSpec(model, 32, 0.1))
         block = 1e-6 * np.eye(len(support))
         got = kl.compare(null, support, block)
         want = kl.compare(kl.GaussianLaw(null.cov), support, block)
@@ -965,7 +965,7 @@ class TestWorkArrays:
         # the work matrix alone: the m2 builder keeps O(n), compare builds
         # B once, into its work matrix, and the comparison never builds it
         n = 2048
-        spec = models.differenced_spec("m2", n, 0.02)
+        spec = models.ModelSpec("m2", n, 0.02)
         null = null_law(spec)
         profile = single_bump_profile(1.0, 1.0, 0.25)
         kl.compare(null, *models.bump_difference(spec, profile, unit_bands(spec)))
@@ -1021,7 +1021,7 @@ class TestWorkArrays:
         profile = BumpSumProfile(base.kernel, base.centers, base.h,
                                  base.amplitude * rng.uniform(0.5, 2.0),
                                  codeword.astype(float))
-        spec = models.differenced_spec(model, n, 0.1)
+        spec = models.ModelSpec(model, n, 0.1)
         null = null_law(spec)
         support, build = models.bump_difference(spec, profile, unit_bands(spec))
         block = kl.block_array(build, len(support))

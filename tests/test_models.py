@@ -52,6 +52,13 @@ def test_spec_rejects_negative_or_non_finite_tau(tau):
         models.ModelSpec("m1", 8, tau)
 
 
+@pytest.mark.parametrize("model", ["m1", "m2", "m3"])
+@pytest.mark.parametrize("n,message", [(0, "n must be >= 1"), (1, "differencing needs n >= 2")])
+def test_spec_needs_two_observations(model, n, message):
+    with pytest.raises(ValueError, match=message):
+        models.ModelSpec(model, n, 0.1)
+
+
 class TestCovRaw:
     def test_m1_constant_closed_form(self):
         n, tau = 8, 0.3
@@ -71,9 +78,11 @@ class TestCovRaw:
             + tau * tau * np.eye(n)
         assert np.max(np.abs(cov - expected)) <= 1e-14
 
-    def test_m3_single_interval(self):
-        cov = models.cov_raw(models.ModelSpec("m3", 1, 0.0), ONE)
-        assert cov[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    def test_m3_two_intervals(self):
+        # integral_0^min(t_i, t_j) (t_i - s) (t_j - s) ds at t = 1/2, 1
+        cov = models.cov_raw(models.ModelSpec("m3", 2, 0.0), ONE)
+        expected = [[1.0 / 24.0, 5.0 / 48.0], [5.0 / 48.0, 1.0 / 3.0]]
+        assert np.max(np.abs(cov - expected)) <= 1e-15
 
     @pytest.mark.parametrize("model", ["m1", "m3"])
     def test_entries_match_quadrature_oracle(self, model):
@@ -121,9 +130,12 @@ class TestDiffMatrix:
         x = rng.standard_normal(20)
         assert np.max(np.abs(np.linalg.solve(d, d @ x) - x)) <= 1e-12
 
-    def test_requires_differencing(self):
-        with pytest.raises(InvalidDifferencing):
-            models.diff_matrix(models.ModelSpec("m1", 4, 0.1))
+    def test_spec_takes_its_models_own_differencing(self):
+        for model, differencing in (("m1", "first"), ("m2", "first"), ("m3", "second")):
+            spec = models.ModelSpec(model, 8, 0.1)
+            named = models.ModelSpec(model, 8, 0.1, differencing=differencing)
+            assert spec.differencing == differencing
+            assert spec == named and hash(spec) == hash(named)
 
     def test_second_only_for_m3(self):
         with pytest.raises(InvalidDifferencing):
@@ -174,11 +186,11 @@ class TestCovDifferenced:
         for profile in (ONE, random_piecewise(rng),
                         build_family(64, 1.0, 1.0, 7.5, "m1m2", seed=4).profile(2)):
             spec = models.ModelSpec(model, n, tau, differencing=differencing)
-            raw_spec = models.ModelSpec(model, n, tau)
             d = models.diff_matrix(spec)
-            conj = d @ models.cov_raw(raw_spec, profile) @ d.T
+            raw = models.cov_raw(spec, profile)
+            conj = d @ raw @ d.T
             direct = models.cov_differenced(spec, profile)
-            scale = np.max(np.abs(models.cov_raw(raw_spec, profile)))
+            scale = np.max(np.abs(raw))
             assert np.max(np.abs(conj - direct)) <= 1e-12 * scale
 
     def test_m3_differenced_overlap_oracle(self):
@@ -231,12 +243,6 @@ def assert_built_symmetric(out):
     assert out.tobytes() == la.sym(out).tobytes()
 
 
-def build(spec, profile):
-    if spec.differencing == "none":
-        return models.cov_raw(spec, profile)
-    return models.cov_differenced(spec, profile)
-
-
 class TestBuilderSymmetry:
     PROFILES = (
         ONE,
@@ -246,16 +252,13 @@ class TestBuilderSymmetry:
     )
 
     @pytest.mark.parametrize("n", [5, 64, 257])
-    @pytest.mark.parametrize("model,differencing", [
-        ("m1", "none"), ("m1", "first"),
-        ("m2", "none"), ("m2", "first"),
-        ("m3", "none"), ("m3", "second"),
-    ])
-    def test_covariances(self, model, differencing, n):
+    @pytest.mark.parametrize("build", [models.cov_raw, models.cov_differenced],
+                             ids=["raw", "differenced"])
+    @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
+    def test_covariances(self, model, build, n):
         for profile in self.PROFILES:
             for tau in (0.0, 0.1):
-                spec = models.ModelSpec(model, n, tau, differencing=differencing)
-                assert_built_symmetric(build(spec, profile))
+                assert_built_symmetric(build(models.ModelSpec(model, n, tau), profile))
 
     @pytest.mark.parametrize("n", [5, 64, 257])
     def test_decompositions(self, n):
@@ -292,11 +295,6 @@ def unit_bands(spec):
 
 
 class TestBumpDifference:
-    def test_differenced_spec_pairs_each_model_with_its_differencing(self):
-        for model, differencing in (("m1", "first"), ("m2", "first"), ("m3", "second")):
-            assert models.differenced_spec(model, 8, 0.1) \
-                == models.ModelSpec(model, 8, 0.1, differencing=differencing)
-
     def family(self, model, n):
         if model == "m3":
             return build_family(n, 1.0, 1.0, 14.001 / n ** (1.0 / 12.0), "m3", seed=6)
@@ -305,7 +303,7 @@ class TestBumpDifference:
     @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
     @pytest.mark.parametrize("n", [64, 257])
     def test_matches_the_dense_difference(self, model, n):
-        spec = models.differenced_spec(model, n, 0.1)
+        spec = models.ModelSpec(model, n, 0.1)
         null = models.cov_differenced(spec, ONE)
         family = self.family(model, n)
         for k in range(1, min(4, family.count_alternatives + 1)):
@@ -339,7 +337,7 @@ class TestBumpDifference:
 
     @pytest.mark.parametrize("model", ["m1", "m2", "m3"])
     def test_null_codeword_has_empty_support(self, model):
-        spec = models.differenced_spec(model, 64, 0.1)
+        spec = models.ModelSpec(model, 64, 0.1)
         support, block = models.bump_difference(
             spec, self.family(model, 64).profile(0), unit_bands(spec))
         block = kl.block_array(block, len(support))
@@ -353,26 +351,16 @@ class TestBumpDifference:
         m2 = models.ModelSpec("m2", 16, 0.1, differencing="first")
         with pytest.raises(InvalidProfile):
             models.differenced_bands(m2, self.family("m2", 64).profile(1))
-        # raw specs have no bands, no differenced covariance and no bump
-        # difference
-        for model in ("m1", "m2", "m3"):
-            spec = models.ModelSpec(model, 16, 0.1)
-            with pytest.raises(InvalidDifferencing):
-                models.differenced_bands(spec, ONE)
-            with pytest.raises(InvalidDifferencing):
-                models.cov_differenced(spec, ONE)
-            with pytest.raises(InvalidDifferencing):
-                models.bump_difference(spec, self.family("m1", 64).profile(1), null)
 
     def test_rejects_a_null_of_another_size(self):
-        spec = models.differenced_spec("m3", 64, 0.1)
+        spec = models.ModelSpec("m3", 64, 0.1)
         with pytest.raises(DimensionMismatch):
             models.bump_difference(spec, self.family("m3", 64).profile(1),
-                                   unit_bands(models.differenced_spec("m3", 32, 0.1)))
+                                   unit_bands(models.ModelSpec("m3", 32, 0.1)))
 
     @pytest.mark.parametrize("n", [64, 257])
     def test_m3_block_subtracts_the_given_null(self, n, monkeypatch):
-        spec = models.differenced_spec("m3", n, 0.1)
+        spec = models.ModelSpec("m3", n, 0.1)
         null = unit_bands(spec)
         profile = self.family("m3", n).profile(1)
         want = models.differenced_bands(spec, profile).bands - null.bands
@@ -410,14 +398,14 @@ class TestBumpDifference:
     @pytest.mark.parametrize("value", [1.0, 2.25, 0.7])
     def test_constant_m2_bands_are_m1s_bit_for_bit(self, n, value):
         # under constant volatility m1 and m2 difference to one law
-        m1, m2 = (models.differenced_bands(models.differenced_spec(model, n, 0.1),
+        m1, m2 = (models.differenced_bands(models.ModelSpec(model, n, 0.1),
                                            ConstantProfile(value)).bands
                   for model in ("m1", "m2"))
         assert np.array_equal(m1.view(np.int64), m2.view(np.int64))
 
     @pytest.mark.parametrize("n", [2, 64])
     def test_a_one_piece_step_profile_is_constant(self, n):
-        spec = models.differenced_spec("m2", n, 0.1)
+        spec = models.ModelSpec("m2", n, 0.1)
         step, constant = PiecewiseConstantProfile((), (2.0,)), ConstantProfile(2.0)
         got, want = (models.differenced_bands(spec, p).bands for p in (step, constant))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -446,7 +434,7 @@ class TestBumpDifference:
 
     @pytest.mark.parametrize("model", ["m1", "m3"])
     def test_bands_hold_the_dense_covariance(self, model):
-        spec = models.differenced_spec(model, 33, 0.1)
+        spec = models.ModelSpec(model, 33, 0.1)
         profile = self.family(model, 64).profile(1)
         bands = models.differenced_bands(spec, profile)
         assert bands.bands.shape == (2 if model == "m1" else 3, 33)
@@ -521,8 +509,6 @@ class TestNoiseResidual:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             models.extract_v2(3, 0.1)
-        with pytest.raises(ValueError):
-            models.extract_v2(8, 0.0)
 
 
 class TestReferenceDecomposition:

@@ -14,7 +14,8 @@ Prints one JSON object: per model and n, the median seconds of
 resident memory, and from the second n on the local slope
 ``local_slope = (ln KL - ln KL_prev) / (ln n - ln n_prev)`` against the
 previous n (per octave when the n double).  A point that fails records
-its error instead, and the next point has no slope.
+its error instead (``killed by signal N`` for a point killed by a
+signal), and the next point has no slope.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ def point(model: str, n: int, repeats: int) -> dict:
         [sys.executable, "-c", _POINT, model, str(n), str(tau), str(width), str(repeats)],
         capture_output=True, text=True, env=env,
     )
+    if proc.returncode < 0:
+        # a point killed by a signal (the OOM killer at large n) writes no stderr
+        return {"error": f"killed by signal {-proc.returncode}"}
     if proc.returncode != 0:
         return {"error": proc.stderr.strip().splitlines()[-1]}
     return json.loads(proc.stdout)

@@ -14,7 +14,8 @@ transform and the Newton solves) and in ``structures.sine_transform``
 (each timed by wrapping it where ``montecarlo`` calls it), the minor page
 faults over all the repeats (``ru_minflt`` of the process, after minus
 before), the MSE and the process's peak resident memory.  A point that fails records its error
-instead.  The fault counts are those of a fresh process: one that ran
+instead (``killed by signal N`` for a point killed by a signal), and the
+curve goes on.  The fault counts are those of a fresh process: one that ran
 larger arrays first, as the ``simulate-rate`` subcommand does over its
 n list, can fault far less, because the allocator's thresholds have
 grown by then.
@@ -75,6 +76,9 @@ def point(n: int, reps: int, seed: int, repeats: int) -> dict:
         [sys.executable, "-c", _POINT, str(n), str(reps), str(seed), str(repeats)],
         capture_output=True, text=True, env=env,
     )
+    if proc.returncode < 0:
+        # a point killed by a signal (the OOM killer at large n) writes no stderr
+        return {"error": f"killed by signal {-proc.returncode}"}
     if proc.returncode != 0:
         return {"error": proc.stderr.strip().splitlines()[-1]}
     return json.loads(proc.stdout)
