@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded
 from .hypotheses import (
     build_family,
     separation_closed_form,
@@ -72,6 +71,11 @@ def _check_desk_bound(entry: str, model: str, n: int) -> None:
     limit = _DESK_BOUND[entry][model]
     if n > limit:
         raise ValueError(f"n > {limit} exceeds the exact-KL desk bound")
+
+
+# the largest sigma^2 of the two-point certificate: the exact KL squares
+# covariance entries of order sigma^2, and the report the separation
+_SIGMA_SQ_MAX = 1e50
 
 
 @dataclass(frozen=True)
@@ -207,7 +211,7 @@ def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
     if not 0.0 < kappa < 0.1:
         raise ValueError("kappa must lie in (0, 1/10)")
     if max_hypotheses < 1:
-        raise BudgetExceeded("max_hypotheses must be >= 1")
+        raise ValueError("max_hypotheses must be >= 1")
     if tau <= 0.0:
         raise ValueError("certificates need tau > 0")
 
@@ -313,6 +317,8 @@ def two_point_certificate_m3(n: int, sigma_min: float, sigma_max: float,
     _check_desk_bound("two_point_certificate_m3", "m3", n)
     if not 0.0 < sigma_min < sigma_max:
         raise ValueError("need 0 < sigma_min < sigma_max")
+    if sigma_max > _SIGMA_SQ_MAX:
+        raise ValueError(f"sigma_max must be at most {_SIGMA_SQ_MAX:g}")
     if c < 0.0:
         raise ValueError("c must be >= 0")
     if not 0.0 < kappa < 0.1:

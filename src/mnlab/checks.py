@@ -26,7 +26,6 @@ import numpy as np
 
 from . import kl as kl_mod
 from . import linalg, models, structures
-from .errors import ProfileOutOfClass
 from .hypotheses import build_family, holder_check
 from .profiles import CallableProfile, ConstantProfile
 
@@ -39,6 +38,17 @@ __all__ = [
     "PsdMajorizationReport",
     "verify_psd_majorization",
 ]
+
+
+# the largest n of the dense suites: at n = 4096 each holds at most about
+# 1.1 GB of n x n arrays and runs within 20 s on two cores (verify-posdefmaj
+# per profile); memory grows as n^2 past it, and time as n^3
+_DENSE_N_MAX = 4096
+
+
+def _check_desk_bound(n: int) -> None:
+    if n > _DENSE_N_MAX:
+        raise ValueError(f"n > {_DENSE_N_MAX} exceeds the dense desk bound")
 
 
 def _check(name: str, n, parameters: dict, residual: float, passed: bool) -> dict:
@@ -134,6 +144,7 @@ def verify_linalg(*, seed: int, trials: int, tol: float | None = None) -> list[d
 
 
 def verify_spectral(*, n: int, seed: int, tol: float | None = None) -> list[dict]:
+    _check_desk_bound(n)
     tol = 1e-10 if tol is None else tol
     checks = []
     closed = structures.eigvals_closed(n)
@@ -250,7 +261,7 @@ def verify_psd_majorization(profile, lipschitz: float, n: int) -> PsdMajorizatio
 
     ``profile`` supplies the squared volatility; its square root ``sigma``
     must be >= 1 and Lipschitz with constant ``lipschitz`` (verified on an
-    800-point grid, :class:`ProfileOutOfClass` otherwise).  The report
+    800-point grid, ``ValueError`` otherwise).  The report
     carries the smallest eigenvalue of ``S Q S - (2 + 12 L^2)^-1 Q`` and
     the pass threshold ``-1e-9 * ||Q||_F``.
     """
@@ -259,11 +270,9 @@ def verify_psd_majorization(profile, lipschitz: float, n: int) -> PsdMajorizatio
         return np.sqrt(profile.eval(t))
 
     if np.min(sigma(np.linspace(0.0, 1.0, 800))) < 1.0 - 1e-12:
-        raise ProfileOutOfClass("sigma must be >= 1 on [0, 1]")
+        raise ValueError("sigma must be >= 1 on [0, 1]")
     if not holder_check(sigma, 1.0, lipschitz):
-        raise ProfileOutOfClass(
-            f"sigma is not Lipschitz with constant {lipschitz}"
-        )
+        raise ValueError(f"sigma is not Lipschitz with constant {lipschitz}")
 
     s = sigma(np.arange(1, n + 1) / n)
     q = structures.matrix_q(n)
@@ -304,6 +313,7 @@ def _lipschitz_profile(rng) -> tuple[CallableProfile, float]:
 def verify_posdefmaj(*, seed: int, ns, count: int) -> list[dict]:
     rng = np.random.default_rng(seed)
     n_list = ns or [64, 128, 256]
+    _check_desk_bound(max(n_list))
     checks = []
     profiles = [_lipschitz_profile(rng) for _ in range(count)]
     for n in n_list:
@@ -330,6 +340,7 @@ def _auto_c_m3(n: int, alpha: float) -> float:
 def verify_model3_structure(*, n: int, tau: float, alpha: float, l_const: float,
                             c: float | None, seed: int,
                             max_hypotheses: int) -> list[dict]:
+    _check_desk_bound(n)
     checks = []
 
     one = ConstantProfile(1.0)

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A type exists only when the program tells it apart or when it carries
+data: the CLI names the four ``RuntimeError`` subclasses as failed
+computations, and :class:`NotPositiveDefinite` carries its pivot.  Every
+other refusal is a plain ``ValueError`` or ``IndexError`` whose message
+says what was wrong.
+"""
 
 
 class NotPositiveDefinite(ValueError):
@@ -13,52 +20,16 @@ class NotPositiveDefinite(ValueError):
         self.pivot = pivot
 
 
-class DimensionMismatch(ValueError):
-    """Operands have incompatible shapes."""
-
-
 class NoConvergence(RuntimeError):
     """The eigensolver did not converge within its iteration cap."""
-
-
-class InvalidC(ValueError):
-    """Loewner constant outside (0, 1]."""
 
 
 class QuadratureFailure(RuntimeError):
     """Checked quadrature met a non-finite value or exceeded its piece budget."""
 
 
-class InvalidProfile(ValueError):
-    """A volatility profile violated positivity or bound constraints."""
-
-
-class InvalidDifferencing(ValueError):
-    """Differencing order not available for the requested model."""
-
-
-class UnsupportedAlpha(ValueError):
-    """Smoothness index outside the supported range (1/2, 2]."""
-
-
-class TooFewBumps(ValueError):
-    """Bump count below 8, where the code-construction guarantee fails."""
-
-
 class ConstructionFailure(RuntimeError):
     """Codeword search exhausted its budget without certifying the target."""
-
-
-class IndexOutOfRange(IndexError):
-    """Index outside the valid range of a family or spectrum."""
-
-
-class ProfileOutOfClass(ValueError):
-    """Profile fails the smoothness-class precondition of a check."""
-
-
-class BudgetExceeded(ValueError):
-    """An evaluation budget parameter is non-positive."""
 
 
 class OptimizationFailure(RuntimeError):
@@ -67,7 +38,3 @@ class OptimizationFailure(RuntimeError):
     def __init__(self, message: str, profile=None):
         super().__init__(message)
         self.profile = profile
-
-
-class BlockTooSmall(ValueError):
-    """A binned estimator block has fewer than 16 observations."""

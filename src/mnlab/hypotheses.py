@@ -36,12 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    ConstructionFailure,
-    IndexOutOfRange,
-    TooFewBumps,
-    UnsupportedAlpha,
-)
+from .errors import ConstructionFailure
 from .profiles import (VolatilityProfile, _cells, _closed_form_cells,
                        _shifted_poly, checked_cells)
 
@@ -62,6 +57,10 @@ __all__ = [
 ]
 
 ALPHA_MIN, ALPHA_MAX = 0.5, 2.0
+
+# the largest Hoelder radius: the m2 Frobenius bound squares the constant
+# (2 + 12 L^2)^-1, which must stay far inside the float range
+_L_MAX = 1e50
 
 # equal panels per bump support for the integrals of K^2: with 8, two
 # panels miss the two-order check at alpha 0.6 and 1 and are halved
@@ -102,7 +101,7 @@ def _bump_raw_d1(u):
 def holder_exponent_order(alpha: float) -> int:
     """Derivative order ``p`` constrained by C(alpha, L): ``ceil(alpha) - 1``."""
     if alpha <= 0.0:
-        raise UnsupportedAlpha("alpha must be positive")
+        raise ValueError("alpha must be positive")
     return max(int(math.ceil(alpha)) - 1, 0)
 
 
@@ -172,9 +171,7 @@ def kernel_constant(alpha: float) -> float:
     1); other alphas rest on the 0.99 margin over off-grid excursions.
     """
     if not ALPHA_MIN < alpha <= ALPHA_MAX:
-        raise UnsupportedAlpha(
-            f"alpha must lie in ({ALPHA_MIN}, {ALPHA_MAX}], got {alpha}"
-        )
+        raise ValueError(f"alpha must lie in ({ALPHA_MIN}, {ALPHA_MAX}], got {alpha}")
     p = holder_exponent_order(alpha)
     xs = np.linspace(-0.55, 0.55, 1601)
     values = _bump_raw(xs) if p == 0 else _bump_raw_d1(xs)
@@ -222,16 +219,15 @@ def holder_check(f, alpha: float, l_const: float, grid_size: int = 800,
     return, and requires the pairwise seminorm of the order-``p``
     derivative to stay below ``l_const * (1 + 1e-6)``.  There are no
     finite differences: ``p = 1`` without ``deriv`` and ``p >= 2`` raise
-    :class:`UnsupportedAlpha`.  A grid check is necessary, not
-    sufficient.  A grid of fewer than 2 points, which holds no pair,
-    raises ``ValueError``; a NaN on the grid gives a NaN seminorm, so
-    ``False``.
+    ``ValueError``, as does a grid of fewer than 2 points, which holds no
+    pair.  A grid check is necessary, not sufficient.  A NaN on the grid
+    gives a NaN seminorm, so ``False``.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     p = holder_exponent_order(alpha)
     if p >= 2 or (p == 1 and deriv is None):
-        raise UnsupportedAlpha(f"alpha = {alpha} needs p <= 1 and, for p = 1, deriv=")
+        raise ValueError(f"alpha = {alpha} needs p <= 1 and, for p = 1, deriv=")
     xs = np.linspace(0.0, 1.0, grid_size)
     values = np.asarray((f if p == 0 else deriv)(xs), dtype=float)
     return _pair_seminorm(np.broadcast_to(values, xs.shape), xs,
@@ -255,7 +251,8 @@ def vg_code(m: int, seed: int = 0) -> np.ndarray:
     at distance ceil(m/8) or more from every earlier one, so the guarantee
     holds by construction.  A search that cannot collect the words within
     ``5500 * count`` random draws raises :class:`ConstructionFailure`, as
-    does, before any search, a code of more than 2^13 + 1 words (m > 104).
+    does, before any search or allocation, a code of more than 2^13 + 1
+    words (m > 104).
 
     Returns an array of shape (count, m) with uint8 entries, all-zeros row
     first.  Deterministic given (m, seed).
@@ -266,12 +263,15 @@ def vg_code(m: int, seed: int = 0) -> np.ndarray:
 def _certified_code(m: int, seed: int) -> tuple[np.ndarray, int]:
     """:func:`vg_code`'s words and their minimum distance, kept by the search."""
     if m < 8:
-        raise TooFewBumps(f"the code guarantee needs m >= 8, got {m}")
-    d = math.ceil(m / 8.0)
+        raise ValueError(f"the code guarantee needs m >= 8, got {m}")
+    if m >= 8 * 1024:  # 2^(m/8) overflows a float
+        raise ConstructionFailure(f"m = {m} needs more than 2^{m // 8} codewords, "
+                                  f"over the limit {_MAX_WORDS}")
     total = int(math.ceil(2.0 ** (m / 8.0))) + 1
     if total > _MAX_WORDS:
         raise ConstructionFailure(
             f"m = {m} needs {total} codewords, over the limit {_MAX_WORDS}")
+    d = math.ceil(m / 8.0)
     if m <= 24:
         candidates = range(1, 1 << m)
     else:
@@ -414,9 +414,8 @@ class HypothesisFamily:
     def profile(self, index: int) -> BumpSumProfile:
         """Profile ``sigma^2_omega`` for codeword ``index`` (0 = null)."""
         if not 0 <= index < self.codewords.shape[0]:
-            raise IndexOutOfRange(
-                f"codeword index {index} outside 0..{self.codewords.shape[0] - 1}"
-            )
+            raise IndexError(
+                f"codeword index {index} outside 0..{self.codewords.shape[0] - 1}")
         return BumpSumProfile(
             kernel=self.kernel,
             centers=self.centers,
@@ -446,27 +445,32 @@ def build_family(n: int, alpha: float, l_const: float, c: float,
                  model_class: str, seed: int = 0) -> HypothesisFamily:
     """Construct the bump grid and codewords for sample size ``n``.
 
-    Raises :class:`TooFewBumps` when the bump-count formula lands below 8
-    (the code guarantee starts there) and :class:`UnsupportedAlpha`
-    outside (1/2, 2].
+    Raises ``ValueError`` when the bump-count formula lands below 8 (the
+    code guarantee starts there) or is not finite, when alpha lies outside
+    (1/2, 2] or L above 1e50, and :class:`ConstructionFailure` for a code
+    over the size limit, before any array is sized by the bump count.
     """
     if model_class not in ("m1m2", "m3"):
         raise ValueError("model_class must be 'm1m2' or 'm3'")
     if n < 2 or c <= 0.0 or l_const <= 0.0:
         raise ValueError("need n >= 2, c > 0, L > 0")
+    if l_const > _L_MAX:
+        raise ValueError(f"L must be at most {_L_MAX:g}")
     kernel = bump_kernel(alpha)
     exponent = 1.0 / (4.0 * alpha + 2.0) if model_class == "m1m2" \
         else 1.0 / (8.0 * alpha + 4.0)
     # absolute nudge absorbs float pow error in n**exponent before flooring
-    m = int(math.floor(0.5 * c * n**exponent + 1.0 + 1e-9))
-    if m < 8:
-        raise TooFewBumps(
-            f"bump count m = {m} < 8 for n = {n}; increase c or n"
-        )
+    bumps = 0.5 * c * n**exponent + 1.0 + 1e-9
+    if bumps < 8.0:
+        raise ValueError(f"bump count m = {int(bumps)} < 8 for n = {n}; increase c or n")
+    if not math.isfinite(bumps):
+        raise ValueError(f"bump count m is not finite for c = {c}, n = {n}")
+    m = int(bumps)
+    # the code is refused past its size limit before m sets any array size
+    codewords, min_distance = _certified_code(m, seed)
     h = 1.0 / (2.0 * m)
     k = np.arange(1, m + 1, dtype=float)
     centers = h * (k - 0.5) + 0.25
-    codewords, min_distance = _certified_code(m, seed)
     return HypothesisFamily(
         n=n, alpha=float(alpha), l_const=float(l_const), c=float(c),
         model_class=model_class, seed=int(seed), m=m, h=h,
@@ -486,7 +490,7 @@ def l2_separation(family: HypothesisFamily, i: int, j: int) -> float:
     total = family.codewords.shape[0]
     for idx in (i, j):
         if not 0 <= idx < total:
-            raise IndexOutOfRange(f"codeword index {idx} outside 0..{total - 1}")
+            raise IndexError(f"codeword index {idx} outside 0..{total - 1}")
     centers = family.centers[family.codewords[i] != family.codewords[j]]
     edges = centers[:, None] + family.h * np.linspace(-0.5, 0.5, _PANELS + 1)
     panel_centers = np.repeat(centers, _PANELS)

@@ -101,7 +101,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _lapack
-from .errors import DimensionMismatch, InvalidC, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 from .linalg import (Banded, check_symmetric, cholesky_lower, is_psd, mirror_lower,
                      transpose_in_place)
 from .profiles import checked_cells
@@ -141,9 +141,8 @@ class GaussianLaw:
     as :func:`compare` sums ``mu - log1p(mu)``.  The covariance is checked,
     never symmetrised, and only once: by
     :func:`~mnlab.linalg.cholesky_lower`, which raises ``ValueError`` for
-    a dense covariance that is not exactly symmetric,
-    :class:`~mnlab.errors.DimensionMismatch` for one that is not square
-    and :class:`~mnlab.errors.NotPositiveDefinite`, with the failing
+    a dense covariance that is not exactly symmetric or not square, and
+    :class:`~mnlab.errors.NotPositiveDefinite`, with the failing
     pivot, for one that is not positive definite.
     """
 
@@ -209,7 +208,7 @@ class KLBound(NamedTuple):
 
 def _check_c(c: float) -> None:
     if not 0.0 < c <= 1.0:
-        raise InvalidC(f"constant must lie in (0, 1], got {c}")
+        raise ValueError(f"constant must lie in (0, 1], got {c}")
 
 
 class _Runs(NamedTuple):
@@ -668,9 +667,8 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
     if not callable(block):
         block = np.asarray(block, dtype=float)
         if block.shape not in ((k, k), (k,)):
-            raise DimensionMismatch(
-                f"block shape {block.shape} does not match a support of {k}"
-            )
+            raise ValueError(
+                f"block shape {block.shape} does not match a support of {k}")
     if k == 0:
         return Comparison(null=null, support=runs, source=np.zeros((0, 0)),
                           mu=np.zeros(0), middle_sq=0.0, kl=0.0)
@@ -769,7 +767,7 @@ def _laws(sigma0, sigma1) -> tuple[GaussianLaw, GaussianLaw]:
     law0 = sigma0 if isinstance(sigma0, GaussianLaw) else GaussianLaw(sigma0)
     law1 = sigma1 if isinstance(sigma1, GaussianLaw) else GaussianLaw(sigma1)
     if law0.size != law1.size:
-        raise DimensionMismatch(f"sizes differ: {law0.size} vs {law1.size}")
+        raise ValueError(f"sizes differ: {law0.size} vs {law1.size}")
     return law0, law1
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
+from .errors import NoConvergence, NotPositiveDefinite
 
 __all__ = [
     "sym",
@@ -48,7 +48,7 @@ def sym(a) -> np.ndarray:
     """
     a = np.array(a, dtype=float, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return mirror_lower(a)
 
 
@@ -113,9 +113,9 @@ def check_symmetric(a, name: str = "matrix") -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
     if a.shape[0] == 0:
-        raise DimensionMismatch(f"{name} must have size >= 1")
+        raise ValueError(f"{name} must have size >= 1")
     for i in range(0, a.shape[0], _SYM_BLOCK):
         j = i + _SYM_BLOCK
         if not np.array_equal(a[i:j, i:], a[i:, i:j].T):
@@ -257,6 +257,6 @@ def loewner_leq(lo, hi, tol: float = 1e-9) -> bool:
     a = check_symmetric(lo, "lo")
     b = check_symmetric(hi, "hi")
     if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
+        raise ValueError(f"shapes differ: {a.shape} vs {b.shape}")
     return is_psd(b - a, tol=tol)
 

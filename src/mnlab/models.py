@@ -58,7 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDifferencing, InvalidProfile
 from .linalg import Banded, mirror_lower, sym
 from .profiles import PiecewiseConstantProfile, VolatilityProfile
 from .structures import matrix_a, matrix_v1
@@ -78,6 +77,10 @@ __all__ = [
 # each model's differencing, under which its unit-volatility null is banded
 _DIFFERENCING = {"m1": "first", "m2": "first", "m3": "second"}
 
+# the largest noise level: the exact KL squares covariance entries of order
+# tau^2, and tau^4 must stay far inside the float range
+_TAU_MAX = 1e50
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -95,11 +98,11 @@ class ModelSpec:
                              f"got {self.model!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not 0.0 <= self.tau < math.inf:
-            raise ValueError("tau must be finite and >= 0")
+        if not 0.0 <= self.tau <= _TAU_MAX:
+            raise ValueError(f"tau must lie in [0, {_TAU_MAX:g}]")
         own = _DIFFERENCING[self.model]
         if self.differencing not in (None, own):
-            raise InvalidDifferencing(f"model {self.model} takes differencing '{own}'")
+            raise ValueError(f"model {self.model} takes differencing '{own}'")
         object.__setattr__(self, "differencing", own)
         if self.n < 2:
             raise ValueError("differencing needs n >= 2")
@@ -109,7 +112,7 @@ def _probe_profile(profile: VolatilityProfile, n: int) -> None:
     grid = np.concatenate([np.arange(1, n + 1) / n, (np.arange(n) + 0.5) / n])
     values = np.asarray(profile.eval(grid), dtype=float)
     if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
-        raise InvalidProfile("profile must be strictly positive and finite")
+        raise ValueError("profile must be strictly positive and finite")
 
 
 def _cumulative_moments(profile: VolatilityProfile, n: int, powers) -> dict:
@@ -259,8 +262,8 @@ def differenced_bands(spec: ModelSpec, profile: VolatilityProfile) -> Banded:
     """
     n, tau = spec.n, spec.tau
     if spec.model == "m2" and not _constant(profile):
-        raise InvalidProfile("the differenced m2 covariance is banded only "
-                             "under constant volatility")
+        raise ValueError("the differenced m2 covariance is banded only "
+                         "under constant volatility")
     _probe_profile(profile, n)
     if spec.model == "m3":
         noise, signal = _second_diff_gram_bands(n), _m3_signal(profile, n)
@@ -331,10 +334,10 @@ def bump_difference(spec: ModelSpec, profile, null: Banded):
     """Differenced covariance of a bump alternative minus the unit null.
 
     ``profile`` is a :class:`~mnlab.hypotheses.BumpSumProfile` (base level
-    1; m1 raises :class:`~mnlab.errors.InvalidProfile` for any other
-    profile) and ``null`` its ``sigma^2 = 1`` counterpart at the same
-    ``spec`` from :func:`differenced_bands`, built once per spec by the
-    caller; the noise parts cancel.  Returns ``(S, B)`` with
+    1; m1 raises ``ValueError`` for any other profile) and ``null`` its
+    ``sigma^2 = 1`` counterpart at the same ``spec`` from
+    :func:`differenced_bands`, built once per spec by the caller; the
+    noise parts cancel.  Returns ``(S, B)`` with
     ``alt - null = W B W^T``: for m1 and m3, ``S`` holds the sorted
     indices of the rows where the two covariances differ and ``B`` is the
     block of the difference on them.  For m2 and m3 ``B`` is a builder,
@@ -360,12 +363,12 @@ def bump_difference(spec: ModelSpec, profile, null: Banded):
     """
     n = spec.n
     if null.size != n:
-        raise DimensionMismatch(f"null of size {null.size} for n = {n}")
+        raise ValueError(f"null of size {null.size} for n = {n}")
     if spec.model == "m2":
         return _m2_bump_difference(profile, n)
     if spec.model == "m1":
         if profile.kind != "bump":
-            raise InvalidProfile(f"a {profile.kind} profile has no bump part")
+            raise ValueError(f"a {profile.kind} profile has no bump part")
         grid = np.arange(n + 1) / n
         diag = profile.cell_integrals(grid[:-1], grid[1:], 0.0, (1.0,), bump_only=True)
         support = np.flatnonzero(diag)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .errors import BlockTooSmall, OptimizationFailure
+from .errors import OptimizationFailure
 from .profiles import checked_cells
 from .regression import ols_slope
 from .reporting import null_if_nan
@@ -58,6 +58,12 @@ ESTIMATORS = ("mle", "rv", "rv_uncorrected")
 # the sigma^2 range the MLE searches, and its relative stopping width
 BRACKET = (1e-8, 1e4)
 TOL = 1e-10
+
+# the largest noise level: the likelihood weights (1/n + tau^2 lambda_i)^-2
+# are of order tau^-4, and the sampled data's squares of order tau^2, both
+# far inside the float range (the bound of models' specs, kept here so that
+# simulate-rate does not import models)
+_TAU_MAX = 1e50
 
 
 def replicate_rng(seed: int, *stream) -> np.random.Generator:
@@ -170,8 +176,8 @@ def mle_const_sigma_m1(diff_data, n: int, tau: float) -> float | np.ndarray:
     if data.ndim not in (1, 2) or data.size < 1:
         raise ValueError("diff_data must be a non-empty vector or block of rows")
     _require_rate(n)
-    if not 0.0 < tau < math.inf:
-        raise ValueError("tau must be positive and finite (assumed known)")
+    if not 0.0 < tau <= _TAU_MAX:
+        raise ValueError(f"tau must lie in (0, {_TAU_MAX:g}] (assumed known)")
     if not np.all(np.isfinite(data)):
         raise ValueError("diff_data must be finite")
     coords_sq = sine_transform(data) ** 2
@@ -311,7 +317,7 @@ def binned_estimator(diff_data, n: int, tau: float, bins: int) -> BinnedEstimate
         raise ValueError("bins must divide the sample into equal blocks")
     block = data.size // bins
     if block < 16:
-        raise BlockTooSmall(f"blocks of {block} < 16 observations")
+        raise ValueError(f"blocks of {block} < 16 observations")
     values = mle_const_sigma_m1(data.reshape(bins, block), n, tau)
     return BinnedEstimate(values=values, n=n, tau=tau)
 
@@ -404,6 +410,8 @@ def rate_experiment(model: str, estimator: str, n_list, reps: int,
         raise ValueError("n_list must be strictly ascending")
     if reps < 100:
         raise ValueError("reps must be >= 100 for a stable summary")
+    if not abs(tau) <= _TAU_MAX:
+        raise ValueError(f"tau must be at most {_TAU_MAX:g} in absolute value")
     for n in n_list:
         _require_sampling(sigma_sq, n)
 

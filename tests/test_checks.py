@@ -101,3 +101,18 @@ def test_model3_structure_builds_no_dense_alternative(monkeypatch):
     assert family["alternative_minus_null_psd"]["parameters"]["hypotheses"] == 2
     assert family["alternative_minus_null_psd"]["pass"]
     assert family["alternative_minus_null_dominated"]["pass"]
+
+
+@pytest.mark.parametrize("suite, kwargs", [
+    (checks.verify_spectral, {"n": 4097, "seed": 0}),
+    (checks.verify_posdefmaj, {"seed": 0, "ns": [64, 4097], "count": 1}),
+    (checks.verify_model3_structure,
+     {"n": 4097, "tau": 0.1, "alpha": 1.0, "l_const": 1.0, "c": None, "seed": 0,
+      "max_hypotheses": 1}),
+])
+def test_dense_suites_refuse_n_past_their_desk_bound(suite, kwargs, monkeypatch):
+    # refused before any matrix is built
+    monkeypatch.setattr(checks, "structures", None)
+    monkeypatch.setattr(checks, "models", None)
+    with pytest.raises(ValueError, match="n > 4096 exceeds the dense desk bound"):
+        suite(**kwargs)

@@ -391,6 +391,53 @@ def test_oversized_code_is_one_error_line(capsys, monkeypatch):
     assert err == "error: m = 199 needs 30769551 codewords, over the limit 8193\n"
 
 
+def _capped_address_space():
+    # about 3 GB: a run that asks numpy for an array of many GiB fails at
+    # once instead of exhausting the machine
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+
+@pytest.mark.parametrize("args, line", [
+    # the code size is refused before the bump centres or any power of m
+    (("certificate", "--model", "m1", "--n", "256", "--c", "1e9"),
+     "m = 1259921050 needs more than 2^157490131 codewords, over the limit 8193"),
+    (("certificate", "--model", "m1", "--n", "256", "--c", "1e5"),
+     "m = 125993 needs more than 2^15749 codewords, over the limit 8193"),
+    (("certificate", "--model", "m1", "--n", "256", "--c", "1e20"),
+     "m = 125992104989487316992 needs more than 2^15749013123685914624 codewords, "
+     "over the limit 8193"),
+    (("certificate", "--model", "m1", "--n", "256", "--c", "1.7e308"),
+     "bump count m is not finite for c = 1.7e+308, n = 256"),
+    (("verify-model3-structure", "--c", "1e9"),
+     "m = 793700526 needs more than 2^99212565 codewords, over the limit 8193"),
+    (("certificate", "--model", "m1", "--n", "4096", "--alpha", "0.6", "--c", "60"),
+     "m = 199 needs 30769551 codewords, over the limit 8193"),
+    # scales whose squares would overflow are refused where they enter
+    (("certificate", "--model", "m2", "--n", "256", "--c", "9", "--L", "1e300"),
+     "L must be at most 1e+50"),
+    (("two-point-m3", "--n", "8", "--c", "1e300", "--sigma-max", "1e308"),
+     "sigma_max must be at most 1e+50"),
+    (("kl-scaling", "--model", "m1", "--ns", "8,16", "--tau", "1e200"),
+     "tau must lie in [0, 1e+50]"),
+    (("certificate", "--model", "m1", "--n", "256", "--c", "9", "--tau", "1e200"),
+     "tau must lie in [0, 1e+50]"),
+    (("simulate-rate", "--ns", "16,32", "--reps", "100", "--tau", "1e200"),
+     "tau must be at most 1e+50 in absolute value"),
+    # the dense suites refuse sizes past their desk bound
+    (("verify-spectral", "--n", "60000"), "n > 4096 exceeds the dense desk bound"),
+    (("verify-model3-structure", "--n", "60000"),
+     "n > 4096 exceeds the dense desk bound"),
+    (("verify-posdefmaj", "--ns", "60000", "--count", "1"),
+     "n > 4096 exceeds the dense desk bound"),
+])
+def test_oversized_inputs_are_one_error_line(args, line):
+    proc = subprocess.run(ENTRY + list(args), capture_output=True, text=True,
+                          timeout=120, preexec_fn=_capped_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {line}\n")
+
+
 def test_optimization_failure_is_one_error_line():
     proc = run_cli("simulate-rate", "--estimator", "mle", "--ns", "64,128",
                    "--reps", "100", "--sigma-sq", "1e9")

@@ -11,12 +11,7 @@ from mpmath import iv
 from scipy.integrate import quad
 
 from mnlab import hypotheses as hyp
-from mnlab.errors import (
-    ConstructionFailure,
-    IndexOutOfRange,
-    TooFewBumps,
-    UnsupportedAlpha,
-)
+from mnlab.errors import ConstructionFailure
 
 
 def bump_raw(u):
@@ -149,7 +144,7 @@ class TestKernelConstant:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.3, 2.1])
     def test_unsupported_alpha(self, alpha):
-        with pytest.raises(UnsupportedAlpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
             hyp.kernel_constant(alpha)
 
     def test_derivatives_match_finite_differences(self):
@@ -287,12 +282,12 @@ class TestHolderCheck:
 
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
     def test_order_one_needs_a_derivative(self, alpha):
-        with pytest.raises(UnsupportedAlpha):
+        with pytest.raises(ValueError, match="needs p <= 1"):
             hyp.holder_check(lambda x: x * x, alpha, 10.0)
 
     def test_orders_beyond_one_raise(self):
         # p = 2 would need the second derivative, not the first
-        with pytest.raises(UnsupportedAlpha):
+        with pytest.raises(ValueError, match="needs p <= 1"):
             hyp.holder_check(lambda x: x * x, 2.5, 10.0, deriv=lambda x: 2.0 * x)
 
     def test_constant_function(self):
@@ -307,7 +302,7 @@ class TestHolderCheck:
 
 class TestCodeConstruction:
     def test_minimum_length_guard(self):
-        with pytest.raises(TooFewBumps):
+        with pytest.raises(ValueError, match="needs m >= 8, got 7"):
             hyp.vg_code(7)
 
     def test_m8_distance_one(self):
@@ -394,8 +389,22 @@ class TestCodeDistance:
 
 
 class TestFamily:
+    @pytest.mark.parametrize("c, error, match", [
+        (1e9, ConstructionFailure, r"m = 1259921050 needs more than 2\^157490131 "),
+        (1e5, ConstructionFailure, r"m = 125993 needs more than 2\^15749 "),
+        (1.7e308, ValueError, "bump count m is not finite"),
+    ])
+    def test_oversized_code_is_refused_without_overflow(self, c, error, match):
+        # refused before the m centres (9.4 GiB at m = 1.26e9) are built
+        with pytest.raises(error, match=match):
+            hyp.build_family(256, 1.0, 1.0, c, "m1m2")
+
+    def test_huge_radius_is_refused(self):
+        with pytest.raises(ValueError, match=r"L must be at most 1e\+50"):
+            hyp.build_family(256, 1.0, 1e51, 9.0, "m1m2")
+
     def test_too_few_bumps_at_desk_scale(self):
-        with pytest.raises(TooFewBumps):
+        with pytest.raises(ValueError, match=r"bump count m = \d+ < 8"):
             hyp.build_family(4096, 1.0, 1.0, 2.0, "m1m2", seed=0)
 
     def test_bump_count_formula_large_n(self):
@@ -462,7 +471,7 @@ class TestFamily:
 
     def test_profile_index_guard(self):
         family = hyp.build_family(128, 1.0, 1.0, 7.2, "m1m2", seed=1)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexError, match=r"codeword index \d+ outside"):
             family.profile(family.codewords.shape[0])
 
 
@@ -523,7 +532,7 @@ class TestSeparation:
         assert min_sep >= floor_sq * (1.0 - 1e-9)
 
     def test_index_guard(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexError, match="codeword index 99 outside"):
             hyp.l2_separation(self.family, 0, 99)
 
 

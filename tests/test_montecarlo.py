@@ -10,7 +10,7 @@ from scipy import optimize
 from mnlab import models
 from mnlab import montecarlo as mc
 from mnlab import structures as st
-from mnlab.errors import BlockTooSmall, OptimizationFailure
+from mnlab.errors import OptimizationFailure
 from mnlab.hypotheses import single_bump_profile
 from mnlab.profiles import ConstantProfile, PiecewiseConstantProfile
 from mnlab.regression import ols_slope
@@ -86,11 +86,17 @@ class TestMle:
             mc.mle_const_sigma_m1(data, n, 0.1)
         assert len(err.value.profile) == 41
 
-    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, 1.01e50])
     def test_rejects_non_finite_tau(self, tau):
         data = mc.sample_m1_constant_diff(1.0, 0.1, 64, rep=0, seed=1)
-        with pytest.raises(ValueError, match="tau"):
+        with pytest.raises(ValueError, match=r"tau must lie in \(0, 1e\+50\]"):
             mc.mle_const_sigma_m1(data, 64, tau)
+
+    @pytest.mark.parametrize("estimator", ["mle", "rv"])
+    def test_experiment_rejects_a_huge_tau_before_sampling(self, estimator, monkeypatch):
+        monkeypatch.setattr(mc, "sample_m1_constant_diff", None)
+        with pytest.raises(ValueError, match=r"tau must be at most 1e\+50"):
+            mc.rate_experiment("m1", estimator, [16, 32], 100, tau=-1e51)
 
     @pytest.mark.parametrize("n", [0, -64])
     def test_rejects_rate_below_one(self, n):
@@ -381,7 +387,7 @@ class TestBinned:
 
     def test_block_size_guards(self):
         data = np.zeros(64)
-        with pytest.raises(BlockTooSmall):
+        with pytest.raises(ValueError, match="blocks of 8 < 16 observations"):
             mc.binned_estimator(data, 64, 0.1, 8)
         with pytest.raises(ValueError):
             mc.binned_estimator(data, 64, 0.1, 3)

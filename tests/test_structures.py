@@ -9,7 +9,6 @@ import pytest
 from mnlab import checks
 from mnlab import linalg as la
 from mnlab import structures as st
-from mnlab.errors import ProfileOutOfClass
 from mnlab.profiles import CallableProfile, ConstantProfile
 
 
@@ -260,5 +259,5 @@ class TestPsdMajorization:
 
     def test_out_of_class_profile_rejected(self):
         profile = ConstantProfile(0.25)  # sigma = 0.5 < 1
-        with pytest.raises(ProfileOutOfClass):
+        with pytest.raises(ValueError, match="sigma must be >= 1"):
             checks.verify_psd_majorization(profile, 1.0, 16)
