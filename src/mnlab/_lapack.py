@@ -10,17 +10,23 @@ from its file under its canonical name instead, or reuses the entry
 ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` export: same code, same
 bits.  A later ``import scipy.linalg`` finds the extensions in
 ``sys.modules`` and uses them as they are.
+
+``_flapack`` loads with this module.  Of ``_fblas`` mnlab calls only
+``dtrmm``, and only on the general comparison route, so ``_fblas`` loads
+the first time ``dtrmm`` is read (a module ``__getattr__``): once, under
+a lock, as the threads of one certificate may reach that route together.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from pathlib import Path
 
 __all__ = ["dpttrf", "dpbtrf", "dpbtrs", "dpotrf", "dpotrs", "dsyevd", "dsyevd_lwork",
-           "dtbtrs", "dtrtrs", "dtbsv", "dtrmm"]
+           "dtbtrs", "dtrtrs", "dtrmm"]
 
 
 def _extension(name: str):
@@ -45,7 +51,7 @@ def _extension(name: str):
 
 
 _flapack = _extension("_flapack")
-_fblas = _extension("_fblas")
+_blas_lock = threading.Lock()
 
 dpttrf = _flapack.dpttrf
 dpbtrf = _flapack.dpbtrf
@@ -56,5 +62,12 @@ dsyevd = _flapack.dsyevd
 dsyevd_lwork = _flapack.dsyevd_lwork
 dtbtrs = _flapack.dtbtrs
 dtrtrs = _flapack.dtrtrs
-dtbsv = _fblas.dtbsv
-dtrmm = _fblas.dtrmm
+
+
+def __getattr__(name: str):
+    if name != "dtrmm":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global dtrmm
+    with _blas_lock:
+        dtrmm = _extension("_fblas").dtrmm
+    return dtrmm

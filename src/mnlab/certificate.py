@@ -26,7 +26,6 @@ two meet, and both raw numbers are stored.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,6 +252,8 @@ def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
         return entry
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(one_hypothesis, indices))
     else:

@@ -5,13 +5,15 @@ suites live in :mod:`mnlab.checks`; the other commands call
 :mod:`mnlab.certificate` and :mod:`mnlab.montecarlo`.  Each handler
 imports the module it calls when it runs, so a command loads only what it
 uses: the ``verify-*`` suites, ``certificate``, ``two-point-m3``,
-``rate-table`` and ``kl-scaling`` load scipy's LAPACK and BLAS extension
-modules through :mod:`mnlab.checks` or :mod:`mnlab.certificate` (by
-:mod:`mnlab._lapack`, never the :mod:`scipy.linalg` package), and
-``simulate-rate`` loads numpy through :mod:`mnlab.montecarlo` but no scipy
-module.  Importing this module, ``--help``, ``--version`` and every usage
-error the parser, the config file or a missing ``--c`` raises load no numpy
-module either.
+``rate-table`` and ``kl-scaling`` load scipy's LAPACK extension module
+through :mod:`mnlab.checks` or :mod:`mnlab.certificate` (by
+:mod:`mnlab._lapack`, never the :mod:`scipy.linalg` package), and its BLAS
+extension only when a comparison takes the general route (``verify-kl``,
+bumps of m2 that lie apart); ``simulate-rate`` loads numpy through
+:mod:`mnlab.montecarlo` but no scipy module, and only ``--workers`` above 1
+loads the thread pool.  Importing this module, ``--help``, ``--version``
+and every usage error the parser, the config file or a missing ``--c``
+raises load no numpy module either.
 Every command returns one payload that goes into the same report
 envelope, is serialised once, and is written to stdout or atomically to
 ``--out``.

@@ -363,7 +363,12 @@ class BumpSumProfile(VolatilityProfile):
 
 def single_bump_profile(alpha: float, l_const: float, width: float,
                         center: float = 0.5) -> BumpSumProfile:
-    """One bump of the canonical shape: ``1 + L width^alpha K((t-center)/width)``."""
+    """One bump of the canonical shape: ``1 + L width^alpha K((t-center)/width)``.
+
+    Raises ``ValueError`` for L above 1e50, as :func:`build_family` does.
+    """
+    if l_const > _L_MAX:
+        raise ValueError(f"L must be at most {_L_MAX:g}")
     kernel = bump_kernel(alpha)
     return BumpSumProfile(
         kernel=kernel,

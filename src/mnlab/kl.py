@@ -376,7 +376,7 @@ def _inverse_diagonals(diag: np.ndarray, off: np.ndarray, rate=1.0):
     def slope(mult, rhs):
         band = np.ones((2, mult.size + 1))
         band[1, :-1] = -mult * mult
-        return _lapack.dtbsv(1, band, rhs, lower=1)
+        return _solved("dtbtrs", *_lapack.dtbtrs(band, rhs, uplo="L"))
 
     gamma = diag - np.concatenate(([0.0], off * l)) - np.concatenate((off * m, [0.0]))
     slope_d, slope_u = slope(l, rate), slope(m_up, rate[::-1])[::-1]
@@ -660,7 +660,9 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
     overlapping or outside ``[0, n)`` and for a ``B`` that is not exactly
     symmetric, and
     :class:`~mnlab.errors.NotPositiveDefinite` when the alternative is not
-    positive definite (``1 + min(mu) <= 0``).
+    positive definite (``1 + min(mu) <= 0``); when that ``1 + min(mu)``
+    lies within the eigenvalues' rounding bound ``k eps max|mu|``, its
+    sign is unresolved at double precision and ``ValueError`` says so.
     """
     runs = _runs(support, null.size)
     k = runs.k
@@ -693,6 +695,13 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
     else:
         route, (mu, middle_sq) = "banded", _banded_route(inverse, work)
     if 1.0 + mu[0] <= 0.0:
+        # a computed eigenvalue may be off by about k eps max|mu|
+        rounding = k * np.finfo(float).eps * max(-mu[0], mu[-1])
+        if -(1.0 + mu[0]) <= rounding:
+            raise ValueError(
+                f"the alternative's definiteness is unresolved at double precision: "
+                f"1 + mu_min = {1.0 + mu[0]:.3e} lies within the rounding bound "
+                f"k eps max|mu| = {rounding:.3e}")
         raise NotPositiveDefinite(
             f"the alternative is not positive definite (1 + mu_min = {1.0 + mu[0]:.3e})"
         )
@@ -731,7 +740,9 @@ def _banded_route(inverse: np.ndarray, work: np.ndarray):
 def _general_route(null: GaussianLaw, runs: _Runs, work: np.ndarray):
     """``mu`` ascending and ``||R^T B R||_F^2``, ``P = R R^T`` from a solve
     with the null and ``k`` right-hand sides; the column-order ``work``
-    holds ``B`` on entry and is overwritten."""
+    holds ``B`` on entry and is overwritten.  Its two ``dtrmm`` products
+    are the package's only calls into scipy's BLAS extension, which the
+    first of them loads (:mod:`mnlab._lapack`)."""
     k = runs.k
     p = np.empty((k, k))
     for cols, z in _solve_blocks(null, runs):

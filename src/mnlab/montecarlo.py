@@ -30,7 +30,6 @@ import functools
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -427,6 +426,8 @@ def rate_experiment(model: str, estimator: str, n_list, reps: int,
 
         starts = range(0, reps, rows)
         if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 return np.concatenate(list(pool.map(chunk, starts)))
         return np.concatenate([chunk(start) for start in starts])

@@ -417,6 +417,8 @@ def _capped_address_space():
     # scales whose squares would overflow are refused where they enter
     (("certificate", "--model", "m2", "--n", "256", "--c", "9", "--L", "1e300"),
      "L must be at most 1e+50"),
+    (("kl-scaling", "--model", "m1", "--ns", "8,16", "--L", "1e300"),
+     "L must be at most 1e+50"),
     (("two-point-m3", "--n", "8", "--c", "1e300", "--sigma-max", "1e308"),
      "sigma_max must be at most 1e+50"),
     (("kl-scaling", "--model", "m1", "--ns", "8,16", "--tau", "1e200"),
@@ -436,6 +438,21 @@ def test_oversized_inputs_are_one_error_line(args, line):
     proc = subprocess.run(ENTRY + list(args), capture_output=True, text=True,
                           timeout=120, preexec_fn=_capped_address_space)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("args", [
+    ("kl-scaling", "--model", "m2", "--ns", "64,128,256", "--L", "1e20"),
+    ("certificate", "--model", "m2", "--n", "256", "--c", "8", "--L", "1e20")])
+def test_unresolved_definiteness_is_one_error_line(args):
+    # every m2 alternative is a covariance (sigma >= 1); at L = 1e20 double
+    # precision cannot tell the sign of 1 + mu_min, and the error says so
+    proc = run_cli(*args)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(
+        "error: the alternative's definiteness is unresolved at double precision: "
+        "1 + mu_min = -")
+    assert "lies within the rounding bound k eps max|mu| = " in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 def test_optimization_failure_is_one_error_line():
@@ -510,12 +527,14 @@ try:
 except SystemExit:
     pass
 print()
-print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+print(sorted(m for m in sys.modules
+             if m.split('.')[0] == 'scipy' or m == 'concurrent.futures'))
 """
 
 
 def _scipy_after_main(*args):
-    """The scipy modules a fresh process holds after ``cli.main(args)``."""
+    """The scipy modules, and ``concurrent.futures`` if loaded, that a fresh
+    process holds after ``cli.main(args)``."""
     proc = subprocess.run([sys.executable, "-c", _SCIPY_AFTER_MAIN, *args],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -536,19 +555,33 @@ def test_importing_montecarlo_loads_no_covariance_modules():
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n", module
     # each subcommand imports what it runs: simulate-rate, help, version
-    # and usage errors load no scipy module
+    # and usage errors load no scipy module, and one worker no thread pool
     for args in (("simulate-rate", "--ns", "64,128", "--reps", "100"),
                  ("--help",), ("--version",), ("simulate-rate", "--ns", ","),
                  ("no-such-command",), ("certificate", "--n", "64"),
                  ("two-point-m3", "--n", "64")):
         assert _scipy_after_main(*args) == [], args
-    # the covariance commands load scipy's two LAPACK and BLAS extensions
-    # through mnlab._lapack, and neither the scipy.linalg package nor
-    # scipy.integrate
+    assert _scipy_after_main("simulate-rate", "--ns", "64,128", "--reps", "100",
+                             "--workers", "2") == ["concurrent.futures"]
+    # the m1 covariance commands load scipy's LAPACK extension through
+    # mnlab._lapack, and neither its BLAS extension, the scipy.linalg
+    # package nor scipy.integrate; more than one worker loads the pool
     for args in (("certificate", "--model", "m1", "--n", "256", "--c", "9"),
+                 ("certificate", "--model", "m1", "--n", "256", "--c", "9",
+                  "--workers", "1"),
                  ("kl-scaling", "--model", "m1", "--ns", "256,512")):
-        assert _scipy_after_main(*args) == [
-            "scipy.linalg._fblas", "scipy.linalg._flapack"], args
+        assert _scipy_after_main(*args) == ["scipy.linalg._flapack"], args
+    assert _scipy_after_main("certificate", "--model", "m1", "--n", "256", "--c", "9",
+                             "--workers", "2") == [
+        "concurrent.futures", "scipy.linalg._flapack"]
+    # bumps that lie apart take the general route, whose dtrmm loads the
+    # BLAS extension on first use
+    for workers in ("1", "2"):
+        loaded = _scipy_after_main("certificate", "--model", "m2", "--n", "256",
+                                   "--c", "8", "--workers", workers)
+        assert [m for m in loaded if m != "concurrent.futures"] == [
+            "scipy.linalg._fblas", "scipy.linalg._flapack"], workers
+        assert ("concurrent.futures" in loaded) == (workers == "2")
     # and no process-global warning filter is touched
     for path in sorted(Path(mnlab.__file__).parent.glob("*.py")):
         assert "catch_warnings" not in path.read_text(), path.name
@@ -577,14 +610,16 @@ def test_estimator_choices_are_the_montecarlo_estimators():
     assert cli._FLAGS["estimator"][2] == montecarlo.ESTIMATORS
 
 
-@pytest.mark.parametrize("suite", [
-    ("verify-linalg", "--trials", "20"), ("verify-spectral", "--n", "32"),
-    ("verify-kl", "--trials", "20"), ("verify-posdefmaj", "--ns", "16"),
-    ("verify-model3-structure", "--n", "32")])
-def test_verify_suites_load_no_scipy_package(suite):
-    # checks runs on mnlab.kl and mnlab.linalg, so only their two extensions
-    assert _scipy_after_main(*suite) == [
-        "scipy.linalg._fblas", "scipy.linalg._flapack"], suite
+@pytest.mark.parametrize("suite, blas", [
+    (("verify-linalg", "--trials", "20"), False), (("verify-spectral", "--n", "32"), False),
+    (("verify-kl", "--trials", "20"), True), (("verify-posdefmaj", "--ns", "16"), False),
+    (("verify-model3-structure", "--n", "32"), False)])
+def test_verify_suites_load_no_scipy_package(suite, blas):
+    # checks runs on mnlab.kl and mnlab.linalg, so only their extensions:
+    # LAPACK's, and BLAS's only for verify-kl, whose dense laws take the
+    # general route
+    assert _scipy_after_main(*suite) == (["scipy.linalg._fblas"] if blas else []) + [
+        "scipy.linalg._flapack"], suite
 
 
 _LAPACK_IDENTITY = """
@@ -593,7 +628,7 @@ from mnlab import _lapack, kl
 import scipy.linalg
 from scipy.linalg import blas, lapack
 for name in _lapack.__all__:
-    scipy_module = blas if name in ("dtbsv", "dtrmm") else lapack
+    scipy_module = blas if name == "dtrmm" else lapack
     assert getattr(_lapack, name) is getattr(scipy_module, name), name
 ab = np.array([[4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
 x = scipy.linalg.cho_solve_banded((scipy.linalg.cholesky_banded(ab, lower=True), True),
@@ -609,6 +644,43 @@ def test_lapack_binding_is_what_scipy_exports():
     # same extension modules and keeps working
     proc = subprocess.run([sys.executable, "-c", _LAPACK_IDENTITY],
                           capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+_BLAS_FIRST_USE = """
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from mnlab import _lapack
+assert "scipy.linalg._fblas" not in sys.modules and "dtrmm" not in vars(_lapack)
+made, real = [], _lapack.module_from_spec
+_lapack.module_from_spec = lambda spec: made.append(spec.name) or real(spec)
+start = threading.Barrier(4)
+
+def first_read(_):
+    start.wait(timeout=60)
+    return _lapack.dtrmm
+
+sys.setswitchinterval(1e-6)
+with ThreadPoolExecutor(max_workers=4) as pool:
+    got = list(pool.map(first_read, range(4), timeout=60))
+from scipy.linalg import blas
+assert made == ["scipy.linalg._fblas"], made
+assert all(d is blas.dtrmm for d in got)
+assert vars(_lapack)["dtrmm"] is blas.dtrmm
+try:
+    _lapack.dtbsv
+except AttributeError:
+    print("ok")
+"""
+
+
+def test_blas_extension_loads_once_on_the_first_dtrmm_read():
+    # four threads read dtrmm first together: the extension is loaded once,
+    # and every thread gets the object scipy exports
+    proc = subprocess.run([sys.executable, "-c", _BLAS_FIRST_USE],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
 

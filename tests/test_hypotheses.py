@@ -402,6 +402,10 @@ class TestFamily:
     def test_huge_radius_is_refused(self):
         with pytest.raises(ValueError, match=r"L must be at most 1e\+50"):
             hyp.build_family(256, 1.0, 1e51, 9.0, "m1m2")
+        # the one bump of kl-scaling keeps the same bound
+        with pytest.raises(ValueError, match=r"L must be at most 1e\+50"):
+            hyp.single_bump_profile(1.0, 1e51, 0.125)
+        assert hyp.single_bump_profile(1.0, 1e50, 0.125).amplitude == 1e50 * 0.125
 
     def test_too_few_bumps_at_desk_scale(self):
         with pytest.raises(ValueError, match=r"bump count m = \d+ < 8"):

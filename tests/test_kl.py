@@ -522,6 +522,37 @@ class TestSupportValidation:
         assert got.kl == pytest.approx(0.5 * (0.5 - math.log(1.5)) * 2, rel=1e-14)
 
 
+class TestAlternativeDefiniteness:
+    # sigma >= 1 makes every m2 bump alternative a covariance; at L = 1e20
+    # the computed 1 + mu_min of this bump is -396, far inside its rounding
+    spec = models.ModelSpec("m2", 128, 0.1)
+
+    def bump(self, l_const):
+        bands = unit_bands(self.spec)
+        return bands, models.bump_difference(
+            self.spec, single_bump_profile(1.0, l_const, 0.125), bands)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_an_unresolved_sign_is_not_blamed_on_the_alternative(self, dense):
+        bands, (support, block) = self.bump(1e20)
+        null = kl.GaussianLaw(bands.dense() if dense else bands)
+        with pytest.raises(ValueError, match="definiteness is unresolved at double "
+                                             "precision: 1 \\+ mu_min = -") as err:
+            kl.compare(null, support, block)
+        assert not isinstance(err.value, NotPositiveDefinite)
+        # the rounding bound is named, and exceeds |1 + mu_min|
+        bound = float(str(err.value).rsplit("= ", 1)[1])
+        least = float(str(err.value).split("mu_min = ")[1].split(" ")[0])
+        assert 0.0 < -least <= bound
+
+    def test_a_resolved_bump_keeps_its_comparison(self):
+        # a clearly indefinite alternative still raises NotPositiveDefinite
+        # (TestBandedRoute.test_matches_the_general_path)
+        bands, (support, block) = self.bump(1e10)
+        got = kl.compare(kl.GaussianLaw(bands), support, block)
+        assert got.route == "banded" and 0.0 < 1.0 + got.mu[0] < 1.0
+
+
 class TestBandedLaw:
     def banded(self, a, width):
         n = a.shape[0]
@@ -721,6 +752,21 @@ class TestTridiagonalRoute:
     def test_inverse_diagonals_of_one_row(self):
         gamma, gamma_s = kl._inverse_diagonals(np.array([0.5]), np.zeros(0))
         assert gamma.tolist() == [0.5] and gamma_s.tolist() == [1.0]
+
+    @given(seed=hs.integers(0, 2**32 - 1), k=hs.integers(1, 5000))
+    @settings(max_examples=60, deadline=None)
+    def test_slope_solves_match_dtbsv_bit_for_bit(self, seed, k):
+        # the pivot slopes' unit lower-bidiagonal systems, band [1; -l^2],
+        # solved by LAPACK's dtbtrs, which runs BLAS dtbsv per column
+        rng = np.random.default_rng(seed)
+        mult = 10.0 ** rng.uniform(-8.0, 3.0, k - 1) * rng.choice([-1.0, 1.0], k - 1)
+        rhs = 10.0 ** rng.uniform(-30.0, 30.0, k)
+        band = np.ones((2, k))
+        band[1, :-1] = -mult * mult
+        x, info = kl._lapack.dtbtrs(band, rhs, uplo="L")
+        want = scipy.linalg.blas.dtbsv(1, band, rhs, lower=1)
+        assert info == 0
+        assert np.array_equal(x.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("n, tau", [(2, 0.1), (3, 1.0), (17, 0.01), (64, 0.1),
                                         (256, 0.3), (256, 0.01)])

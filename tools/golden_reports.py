@@ -141,6 +141,10 @@ CASES = {
         ["kl-scaling", "--model", "m2", "--ns", "64,128", "--width", "1e-300"], None),
     "kl-scaling-L-zero": (
         ["kl-scaling", "--model", "m1", "--L", "0", "--ns", "256,512"], None),
+    "kl-scaling-L-over-bound": (
+        ["kl-scaling", "--model", "m1", "--ns", "8,16", "--L", "1e300"], None),
+    "kl-scaling-m2-L-unresolved": (
+        ["kl-scaling", "--model", "m2", "--ns", "64,128,256", "--L", "1e20"], None),
     "simulate-rate-mle": (
         ["simulate-rate", "--estimator", "mle", "--ns", "1024,2048,4096",
          "--reps", "200", "--seed", "11"], None),
