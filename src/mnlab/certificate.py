@@ -19,6 +19,10 @@ bound with constant ``C = 1`` (models m1/m3, where the alternative
 covariance dominates the null) or ``C = (2 + 12 L^2)^-1`` (model m2), and
 records whether that bound alone would also certify (iii).
 
+Both certificates decide (iii) by one rule, over one row per alternative
+(exact KL, Frobenius bound, precondition), and pass overall on (i) and
+(ii) and (iii); the two-point certificate is one row with ``log2(M) = 1``.
+
 KL values are in nats; ``log M`` is binary and converted by ln 2 when the
 two meet, and both raw numbers are stored.
 """
@@ -137,8 +141,12 @@ class Certificate:
     cond_ii: SeparationCondition
     cond_iii: DivergenceCondition
     hypotheses_evaluated: int
-    overall_pass: bool
     details: dict = field(default_factory=dict)
+
+    @property
+    def overall_pass(self) -> bool:
+        """All three conditions: the one verdict of every certificate."""
+        return self.cond_i and self.cond_ii.passed and self.cond_iii.passed
 
     def to_dict(self) -> dict:
         return {
@@ -185,6 +193,31 @@ def _bound_constant(model: str, l_const: float) -> float:
     if model == "m2":
         return 1.0 / (2.0 + 12.0 * l_const**2)
     return 1.0
+
+
+def _divergence_row(comparison, bound_c: float) -> dict:
+    """One alternative's part in (iii): its exact KL, its Frobenius bound at
+    ``bound_c`` and that bound's precondition ``bound_c * null <= alternative``."""
+    pre_ok = comparison.dominates(bound_c)
+    return {"kl": comparison.kl, "frobenius_bound": comparison.bound(bound_c).value,
+            "precondition_ok": pre_ok}
+
+
+def _divergence_condition(rows, log2_m: float, kappa: float, mode: str,
+                          bound_c: float) -> DivergenceCondition:
+    """Condition (iii) over :func:`_divergence_row` rows: the average KL within
+    ``kappa * log2_m`` bits, and the average bound within it too when every
+    precondition holds."""
+    avg_kl = float(np.mean([r["kl"] for r in rows]))
+    bound_avg = float(np.mean([r["frobenius_bound"] for r in rows]))
+    pre_all = all(r["precondition_ok"] for r in rows)
+    kappa_bound = kappa * log2_m * LN2
+    return DivergenceCondition(
+        avg_kl=avg_kl, log2_m=log2_m, kappa_bound=kappa_bound,
+        passed=avg_kl <= kappa_bound, mode=mode, bound_c=bound_c,
+        bound_avg=bound_avg, bound_preconditions_ok=pre_all,
+        bound_certifies=pre_all and bound_avg <= kappa_bound,
+    )
 
 
 def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
@@ -238,17 +271,10 @@ def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
 
     def one_hypothesis(k: int) -> dict:
         comparison = compare(null, *bump_difference(spec, family.profile(k), null_bands))
-        pre_ok = comparison.dominates(bound_c)
-        entry = {
-            "index": k,
-            "kl": comparison.kl,
-            "frobenius_bound": comparison.bound(bound_c).value,
-            "precondition_ok": pre_ok,
-            "in_class": cond_i,
-        }
+        entry = {"index": k, **_divergence_row(comparison, bound_c), "in_class": cond_i}
         if model == "m3":
             # bound_c is 1 for m3, so the precondition is the ordering test
-            entry["ordering_psd"] = pre_ok
+            entry["ordering_psd"] = entry["precondition_ok"]
         return entry
 
     if workers > 1:
@@ -259,12 +285,6 @@ def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
     else:
         rows = [one_hypothesis(k) for k in indices]
 
-    avg_kl = float(np.mean([r["kl"] for r in rows]))
-    bound_avg = float(np.mean([r["frobenius_bound"] for r in rows]))
-    pre_all = all(r["precondition_ok"] for r in rows)
-    log2_m = math.log2(m_alt)
-    kappa_bound = kappa * log2_m * LN2
-
     min_separation = math.sqrt(family.min_distance * separation_closed_form(family))
     threshold = c * float(n) ** rate_exponent(model, alpha)
 
@@ -273,17 +293,7 @@ def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
         threshold=threshold,
         passed=min_separation >= threshold,
     )
-    cond_iii = DivergenceCondition(
-        avg_kl=avg_kl,
-        log2_m=log2_m,
-        kappa_bound=kappa_bound,
-        passed=avg_kl <= kappa_bound,
-        mode=mode,
-        bound_c=bound_c,
-        bound_avg=bound_avg,
-        bound_preconditions_ok=pre_all,
-        bound_certifies=pre_all and bound_avg <= kappa_bound,
-    )
+    cond_iii = _divergence_condition(rows, math.log2(m_alt), kappa, mode, bound_c)
     details = {
         "per_hypothesis": rows,
         "min_separation_hamming": family.min_distance,
@@ -298,7 +308,6 @@ def evaluate(model: str, n: int, alpha: float, l_const: float, tau: float,
         family=family.descriptor(),
         cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii,
         hypotheses_evaluated=len(rows),
-        overall_pass=cond_i and cond_ii.passed and cond_iii.passed,
         details=details,
     )
 
@@ -326,7 +335,8 @@ def two_point_certificate_m3(n: int, sigma_min: float, sigma_max: float,
         raise ValueError("kappa must lie in (0, 1/10)")
     if tau <= 0.0:
         raise ValueError("needs tau > 0")
-    sigma1 = sigma_min + c * float(n) ** (-1.0 / 8.0)
+    contrast = c * float(n) ** (-1.0 / 8.0)
+    sigma1 = sigma_min + contrast
     if sigma1 > sigma_max + 1e-12:
         raise ValueError("sigma_1^2 exceeds sigma_max; lower c")
 
@@ -336,41 +346,21 @@ def two_point_certificate_m3(n: int, sigma_min: float, sigma_max: float,
     # matrix
     signal = differenced_bands(ModelSpec("m3", n, 0.0), ConstantProfile(1.0))
     scale = sigma1 - sigma_min
-    comparison = compare(law0, np.arange(n),
-                         lambda out: np.multiply(scale, signal.dense(out), out=out))
-    kl = comparison.kl
-    separation = sigma1 - sigma_min
-    kappa_bound = kappa * 1.0 * LN2  # log2(M) = 1 for M = 2 hypotheses
-    pre_ok = comparison.dominates(1.0)
-    bound_val = comparison.bound(1.0).value
-
-    cond_ii = SeparationCondition(
-        min_separation=separation,
-        threshold=c * float(n) ** (-1.0 / 8.0),
-        passed=True,
-    )
-    cond_iii = DivergenceCondition(
-        avg_kl=kl, log2_m=1.0, kappa_bound=kappa_bound,
-        passed=kl <= kappa_bound, mode="exhaustive",
-        bound_c=1.0, bound_avg=bound_val,
-        bound_preconditions_ok=pre_ok,
-        bound_certifies=pre_ok and bound_val <= kappa_bound,
-    )
+    row = _divergence_row(
+        compare(law0, np.arange(n),
+                lambda out: np.multiply(scale, signal.dense(out), out=out)), 1.0)
     return Certificate(
         model="m3", n=n, alpha=None, l_const=None,
         tau=float(tau), c=float(c), kappa=float(kappa),
-        family={
-            "kind": "two_point",
-            "sigma0_sq": sigma_min,
-            "sigma1_sq": sigma1,
-            "separation_sq": (sigma1 - sigma_min) ** 2,
-        },
+        family={"kind": "two_point", "sigma0_sq": sigma_min, "sigma1_sq": sigma1,
+                "separation_sq": scale ** 2},
         cond_i=True,
-        cond_ii=cond_ii,
-        cond_iii=cond_iii,
+        cond_ii=SeparationCondition(min_separation=scale, threshold=contrast,
+                                    passed=True),
+        # one alternative: log2(M) = 1 for M = 2 hypotheses
+        cond_iii=_divergence_condition([row], 1.0, kappa, "exhaustive", 1.0),
         hypotheses_evaluated=1,
-        overall_pass=cond_iii.passed,
-        details={"ordering_psd_all": pre_ok},
+        details={"ordering_psd_all": row["precondition_ok"]},
     )
 
 

@@ -99,6 +99,11 @@ def _require_rate(n: int) -> None:
         raise ValueError(f"n must be at least 1, got {n!r}")
 
 
+def _require_noise(tau: float) -> None:
+    if not 0.0 < tau <= _TAU_MAX:
+        raise ValueError(f"tau must lie in (0, {_TAU_MAX:g}] (assumed known)")
+
+
 def m1_interval_sds(profile, n: int) -> np.ndarray:
     """Standard deviations of the m1 signal increments for any profile.
 
@@ -175,8 +180,7 @@ def mle_const_sigma_m1(diff_data, n: int, tau: float) -> float | np.ndarray:
     if data.ndim not in (1, 2) or data.size < 1:
         raise ValueError("diff_data must be a non-empty vector or block of rows")
     _require_rate(n)
-    if not 0.0 < tau <= _TAU_MAX:
-        raise ValueError(f"tau must lie in (0, {_TAU_MAX:g}] (assumed known)")
+    _require_noise(tau)
     if not np.all(np.isfinite(data)):
         raise ValueError("diff_data must be finite")
     coords_sq = sine_transform(data) ** 2
@@ -411,6 +415,11 @@ def rate_experiment(model: str, estimator: str, n_list, reps: int,
         raise ValueError("reps must be >= 100 for a stable summary")
     if not abs(tau) <= _TAU_MAX:
         raise ValueError(f"tau must be at most {_TAU_MAX:g} in absolute value")
+    # before any draw: tau = 0 means no noise, which only the MLE refuses
+    if estimator == "mle":
+        _require_noise(tau)
+    elif tau < 0.0:
+        raise ValueError(f"tau must be non-negative, got {tau!r}")
     for n in n_list:
         _require_sampling(sigma_sq, n)
 

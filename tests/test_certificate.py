@@ -1,11 +1,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mnlab import certificate as cert
 from mnlab import hypotheses as hyp
 from mnlab.hypotheses import build_family
+from mnlab.kl import GaussianLaw, compare
+from mnlab.models import ModelSpec, differenced_bands
+from mnlab.profiles import ConstantProfile
 
 
 class TestRateTable:
@@ -236,6 +240,58 @@ def test_m1_alternatives_factor_nothing(monkeypatch, workers):
     # the null law once; every alternative takes the tridiagonal route
     assert result.hypotheses_evaluated >= 2
     assert len(calls) == 1
+
+
+def check_verdict_rules(report):
+    """Condition (iii) and the overall verdict, recomputed from a report."""
+    iii = report["cond_iii"]
+    assert iii["kappa_bound"] == report["kappa"] * iii["log2_M"] * math.log(2.0)
+    assert iii["pass"] == (iii["avg_kl"] <= iii["kappa_bound"])
+    assert iii["frobenius_bound_certifies"] == (
+        iii["frobenius_bound_preconditions_ok"]
+        and iii["frobenius_bound_avg"] <= iii["kappa_bound"])
+    assert report["overall_pass"] == (
+        report["cond_i"] and report["cond_ii"]["pass"] and iii["pass"])
+
+
+@pytest.mark.parametrize("model, n, c, mode", [
+    ("m1", 256, 9.0, "exhaustive"), ("m3", 512, 9.0, "exhaustive"),
+    ("m2", 512, 12.0, "sampled")])
+def test_family_verdicts_follow_their_rules(model, n, c, mode):
+    report = json.loads(json.dumps(cert.evaluate(
+        model, n, 1.0, 1.0, 0.1, c, 0.09, max_hypotheses=3, seed=3).to_dict()))
+    rows = report["details"]["per_hypothesis"]
+    iii = report["cond_iii"]
+    assert iii["mode"] == mode
+    assert len(rows) == report["hypotheses_evaluated"]
+    assert iii["avg_kl"] == float(np.mean([r["kl"] for r in rows]))
+    assert iii["frobenius_bound_avg"] == float(
+        np.mean([r["frobenius_bound"] for r in rows]))
+    assert iii["frobenius_bound_preconditions_ok"] == all(
+        r["precondition_ok"] for r in rows)
+    check_verdict_rules(report)
+
+
+@pytest.mark.parametrize("c, passed", [(0.3, True), (1.0, False)])
+def test_two_point_verdicts_follow_the_family_rules(c, passed):
+    # one alternative, log2(M) = 1; its row is one comparison of the two laws
+    n, tau = 256, 0.1
+    report = json.loads(json.dumps(
+        cert.two_point_certificate_m3(n, 1.0, 4.0, c, tau).to_dict()))
+    family, iii = report["family"], report["cond_iii"]
+    null, alt = (differenced_bands(ModelSpec("m3", n, tau), ConstantProfile(v))
+                 for v in (family["sigma0_sq"], family["sigma1_sq"]))
+    comparison = compare(GaussianLaw(null), np.arange(n), alt.dense() - null.dense())
+    assert (iii["log2_M"], iii["mode"], report["hypotheses_evaluated"]) == (
+        1.0, "exhaustive", 1)
+    assert iii["avg_kl"] == pytest.approx(comparison.kl, rel=1e-7)
+    assert iii["frobenius_bound_avg"] == pytest.approx(
+        comparison.bound(1.0).value, rel=1e-7)
+    assert iii["frobenius_bound_preconditions_ok"] == comparison.dominates(1.0)
+    assert report["details"]["ordering_psd_all"] == comparison.dominates(1.0)
+    assert report["cond_i"] and report["cond_ii"]["pass"]
+    assert iii["pass"] == passed
+    check_verdict_rules(report)
 
 
 @pytest.mark.parametrize("model, n, c", [("m1", 256, 9.0), ("m3", 512, 9.0)])

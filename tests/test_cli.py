@@ -467,6 +467,15 @@ def test_optimization_failure_is_one_error_line():
     (("--ns", "0,2"), "error: n must be at least 1, got 0\n"),
     (("--ns", "256,512", "--sigma-sq", "-1"),
      "error: sigma_sq must be non-negative, got -1.0\n"),
+    # a negative noise level for any estimator, and none at all for the MLE
+    (("--ns", "1024,2048", "--estimator", "rv", "--tau", "-0.1"),
+     "error: tau must be non-negative, got -0.1\n"),
+    (("--ns", "1024,2048", "--estimator", "rv_uncorrected", "--tau", "-0.1"),
+     "error: tau must be non-negative, got -0.1\n"),
+    (("--ns", "1024,2048", "--estimator", "mle", "--tau", "-0.1"),
+     "error: tau must lie in (0, 1e+50] (assumed known)\n"),
+    (("--ns", "1024,2048", "--estimator", "mle", "--tau", "0"),
+     "error: tau must lie in (0, 1e+50] (assumed known)\n"),
 ])
 def test_simulate_rate_rejects_bad_inputs(args, line):
     proc = run_cli("simulate-rate", "--reps", "100", *args)

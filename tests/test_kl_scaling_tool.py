@@ -8,6 +8,8 @@ from mnlab.certificate import kl_scaling_probe
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 TOOL = TOOLS / "kl_scaling_curve.py"
+# the curve tools import their shared point runner as a sibling module
+sys.path.insert(0, str(TOOLS))
 
 
 def load(name):
@@ -18,11 +20,12 @@ def load(name):
 
 
 curve = load("kl_scaling_curve")
+points = sys.modules["curve_point"]  # the point runner the tools imported
 
 
-def kill_the_first_point(monkeypatch, module, stdout):
-    """Have ``module``'s first point process die of SIGKILL with no stderr,
-    as the OOM killer leaves it, and every later one print ``stdout``."""
+def kill_the_first_point(monkeypatch, stdout):
+    """Have the first point process die of SIGKILL with no stderr, as the
+    OOM killer leaves it, and every later one print ``stdout``."""
     calls = []
 
     def run(args, **kwargs):
@@ -30,7 +33,7 @@ def kill_the_first_point(monkeypatch, module, stdout):
         code, out = (-9, "") if len(calls) == 1 else (0, json.dumps(stdout))
         return subprocess.CompletedProcess(args, code, stdout=out, stderr="")
 
-    monkeypatch.setattr(module.subprocess, "run", run)
+    monkeypatch.setattr(points.subprocess, "run", run)
     return calls
 
 
@@ -47,7 +50,7 @@ def test_one_m2_point_matches_the_probe_in_process():
 
 
 def test_a_killed_kl_point_is_recorded_and_the_curve_goes_on(monkeypatch, capsys):
-    calls = kill_the_first_point(monkeypatch, curve, {"kl": 1e-3})
+    calls = kill_the_first_point(monkeypatch, {"kl": 1e-3})
     assert curve.main(["--models", "m1", "--ns", "256,512,1024"]) == 0
     rows = json.loads(capsys.readouterr().out)["m1"]
     assert len(calls) == 3
@@ -59,7 +62,7 @@ def test_a_killed_kl_point_is_recorded_and_the_curve_goes_on(monkeypatch, capsys
 
 def test_a_killed_rate_point_is_recorded_and_the_curve_goes_on(monkeypatch, capsys):
     rate = load("rate_curve")
-    calls = kill_the_first_point(monkeypatch, rate, {"mse": 1e-4})
+    calls = kill_the_first_point(monkeypatch, {"mse": 1e-4})
     assert rate.main(["--ns", "1024,2048"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert len(calls) == 2

@@ -98,6 +98,29 @@ class TestMle:
         with pytest.raises(ValueError, match=r"tau must be at most 1e\+50"):
             mc.rate_experiment("m1", estimator, [16, 32], 100, tau=-1e51)
 
+    @pytest.mark.parametrize("estimator, tau, match", [
+        ("rv", -0.1, "tau must be non-negative, got -0.1"),
+        ("rv_uncorrected", -1e-300, "tau must be non-negative"),
+        ("mle", -0.1, r"tau must lie in \(0, 1e\+50\]"),
+        ("mle", 0.0, r"tau must lie in \(0, 1e\+50\]"),
+    ])
+    def test_experiment_rejects_a_tau_out_of_range_before_sampling(
+            self, estimator, tau, match, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the refusal")
+
+        monkeypatch.setattr(mc, "sample_m1_constant_diff", refuse)
+        with pytest.raises(ValueError, match=match):
+            mc.rate_experiment("m1", estimator, [1024, 2048], 100, tau=tau)
+
+    @pytest.mark.parametrize("estimator", ["rv", "rv_uncorrected"])
+    def test_zero_noise_is_valid_for_realized_variance(self, estimator):
+        # tau = 0: the data carry no noise, and the two sums coincide
+        result = mc.rate_experiment("m1", estimator, [64, 128], 100, seed=1, tau=0.0)
+        plain = mc.rate_experiment("m1", "rv_uncorrected", [64, 128], 100, seed=1,
+                                   tau=0.0)
+        assert result.mse == plain.mse
+
     @pytest.mark.parametrize("n", [0, -64])
     def test_rejects_rate_below_one(self, n):
         data = mc.sample_m1_constant_diff(1.0, 0.1, 64, rep=0, seed=1)

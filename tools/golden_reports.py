@@ -162,6 +162,12 @@ CASES = {
     "simulate-rate-rv-tau-nan": (
         ["simulate-rate", "--estimator", "rv", "--tau", "nan", "--ns", "256,512",
          "--reps", "100"], None),
+    "simulate-rate-tau-negative": (
+        ["simulate-rate", "--estimator", "rv", "--tau", "-0.1", "--ns", "1024,2048",
+         "--reps", "100", "--seed", "3"], None),
+    "simulate-rate-mle-tau-zero": (
+        ["simulate-rate", "--estimator", "mle", "--tau", "0", "--ns", "1024,2048",
+         "--reps", "100", "--seed", "3"], None),
     "simulate-rate-sigma-sq-huge": (
         ["simulate-rate", "--estimator", "mle", "--ns", "64,128", "--reps", "100",
          "--sigma-sq", "1e9"], None),

@@ -5,9 +5,10 @@ Usage::
     python3 tools/kl_scaling_curve.py [--models m1,m2,m3] [--ns 256,512,1024] [--repeats 3]
 
 Runs ``certificate.kl_scaling_probe`` of the ``src/`` tree next to this
-script on one sample size at a time, each in a fresh process, with the
-``kl-scaling`` defaults of the benchmark workload (alpha 1, L 1, tau 0.1
-for m1, 0.02 and width 0.25 for m2, 0.01 for m3, width 0.125 otherwise).
+script on one sample size at a time, each in a fresh process (by
+``curve_point.run_point``), with the ``kl-scaling`` defaults of the
+benchmark workload (alpha 1, L 1, tau 0.1 for m1, 0.02 and width 0.25 for
+m2, 0.01 for m3, width 0.125 otherwise).
 Prints one JSON object: per model and n, the median seconds of
 ``--repeats`` probes in that process, the KL value, the kernel's route
 (``Comparison.route``) and support size ``k``, the process's peak
@@ -23,12 +24,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
-import subprocess
 import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from curve_point import run_point
 
 SETTINGS = {"m1": (0.1, 0.125), "m2": (0.02, 0.25), "m3": (0.01, 0.125)}
 
@@ -58,17 +56,7 @@ print(json.dumps({"seconds": statistics.median(times), "kl": kl, "route": seen[-
 
 def point(model: str, n: int, repeats: int) -> dict:
     tau, width = SETTINGS[model]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", _POINT, model, str(n), str(tau), str(width), str(repeats)],
-        capture_output=True, text=True, env=env,
-    )
-    if proc.returncode < 0:
-        # a point killed by a signal (the OOM killer at large n) writes no stderr
-        return {"error": f"killed by signal {-proc.returncode}"}
-    if proc.returncode != 0:
-        return {"error": proc.stderr.strip().splitlines()[-1]}
-    return json.loads(proc.stdout)
+    return run_point(_POINT, model, n, tau, width, repeats)
 
 
 def main(argv=None) -> int:

@@ -5,9 +5,9 @@ Usage::
     python3 tools/rate_curve.py --ns 1024,2048,4096,8192,16384 [--reps 500] [--seed 11] [--repeats 3]
 
 Runs ``montecarlo.rate_experiment`` of the ``src/`` tree next to this
-script with the MLE on one n at a time, each in a fresh process, with the
-``simulate-rate`` defaults of the benchmark workload (sigma^2 1, tau 0.1,
-one worker).  Prints one JSON object: per n, the median seconds of
+script with the MLE on one n at a time, each in a fresh process (by
+``curve_point.run_point``), with the ``simulate-rate`` defaults of the
+benchmark workload (sigma^2 1, tau 0.1, one worker).  Prints one JSON object: per n, the median seconds of
 ``--repeats`` experiments in that process, the median seconds of those
 spent in ``montecarlo.mle_const_sigma_m1`` (the MLE stage: the sine
 transform and the Newton solves) and in ``structures.sine_transform``
@@ -25,12 +25,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from curve_point import run_point
 
 _POINT = """
 import json, resource, statistics, sys, time
@@ -71,17 +68,7 @@ print(json.dumps({"seconds": statistics.median(times),
 
 
 def point(n: int, reps: int, seed: int, repeats: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", _POINT, str(n), str(reps), str(seed), str(repeats)],
-        capture_output=True, text=True, env=env,
-    )
-    if proc.returncode < 0:
-        # a point killed by a signal (the OOM killer at large n) writes no stderr
-        return {"error": f"killed by signal {-proc.returncode}"}
-    if proc.returncode != 0:
-        return {"error": proc.stderr.strip().splitlines()[-1]}
-    return json.loads(proc.stdout)
+    return run_point(_POINT, n, reps, seed, repeats)
 
 
 def main(argv=None) -> int:
