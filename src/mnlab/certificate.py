@@ -17,7 +17,9 @@ computations and records every intermediate quantity; it asserts nothing
 asymptotic.  Alongside the exact divergences it evaluates the Frobenius
 bound with constant ``C = 1`` (models m1/m3, where the alternative
 covariance dominates the null) or ``C = (2 + 12 L^2)^-1`` (model m2), and
-records whether that bound alone would also certify (iii).
+records whether that bound alone would also certify (iii); its
+precondition reads true only where double precision resolves it
+(:meth:`~mnlab.kl.Comparison.dominates`).
 
 Both certificates decide (iii) by one rule, over one row per alternative
 (exact KL, Frobenius bound, precondition), and pass overall on (i) and
@@ -337,7 +339,7 @@ def two_point_certificate_m3(n: int, sigma_min: float, sigma_max: float,
         raise ValueError("needs tau > 0")
     contrast = c * float(n) ** (-1.0 / 8.0)
     sigma1 = sigma_min + contrast
-    if sigma1 > sigma_max + 1e-12:
+    if sigma1 > sigma_max * (1.0 + 1e-12):
         raise ValueError("sigma_1^2 exceeds sigma_max; lower c")
 
     law0 = GaussianLaw(differenced_bands(ModelSpec("m3", n, tau), ConstantProfile(sigma_min)))

@@ -31,7 +31,10 @@ not zero):
   cancels against a log-determinant and no clamp at 0 is needed;
 * the middle bound is ``||R^T B R||_F^2 / (4C^2)`` and the outer one
   ``||X B||_F^2 / (4C^2)``, so ``sigma0^-1 sigma1`` is never formed;
-* the largest Loewner constant is ``min(1 + min(mu), 1)``.
+* the largest Loewner constant is ``min(1 + min(mu), 1)``, and ``c *
+  sigma0 <= sigma1`` is read from the margin ``min(mu) + (1 - c)`` against
+  the eigenvalues' rounding bound ``k eps max|mu|``, and from the sign of
+  ``B`` where that bound leaves the margin unresolved.
 
 The solve for ``X`` runs in column blocks, so no dense ``n x k`` array is
 held at large ``n``.
@@ -64,9 +67,9 @@ are the ``mu``: O(n w^2 + k^2 w + k^3) with no solve of size ``n``.
 solves and the eigenproblem overwrite.  The block may be a builder, a
 callable that writes ``B`` into the array it is handed, as the m2 and m3
 blocks of :func:`~mnlab.models.bump_difference` are: then that work
-matrix is the only ``k x k`` array of the comparison, and
-:attr:`Comparison.block` builds ``B`` again only when a bound or the
-Loewner test at 1 asks for it.  An array block is copied, never written.
+matrix is the only ``k x k`` array of the comparison, and ``B`` is built
+again, unkept, only for the outer bound and for a Loewner test that the
+``mu`` leave unresolved.  An array block is copied, never written.
 This covers the m2 and m3 bump alternatives whose bumps are adjacent,
 the kl-scaling bumps among them (the unmoved stretch before an m2 bump
 is one run).  The outer bound, which only certificates ask for, keeps
@@ -102,8 +105,7 @@ import numpy as np
 
 from . import _lapack
 from .errors import NotPositiveDefinite
-from .linalg import (Banded, check_symmetric, cholesky_lower, is_psd, mirror_lower,
-                     transpose_in_place)
+from .linalg import Banded, check_symmetric, cholesky_lower, mirror_lower, transpose_in_place
 from .profiles import checked_cells
 
 __all__ = [
@@ -566,12 +568,13 @@ class Comparison:
     ``B`` as :func:`compare` read it: an array, or a builder.  ``mu`` holds
     the eigenvalues of ``R^T B R`` ascending, ``middle_sq`` is ``||R^T B
     R||_F^2 = sum(mu^2)`` and ``kl`` the exact divergence (nats), ``(1/2)
-    sum(mu - log1p(mu))``.  ``block``, ``B`` as an array, is built from a
-    builder only when :meth:`bound` or :meth:`dominates` at 1 asks for it.
-    ``right_sq = ||X B||_F^2`` is computed on first use, by :meth:`bound`:
-    by a second solve with ``k`` right-hand sides, or on the tridiagonal
-    route, where ``block`` holds the diagonal ``b`` of ``B``, as ``sum_j
-    b_j^2 (null^-2)_jj`` in O(n).  ``route`` names the
+    sum(mu - log1p(mu))``, and ``mu_error = k eps max|mu|`` the
+    eigensolver's rounding bound on ``mu`` (0 with no eigenvalue), which
+    :meth:`dominates` and the refusal of :func:`compare` read.
+    ``right_sq = ||X B||_F^2`` is computed on first use, by :meth:`bound`,
+    from ``B`` built anew: by a second solve with ``k`` right-hand sides,
+    or on the tridiagonal route, where ``source`` is the diagonal ``b`` of
+    ``B``, as ``sum_j b_j^2 (null^-2)_jj`` in O(n).  ``route`` names the
     route :func:`compare` took: ``"tridiagonal"`` (no eigenvalues, so
     ``mu`` is empty; as ``b > 0``, the Loewner constant is 1),
     ``"banded"`` (``mu`` and ``middle_sq`` from ``L^-1 B L^-T``, ``P^-1 =
@@ -585,18 +588,16 @@ class Comparison:
     middle_sq: float
     kl: float
     route: str = "general"
-
-    @cached_property
-    def block(self) -> np.ndarray:
-        return block_array(self.source, self.support.k)
+    mu_error: float = 0.0
 
     @cached_property
     def right_sq(self) -> float:
+        block = block_array(self.source, self.support.k)
         if self.route == "tridiagonal":
             gamma, gamma_s = _inverse_diagonals(*_tridiagonal(self.null))
             rows = self.support.rows
-            return math.fsum((self.block / gamma[rows]) ** 2 * gamma_s[rows])
-        return _solve_norm_sq(self.null, self.support, self.block)
+            return math.fsum((block / gamma[rows]) ** 2 * gamma_s[rows])
+        return _solve_norm_sq(self.null, self.support, block)
 
     def bound(self, c: float) -> KLBound:
         """Frobenius bounds, valid when ``c * null <= alternative``."""
@@ -610,19 +611,28 @@ class Comparison:
         return min(1.0 + float(self.mu[0]), 1.0) if self.mu.size else 1.0
 
     def dominates(self, c: float) -> bool:
-        """Whether ``c * null <= alternative`` in the Loewner order.
-
-        At ``c = 1`` this is ``is_psd(B)``: ``W B W^T`` has the
-        nonzero eigenvalues and the Frobenius norm of ``B``, so the test
-        and its tolerance are those of ``is_psd(alternative - null)``.  A
-        vector block is the tridiagonal route's, whose entries are all
-        positive.  Below 1 it is ``1 + min(mu) >= c - 1e-9``, on the unit
-        scale of the pencil's eigenvalues.
+        """Whether ``c * null <= alternative`` in the Loewner order, read
+        where double precision resolves it: always with no eigenvalue (an
+        empty support, or the tridiagonal route, where ``b > 0``); else by
+        the sign of the margin ``min(mu) + (1 - c)`` (summed in that order,
+        so a tiny positive ``min(mu)`` is not lost against 1) beyond
+        :attr:`mu_error`.  Within it ``B >= 0`` decides, which suffices for
+        every ``c <= 1`` and is the condition at ``c = 1`` (``R^T B R`` has
+        the inertia of ``B``): the least eigenvalue of ``B``, built anew,
+        must reach its spectrum's own rounding bound.  ``mu_error`` leaves
+        out the rounding of ``P`` and ``R^T B R``, so a margin of a few
+        ``mu_error`` may still read either way.
         """
         _check_c(c)
-        if c == 1.0:
-            return not self.block.size or self.block.ndim == 1 or is_psd(self.block)
-        return self.loewner_constant >= c - 1e-9
+        if not self.mu.size:
+            return True
+        margin = float(self.mu[0]) + (1.0 - c)
+        if margin >= self.mu_error:
+            return True
+        if margin < -self.mu_error:
+            return False
+        least = _spectrum(_work_matrix(self.source, self.support.k))[0]
+        return bool(least[0] >= _rounding(least))
 
 
 def compare(null: GaussianLaw, support, block) -> Comparison:
@@ -661,8 +671,8 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
     symmetric, and
     :class:`~mnlab.errors.NotPositiveDefinite` when the alternative is not
     positive definite (``1 + min(mu) <= 0``); when that ``1 + min(mu)``
-    lies within the eigenvalues' rounding bound ``k eps max|mu|``, its
-    sign is unresolved at double precision and ``ValueError`` says so.
+    lies within :attr:`Comparison.mu_error`, the eigenvalues' rounding bound
+    ``k eps max|mu|``, its sign is unresolved and ``ValueError`` says so.
     """
     runs = _runs(support, null.size)
     k = runs.k
@@ -683,31 +693,44 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
                               middle_sq=middle_sq, kl=kl, route="tridiagonal")
         block = np.diag(block)
     # the one k x k array: B, built or copied, then overwritten by the route
-    work = np.empty((k, k), order="F")
-    if callable(block):
-        block(work.T)
-    else:
-        np.copyto(work.T, block)
+    work = _work_matrix(block, k)
     check_symmetric(work.T, "block")
     inverse = _hull_inverse(null, runs)
     if inverse is None:
         route, (mu, middle_sq) = "general", _general_route(null, runs, work)
     else:
         route, (mu, middle_sq) = "banded", _banded_route(inverse, work)
+    mu_error = _rounding(mu)
     if 1.0 + mu[0] <= 0.0:
-        # a computed eigenvalue may be off by about k eps max|mu|
-        rounding = k * np.finfo(float).eps * max(-mu[0], mu[-1])
-        if -(1.0 + mu[0]) <= rounding:
+        if -(1.0 + mu[0]) <= mu_error:
             raise ValueError(
                 f"the alternative's definiteness is unresolved at double precision: "
                 f"1 + mu_min = {1.0 + mu[0]:.3e} lies within the rounding bound "
-                f"k eps max|mu| = {rounding:.3e}")
+                f"k eps max|mu| = {mu_error:.3e}")
         raise NotPositiveDefinite(
             f"the alternative is not positive definite (1 + mu_min = {1.0 + mu[0]:.3e})"
         )
     return Comparison(null=null, support=runs, source=block, mu=mu,
                       middle_sq=middle_sq, kl=0.5 * math.fsum(_kl_terms(mu)),
-                      route=route)
+                      route=route, mu_error=mu_error)
+
+
+def _rounding(spectrum: np.ndarray) -> float:
+    """``k eps max|spectrum|``: how far a computed eigenvalue of a ``k x k``
+    symmetric matrix may be off."""
+    return float(spectrum.size * np.finfo(float).eps
+                 * max(abs(spectrum[0]), abs(spectrum[-1])))
+
+
+def _work_matrix(block, k: int) -> np.ndarray:
+    """``B`` in a new column-order ``k x k`` array, built there by a builder
+    or copied from an array, for a route to overwrite."""
+    work = np.empty((k, k), order="F")
+    if callable(block):
+        block(work.T)
+    else:
+        np.copyto(work.T, block)
+    return work
 
 
 def block_array(block, k: int) -> np.ndarray:

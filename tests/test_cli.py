@@ -492,6 +492,42 @@ def test_two_point_rejects_n_above_the_desk_bound():
     assert proc.stderr == "error: n > 8192 exceeds the exact-KL desk bound\n"
 
 
+def test_two_point_sigma_max_is_a_relative_bound():
+    # sigma_1^2 = 1e-14 + 1.5e-12 / 256^(1/8) = 7.6e-13 is 7.6 times sigma_max,
+    # though within an absolute 1e-12 of it
+    proc = run_cli("two-point-m3", "--n", "256", "--sigma-min", "1e-14",
+                   "--sigma-max", "1e-13", "--c", "1.5e-12", "--tau", "0.1")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: sigma_1^2 exceeds sigma_max; lower c\n"
+
+
+def test_an_unresolved_precondition_reads_false():
+    # at L = 1e15 each m2 alternative's 1 + mu_min (0.0388, 0.0197, 0.0330)
+    # lies within its rounding bound, far above the Frobenius constant 8.3e-32
+    proc = run_cli("certificate", "--model", "m2", "--n", "64", "--c", "8",
+                   "--L", "1e15", "--seed", "1")
+    assert proc.returncode == 2
+    cert = json.loads(proc.stdout)["certificate"]
+    rows = cert["details"]["per_hypothesis"]
+    assert [row["precondition_ok"] for row in rows] == [False, False, False]
+    assert cert["cond_iii"]["frobenius_bound_preconditions_ok"] is False
+
+
+@pytest.mark.parametrize("args", [
+    ("two-point-m3", "--n", "2048", "--sigma-min", "0.1", "--sigma-max", "4", "--c", "1",
+     "--tau", "1"),
+    ("certificate", "--model", "m3", "--n", "4096", "--alpha", "1", "--L", "1",
+     "--tau", "0.1", "--c", "9", "--seed", "0"),
+])
+def test_a_precondition_the_spectrum_leaves_unresolved_reads_from_the_block(args):
+    # each least mu lies within its rounding bound (9.4e-13 against 1.7e-12
+    # for the two point, 4.7e-17 against 2.1e-16 for the first alternative),
+    # as the pencils' mu span more than 1 / (k eps), but each B >= 0 resolves
+    cert = json.loads(run_cli(*args).stdout)["certificate"]
+    assert cert["cond_iii"]["frobenius_bound_preconditions_ok"] is True
+    assert cert["details"]["ordering_psd_all"] is True
+
+
 @pytest.mark.parametrize("args", [
     ("--width", "0"), ("--width", "-0.1"), ("--L", "0"), ("--L", "-0.5"),
 ])

@@ -92,3 +92,9 @@ def test_traffic_lists_the_lines_a_case_does_not_run():
     modules = [count for name, count in counts.items() if name.endswith(".py")]
     assert len(modules) == len(counts) - 1
     assert counts["src/mnlab"] == tuple(map(sum, zip(*modules)))
+    # and gives the package's line count as wc -l does
+    total = reports["src/mnlab"].split("; ")[1]
+    package = TOOL.parent.parent / "src" / "mnlab"
+    wc = subprocess.run(["wc", "-l", *sorted(package.glob("*.py"))],
+                        capture_output=True, text=True, check=True)
+    assert total == f"{wc.stdout.splitlines()[-1].split()[0]} lines in all"

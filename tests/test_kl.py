@@ -553,6 +553,149 @@ class TestAlternativeDefiniteness:
         assert got.route == "banded" and 0.0 < 1.0 + got.mu[0] < 1.0
 
 
+def mp_margin(sigma0, runs, block, c):
+    """The margin ``lambda_min(sigma0^-1 sigma1) - c`` in 50-digit
+    arithmetic, for ``sigma1 = sigma0 + W B W^T``: off the support that
+    matrix has the eigenvalue 1, on it the ``1 + mu`` of ``R^T B R``, ``R
+    R^T = W^T sigma0^-1 W``."""
+    n, k = sigma0.shape[0], len(runs)
+    with mpmath.workdps(50):
+        w = mpmath.zeros(n, k)
+        for r, (start, stop) in enumerate(runs):
+            for i in range(start, stop):
+                w[i, r] = 1 / mpmath.sqrt(stop - start)
+        low = mpmath.cholesky(w.T * mpmath.inverse(mpmath.matrix(sigma0.tolist())) * w)
+        mu = mpmath.eigsy(low.T * mpmath.matrix(block.tolist()) * low, eigvals_only=True)
+        lam = 1 + min(mu)
+        if sum(stop - start for start, stop in runs) < n:
+            lam = min(lam, mpmath.mpf(1))
+        return float(lam - mpmath.mpf(c))
+
+
+def near_boundary(rng, sigma0, runs, c):
+    """A block whose ``1 + min(mu)`` is ``c`` up to a margin of either sign
+    from 1e-17 to 1e-2, or none: ``B = R^-T D R^-1`` for ``W^T sigma0^-1 W =
+    R R^T``, with the spectrum of ``D`` chosen."""
+    k = len(runs)
+    w = np.zeros((sigma0.shape[0], k))
+    for r, (start, stop) in enumerate(runs):
+        w[start:stop, r] = 1.0 / np.sqrt(stop - start)
+    r_inv = np.linalg.inv(np.linalg.cholesky(w.T @ np.linalg.solve(sigma0, w)))
+    shift = 0.0 if rng.random() < 0.2 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17, -2)
+    d = c - 1.0 + shift + np.concatenate(([0.0], rng.uniform(0.0, 2.0, k - 1)))
+    q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    return la.sym(r_inv.T @ (q * d) @ q.T @ r_inv)
+
+
+def loewner_draw(seed):
+    """A seeded comparison near the Loewner boundary: ``c`` in {1, 0.9,
+    1/14}, ``n <= 12``, a dense null on a random support or a banded one on
+    runs that tile a hull, and a :func:`near_boundary` block."""
+    rng = np.random.default_rng(seed)
+    c = [1.0, 0.9, 1.0 / 14.0][int(rng.integers(3))]
+    n = int(rng.integers(2, 13))
+    null = ["dense", "band1", "band2"][int(rng.integers(3))]
+    if null == "dense":
+        sigma0 = rand_psd(rng, n, floor=0.2)
+        law, route = kl.GaussianLaw(sigma0), "general"
+        runs = as_runs(np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                          replace=False)))
+    else:
+        bands = random_banded_null(rng, n, int(null[-1]))
+        sigma0 = bands.dense()
+        law, route = kl.GaussianLaw(bands), "banded"
+        runs = random_hull_runs(rng, n, int(null[-1]))
+    return law, route, sigma0, runs, near_boundary(rng, sigma0, runs, c), c
+
+
+# draws among seeds 0..19999 whose verdict breaks a claim: their computed
+# min(mu) is off by up to 4 mu_error, which bounds the eigensolver's rounding
+# but not that of forming P and R^T B R (ROADMAP item 4); 536 (k = 1) and 2010
+# (k = 3) read true on a negative margin on the banded route, 12928 on the
+# general one, and 9244 reads a margin of 3.3 mu_error false
+LOEWNER_MISREAD = {536, 2010, 9244, 12928}
+
+
+class TestLoewnerRule:
+    @pytest.mark.parametrize("seed", [
+        pytest.param(seed, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="mu_error leaves out the rounding of P and R^T B R"))
+        if seed in LOEWNER_MISREAD else seed
+        for seed in sorted(set(range(200)) | LOEWNER_MISREAD)])
+    def test_a_verdict_never_contradicts_a_50_digit_margin(self, seed):
+        law, route, sigma0, runs, block, c = loewner_draw(seed)
+        got = kl.compare(law, runs, block)
+        assert got.route == route
+        margin = mp_margin(sigma0, runs, block, c)
+        if got.dominates(c):
+            assert margin >= 0.0
+        if abs(margin) > 2.0 * got.mu_error:
+            assert got.dominates(c) == (margin > 0.0)
+
+    @given(c=hs.sampled_from([1.0, 0.9, 1.0 / 14.0]), seed=hs.integers(0, 2**32 - 1),
+           n=hs.integers(2, 12))
+    @settings(max_examples=20, deadline=None)
+    def test_the_tridiagonal_route_dominates_with_no_eigenvalue(self, c, seed, n):
+        rng = np.random.default_rng(seed)
+        bands = random_banded_null(rng, n, 1)
+        support = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        b = log_uniform(rng, support.size, lo=1e-12)
+        got = kl.compare(kl.GaussianLaw(bands), support, b)
+        assert got.route == "tridiagonal" and got.mu_error == 0.0
+        assert got.dominates(c)
+        assert mp_margin(bands.dense(), as_runs(support), np.diag(b), c) >= 0.0
+
+    def test_a_margin_below_the_rounding_bound_reads_false(self):
+        # a positive min(mu) of 1e-17 is kept against 1 - c = 0, but lies
+        # within k eps max|mu|, and B, whose spectrum it is, does not resolve
+        # it either
+        law = kl.GaussianLaw(np.eye(4))
+        got = kl.compare(law, np.arange(2), np.diag([1e-17, 1.0]))
+        assert got.mu[0] == 1e-17 and got.mu_error == 2.0 * np.finfo(float).eps
+        assert not got.dominates(1.0) and got.dominates(0.5)
+
+    @pytest.mark.parametrize("entry", [1.0, -1.0])
+    def test_the_block_decides_what_the_spectrum_leaves_unresolved(self, entry):
+        # against the null diag(1e10, 1), B = diag(entry 1e-10, 1) has mu =
+        # (entry 1e-20, 1): the least lies within mu_error = 2 eps, but B's
+        # own spectrum resolves its sign, built once more to read it
+        calls = []
+
+        def build(out):
+            calls.append(out.shape)
+            np.copyto(out, np.diag([entry * 1e-10, 1.0]))
+
+        got = kl.compare(kl.GaussianLaw(np.diag([1e10, 1.0])), np.arange(2), build)
+        assert abs(got.mu[0] - entry * 1e-20) <= 1e-35 and got.mu[1] == 1.0
+        assert got.mu_error == 2.0 * np.finfo(float).eps
+        assert got.dominates(1.0) == (entry > 0.0) and len(calls) == 2
+        # a margin of 1/2 is resolved by the spectrum alone
+        assert got.dominates(0.5) and len(calls) == 2
+
+    @pytest.mark.parametrize("spread", [False, True])
+    def test_the_verdict_builds_no_block(self, spread):
+        # m2 bumps apart take the general route, adjacent bumps the banded one
+        n = 128
+        spec = models.ModelSpec("m2", n, 0.1)
+        base = family_alternative("m2", n, 0)
+        m = base.centers.size
+        codeword = (np.arange(m) % 2 if spread else np.arange(m) < 2).astype(float)
+        profile = BumpSumProfile(base.kernel, base.centers, base.h, base.amplitude, codeword)
+        support, build = models.bump_difference(spec, profile, unit_bands(spec))
+        calls = []
+
+        def counted(out):
+            calls.append(out.shape)
+            build(out)
+
+        got = kl.compare(null_law(spec), support, counted)
+        assert got.route == ("general" if spread else "banded") and len(calls) == 1
+        for c in (1.0, 0.9, 1.0 / 14.0):
+            got.dominates(c)
+        assert len(calls) == 1
+
+
 class TestBandedLaw:
     def banded(self, a, width):
         n = a.shape[0]
@@ -685,7 +828,7 @@ class TestTridiagonalRoute:
         got = kl.compare(null, support, b)
         want = general(null, support, np.diag(b))
         assert (got.route, want.route) == ("tridiagonal", "general")
-        assert got.block.ndim == 1 and want.block.ndim == 2
+        assert got.source.ndim == 1 and want.source.ndim == 2
         assert got.mu.size == 0
         assert rel(got.kl, want.kl) <= 1e-12
         assert rel(got.middle_sq, want.middle_sq) <= 1e-12
@@ -828,7 +971,7 @@ class TestTridiagonalRoute:
         # the same vector on the general path, bit for bit the diagonal block
         want = general(null, support, b)
         assert np.array_equal(want.mu, general(null, support, np.diag(b)).mu)
-        assert got.block.ndim == 2 and np.array_equal(got.block, np.diag(b))
+        assert got.source.ndim == 2 and np.array_equal(got.source, np.diag(b))
         assert got.route == ("general" if case == "dense" else "banded")
         assert got.right_sq == want.right_sq
         if got.route == "general":
@@ -845,14 +988,16 @@ class TestTridiagonalRoute:
         assert got.dominates(1.0) and got.loewner_constant == 1.0
 
     @pytest.mark.parametrize("shift", [0.0, -1e-12, -1e-9, -1e-4])
-    def test_domination_equals_the_dense_test(self, shift):
+    def test_domination_follows_the_sign_of_the_least_entry(self, shift):
+        # a negative entry of -1e-12 ||b|| is far outside the eigenvalues'
+        # rounding, so the alternative does not dominate the null
         null = m1_null(64)
         support = np.arange(5, 40)
         b = log_uniform(np.random.default_rng(6), support.size, lo=1e-40) * 1e-2
         b[7] = shift * np.linalg.norm(b) if shift else b[7]
         got = kl.compare(null, support, b)
-        assert (got.block.ndim == 1) == (shift == 0.0)
-        assert got.dominates(1.0) == la.is_psd(np.diag(b))
+        assert (got.route == "tridiagonal") == (shift == 0.0)
+        assert got.dominates(1.0) == (np.min(b) > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1077,7 +1222,8 @@ class TestWorkArrays:
         for name in ("kl", "middle_sq", "right_sq", "loewner_constant"):
             assert getattr(got, name).hex() == getattr(want, name).hex()
         assert got.dominates(1.0) == want.dominates(1.0)
-        assert np.array_equal(got.block.view(np.int64), block.view(np.int64))
+        built = kl.block_array(got.source, len(support))
+        assert np.array_equal(built.view(np.int64), block.view(np.int64))
 
     def test_a_builder_that_breaks_symmetry_is_refused(self):
         null = m1_null(64)

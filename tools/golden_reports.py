@@ -87,6 +87,12 @@ CASES = {
     "certificate-m1-n512-alpha0.6-c30": (
         ["certificate", "--model", "m1", "--n", "512", "--alpha", "0.6",
          "--L", "1", "--tau", "0.1", "--c", "30", "--max-hypotheses", "4"], None),
+    "certificate-m2-L-unresolved-precondition": (
+        ["certificate", "--model", "m2", "--n", "64", "--c", "8", "--L", "1e15",
+         "--seed", "1"], None),
+    "certificate-m3-n4096-unresolved-spectrum": (
+        ["certificate", "--model", "m3", "--n", "4096", *_CERT, "--c", "9",
+         "--seed", "0"], None),
     "certificate-config": (
         ["certificate", "--c", "10", "--seed", "2"],
         "model = m3\nn = 128\ntau = 0.05\n"),
@@ -95,6 +101,12 @@ CASES = {
          "--c", "1", "--tau", "0.1"], None),
     "two-point-n-zero": (["two-point-m3", "--n", "0", "--c", "1"], None),
     "two-point-n-negative": (["two-point-m3", "--n", "-4", "--c", "1"], None),
+    "two-point-m3-unresolved-spectrum": (
+        ["two-point-m3", "--n", "2048", "--sigma-min", "0.1", "--sigma-max", "4",
+         "--c", "1", "--tau", "1"], None),
+    "two-point-sigma-max-overshoot": (
+        ["two-point-m3", "--n", "256", "--sigma-min", "1e-14", "--sigma-max", "1e-13",
+         "--c", "1.5e-12", "--tau", "0.1"], None),
     "rate-table-json": (
         ["rate-table", "--alphas", "0.6,1,2", "--qs", "0,0.5,1"], None),
     "rate-table-csv": (

@@ -16,9 +16,10 @@ of its code objects name) nothing ran, and those lines as ranges::
 
     src/mnlab/models.py: 12 of 180 lines not run: 101, 230-233
 
-and last the totals over the package, its executable line count among them::
+and last the totals over the package, its executable line count among them,
+and the package's line count as ``wc -l src/mnlab/*.py`` gives it::
 
-    src/mnlab: 190 of 2410 lines not run
+    src/mnlab: 190 of 2410 lines not run; 4520 lines in all
 
 Case output is discarded and exit codes are not checked: the golden
 reports pin those.  A full scan takes about half a minute on two cores.
@@ -143,7 +144,7 @@ def main(argv=None) -> int:
             finally:
                 os.chdir(home)
             sys.stderr.write(f"{name}: done\n")
-    total_missed = total_lines = 0
+    total_missed = total_lines = total_text = 0
     for path in sorted(PACKAGE.glob("*.py")):
         lines = executable_lines(path)
         missed = lines - {line for p, line in tracer.ran if p == path}
@@ -151,7 +152,9 @@ def main(argv=None) -> int:
               f"not run" + (f": {_ranges(missed)}" if missed else ""))
         total_missed += len(missed)
         total_lines += len(lines)
-    print(f"{PACKAGE.relative_to(ROOT)}: {total_missed} of {total_lines} lines not run")
+        total_text += path.read_bytes().count(b"\n")
+    print(f"{PACKAGE.relative_to(ROOT)}: {total_missed} of {total_lines} lines not run; "
+          f"{total_text} lines in all")
     return 0
 
 
