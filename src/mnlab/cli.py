@@ -92,6 +92,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
     return _list_of(_finite_float, text)
 
@@ -112,8 +119,8 @@ def _load_config_file(path: str) -> dict:
 
 # every flag, in the order the usage lists them: name -> (type, default,
 # allowed values).  The parser and config files both read this table; the
-# seed's default is MNLAB_SEED, else 0.  Float flags must be finite,
-# trials, count, max_hypotheses and workers at least 1, and lists non-empty.
+# seed's default is MNLAB_SEED, else 0.  Float flags must be finite, seed at
+# least 0, trials, count, max_hypotheses and workers at least 1, lists non-empty.
 _FLAGS = {
     "model": (str, "m1", ("m1", "m2", "m3")),
     "n": (int, 256, None),
@@ -122,7 +129,7 @@ _FLAGS = {
     "tau": (_finite_float, 0.1, None),
     "c": (_finite_float, None, None),
     "kappa": (_finite_float, 0.09, None),
-    "seed": (int, None, None),
+    "seed": (_non_negative_int, None, None),
     "reps": (int, 200, None),
     "trials": (_positive_int, 1000, None),
     "count": (_positive_int, 100, None),
@@ -170,11 +177,13 @@ def _resolve(args: argparse.Namespace) -> dict:
         elif key in file_values:
             cfg[key] = _from_file(key, file_values[key])
         elif key == "seed":
-            env = os.environ.get("MNLAB_SEED")
+            env = os.environ.get("MNLAB_SEED") or "0"
             try:
-                cfg[key] = int(env) if env else 0
+                cfg[key] = _non_negative_int(env)
             except ValueError:
                 raise ValueError(f"MNLAB_SEED is not an integer: {env!r}") from None
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"MNLAB_SEED is {exc}") from None
         else:
             cfg[key] = default
     return cfg

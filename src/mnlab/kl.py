@@ -63,13 +63,13 @@ coordinate ``v = 1_R / sqrt(|R|)`` (:func:`_fold_leading` holds the
 proof).  One banded Cholesky ``P^-1 = L L^T`` and two banded triangular
 solves give ``M = L^-1 B L^-T``, similar to ``B P``, whose eigenvalues
 are the ``mu``: O(n w^2 + k^2 w + k^3) with no solve of size ``n``.
-``B`` is written into one column-order ``k x k`` work matrix, which both
-solves and the eigenproblem overwrite.  The block may be a builder, a
-callable that writes ``B`` into the array it is handed, as the m2 and m3
-blocks of :func:`~mnlab.models.bump_difference` are: then that work
-matrix is the only ``k x k`` array of the comparison, and ``B`` is built
-again, unkept, only for the outer bound and for a Loewner test that the
-``mu`` leave unresolved.  An array block is copied, never written.
+:func:`block_array` writes ``B`` into one column-order ``k x k`` work
+matrix, which both solves and the eigenproblem overwrite; an array block
+is copied, never written.  The block may be a builder, a callable that
+writes ``B`` into the array it is handed, as the m2 and m3 blocks of
+:func:`~mnlab.models.bump_difference` are: then that work matrix is the
+only ``k x k`` array of the comparison, and ``B`` is built again, unkept,
+only for the outer bound and for a Loewner test the ``mu`` leave open.
 This covers the m2 and m3 bump alternatives whose bumps are adjacent,
 the kl-scaling bumps among them (the unmoved stretch before an m2 bump
 is one run).  The outer bound, which only certificates ask for, keeps
@@ -318,42 +318,31 @@ def _schur_tridiagonal(diag: np.ndarray, off: np.ndarray, rows: np.ndarray):
     """Diagonal and off-diagonal of the Schur complement ``C_S`` of an SPD
     tridiagonal matrix ``A`` onto the sorted ``rows`` ``S``.
 
-    ``C_S = ((A^-1)_SS)^-1`` is tridiagonal in the order of ``S``.  The
-    other rows fall into gaps of consecutive rows, and the gap matrices
-    ``G`` are eliminated independently: a gap ``[p, q]`` between two rows
-    of ``S`` subtracts ``e_l^2 (G^-1)_pp`` from the diagonal at ``p - 1``,
-    ``e_r^2 (G^-1)_qq`` from that at ``q + 1`` and ``e_l e_r (G^-1)_pq``
-    from the entry joining them, where ``e_l = A[p - 1, p]`` and ``e_r =
-    A[q, q + 1]``; a gap at either end only the diagonal term.  One
-    ``L D L^T`` of all gaps top down gives ``(G^-1)_qq = 1 / d_q`` and
-    ``(G^-1)_pq = prod_{j=p}^{q-1} (-l_j) / d_q``, one bottom up gives
-    ``(G^-1)_pp``.  Neighbouring rows of ``S`` keep their entry of ``A``.
+    ``C_S = ((A^-1)_SS)^-1`` is tridiagonal in the order of ``S``.  The other
+    rows fall into gaps of consecutive rows, each eliminated on its own: a gap
+    ``G = [p, q]`` between two rows of ``S`` subtracts ``e_l^2 (G^-1)_pp`` from
+    the diagonal at ``p - 1``, ``e_r^2 (G^-1)_qq`` from that at ``q + 1`` and
+    ``e_l e_r (G^-1)_pq`` from the entry joining them, where ``e_l = A[p - 1,
+    p]`` and ``e_r = A[q, q + 1]``; a gap at either end only the diagonal term.
+    Its ``L D L^T`` top down gives ``(G^-1)_qq = 1 / d_q`` and ``(G^-1)_pq =
+    prod_{j=p}^{q-1} (-l_j) / d_q``, bottom up ``(G^-1)_pp``.  Neighbouring
+    rows of ``S`` keep their entry of ``A``.  Squares are ``x * x``: a float64
+    scalar's ``x ** 2`` calls ``pow``, whose last bit may differ.
     """
-    gap = np.ones(diag.size, dtype=bool)
-    gap[rows] = False
-    g = np.flatnonzero(gap)
-    at = np.cumsum(gap) - 1  # position of a gap row in g
-    # A_GG in the order of g: rows that are not grid neighbours are uncoupled
-    g_diag, g_off = diag[g], np.where(np.diff(g) == 1, off[g[:-1]], 0.0)
-    down, l = _ldl(g_diag, g_off)
-    up = _ldl(g_diag[::-1], g_off[::-1])[0][::-1]
-    pad = np.concatenate(([False], gap, [False]))
     c_diag = diag[rows].copy()
-    above, below = pad[rows], pad[rows + 2]
-    i = rows[above] - 1
-    c_diag[above] -= off[i] ** 2 / down[at[i]]
-    i = rows[below]
-    c_diag[below] -= off[i] ** 2 / up[at[i + 1]]
     c_off = np.where(np.diff(rows) == 1, off[rows[:-1]], 0.0)
-    inner = np.flatnonzero(np.diff(rows) > 1)
-    if inner.size:
-        p, q = rows[inner] + 1, rows[inner + 1] - 1
-        # -l over each gap, with the factors outside every gap set to 1
-        f = np.ones(g.size)
-        f[:-1] = -l
-        f[at[q]] = 1.0
-        f[at[q[-1]]:] = 1.0
-        c_off[inner] = -off[p - 1] * off[q] * np.multiply.reduceat(f, at[p]) / down[at[q]]
+    # gap j lies between edges[j] and edges[j + 1]: rows, ended by -1 and n
+    edges = np.concatenate(([-1], rows, [diag.size]))
+    for j in np.flatnonzero(np.diff(edges) > 1):
+        p, q = edges[j] + 1, edges[j + 1] - 1
+        down, l = _ldl(diag[p:q + 1], off[p:q])
+        up = _ldl(diag[p:q + 1][::-1], off[p:q][::-1])[0]
+        if j < rows.size:
+            c_diag[j] -= off[q] * off[q] / down[-1]
+        if j > 0:
+            c_diag[j - 1] -= off[p - 1] * off[p - 1] / up[-1]
+        if 0 < j < rows.size:
+            c_off[j - 1] = -off[p - 1] * off[q] * np.prod(-l) / down[-1]
     return c_diag, c_off
 
 
@@ -631,7 +620,7 @@ class Comparison:
             return True
         if margin < -self.mu_error:
             return False
-        least = _spectrum(_work_matrix(self.source, self.support.k))[0]
+        least = _spectrum(block_array(self.source, self.support.k))[0]
         return bool(least[0] >= _rounding(least))
 
 
@@ -644,10 +633,9 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
     vector of ``k`` entries read as the diagonal ``B = diag(b)``, or a
     builder: a callable ``block(out)`` that writes ``B`` into the
     row-order ``k x k`` array ``out`` it is handed.  Off the tridiagonal
-    route ``B`` is written into one column-order ``k x k`` work matrix,
-    built there or copied, so an array passed in is never written, and
-    the route overwrites that matrix: with a builder it is the only ``k x
-    k`` array the comparison holds.
+    route :func:`block_array` writes ``B`` into the work matrix that the
+    route overwrites, so an array passed in is never written: with a
+    builder it is the only ``k x k`` array the comparison holds.
 
     When the null is tridiagonal (a :class:`~mnlab.linalg.Banded` of
     bandwidth 1), every run is one index and every ``b > 0``, the comparison
@@ -693,7 +681,7 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
                               middle_sq=middle_sq, kl=kl, route="tridiagonal")
         block = np.diag(block)
     # the one k x k array: B, built or copied, then overwritten by the route
-    work = _work_matrix(block, k)
+    work = block_array(block, k)
     check_symmetric(work.T, "block")
     inverse = _hull_inverse(null, runs)
     if inverse is None:
@@ -722,24 +710,17 @@ def _rounding(spectrum: np.ndarray) -> float:
                  * max(abs(spectrum[0]), abs(spectrum[-1])))
 
 
-def _work_matrix(block, k: int) -> np.ndarray:
-    """``B`` in a new column-order ``k x k`` array, built there by a builder
-    or copied from an array, for a route to overwrite."""
-    work = np.empty((k, k), order="F")
-    if callable(block):
-        block(work.T)
-    else:
-        np.copyto(work.T, block)
-    return work
-
-
 def block_array(block, k: int) -> np.ndarray:
-    """``B`` as an array: a builder's block built in a new ``k x k`` array,
-    an array or a vector of diagonal entries returned as it is."""
-    if not callable(block):
+    """``B`` as an array: a vector of diagonal entries as it is, else ``B`` in
+    a new column-order ``k x k`` array, for a route to overwrite: built there
+    by a builder (handed its row-order transpose) or copied from an array."""
+    if not callable(block) and np.ndim(block) == 1:
         return np.asarray(block, dtype=float)
-    out = np.empty((k, k))
-    block(out)
+    out = np.empty((k, k), order="F")
+    if callable(block):
+        block(out.T)
+    else:
+        np.copyto(out.T, block)
     return out
 
 

@@ -271,6 +271,47 @@ def test_env_seed_that_is_no_integer_names_the_variable():
     assert proc.stderr == "error: MNLAB_SEED is not an integer: 'abc'\n"
 
 
+@pytest.mark.parametrize("args", [
+    ("verify-kl", "--seed", "-1"),
+    ("simulate-rate", "--ns", "64", "--reps", "100", "--seed", "-1"),
+    # an exhaustive code draws nothing, yet the seed is refused all the same
+    ("certificate", "--model", "m1", "--n", "256", "--c", "9", "--seed", "-1"),
+    ("rate-table", "--seed=-5"),
+])
+def test_a_negative_seed_flag_exits_one(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    seed = args[-1].rpartition("=")[2]
+    assert proc.stderr.endswith(
+        f"error: argument --seed: not a non-negative integer: '{seed}'\n")
+    assert proc.stderr.count("error:") == 1
+
+
+def test_a_negative_seed_in_a_config_file_names_its_key(tmp_path):
+    config = tmp_path / "seed.cfg"
+    config.write_text("seed = -1\n")
+    proc = run_cli("verify-kl", "--config", str(config))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: config value seed: not a non-negative integer: '-1'\n"
+
+
+def test_a_negative_env_seed_names_the_variable():
+    proc = run_cli("verify-kl", env={"MNLAB_SEED": "-1"})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: MNLAB_SEED is not a non-negative integer: '-1'\n"
+
+
+def test_seed_zero_is_a_seed(tmp_path):
+    out = tmp_path / "report.json"
+    proc = run_cli("verify-spectral", "--n", "8", "--seed", "0", "--out", str(out),
+                   env={"MNLAB_SEED": "-1"})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["config"]["seed"] == 0
+
+
 @pytest.mark.parametrize("line, detail", [
     ("n = abc", "invalid literal for int() with base 10: 'abc'"),
     ("tau = x", "could not convert string to float: 'x'"),

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import subprocess
@@ -81,13 +82,21 @@ def test_traffic_lists_the_lines_a_case_does_not_run():
 
     assert line_of('raise ValueError(f"config value {key}: {exc}")') not in missed
     assert line_of('raise ValueError(f"MNLAB_SEED is not an integer') in missed
+    # the count outside raise statements leaves out every line of a raise,
+    # the lines of its arguments among them
+    raises = {line for node in ast.walk(ast.parse("\n".join(source)))
+              if isinstance(node, ast.Raise)
+              for line in range(node.lineno, node.end_lineno + 1)}
+    outside = int(reports["src/mnlab/cli.py"].split(", ", 1)[1].split()[0])
+    assert outside == len(missed - raises) < len(missed)
     assert line_of("def main(argv=None)") not in missed  # run at import
     # certificate is never imported by this case: every line is missed
     missed_count, _, total = reports["src/mnlab/certificate.py"].split()[:3]
     assert missed_count == total
     # the last line sums the modules
     assert proc.stdout.splitlines()[-1].startswith("src/mnlab: ")
-    counts = {name: tuple(int(report.split()[i]) for i in (0, 2))
+    counts = {name: (*(int(report.split()[i]) for i in (0, 2)),
+                     int(report.split(", ", 1)[1].split()[0]))
               for name, report in reports.items()}
     modules = [count for name, count in counts.items() if name.endswith(".py")]
     assert len(modules) == len(counts) - 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import as_runs, rand_psd, scatter
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 from mnlab import kl, models
@@ -895,6 +895,37 @@ class TestTridiagonalRoute:
     def test_inverse_diagonals_of_one_row(self):
         gamma, gamma_s = kl._inverse_diagonals(np.array([0.5]), np.zeros(0))
         assert gamma.tolist() == [0.5] and gamma_s.tolist() == [1.0]
+
+    @given(seed=hs.integers(0, 2**32 - 1), head=hs.sampled_from([0, 1, 2, 23]),
+           tail=hs.sampled_from([0, 1, 2, 23]),
+           runs=hs.lists(hs.tuples(hs.integers(1, 4), hs.sampled_from([1, 2, 23])),
+                         min_size=1, max_size=8))
+    @example(seed=0, head=0, tail=0, runs=[(40, 1)])  # every row
+    @example(seed=1, head=23, tail=23, runs=[(1, 1)])  # one row
+    @settings(max_examples=150, deadline=None)
+    def test_schur_complement_is_its_definition(self, seed, head, tail, runs):
+        # gaps of 0, 1, 2 and 23 rows: at both ends, inside, or none
+        rows, at = [], head
+        for length, gap in runs:
+            rows.extend(range(at, at + length))
+            at += length + gap
+        rows = np.array(rows)
+        n = rows[-1] + 1 + tail
+        rng = np.random.default_rng(seed)
+        off = rng.uniform(-1.0, 1.0, n - 1)
+        margin = 10.0 ** rng.uniform(-1.0, 1.0, n)
+        diag = np.abs(np.append(off, 0.0)) + np.abs(np.insert(off, 0, 0.0)) + margin
+        a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        want = np.linalg.inv(np.linalg.inv(a)[np.ix_(rows, rows)])
+        c_diag, c_off = kl._schur_tridiagonal(diag, off, rows)
+        got = np.diag(c_diag) + np.diag(c_off, 1) + np.diag(c_off, -1)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # rows with no gap beside them keep their entries of A exactly
+        near = np.diff(rows) == 1
+        assert np.array_equal(c_off[near], off[rows[:-1][near]])
+        beside_gap = (rows > 0) & ~np.isin(rows - 1, rows) \
+            | (rows < n - 1) & ~np.isin(rows + 1, rows)
+        assert np.array_equal(c_diag[~beside_gap], diag[rows][~beside_gap])
 
     @given(seed=hs.integers(0, 2**32 - 1), k=hs.integers(1, 5000))
     @settings(max_examples=60, deadline=None)

@@ -165,6 +165,26 @@ class TestPsdAndLoewner:
     def test_indefinite_2x2(self):
         assert not la.is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_least_eigenvalue_against_the_tolerance(self, tol):
+        # Q diag(lam) Q^T with lam_min at -f tol ||m||_F: rounding moves it
+        # by about n eps ||m||_F, far less than the gap between f = 1/2 and 2
+        rng = np.random.default_rng(int(1 / tol))
+        for n in range(2, 65):
+            q, r = np.linalg.qr(rng.standard_normal((n, n)))
+            q *= np.sign(np.diag(r))
+            rest = rng.uniform(0.1, 10.0, n - 1)
+            for f, psd in ((0.5, True), (2.0, False)):
+                least = -f * tol * np.linalg.norm(rest) / np.sqrt(1.0 - (f * tol) ** 2)
+                m = la.sym((q * np.append(least, rest)) @ q.T)
+                assert la.is_psd(m, tol=tol) is psd, (n, f)
+                assert abs(np.linalg.eigvalsh(m)[0] - least) <= 0.1 * tol * la.frobenius_norm(m)
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_zero_matrix_is_psd(self, n):
+        assert la.is_psd(np.zeros((n, n)))
+        assert la.is_psd(np.zeros((n, n)), tol=0.0)
+
     def test_loewner_scalar_cases(self):
         assert la.loewner_leq(np.eye(3), 2.0 * np.eye(3))
         assert not la.loewner_leq(2.0 * np.eye(3), np.eye(3))

@@ -204,6 +204,10 @@ CASES = {
     "usage-no-command": ([], None),
     "usage-count-zero": (["verify-posdefmaj", "--count", "0", "--ns", "16"], None),
     "usage-trials-zero": (["verify-kl", "--trials", "0"], None),
+    "usage-seed-negative": (["verify-kl", "--seed", "-1"], None),
+    "certificate-seed-negative": (
+        ["certificate", "--model", "m1", "--n", "256", "--c", "9", "--seed", "-1"],
+        None),
     "usage-max-hypotheses-zero": (
         ["verify-model3-structure", "--n", "32", "--max-hypotheses", "0"], None),
     "usage-c-zero": (["verify-model3-structure", "--n", "32", "--c", "0"], None),
