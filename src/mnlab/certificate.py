@@ -36,11 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hypotheses import (
-    build_family,
-    separation_closed_form,
-    single_bump_profile,
-)
+from .hypotheses import _L_MAX, build_family, separation_closed_form, single_bump_profile
 from .kl import GaussianLaw, compare
 from .models import ModelSpec, bump_difference, differenced_bands
 from .profiles import ConstantProfile
@@ -453,7 +449,8 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     lies in the default bump) has no logarithm: with two or more sizes it
     raises ``ValueError`` naming the n; one size fits no slope anyway, and
     no logarithm is taken.  A repeated n, which would count twice in the
-    slope, raises ``ValueError`` naming it before any KL is computed.
+    slope, raises ``ValueError`` naming it before any KL is computed, as
+    does a ``bump_width^alpha`` above 1e50, the bound of ``L``.
     """
     if model not in ("m1", "m2", "m3"):
         raise ValueError("probe covers models m1, m2, m3")
@@ -461,6 +458,9 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
         raise ValueError("needs tau > 0")
     if bump_width <= 0.0 or l_const <= 0.0:
         raise ValueError("need bump width > 0, L > 0")
+    # width^alpha scales the bump as L does; as logarithms, nothing overflows
+    if alpha * math.log(bump_width) > math.log(_L_MAX):
+        raise ValueError(f"bump width^alpha must be at most {_L_MAX:g}")
     n_list = [int(n) for n in n_list]
     repeated = [n for i, n in enumerate(n_list) if n in n_list[:i]]
     if repeated:

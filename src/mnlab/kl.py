@@ -40,25 +40,25 @@ The solve for ``X`` runs in column blocks, so no dense ``n x k`` array is
 held at large ``n``.
 
 A bump alternative of model m1 differs from its tridiagonal null by a
-diagonal block ``B = diag(b)``, ``b > 0``, on one-index runs, and
-``compare`` takes it by the tridiagonal route instead, which computes no
-eigenvalue.  ``P`` is the inverse of the Schur complement ``C_S`` of the
-null onto the support, tridiagonal and built gap by gap in O(n).  As
-``mu - log1p(mu) = int_0^1 (1 - t) mu^2 / (1 + t mu)^2 dt``, the KL is
-one checked quadrature of the O(k) trace ``h(t) = tr((B (C_S +
-t B)^-1)^2)``, and the outer bound is ``sum_j b_j^2 (sigma0^-2)_jj``,
-both from twisted factorisations: O(n) time and memory, even when ``b``
-spans sixty orders of magnitude.
+diagonal block ``B = diag(b)``, ``b > 0``, on one-index runs, passed as
+the vector ``b``: the one vector block ``compare`` takes, by the
+tridiagonal route, with no eigenvalue.  ``P`` is the inverse of the
+Schur complement ``C_S`` of the null onto the support, tridiagonal and
+built gap by gap in O(n).  As ``mu - log1p(mu) = int_0^1 (1 - t) mu^2 /
+(1 + t mu)^2 dt``, the KL is one checked quadrature of the O(k) trace
+``h(t) = tr((B (C_S + t B)^-1)^2)``, and the outer bound is ``sum_j
+b_j^2 (sigma0^-2)_jj``, both from twisted factorisations: O(n) time and
+memory, even when ``b`` spans sixty orders of magnitude.
 
 A dense block against a banded null of bandwidth ``w`` takes the banded
 route when the support's runs tile their hull ``H = [a, b)`` (every row
-of ``H`` in exactly one run) and every run but the first and the last
-has one index; for a tridiagonal null the runs may also leave gaps.
+of ``H`` in exactly one run) and every run but the first has one
+index; for a tridiagonal null the runs may also leave gaps.
 Then ``P^-1`` is itself banded with bandwidth ``w``.  Eliminating the
 pieces ``[0, a)`` and ``[b, n)`` leaves the Schur complement ``C_H``,
 ``null_HH`` less two ``w x w`` corner corrections, each from the
 trailing triangle of the piece's banded Cholesky factor; a multi-index
-end run ``R`` is eliminated the same way and added back as the one
+first run ``R`` is eliminated the same way and added back as the one
 coordinate ``v = 1_R / sqrt(|R|)`` (:func:`_fold_leading` holds the
 proof).  One banded Cholesky ``P^-1 = L L^T`` and two banded triangular
 solves give ``M = L^-1 B L^-T``, similar to ``B P``, whose eigenvalues
@@ -104,7 +104,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _lapack
-from .errors import NotPositiveDefinite
+from .errors import NoConvergence, NotPositiveDefinite
 from .linalg import Banded, check_symmetric, cholesky_lower, mirror_lower, transpose_in_place
 from .profiles import checked_cells
 
@@ -377,11 +377,9 @@ def _inverse_diagonals(diag: np.ndarray, off: np.ndarray, rate=1.0):
 
 
 def _tridiagonal(law: GaussianLaw):
-    """The diagonal and off-diagonal of a tridiagonal banded law, else None."""
-    if law.banded and law._cov.bands.shape[0] == 2:
-        bands = law._cov.bands
-        return bands[0], bands[1, :-1]
-    return None
+    """The diagonal and off-diagonal of a tridiagonal banded law."""
+    bands = law._cov.bands
+    return bands[0], bands[1, :-1]
 
 
 def _diagonal_route(diag: np.ndarray, off: np.ndarray, rows: np.ndarray,
@@ -516,11 +514,11 @@ def _hull_inverse(null: GaussianLaw, runs: _Runs):
     The support's runs must tile their hull ``H = [a, b)`` (for a
     tridiagonal null, whose elimination :func:`_schur_tridiagonal` leaves
     tridiagonal across gaps, they may leave gaps), and every run but the
-    first and the last must have one index.  Then ``P^-1`` has the null's
-    bandwidth ``w``: the Schur complement ``C_H`` of the null onto ``H``
-    (``null_HH`` less two ``w x w`` corner corrections from the pieces
-    ``[0, a)`` and ``[b, n)``, :func:`_eliminate_leading`), with a
-    multi-index first or last run folded into one coordinate by
+    first must have one index, as in every support the models build.  Then
+    ``P^-1`` has the null's bandwidth ``w``: the Schur complement ``C_H`` of
+    the null onto ``H`` (``null_HH`` less two ``w x w`` corner corrections
+    from the pieces ``[0, a)`` and ``[b, n)``, :func:`_eliminate_leading`),
+    with a multi-index first run folded into one coordinate by
     :func:`_fold_leading`.  O(n w^2) time, and no solve of size ``n``.
     """
     if not null.banded:
@@ -529,7 +527,7 @@ def _hull_inverse(null: GaussianLaw, runs: _Runs):
     w, n = bands.shape[0] - 1, bands.shape[1]
     rows, lengths = runs.rows, runs.lengths
     a, b = int(rows[0]), int(rows[-1]) + 1
-    if w < 1 or np.any(lengths[1:-1] > 1):
+    if w < 1 or np.any(lengths[1:] > 1):
         return None
     if w == 1:
         c_diag, c_off = _schur_tridiagonal(*_tridiagonal(null), rows)
@@ -544,8 +542,6 @@ def _hull_inverse(null: GaussianLaw, runs: _Runs):
             c = _reversed(_eliminate_leading(_reversed(c), n - b)[2])
     if lengths[0] > 1:
         c = _fold_leading(c, int(lengths[0]))
-    if runs.k > 1 and lengths[-1] > 1:
-        c = _reversed(_fold_leading(_reversed(c), int(lengths[-1])))
     return c
 
 
@@ -554,20 +550,20 @@ class Comparison:
     """A null law against ``null + W B W^T``, reduced to ``k x k``.
 
     ``support`` holds the validated runs of ``W`` and ``source`` the block
-    ``B`` as :func:`compare` read it: an array, or a builder.  ``mu`` holds
-    the eigenvalues of ``R^T B R`` ascending, ``middle_sq`` is ``||R^T B
-    R||_F^2 = sum(mu^2)`` and ``kl`` the exact divergence (nats), ``(1/2)
-    sum(mu - log1p(mu))``, and ``mu_error = k eps max|mu|`` the
-    eigensolver's rounding bound on ``mu`` (0 with no eigenvalue), which
-    :meth:`dominates` and the refusal of :func:`compare` read.
-    ``right_sq = ||X B||_F^2`` is computed on first use, by :meth:`bound`,
-    from ``B`` built anew: by a second solve with ``k`` right-hand sides,
-    or on the tridiagonal route, where ``source`` is the diagonal ``b`` of
-    ``B``, as ``sum_j b_j^2 (null^-2)_jj`` in O(n).  ``route`` names the
-    route :func:`compare` took: ``"tridiagonal"`` (no eigenvalues, so
-    ``mu`` is empty; as ``b > 0``, the Loewner constant is 1),
-    ``"banded"`` (``mu`` and ``middle_sq`` from ``L^-1 B L^-T``, ``P^-1 =
-    L L^T``, similar to ``R^T B R``) or ``"general"``.
+    ``B`` as :func:`compare` read it: an array, a builder, or the vector
+    ``b`` of the tridiagonal route.  ``mu`` holds the eigenvalues of ``R^T B
+    R`` ascending, ``middle_sq`` is ``||R^T B R||_F^2 = sum(mu^2)`` and
+    ``kl`` the exact divergence (nats), ``(1/2) sum(mu - log1p(mu))``, and
+    ``mu_error = k eps max|mu|`` the eigensolver's rounding bound on ``mu``
+    (0 with no eigenvalue), which :meth:`dominates` and the refusal of
+    :func:`compare` read.  ``right_sq = ||X B||_F^2`` is computed on first
+    use, by :meth:`bound`: from ``B`` built anew by a second solve with
+    ``k`` right-hand sides, or on the tridiagonal route from ``source``
+    itself as ``sum_j b_j^2 (null^-2)_jj`` in O(n).  ``route`` names the
+    route :func:`compare` took: ``"tridiagonal"`` (no eigenvalues, so ``mu``
+    is empty; as ``b > 0``, the Loewner constant is 1), ``"banded"`` (``mu``
+    and ``middle_sq`` from ``L^-1 B L^-T``, ``P^-1 = L L^T``, similar to
+    ``R^T B R``) or ``"general"``.
     """
 
     null: GaussianLaw
@@ -581,12 +577,12 @@ class Comparison:
 
     @cached_property
     def right_sq(self) -> float:
-        block = block_array(self.source, self.support.k)
         if self.route == "tridiagonal":
             gamma, gamma_s = _inverse_diagonals(*_tridiagonal(self.null))
             rows = self.support.rows
-            return math.fsum((block / gamma[rows]) ** 2 * gamma_s[rows])
-        return _solve_norm_sq(self.null, self.support, block)
+            return math.fsum((self.source / gamma[rows]) ** 2 * gamma_s[rows])
+        return _solve_norm_sq(self.null, self.support,
+                              block_array(self.source, self.support.k))
 
     def bound(self, c: float) -> KLBound:
         """Frobenius bounds, valid when ``c * null <= alternative``."""
@@ -630,37 +626,38 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
     ``support`` holds the ``k`` runs of ``W``: sorted distinct indices,
     or a ``k x 2`` array of sorted disjoint half-open ``(start, stop)``
     runs; ``block`` is the exactly symmetric ``k x k`` matrix ``B``, a
-    vector of ``k`` entries read as the diagonal ``B = diag(b)``, or a
     builder: a callable ``block(out)`` that writes ``B`` into the
-    row-order ``k x k`` array ``out`` it is handed.  Off the tridiagonal
-    route :func:`block_array` writes ``B`` into the work matrix that the
-    route overwrites, so an array passed in is never written: with a
-    builder it is the only ``k x k`` array the comparison holds.
+    row-order ``k x k`` array ``out`` it is handed, or the vector ``b`` of
+    ``B = diag(b)``.  Off the tridiagonal route :func:`block_array` writes
+    ``B`` into the work matrix that the route overwrites, so an array
+    passed in is never written: with a builder it is the only ``k x k``
+    array the comparison holds.
 
-    When the null is tridiagonal (a :class:`~mnlab.linalg.Banded` of
-    bandwidth 1), every run is one index and every ``b > 0``, the comparison
-    takes the tridiagonal route of :func:`_diagonal_route`: the Schur
-    complement of the null onto the support in O(n), the KL as one checked
-    quadrature of an O(k) trace, and the outer bound in O(n), with no
-    eigenvalue, no solve, no Cholesky factor and no dense ``k x k``
-    array.  Any other vector is read as ``np.diag(b)``.  Against a banded
-    null, on runs that tile their hull with one index each except perhaps
-    the first and the last (gaps are allowed for a tridiagonal null), a
-    block takes the banded route: ``P^-1`` built in O(n w^2) by
+    A vector takes the tridiagonal route of :func:`_diagonal_route`, and
+    only in the form of an m1 bump alternative: a tridiagonal null (a
+    :class:`~mnlab.linalg.Banded` of bandwidth 1), one-index runs, every
+    ``b`` finite and ``> 0``.  The route takes the Schur complement of the
+    null onto the support in O(n), the KL as one checked quadrature of an
+    O(k) trace, and the outer bound in O(n), with no eigenvalue, no solve,
+    no Cholesky factor and no dense ``k x k`` array.  Against a banded
+    null, on runs that tile their hull with one index each but perhaps the
+    first (gaps are allowed for a tridiagonal null), a matrix or builder
+    takes the banded route: ``P^-1`` built in O(n w^2) by
     :func:`_hull_inverse`, its banded Cholesky factor, two banded triangular
     solves with ``k`` right-hand sides and one ``k x k`` eigenproblem, O(n
-    w^2 + k^2 w + k^3) with no solve of size ``n``.  Any other block takes
-    the general path: one solve with ``k`` right-hand sides, one ``k x k``
+    w^2 + k^2 w + k^3) with no solve of size ``n``.  Any other takes the
+    general path: one solve with ``k`` right-hand sides, one ``k x k``
     Cholesky factor and one ``k x k`` eigenproblem.  Off the tridiagonal
     route the outer bound takes a second solve with ``k`` right-hand sides,
-    when it is asked for.  :attr:`Comparison.route` records the
-    route.  Raises ``ValueError`` for runs that are empty, unsorted,
-    overlapping or outside ``[0, n)`` and for a ``B`` that is not exactly
-    symmetric, and
-    :class:`~mnlab.errors.NotPositiveDefinite` when the alternative is not
-    positive definite (``1 + min(mu) <= 0``); when that ``1 + min(mu)``
-    lies within :attr:`Comparison.mu_error`, the eigenvalues' rounding bound
-    ``k eps max|mu|``, its sign is unresolved and ``ValueError`` says so.
+    when it is asked for.  :attr:`Comparison.route` records the route.
+    Raises ``ValueError`` for runs that are empty, unsorted, overlapping or
+    outside ``[0, n)``, a vector of any other form and a ``B`` that is not
+    exactly symmetric; :class:`~mnlab.errors.NotPositiveDefinite` when the
+    alternative is not positive definite (``1 + min(mu) <= 0``), or
+    ``ValueError`` when that ``1 + min(mu)`` lies within
+    :attr:`Comparison.mu_error`, the eigenvalues' rounding bound ``k eps
+    max|mu|``, which leaves its sign unresolved; and
+    :class:`~mnlab.errors.NoConvergence` when the eigensolver fails.
     """
     runs = _runs(support, null.size)
     k = runs.k
@@ -673,13 +670,15 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
         return Comparison(null=null, support=runs, source=np.zeros((0, 0)),
                           mu=np.zeros(0), middle_sq=0.0, kl=0.0)
     if not callable(block) and block.ndim == 1:
-        bands = _tridiagonal(null)
-        if bands is not None and np.all(runs.lengths == 1) \
-                and np.all((block > 0.0) & (block < math.inf)):
-            kl, middle_sq = _diagonal_route(*bands, runs.rows, block)
-            return Comparison(null=null, support=runs, source=block, mu=np.zeros(0),
-                              middle_sq=middle_sq, kl=kl, route="tridiagonal")
-        block = np.diag(block)
+        if not (null.banded and null._cov.bands.shape[0] == 2
+                and np.all(runs.lengths == 1)
+                and np.all((block > 0.0) & (block < math.inf))):
+            raise ValueError("a vector block is the diagonal b of B on one-index "
+                             "runs against a tridiagonal banded null, every b "
+                             "finite and > 0; pass any other block as a matrix")
+        kl, middle_sq = _diagonal_route(*_tridiagonal(null), runs.rows, block)
+        return Comparison(null=null, support=runs, source=block, mu=np.zeros(0),
+                          middle_sq=middle_sq, kl=kl, route="tridiagonal")
     # the one k x k array: B, built or copied, then overwritten by the route
     work = block_array(block, k)
     check_symmetric(work.T, "block")
@@ -711,16 +710,14 @@ def _rounding(spectrum: np.ndarray) -> float:
 
 
 def block_array(block, k: int) -> np.ndarray:
-    """``B`` as an array: a vector of diagonal entries as it is, else ``B`` in
-    a new column-order ``k x k`` array, for a route to overwrite: built there
-    by a builder (handed its row-order transpose) or copied from an array."""
-    if not callable(block) and np.ndim(block) == 1:
-        return np.asarray(block, dtype=float)
+    """``B`` in a new column-order ``k x k`` array, for a route to
+    overwrite: built there by a builder (handed its row-order transpose) or
+    copied from a ``k x k`` array."""
     out = np.empty((k, k), order="F")
     if callable(block):
         block(out.T)
     else:
-        np.copyto(out.T, block)
+        np.copyto(out.T, np.reshape(block, (k, k)))
     return out
 
 
@@ -775,6 +772,8 @@ def _spectrum(m: np.ndarray):
     work, iwork, _ = _lapack.dsyevd_lwork(m.shape[0], compute_v=0, lower=1)
     mu, _, info = _lapack.dsyevd(m, compute_v=0, lower=1, lwork=int(work),
                                  liwork=iwork, overwrite_a=1)
+    if info > 0:  # info off-diagonal entries of dsyevd's tridiagonal form stayed nonzero
+        raise NoConvergence(f"eigensolver did not converge: {info} off-diagonal entries left")
     return _solved("dsyevd", mu, info), middle_sq
 
 

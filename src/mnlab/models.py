@@ -7,9 +7,9 @@ Three observation schemes over the grid ``t_i = i/n`` share the form
 * ``m2``: scaled Brownian motion, ``sigma(t_i) W_{t_i} + tau eps_i``;
 * ``m3``: the time-integrated diffusion plus noise.
 
-Each model is analysed under its own differencing, ``_DIFFERENCING``
-(first differences for m1/m2, second for m3), which every
-:class:`ModelSpec` denotes.  Raw covariances come straight from the Ito
+Each model is analysed under its own differencing (first differences
+for m1/m2, second for m3, see :func:`diff_matrix`), which every
+:class:`ModelSpec` implies.  Raw covariances come straight from the Ito
 isometry with all weighted integrals of ``sigma^2`` answered by the
 profile (closed form where the profile allows, quadrature otherwise).
 Differenced covariances are assembled directly from the differenced
@@ -74,8 +74,8 @@ __all__ = [
     "model3_reference_decomposition",
 ]
 
-# each model's differencing, under which its unit-volatility null is banded
-_DIFFERENCING = {"m1": "first", "m2": "first", "m3": "second"}
+# each taken under its own differencing, where its unit-volatility null is banded
+_MODELS = ("m1", "m2", "m3")
 
 # the largest noise level: the exact KL squares covariance entries of order
 # tau^2, and tau^4 must stay far inside the float range
@@ -84,26 +84,20 @@ _TAU_MAX = 1e50
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which observation model, at which size and noise level, under the
-    model's own differencing (``differencing`` may name it, not change it)."""
+    """Which observation model, at which size and noise level; the model
+    fixes its differencing (first for m1 and m2, second for m3)."""
 
     model: str
     n: int
     tau: float
-    differencing: str | None = None
 
     def __post_init__(self):
-        if self.model not in _DIFFERENCING:
-            raise ValueError(f"model must be one of {tuple(_DIFFERENCING)}, "
-                             f"got {self.model!r}")
+        if self.model not in _MODELS:
+            raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not 0.0 <= self.tau <= _TAU_MAX:
             raise ValueError(f"tau must lie in [0, {_TAU_MAX:g}]")
-        own = _DIFFERENCING[self.model]
-        if self.differencing not in (None, own):
-            raise ValueError(f"model {self.model} takes differencing '{own}'")
-        object.__setattr__(self, "differencing", own)
         if self.n < 2:
             raise ValueError("differencing needs n >= 2")
 
@@ -346,10 +340,10 @@ def bump_difference(spec: ModelSpec, profile, null: Banded):
     :func:`~mnlab.kl.block_array` builds it as an array.
 
     * m1: ``B`` is diagonal and returned as the vector ``b`` of its
-      diagonal, the per-cell integrals of the bump part ``sigma^2 - 1``;
-      :func:`~mnlab.kl.compare` reads it as ``diag(b)`` and, as bumps
-      that raise ``sigma^2`` make every ``b > 0``, takes its tridiagonal
-      route, so no ``k x k`` array is built;
+      diagonal, the per-cell integrals of the bump part ``sigma^2 - 1``
+      on the cells they leave nonzero; bumps raise ``sigma^2``, so every
+      ``b > 0``, the one form in which :func:`~mnlab.kl.compare` takes a
+      vector, by its tridiagonal route, with no ``k x k`` array;
     * m3: ``B`` is tridiagonal, the alternative's bands minus ``null``,
       noise part included.  Their entries lie within a factor 2 of each
       other, so the subtraction is exact and ``B`` is the difference of

@@ -25,8 +25,7 @@ def scatter(n, support, block):
     vector ``B`` is the diagonal block ``np.diag(B)``, a builder's block
     is built."""
     runs = as_runs(support)
-    block = block_array(block, len(runs))
-    block = np.diag(block) if block.ndim == 1 else block
+    block = np.diag(block) if np.ndim(block) == 1 else block_array(block, len(runs))
     w = np.zeros((n, len(runs)))
     for r, (start, stop) in enumerate(runs):
         w[start:stop, r] = 1.0 / np.sqrt(stop - start)

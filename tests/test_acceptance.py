@@ -139,7 +139,7 @@ def test_criterion_5_model3_structure():
     n, tau = 256, 0.1
     n3 = float(n) ** 3
     signal = models.cov_differenced(
-        models.ModelSpec("m3", n, 0.0, differencing="second"), ONE
+        models.ModelSpec("m3", n, 0.0), ONE
     )
     diag_dev = float(np.max(np.abs(np.diag(signal)[1:] - 2.0 / (3.0 * n3)))
                      / (2.0 / (3.0 * n3)))
@@ -153,7 +153,7 @@ def test_criterion_5_model3_structure():
     fam_n = 256
     c = 14.001 / fam_n ** (1.0 / 12.0)
     family = build_family(fam_n, 1.0, 1.0, c, "m3", seed=23)
-    spec = models.ModelSpec("m3", fam_n, tau, differencing="second")
+    spec = models.ModelSpec("m3", fam_n, tau)
     null = models.cov_differenced(spec, ONE)
     psd_ok = all(
         la.is_psd(models.cov_differenced(spec, family.profile(k)) - null)
@@ -191,7 +191,7 @@ def test_criterion_5_v2_confinement_as_stated():
     corner_dev = 0.0
     for n in (4, 5, 64, 257):
         v2 = models.extract_v2(n, 0.1)
-        spec = models.ModelSpec("m3", n, 0.1, differencing="second")
+        spec = models.ModelSpec("m3", n, 0.1)
         d2 = models.diff_matrix(spec)
         a = st.matrix_a(n)
         explicit = d2 @ d2.T - a @ a
@@ -212,10 +212,10 @@ def test_criterion_5_v2_confinement_as_stated():
 def test_criterion_6_inverse_frobenius_scaling():
     t0 = time.time()
     results = {}
-    for model, expo, diff in (("m1", 2.5, "first"), ("m3", 25.0 / 4.0, "second")):
+    for model, expo in (("m1", 2.5), ("m3", 25.0 / 4.0)):
         ratios = []
         for n in (256, 512, 1024, 2048, 4096):
-            spec = models.ModelSpec(model, n, 0.1, differencing=diff)
+            spec = models.ModelSpec(model, n, 0.1)
             cov = models.cov_differenced(spec, ONE)
             low = la.cholesky_lower(cov)
             inv, info = scipy.linalg.lapack.dpotri(low, lower=1)

@@ -329,3 +329,34 @@ def test_condition_i_comes_from_the_construction(monkeypatch, model, n, c):
 def test_rejects_out_of_range_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def _routes(monkeypatch, run):
+    """The route of every comparison ``run()`` makes, and each support's
+    last run length."""
+    seen = []
+    real = cert.compare
+    monkeypatch.setattr(cert, "compare", lambda *args: seen.append(real(*args)) or seen[-1])
+    run()
+    return [c.route for c in seen], {int(c.support.lengths[-1]) for c in seen}
+
+
+@pytest.mark.parametrize("model, n, c, routes", [
+    ("m1", 256, 9.0, ["tridiagonal"] * 3),
+    ("m2", 512, 12.0, ["banded", "general", "banded", "general", "general"]),
+    ("m3", 256, 14.0, ["banded", "general", "banded"]),
+])
+def test_a_certificate_keeps_its_routes(monkeypatch, model, n, c, routes):
+    # m2 and m3 alternatives whose bumps are adjacent take the banded route,
+    # others the general one; no support ends in a multi-index run
+    got, last = _routes(monkeypatch, lambda: cert.evaluate(
+        model, n, 1.0, 1.0, 0.1, c, 0.09, max_hypotheses=6))
+    assert (got, last) == (routes, {1})
+
+
+@pytest.mark.parametrize("model, route", [("m1", "tridiagonal"), ("m2", "banded"),
+                                          ("m3", "banded")])
+def test_kl_scaling_keeps_its_route(monkeypatch, model, route):
+    got, last = _routes(monkeypatch, lambda: cert.kl_scaling_probe(
+        model, 1.0, 1.0, 0.1, [64, 128, 256]))
+    assert (got, last) == ([route] * 3, {1})

@@ -460,6 +460,16 @@ def _capped_address_space():
      "L must be at most 1e+50"),
     (("kl-scaling", "--model", "m1", "--ns", "8,16", "--L", "1e300"),
      "L must be at most 1e+50"),
+    # the bump's width^alpha has L's bound: width^(2 alpha) used to overflow
+    # (m2, m3) or fail the quadrature (m1)
+    (("kl-scaling", "--model", "m1", "--ns", "64,128", "--width", "1e300"),
+     "bump width^alpha must be at most 1e+50"),
+    (("kl-scaling", "--model", "m2", "--ns", "64,128", "--width", "1e300"),
+     "bump width^alpha must be at most 1e+50"),
+    (("kl-scaling", "--model", "m3", "--ns", "64,128", "--width", "1e300"),
+     "bump width^alpha must be at most 1e+50"),
+    (("kl-scaling", "--model", "m1", "--ns", "64,128", "--width", "1e26", "--alpha", "2"),
+     "bump width^alpha must be at most 1e+50"),
     (("two-point-m3", "--n", "8", "--c", "1e300", "--sigma-max", "1e308"),
      "sigma_max must be at most 1e+50"),
     (("kl-scaling", "--model", "m1", "--ns", "8,16", "--tau", "1e200"),
@@ -494,6 +504,32 @@ def test_unresolved_definiteness_is_one_error_line(args):
         "1 + mu_min = -")
     assert "lies within the rounding bound k eps max|mu| = " in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("model, width, alpha", [
+    ("m1", "1e50", "1"), ("m2", "1e50", "1"), ("m3", "1e25", "2"),
+])
+def test_kl_scaling_takes_a_width_at_its_bound(model, width, alpha):
+    proc = run_cli("kl-scaling", "--model", model, "--ns", "64,128", "--width", width,
+                   "--alpha", alpha, "--L", "1e50")
+    assert proc.returncode in (0, 2), proc.stderr
+    rows = json.loads(proc.stdout)["result"]["rows"]
+    assert all(0.0 < row["kl"] < float("inf") for row in rows)
+
+
+def test_an_eigensolver_failure_is_one_error_line(capsys, monkeypatch):
+    # dsyevd's positive info counts the off-diagonal entries that did not
+    # converge
+    import numpy as np
+
+    from mnlab import _lapack
+
+    monkeypatch.setattr(_lapack, "dsyevd",
+                        lambda m, **kwargs: (np.zeros(m.shape[0]), None, 2))
+    code = cli.main(["kl-scaling", "--model", "m2", "--ns", "64,128"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: eigensolver did not converge: 2 off-diagonal entries left\n"
 
 
 def test_optimization_failure_is_one_error_line():

@@ -70,7 +70,11 @@ def test_traffic_lists_the_lines_a_case_does_not_run():
                            "config-not-a-number"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "config-not-a-number: done\n"
-    reports = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
+    reports, functions = {}, {}
+    for line in proc.stdout.splitlines():
+        name, report = line.split(": ", 1)
+        reports[name], _, names = report.partition("; functions not run: ")
+        functions[name] = names.split(", ") if names else []
     missed = set()
     for part in reports["src/mnlab/cli.py"].split(": ", 1)[1].split(", "):
         first, _, last = part.partition("-")
@@ -90,6 +94,17 @@ def test_traffic_lists_the_lines_a_case_does_not_run():
     outside = int(reports["src/mnlab/cli.py"].split(", ", 1)[1].split()[0])
     assert outside == len(missed - raises) < len(missed)
     assert line_of("def main(argv=None)") not in missed  # run at import
+    # the functions with no line run, named in the order they are defined:
+    # the handlers, never reached, but not main, nor _resolve, which raised
+    assert "_run_kl_scaling" in functions["src/mnlab/cli.py"]
+    assert {"main", "_resolve"}.isdisjoint(functions["src/mnlab/cli.py"])
+    assert functions["src/mnlab/cli.py"] == sorted(
+        functions["src/mnlab/cli.py"],
+        key=lambda name: line_of(f"def {name.rpartition('.')[2]}("))
+    # a nested function and a method go by their qualified names
+    assert {"evaluate.<locals>.one_hypothesis", "Certificate.to_dict"} \
+        <= set(functions["src/mnlab/certificate.py"])
+    assert functions["src/mnlab/__init__.py"] == functions["src/mnlab"] == []
     # certificate is never imported by this case: every line is missed
     missed_count, _, total = reports["src/mnlab/certificate.py"].split()[:3]
     assert missed_count == total

@@ -12,7 +12,7 @@ from hypothesis import strategies as hs
 
 from mnlab import kl, models
 from mnlab import linalg as la
-from mnlab.errors import NotPositiveDefinite
+from mnlab.errors import NoConvergence, NotPositiveDefinite
 from mnlab.hypotheses import BumpSumProfile, build_family, single_bump_profile
 from mnlab.profiles import ConstantProfile
 
@@ -80,7 +80,7 @@ class TestBound:
 
         n, l_const = 64, 1.0
         family = build_family(n, 1.0, l_const, 7.5, "m1m2", seed=0)
-        spec = ModelSpec("m2", n, 0.1, differencing="first")
+        spec = ModelSpec("m2", n, 0.1)
         cov0 = cov_differenced(spec, ConstantProfile(1.0))
         cov1 = cov_differenced(spec, family.profile(1))
         c = 1.0 / (2.0 + 12.0 * l_const**2)
@@ -277,7 +277,7 @@ class TestKernelAgainstDenseOracle:
 
     def test_views_of_two_arrays_use_the_rows_that_differ(self):
         n = 128
-        spec = models.ModelSpec("m3", n, 0.1, differencing="second")
+        spec = models.ModelSpec("m3", n, 0.1)
         alt = family_alternative("m3", n, 1, amplitude=1.0)
         s0 = models.cov_differenced(spec, ConstantProfile(1.0))
         s1 = models.cov_differenced(spec, alt)
@@ -338,7 +338,7 @@ class TestKernelAgainstMpmath:
         # lower triangle delta_i (j delta_j + s_j) / n, diagonal (i delta_i^2
         # + s_i^2 - 1) / n, with s = sigma and delta_i = s_i - s_{i-1}
         n = 128
-        spec = models.ModelSpec("m2", n, 0.1, differencing="first")
+        spec = models.ModelSpec("m2", n, 0.1)
         null = null_law(spec)
         base = kl.compare(null, *models.bump_difference(
             spec, family_alternative("m2", n, 1, amplitude=1e-2), unit_bands(spec))).kl
@@ -590,7 +590,8 @@ def near_boundary(rng, sigma0, runs, c):
 def loewner_draw(seed):
     """A seeded comparison near the Loewner boundary: ``c`` in {1, 0.9,
     1/14}, ``n <= 12``, a dense null on a random support or a banded one on
-    runs that tile a hull, and a :func:`near_boundary` block."""
+    runs that tile a hull, a :func:`near_boundary` block, and the route
+    the comparison takes: general for a dense null, else :func:`hull_route`."""
     rng = np.random.default_rng(seed)
     c = [1.0, 0.9, 1.0 / 14.0][int(rng.integers(3))]
     n = int(rng.integers(2, 13))
@@ -603,8 +604,9 @@ def loewner_draw(seed):
     else:
         bands = random_banded_null(rng, n, int(null[-1]))
         sigma0 = bands.dense()
-        law, route = kl.GaussianLaw(bands), "banded"
+        law = kl.GaussianLaw(bands)
         runs = random_hull_runs(rng, n, int(null[-1]))
+        route = hull_route(runs)
     return law, route, sigma0, runs, near_boundary(rng, sigma0, runs, c), c
 
 
@@ -762,8 +764,8 @@ def log_uniform(rng, k, lo=1e-60):
 
 
 def general(null, support, b):
-    """The general path on the same alternative (a vector read as
-    ``np.diag(b)``), with the banded route turned off."""
+    """The general path on the same alternative, with the banded route
+    turned off."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kl, "_hull_inverse", lambda null, runs: None)
         want = kl.compare(null, support, b)
@@ -980,7 +982,7 @@ class TestTridiagonalRoute:
 
     @pytest.mark.parametrize("case", ["zero", "negative", "pentadiagonal", "dense",
                                       "long-run"])
-    def test_other_blocks_take_the_general_path(self, case, monkeypatch):
+    def test_a_vector_of_another_form_is_refused(self, case, monkeypatch):
         n = 64
         null = m1_null(n)
         support = np.arange(10, 30)
@@ -998,12 +1000,15 @@ class TestTridiagonalRoute:
             support = np.array([[10, 12], [15, 20]])
             b = b[:2]
         monkeypatch.setattr(kl, "_diagonal_route", None)
-        got = kl.compare(null, support, b)
-        # the same vector on the general path, bit for bit the diagonal block
-        want = general(null, support, b)
-        assert np.array_equal(want.mu, general(null, support, np.diag(b)).mu)
+        with pytest.raises(ValueError, match="a vector block is the diagonal b of B "
+                                             "on one-index runs against a tridiagonal"):
+            kl.compare(null, support, b)
+        # the same block as a matrix takes the route of its support and null:
+        # the long runs end in a multi-index run
+        got = kl.compare(null, support, np.diag(b))
+        want = general(null, support, np.diag(b))
         assert got.source.ndim == 2 and np.array_equal(got.source, np.diag(b))
-        assert got.route == ("general" if case == "dense" else "banded")
+        assert got.route == ("general" if case in ("dense", "long-run") else "banded")
         assert got.right_sq == want.right_sq
         if got.route == "general":
             assert np.array_equal(got.mu, want.mu) and got.middle_sq == want.middle_sq
@@ -1011,6 +1016,13 @@ class TestTridiagonalRoute:
             tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(null.cov))
             assert np.max(np.abs(got.mu - want.mu)) <= tol * np.max(np.abs(want.mu))
             assert rel(got.middle_sq, want.middle_sq) <= tol
+
+    @pytest.mark.parametrize("entry", [math.inf, math.nan])
+    def test_a_vector_with_a_non_finite_entry_is_refused(self, entry):
+        b = np.full(4, 1e-3)
+        b[2] = entry
+        with pytest.raises(ValueError, match="every b finite and > 0"):
+            kl.compare(m1_null(16), np.arange(4, 8), b)
 
     @pytest.mark.parametrize("null", [m1_null(16), kl.GaussianLaw(np.eye(16))])
     def test_an_empty_vector_block_compares_equal_laws(self, null):
@@ -1026,8 +1038,9 @@ class TestTridiagonalRoute:
         support = np.arange(5, 40)
         b = log_uniform(np.random.default_rng(6), support.size, lo=1e-40) * 1e-2
         b[7] = shift * np.linalg.norm(b) if shift else b[7]
-        got = kl.compare(null, support, b)
-        assert (got.route == "tridiagonal") == (shift == 0.0)
+        # only b > 0 is a vector block: any other b is passed as the matrix
+        got = kl.compare(null, support, b if shift == 0.0 else np.diag(b))
+        assert got.route == ("tridiagonal" if shift == 0.0 else "banded")
         assert got.dominates(1.0) == (np.min(b) > 0.0)
 
 
@@ -1067,6 +1080,12 @@ def random_hull_runs(rng, n, width):
     return np.column_stack((starts, stops))
 
 
+def hull_route(runs):
+    """The route of a block on :func:`random_hull_runs` against a banded
+    null: the banded one, unless two or more runs end in a multi-index run."""
+    return "general" if len(runs) > 1 and runs[-1, 1] - runs[-1, 0] > 1 else "banded"
+
+
 class TestBandedRoute:
     @given(seed=hs.integers(0, 2**32 - 1), n=hs.integers(2, 512),
            width=hs.sampled_from([1, 2]), indefinite=hs.booleans())
@@ -1088,7 +1107,7 @@ class TestBandedRoute:
         g = rng.standard_normal((k, k + 2))
         block = la.sym(g @ g.T / (k + 2) - 0.5 * lam_min * np.eye(k))
         got, want = kl.compare(null, runs, block), kl.compare(oracle, runs, block)
-        assert (got.route, want.route) == ("banded", "general")
+        assert (got.route, want.route) == (hull_route(runs), "general")
         tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(oracle.cov))
         assert rel(got.kl, want.kl) <= tol
         assert rel(got.middle_sq, want.middle_sq) <= tol
@@ -1141,6 +1160,8 @@ class TestBandedRoute:
         ("m3", np.array([[10, 11], [11, 14], [14, 15]])),            # a middle run
         ("m2", np.array([[10, 11], [11, 14], [14, 15]])),
         ("m3", np.array([[10, 11]])),      # a hull shorter than the bandwidth
+        ("m3", np.array([[8, 10], [10, 11], [11, 14]])),  # a multi-index last run
+        ("m2", np.array([[3, 9], [12, 13], [20, 24]])),   # and gaps
     ])
     def test_other_supports_take_the_general_path(self, model, support):
         null = null_law(models.ModelSpec(model, 32, 0.1))
@@ -1153,7 +1174,7 @@ class TestBandedRoute:
 
     def test_a_tridiagonal_null_takes_gaps(self):
         null = m1_null(64)
-        support = np.array([[3, 9], [12, 13], [20, 21], [30, 40]])
+        support = np.array([[3, 9], [12, 13], [20, 21], [30, 31]])
         block = la.sym(1e-4 * np.arange(1.0, 17.0).reshape(4, 4))
         got = kl.compare(null, support, block)
         want = kl.compare(kl.GaussianLaw(null.cov), support, block)
@@ -1255,6 +1276,22 @@ class TestWorkArrays:
         assert got.dominates(1.0) == want.dominates(1.0)
         built = kl.block_array(got.source, len(support))
         assert np.array_equal(built.view(np.int64), block.view(np.int64))
+
+    def test_block_array_takes_no_vector(self):
+        # a vector is no k x k block: copying it would repeat it in every row
+        with pytest.raises(ValueError):
+            kl.block_array(np.ones(3), 3)
+
+    @pytest.mark.parametrize("route", ["banded", "general"])
+    def test_an_eigensolver_failure_is_no_convergence(self, route, monkeypatch):
+        # dsyevd's positive info counts the off-diagonal entries that did not
+        # converge, and names no row
+        monkeypatch.setattr(kl._lapack, "dsyevd",
+                            lambda m, **kwargs: (np.zeros(m.shape[0]), None, 2))
+        null = m1_null(64) if route == "banded" else kl.GaussianLaw(m1_null(64).cov)
+        with pytest.raises(NoConvergence, match="eigensolver did not converge: 2 "
+                                                "off-diagonal entries"):
+            kl.compare(null, np.arange(10, 14), 1e-3 * np.eye(4))
 
     def test_a_builder_that_breaks_symmetry_is_refused(self):
         null = m1_null(64)

@@ -26,7 +26,7 @@ class TestSampler:
             for r in range(40_000)
         ])
         emp = draws.T @ draws / draws.shape[0]
-        spec = models.ModelSpec("m1", n, tau, differencing="first")
+        spec = models.ModelSpec("m1", n, tau)
         cov = models.cov_differenced(spec, profile)
         assert np.max(np.abs(emp - cov)) <= 0.006
 

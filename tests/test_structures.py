@@ -223,7 +223,7 @@ class TestNullCovarianceSpectra:
         from mnlab.models import ModelSpec, cov_differenced
 
         n = 128
-        cov = cov_differenced(ModelSpec("m1", n, 0.1, differencing="first"),
+        cov = cov_differenced(ModelSpec("m1", n, 0.1),
                               ConstantProfile(1.0))
         assert np.linalg.eigvalsh(cov)[0] >= 1.0 / n - 1e-15
 

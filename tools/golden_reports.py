@@ -151,6 +151,8 @@ CASES = {
         ["kl-scaling", "--model", "m1", "--width", "0", "--ns", "256,512"], None),
     "kl-scaling-width-tiny": (
         ["kl-scaling", "--model", "m2", "--ns", "64,128", "--width", "1e-300"], None),
+    "kl-scaling-width-huge": (
+        ["kl-scaling", "--model", "m2", "--ns", "64,128", "--width", "1e300"], None),
     "kl-scaling-L-zero": (
         ["kl-scaling", "--model", "m1", "--L", "0", "--ns", "256,512"], None),
     "kl-scaling-L-over-bound": (

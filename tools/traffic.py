@@ -14,9 +14,14 @@ imported after it starts, so their import-time lines count too.  Then,
 per module, it prints how many of its executable lines (those ``co_lines``
 of its code objects name) nothing ran, how many of those lie outside every
 ``raise`` statement (between the ``lineno`` and ``end_lineno`` of no
-``ast.Raise``), and the unrun lines as ranges::
+``ast.Raise``), the unrun lines as ranges, and the qualified names of the
+functions none of whose lines ran, in the order they are defined::
 
-    src/mnlab/models.py: 12 of 180 lines not run, 5 outside raise statements: 101, 230-233
+    src/mnlab/models.py: 12 of 180 lines not run, 5 outside raise statements: 101, 230-233; functions not run: cov_raw, _cumulative_moments
+
+A function's lines are those of its own code object but the first (its
+``def`` or first decorator line, which the enclosing code runs); one whose
+body shares that line, such as a lambda, is never named.
 
 and last the totals over the package, its executable line count among them,
 and the package's line count as ``wc -l src/mnlab/*.py`` gives it::
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import inspect
 import io
 import os
 import runpy
@@ -45,16 +51,30 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mnlab"
 
 
-def executable_lines(path: Path) -> set:
-    """The line numbers of ``path`` that some instruction of its code maps to."""
-    lines, codes = set(), [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+def code_lines(path: Path) -> list:
+    """Every code object compiled from ``path``, the module's and those nested
+    in it, each with the line numbers its instructions map to."""
+    found, codes = [], [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
     while codes:
         code = codes.pop()
         # no line event names a code object's first instruction: a module's is
         # on line 0, and a function's on its def line, run by the enclosing code
-        lines.update(line for _, _, line in code.co_lines() if line)
+        found.append((code, {line for _, _, line in code.co_lines() if line}))
         codes.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
-    return lines
+    return found
+
+
+def unrun_functions(codes: list, missed: set) -> list:
+    """The qualified names of the functions among ``codes`` (:func:`code_lines`)
+    with no line run, in the order they are defined; ``missed`` holds the
+    lines not run."""
+    found = []
+    for code, lines in codes:
+        body = lines - {code.co_firstlineno}
+        if code.co_flags & inspect.CO_NEWLOCALS and body and body <= missed \
+                and not code.co_name.startswith("<"):
+            found.append((code.co_firstlineno, code.co_qualname))
+    return [name for _, name in sorted(found)]
 
 
 def raise_lines(path: Path) -> set:
@@ -156,12 +176,15 @@ def main(argv=None) -> int:
             sys.stderr.write(f"{name}: done\n")
     total_missed = total_outside = total_lines = total_text = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        lines = executable_lines(path)
+        codes = code_lines(path)
+        lines = set().union(*(own for _, own in codes))
         missed = lines - {line for p, line in tracer.ran if p == path}
         outside = len(missed - raise_lines(path))
+        functions = unrun_functions(codes, missed)
         print(f"{path.relative_to(ROOT)}: {len(missed)} of {len(lines)} lines "
               f"not run, {outside} outside raise statements"
-              + (f": {_ranges(missed)}" if missed else ""))
+              + (f": {_ranges(missed)}" if missed else "")
+              + (f"; functions not run: {', '.join(functions)}" if functions else ""))
         total_missed += len(missed)
         total_outside += outside
         total_lines += len(lines)
