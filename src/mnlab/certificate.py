@@ -444,11 +444,12 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     k x k work matrix into which the block is built the one k x k array).
     m3 (k about n / 8) stops at n = 16384: its null is so ill-conditioned
     that the KL's rounding error, on either route, grows several-fold per
-    doubling of n, to about 1e-8 relative there.  A KL of exactly 0 (m2
-    reads ``sigma(t_i)`` on the grid, and at n = 3, 5 or 7 no grid point
-    lies in the default bump) has no logarithm: with two or more sizes it
-    raises ``ValueError`` naming the n; one size fits no slope anyway, and
-    no logarithm is taken.  A repeated n, which would count twice in the
+    doubling of n, to about 1e-8 relative there.  A KL of exactly 0 has no
+    logarithm: with two or more sizes it raises ``ValueError`` naming the
+    n and the cause, a bump that moves no row (m2 reads ``sigma(t_i)`` on
+    the grid, and at n = 3, 5 or 7 no grid point lies in the default bump)
+    or a KL that underflows (a tiny ``L``); one size fits no slope anyway,
+    and no logarithm is taken.  A repeated n, which would count twice in the
     slope, raises ``ValueError`` naming it before any KL is computed, as
     does a ``bump_width^alpha`` above 1e50, the bound of ``L``.
     """
@@ -472,12 +473,16 @@ def kl_scaling_probe(model: str, alpha: float, l_const: float, tau: float,
     for n in n_list:
         spec = ModelSpec(model, n, tau)
         null_bands = differenced_bands(spec, ConstantProfile(1.0))
-        kls.append(compare(GaussianLaw(null_bands),
-                           *bump_difference(spec, alt, null_bands)).kl)
+        comparison = compare(GaussianLaw(null_bands),
+                             *bump_difference(spec, alt, null_bands))
+        kls.append(comparison.kl)
         refs.append(float(n) ** predicted * bump_width ** (2.0 * alpha))
         if kls[-1] == 0.0 and len(n_list) > 1:
-            raise ValueError(f"the exact KL is 0 at n = {n}: the bump moves no "
-                             f"covariance entry, so the log-log slope is undefined")
+            k = comparison.support.k
+            cause = (f"it underflows (the bump moves {k} rows)" if k else
+                     "the bump moves no covariance entry")
+            raise ValueError(f"the exact KL is 0 at n = {n}: {cause}, "
+                             f"so the log-log slope is undefined")
     if len(n_list) > 1:
         slope, slope_se = ols_slope(np.log(n_list), np.log(kls))
     else:  # one size fits no slope, and its KL may be 0, which has no logarithm

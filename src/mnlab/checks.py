@@ -27,7 +27,7 @@ import numpy as np
 from . import kl as kl_mod
 from . import linalg, models, structures
 from .hypotheses import build_family, holder_check
-from .profiles import CallableProfile, ConstantProfile
+from .profiles import ConstantProfile
 
 __all__ = [
     "verify_linalg",
@@ -207,11 +207,9 @@ def verify_kl(*, seed: int, trials: int, tol: float | None = None) -> list[dict]
         n = int(rng.integers(1, 51))
         s0 = linalg.sym(_random_psd(rng, n) + 0.05 * np.eye(n))
         s1 = linalg.sym(s0 + 0.5 * _random_psd(rng, n))
-        law0, law1 = kl_mod.GaussianLaw(s0), kl_mod.GaussianLaw(s1)
-        c = kl_mod.find_loewner_constant(law0, law1)
-        exact = kl_mod.kl_exact(law0, law1)
-        bound = kl_mod.kl_bound(law0, law1, c)
-        worst_bound = max(worst_bound, exact - bound.value)
+        comparison = kl_mod.compare_laws(s0, s1)
+        bound = comparison.bound(comparison.loewner_constant)
+        worst_bound = max(worst_bound, comparison.kl - bound.value)
         worst_chain = max(worst_chain, bound.middle - bound.value)
     checks.append(_check("frobenius_bound_dominates_exact_kl", 50,
                          {"trials": trials}, max(worst_bound, 0.0),
@@ -256,19 +254,15 @@ class PsdMajorizationReport:
     passed: bool
 
 
-def verify_psd_majorization(profile, lipschitz: float, n: int) -> PsdMajorizationReport:
+def verify_psd_majorization(sigma, lipschitz: float, n: int) -> PsdMajorizationReport:
     """Check ``(2 + 12 L^2)^-1 Q <= S Q S`` for ``S = diag(sigma(i/n))``.
 
-    ``profile`` supplies the squared volatility; its square root ``sigma``
-    must be >= 1 and Lipschitz with constant ``lipschitz`` (verified on an
-    800-point grid, ``ValueError`` otherwise).  The report
+    ``sigma(t)`` is the volatility itself, not its square, at the points
+    ``t``; it must be >= 1 and Lipschitz with constant ``lipschitz``
+    (verified on an 800-point grid, ``ValueError`` otherwise).  The report
     carries the smallest eigenvalue of ``S Q S - (2 + 12 L^2)^-1 Q`` and
     the pass threshold ``-1e-9 * ||Q||_F``.
     """
-
-    def sigma(t):
-        return np.sqrt(profile.eval(t))
-
     if np.min(sigma(np.linspace(0.0, 1.0, 800))) < 1.0 - 1e-12:
         raise ValueError("sigma must be >= 1 on [0, 1]")
     if not holder_check(sigma, 1.0, lipschitz):
@@ -289,7 +283,7 @@ def verify_psd_majorization(profile, lipschitz: float, n: int) -> PsdMajorizatio
     )
 
 
-def _lipschitz_profile(rng) -> tuple[CallableProfile, float]:
+def _lipschitz_profile(rng):
     """Random sigma >= 1 built from a few sine modes, with its Lipschitz bound."""
     coeff = rng.uniform(-1.0, 1.0, size=4)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=4)
@@ -307,7 +301,7 @@ def _lipschitz_profile(rng) -> tuple[CallableProfile, float]:
     grid = np.linspace(0.0, 1.0, 2001)
     deriv = np.gradient(sigma(grid), grid)
     lip = float(np.max(np.abs(deriv))) * 1.05 + 1e-6
-    return CallableProfile(lambda t: np.asarray(sigma(t)) ** 2), lip
+    return sigma, lip
 
 
 def verify_posdefmaj(*, seed: int, ns, count: int) -> list[dict]:
@@ -320,8 +314,8 @@ def verify_posdefmaj(*, seed: int, ns, count: int) -> list[dict]:
         worst = math.inf
         ok = True
         threshold = None
-        for profile, lip in profiles:
-            report = verify_psd_majorization(profile, lip, n)
+        for sigma, lip in profiles:
+            report = verify_psd_majorization(sigma, lip, n)
             worst = min(worst, report.min_eigenvalue)
             threshold = report.threshold
             ok &= report.passed

@@ -1,23 +1,11 @@
 """Exception types shared across the package.
 
 A type exists only when the program tells it apart or when it carries
-data: the CLI names the four ``RuntimeError`` subclasses as failed
-computations, and :class:`NotPositiveDefinite` carries its pivot.  Every
-other refusal is a plain ``ValueError`` or ``IndexError`` whose message
-says what was wrong.
+data: the CLI names these four ``RuntimeError`` subclasses as failed
+computations.  Every other refusal, a matrix that is not positive definite
+among them, is a plain ``ValueError`` or ``IndexError`` whose message says
+what was wrong.
 """
-
-
-class NotPositiveDefinite(ValueError):
-    """A matrix required to be positive definite is not.
-
-    ``pivot`` is the 0-based index of the first failing Cholesky pivot,
-    or ``None`` when the failure was detected some other way.
-    """
-
-    def __init__(self, message: str, pivot: int | None = None):
-        super().__init__(message)
-        self.pivot = pivot
 
 
 class NoConvergence(RuntimeError):

@@ -46,7 +46,6 @@ __all__ = [
     "kernel_constant",
     "holder_exponent_order",
     "holder_check",
-    "vg_code",
     "hamming",
     "HypothesisFamily",
     "build_family",
@@ -242,26 +241,22 @@ def hamming(w1, w2) -> int:
 _MAX_WORDS = 2**13 + 1  # the largest code the search builds: m <= 104
 
 
-def vg_code(m: int, seed: int = 0) -> np.ndarray:
-    """Binary code with first word all-zeros, distance >= m/8, count >= 2^(m/8).
+def _certified_code(m: int, seed: int) -> tuple[np.ndarray, int]:
+    """Binary code with first word all-zeros, distance >= m/8, count >= 2^(m/8),
+    and its minimum distance, kept by the search.
 
     Greedy in integer order for m <= 24, seeded random greedy beyond; the
     search stops once the guarantee plus one words are collected, so the
     alternatives alone meet the 2^(m/8) count, and it accepts a word only
     at distance ceil(m/8) or more from every earlier one, so the guarantee
-    holds by construction.  A search that cannot collect the words within
-    ``5500 * count`` random draws raises :class:`ConstructionFailure`, as
-    does, before any search or allocation, a code of more than 2^13 + 1
-    words (m > 104).
+    holds by construction.  ``m < 8`` raises ``ValueError``.  A search that
+    cannot collect the words within ``5500 * count`` random draws raises
+    :class:`ConstructionFailure`, as does, before any search or allocation,
+    a code of more than 2^13 + 1 words (m > 104).
 
-    Returns an array of shape (count, m) with uint8 entries, all-zeros row
-    first.  Deterministic given (m, seed).
+    The words are an array of shape (count, m) with uint8 entries,
+    all-zeros row first.  Deterministic given (m, seed).
     """
-    return _certified_code(m, seed)[0]
-
-
-def _certified_code(m: int, seed: int) -> tuple[np.ndarray, int]:
-    """:func:`vg_code`'s words and their minimum distance, kept by the search."""
     if m < 8:
         raise ValueError(f"the code guarantee needs m >= 8, got {m}")
     if m >= 8 * 1024:  # 2^(m/8) overflows a float
@@ -411,10 +406,6 @@ class HypothesisFamily:
     @property
     def amplitude(self) -> float:
         return self.l_const * self.h**self.alpha
-
-    @property
-    def upper_bound(self) -> float:
-        return 1.0 + self.amplitude * self.kernel.sup_value
 
     def profile(self, index: int) -> BumpSumProfile:
         """Profile ``sigma^2_omega`` for codeword ``index`` (0 = null)."""

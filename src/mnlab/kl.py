@@ -104,7 +104,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _lapack
-from .errors import NoConvergence, NotPositiveDefinite
+from .errors import NoConvergence
 from .linalg import Banded, check_symmetric, cholesky_lower, mirror_lower, transpose_in_place
 from .profiles import checked_cells
 
@@ -112,6 +112,7 @@ __all__ = [
     "GaussianLaw",
     "Comparison",
     "compare",
+    "compare_laws",
     "block_array",
     "kl_exact",
     "KLBound",
@@ -143,9 +144,8 @@ class GaussianLaw:
     as :func:`compare` sums ``mu - log1p(mu)``.  The covariance is checked,
     never symmetrised, and only once: by
     :func:`~mnlab.linalg.cholesky_lower`, which raises ``ValueError`` for
-    a dense covariance that is not exactly symmetric or not square, and
-    :class:`~mnlab.errors.NotPositiveDefinite`, with the failing
-    pivot, for one that is not positive definite.
+    a dense covariance that is not exactly symmetric or not square, or
+    that is not positive definite, naming the failing pivot.
     """
 
     __slots__ = ("_cov", "chol")
@@ -309,8 +309,7 @@ def _ldl(diag: np.ndarray, off: np.ndarray):
     else:
         d, l, info = _lapack.dpttrf(diag, off)
     if info:
-        raise NotPositiveDefinite(f"tridiagonal pivot {info - 1} is not positive",
-                                  pivot=int(info - 1))
+        raise ValueError(f"tridiagonal pivot {info - 1} is not positive")
     return d, l
 
 
@@ -447,8 +446,7 @@ def _eliminate_leading(bands: np.ndarray, r: int):
     w, n = bands.shape[0] - 1, bands.shape[1]
     factor, info = _lapack.dpbtrf(bands[:, :r], lower=1)
     if info:
-        raise NotPositiveDefinite(f"banded pivot {info - 1} is not positive",
-                                  pivot=int(info - 1))
+        raise ValueError(f"banded pivot {info - 1} is not positive")
     p, m = min(w, r), min(w, n - r)
     coupling, trailing = np.zeros((m, p)), np.zeros((p, p))
     for i in range(m):
@@ -651,13 +649,12 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
     route the outer bound takes a second solve with ``k`` right-hand sides,
     when it is asked for.  :attr:`Comparison.route` records the route.
     Raises ``ValueError`` for runs that are empty, unsorted, overlapping or
-    outside ``[0, n)``, a vector of any other form and a ``B`` that is not
-    exactly symmetric; :class:`~mnlab.errors.NotPositiveDefinite` when the
-    alternative is not positive definite (``1 + min(mu) <= 0``), or
-    ``ValueError`` when that ``1 + min(mu)`` lies within
-    :attr:`Comparison.mu_error`, the eigenvalues' rounding bound ``k eps
-    max|mu|``, which leaves its sign unresolved; and
-    :class:`~mnlab.errors.NoConvergence` when the eigensolver fails.
+    outside ``[0, n)``, a vector of any other form, a ``B`` that is not
+    exactly symmetric, an alternative that is not positive definite
+    (``1 + min(mu) <= 0``, named in the message) and one whose ``1 +
+    min(mu)`` lies within :attr:`Comparison.mu_error`, the eigenvalues'
+    rounding bound ``k eps max|mu|``, which leaves its sign unresolved;
+    and :class:`~mnlab.errors.NoConvergence` when the eigensolver fails.
     """
     runs = _runs(support, null.size)
     k = runs.k
@@ -694,7 +691,7 @@ def compare(null: GaussianLaw, support, block) -> Comparison:
                 f"the alternative's definiteness is unresolved at double precision: "
                 f"1 + mu_min = {1.0 + mu[0]:.3e} lies within the rounding bound "
                 f"k eps max|mu| = {mu_error:.3e}")
-        raise NotPositiveDefinite(
+        raise ValueError(
             f"the alternative is not positive definite (1 + mu_min = {1.0 + mu[0]:.3e})"
         )
     return Comparison(null=null, support=runs, source=block, mu=mu,
@@ -793,7 +790,9 @@ def _difference(law0: GaussianLaw, law1: GaussianLaw):
     return support, a1[on] - a0[on]
 
 
-def _compare_laws(sigma0, sigma1) -> Comparison:
+def compare_laws(sigma0, sigma1) -> Comparison:
+    """:func:`compare` of two laws of one size, each a :class:`GaussianLaw`
+    or a covariance, on the rows where their covariances differ."""
     law0, law1 = _laws(sigma0, sigma1)
     return compare(law0, *_difference(law0, law1))
 
@@ -803,7 +802,7 @@ def kl_exact(sigma0, sigma1) -> float:
 
     Both inputs must be positive definite; see :attr:`Comparison.kl`.
     """
-    return _compare_laws(sigma0, sigma1).kl
+    return compare_laws(sigma0, sigma1).kl
 
 
 def kl_bound(sigma0, sigma1, c: float) -> KLBound:
@@ -814,7 +813,7 @@ def kl_bound(sigma0, sigma1, c: float) -> KLBound:
     this routine only evaluates the two Frobenius expressions.
     """
     _check_c(c)
-    return _compare_laws(sigma0, sigma1).bound(c)
+    return compare_laws(sigma0, sigma1).bound(c)
 
 
 def kl_bound_symmetrized(sigma0, sigma1) -> float:
@@ -838,4 +837,4 @@ def find_loewner_constant(sigma0, sigma1) -> float:
     off the kernel as ``min(1 + min(mu), 1)``.  Both inputs must be
     positive definite.
     """
-    return _compare_laws(sigma0, sigma1).loewner_constant
+    return compare_laws(sigma0, sigma1).loewner_constant

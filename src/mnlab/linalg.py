@@ -13,7 +13,9 @@ multiple threads.
 Factorisations and eigendecompositions are delegated to LAPACK, which is
 both faster and more robust than anything hand-rolled; :func:`is_psd`
 reads the least eigenvalue alone, and :func:`cholesky_lower` is the one
-factorisation.  Failure modes are translated into mnlab's exceptions.
+factorisation.  A matrix that is not positive definite raises
+``ValueError`` naming its pivot, and an eigensolver failure
+:class:`~mnlab.errors.NoConvergence`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .errors import NoConvergence, NotPositiveDefinite
+from .errors import NoConvergence
 
 __all__ = [
     "sym",
@@ -175,11 +177,11 @@ def cholesky_lower(m):
 
     Raises
     ------
-    NotPositiveDefinite
+    ValueError
         If a pivot fails, or a computed pivot is at or below
         ``n * eps * max(diag)`` (matrices that close to singular are
-        treated as not positive definite).  The exception carries the
-        0-based failing pivot index.
+        treated as not positive definite).  The message names the 0-based
+        failing pivot.
     """
     if isinstance(m, Banded):
         diag = m.bands[0]
@@ -191,20 +193,16 @@ def cholesky_lower(m):
         c, info = _lapack.dpotrf(a, lower=1, clean=1, overwrite_a=0)
         pivots = np.diag(c)
     if info > 0:
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite (pivot {info - 1} <= 0)",
-            pivot=int(info - 1),
-        )
+        raise ValueError(f"matrix is not positive definite (pivot {info - 1} <= 0)")
     if info < 0:
         raise ValueError(f"illegal argument {-info} passed to the Cholesky routine")
     threshold = diag.size * np.finfo(float).eps * max(float(np.max(diag)), 0.0)
     pivots_sq = pivots**2
     bad = np.nonzero(pivots_sq <= threshold)[0]
     if bad.size:
-        raise NotPositiveDefinite(
+        raise ValueError(
             f"pivot {bad[0]} fell below the singularity threshold "
-            f"({pivots_sq[bad[0]]:.3e} <= {threshold:.3e})",
-            pivot=int(bad[0]),
+            f"({pivots_sq[bad[0]]:.3e} <= {threshold:.3e})"
         )
     return c
 
@@ -229,19 +227,23 @@ def frobenius_norm(m) -> float:
     return float(np.sqrt(np.sum(a * a)))
 
 
-def is_psd(m, tol: float = 1e-9) -> bool:
-    """Whether ``lambda_min(m) >= -tol * ||m||_F``, by ``eigvalsh``; the zero
-    matrix is PSD.  The tolerance is relative because the covariances
-    handled here span magnitudes from O(n^-3) to O(1)."""
+# is_psd's tolerance, relative because the covariances handled here span
+# magnitudes from O(n^-3) to O(1)
+_PSD_TOL = 1e-9
+
+
+def is_psd(m) -> bool:
+    """Whether ``lambda_min(m) >= -1e-9 * ||m||_F``, by ``eigvalsh``; the
+    zero matrix is PSD."""
     a = check_symmetric(m)
-    return bool(np.linalg.eigvalsh(a)[0] >= -tol * frobenius_norm(a))
+    return bool(np.linalg.eigvalsh(a)[0] >= -_PSD_TOL * frobenius_norm(a))
 
 
-def loewner_leq(lo, hi, tol: float = 1e-9) -> bool:
+def loewner_leq(lo, hi) -> bool:
     """Whether ``lo <= hi`` in the Loewner (PSD) order, i.e. hi - lo is PSD."""
     a = check_symmetric(lo, "lo")
     b = check_symmetric(hi, "hi")
     if a.shape != b.shape:
         raise ValueError(f"shapes differ: {a.shape} vs {b.shape}")
-    return is_psd(b - a, tol=tol)
+    return is_psd(b - a)
 

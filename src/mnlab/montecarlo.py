@@ -291,12 +291,6 @@ class BinnedEstimate:
     def bins(self) -> int:
         return self.values.size
 
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.clip((t * self.bins).astype(int), 0, self.bins - 1)
-        out = self.values[idx]
-        return float(out) if out.ndim == 0 else out
-
     def integrated_squared_error(self, profile) -> float:
         """``integral_0^1 (estimate(t) - sigma^2(t))^2 dt`` by quadrature.
 

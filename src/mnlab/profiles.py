@@ -6,12 +6,11 @@ profile for weighted integrals
 
     integral_a^b  p(u) * sigma^2(u) du,    p a polynomial,
 
-over many cells at once (:meth:`VolatilityProfile.cell_integrals`), which
-constant and piecewise-constant profiles answer in closed form, bump
-profiles answer in closed form for the base level plus one checked
-Gauss-Legendre pass per bump, and everything else answers by one checked
-pass over all cells.  It is a profile's only integral query: one interval
-is a query of one cell.  Polynomials are passed in shifted coordinates
+over many cells at once (``cell_integrals``), which constant and
+piecewise-constant profiles answer in closed form, and bump profiles
+(:class:`mnlab.hypotheses.BumpSumProfile`) in closed form for the base
+level plus one checked Gauss-Legendre pass per bump.  It is a profile's
+only integral query: one interval is a query of one cell.  Polynomials are passed in shifted coordinates
 (coefficients of powers of ``u - shift``) so that short-interval
 integrals near ``u = shift`` come out at full relative precision instead
 of through catastrophic cancellation.
@@ -39,7 +38,7 @@ import numpy as np
 from .errors import QuadratureFailure
 
 __all__ = ["checked_cells", "VolatilityProfile", "ConstantProfile",
-           "PiecewiseConstantProfile", "CallableProfile"]
+           "PiecewiseConstantProfile"]
 
 # the one tolerance set of every quadrature in mnlab
 QUAD_EPSABS, QUAD_EPSREL, QUAD_LIMIT = 1e-15, 1e-12, 200
@@ -167,28 +166,10 @@ def _cells(lo, hi, shift):
 
 
 class VolatilityProfile:
-    """Base class: a positive function on [0, 1] with integral queries."""
-
-    kind = "callable"
-
-    def eval(self, t):
-        raise NotImplementedError
-
-    def cell_integrals(self, lo, hi, shift, coeffs) -> np.ndarray:
-        """``integral_lo[k]^hi[k] sum_r coeffs[r] (u - shift[k])^r * sigma^2(u) du``
-        for each cell ``k``.
-
-        ``lo``, ``hi`` and ``shift`` broadcast to one value per cell; the
-        shared ``coeffs`` are in powers of ``u - shift[k]``.  Here all cells
-        go through one :func:`checked_cells` pass, so each cell's value is
-        the one a call for that cell alone gives, bit for bit; constant and
-        piecewise profiles answer in one closed-form pass over the cells
-        per piece, and a bump profile integrates each bump in one checked
-        Gauss-Legendre pass.  An empty or reversed cell integrates to 0.
-        """
-        lo, hi, shift = _cells(lo, hi, shift)
-        return checked_cells(
-            lambda u, k: _shifted_poly(coeffs, shift[k], u) * self.eval(u), lo, hi)
+    """Base type of the step and bump profiles: a ``kind``, ``eval(t)``, the
+    squared volatility at ``t``, and ``cell_integrals(lo, hi, shift,
+    coeffs)``, per cell ``k`` the integral of ``sum_r coeffs[r] (u -
+    shift[k])^r sigma^2(u)`` over ``[lo[k], hi[k]]``, 0 if that is empty."""
 
 
 class PiecewiseConstantProfile(VolatilityProfile):
@@ -240,17 +221,3 @@ class ConstantProfile(PiecewiseConstantProfile):
 
     def __init__(self, value: float):
         super().__init__((), (value,))
-
-
-class CallableProfile(VolatilityProfile):
-    """Wrap an arbitrary positive function; integrals go through quadrature."""
-
-    kind = "callable"
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.asarray(self._fn(t), dtype=float)
-        return float(out) if out.ndim == 0 else out

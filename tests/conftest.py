@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 
 from mnlab.kl import block_array
@@ -11,6 +13,11 @@ def rand_sym(rng, n, scale=1.0):
 def rand_psd(rng, n, extra=4, floor=0.0):
     w = rng.standard_normal((n, n + extra))
     return sym(w @ w.T / (n + extra) + floor * np.eye(n))
+
+
+def failing_pivot(excinfo) -> int:
+    """The 0-based pivot that a positive-definiteness refusal names."""
+    return int(re.search(r"pivot (\d+)", str(excinfo.value)).group(1))
 
 
 def as_runs(support):

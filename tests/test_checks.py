@@ -119,3 +119,18 @@ def test_dense_suites_refuse_n_past_their_desk_bound(suite, kwargs, monkeypatch)
     monkeypatch.setattr(checks, "models", None)
     with pytest.raises(ValueError, match="n > 4096 exceeds the dense desk bound"):
         suite(**kwargs)
+
+
+def test_kl_sweep_compares_each_pair_once(monkeypatch):
+    # the first sweep reads the Loewner constant, the KL and its bound from
+    # one comparison per pair; the later sweeps do not depend on its trials
+    calls = []
+    original = checks.kl_mod.compare
+    monkeypatch.setattr(checks.kl_mod, "compare",
+                        lambda *args: calls.append(args) or original(*args))
+    counts = []
+    for trials in (5, 10):
+        calls.clear()
+        checks.verify_kl(seed=3, trials=trials)
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 5

@@ -817,6 +817,34 @@ def test_kl_scaling_zero_kl_is_one_error_line(ns, zero):
                            f"no covariance entry, so the log-log slope is undefined\n")
 
 
+def test_kl_scaling_an_underflowing_kl_is_one_error_line():
+    # at L = 1e-300 the m1 bump moves 8 rows, but the KL's trace underflows
+    proc = run_cli("kl-scaling", "--ns", "64,128", "--L", "1e-300")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: the exact KL is 0 at n = 64: it underflows (the bump "
+                           "moves 8 rows), so the log-log slope is undefined\n")
+
+
+def test_main_names_every_exception_type_of_the_package():
+    # a type in mnlab.errors exists only when the program tells it apart
+    import inspect
+
+    from mnlab import errors
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = {name.id for handler in ast.walk(main)
+              if isinstance(handler, ast.ExceptHandler)
+              and isinstance(handler.type, ast.Tuple)
+              for name in handler.type.elts if isinstance(name, ast.Name)}
+    defined = {name for name, value in vars(errors).items()
+               if inspect.isclass(value) and value.__module__ == errors.__name__}
+    assert defined
+    assert defined <= caught, sorted(defined - caught)
+
+
 def test_kl_scaling_one_size_with_zero_kl_fits_no_slope():
     # one size takes no logarithm, so its KL of 0 warns of nothing
     proc = run_cli("kl-scaling", "--model", "m2", "--ns", "5")

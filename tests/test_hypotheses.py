@@ -303,10 +303,10 @@ class TestHolderCheck:
 class TestCodeConstruction:
     def test_minimum_length_guard(self):
         with pytest.raises(ValueError, match="needs m >= 8, got 7"):
-            hyp.vg_code(7)
+            hyp._certified_code(7, 0)[0]
 
     def test_m8_distance_one(self):
-        words = hyp.vg_code(8, seed=0)
+        words = hyp._certified_code(8, 0)[0]
         assert words.shape[0] >= 3  # all-zeros plus >= 2^(8/8) alternatives
         assert not words[0].any()
         dist = np.abs(words[:, None, :].astype(int)
@@ -324,11 +324,11 @@ class TestCodeConstruction:
         dist = np.abs(parity[:, None, :] - parity[None, :, :]).sum(axis=2)
         iu = np.triu_indices(parity.shape[0], 1)
         assert np.min(dist[iu][dist[iu] > 0]) >= 2
-        words = hyp.vg_code(16, seed=0)
+        words = hyp._certified_code(16, 0)[0]
         assert words.shape[0] - 1 >= 4
 
     def test_m24_exhaustive_scan(self):
-        words = hyp.vg_code(24, seed=0)
+        words = hyp._certified_code(24, 0)[0]
         total = words.shape[0]
         assert total - 1 >= 2 ** (24 / 8)
         for i in range(total):
@@ -336,12 +336,12 @@ class TestCodeConstruction:
                 assert hyp.hamming(words[i], words[j]) * 8 >= 24
 
     def test_random_greedy_large_length(self):
-        words = hyp.vg_code(40, seed=5)
+        words = hyp._certified_code(40, 5)[0]
         assert words.shape[1] == 40
         assert words.shape[0] - 1 >= 2 ** (40 / 8)
 
     def test_deterministic(self):
-        assert np.array_equal(hyp.vg_code(16, seed=9), hyp.vg_code(16, seed=9))
+        assert np.array_equal(hyp._certified_code(16, 9)[0], hyp._certified_code(16, 9)[0])
 
 
 class TestCodeDistance:
@@ -378,14 +378,14 @@ class TestCodeDistance:
         # m = 105 needs 8935 words, over the 2^13 + 1 the search builds
         monkeypatch.setattr(hyp.np.random, "default_rng", None)
         with pytest.raises(ConstructionFailure, match="m = 105 needs 8935 codewords"):
-            hyp.vg_code(105)
+            hyp._certified_code(105, 0)[0]
 
     def test_size_limit_admits_the_limit_itself(self, monkeypatch):
         # m = 16 needs 5 words, m = 17 needs 6
         monkeypatch.setattr(hyp, "_MAX_WORDS", 5)
-        assert hyp.vg_code(16).shape == (5, 16)
+        assert hyp._certified_code(16, 0)[0].shape == (5, 16)
         with pytest.raises(ConstructionFailure, match="m = 17 needs 6 codewords"):
-            hyp.vg_code(17)
+            hyp._certified_code(17, 0)[0]
 
 
 class TestFamily:
@@ -454,7 +454,7 @@ class TestFamily:
             prof = family.profile(k)
             vals = prof.eval(ts)
             assert vals.min() >= 1.0
-            assert vals.max() <= family.upper_bound + 1e-12
+            assert vals.max() <= 1.0 + family.amplitude * family.kernel.sup_value + 1e-12
             assert hyp.holder_check(prof.eval, family.alpha, family.l_const,
                                     grid_size=grid_size, deriv=prof.deriv)
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from conftest import rand_psd, rand_sym
+from conftest import failing_pivot, rand_psd, rand_sym
 
 from mnlab import linalg as la
 from mnlab import structures as st
-from mnlab.errors import NotPositiveDefinite
 
 
 def test_sym_mirror_is_bit_exact():
@@ -92,9 +91,9 @@ class TestCholesky:
         assert np.all(np.diag(low) > 0.0)
 
     def test_indefinite_reports_pivot(self):
-        with pytest.raises(NotPositiveDefinite) as err:
+        with pytest.raises(ValueError, match="not positive definite") as err:
             la.cholesky_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert err.value.pivot == 1
+        assert failing_pivot(err) == 1
 
     def test_roundtrip_on_random_pd(self):
         rng = np.random.default_rng(1)
@@ -165,8 +164,8 @@ class TestPsdAndLoewner:
     def test_indefinite_2x2(self):
         assert not la.is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
-    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
-    def test_least_eigenvalue_against_the_tolerance(self, tol):
+    def test_least_eigenvalue_against_the_tolerance(self):
+        tol = 1e-9
         # Q diag(lam) Q^T with lam_min at -f tol ||m||_F: rounding moves it
         # by about n eps ||m||_F, far less than the gap between f = 1/2 and 2
         rng = np.random.default_rng(int(1 / tol))
@@ -177,13 +176,12 @@ class TestPsdAndLoewner:
             for f, psd in ((0.5, True), (2.0, False)):
                 least = -f * tol * np.linalg.norm(rest) / np.sqrt(1.0 - (f * tol) ** 2)
                 m = la.sym((q * np.append(least, rest)) @ q.T)
-                assert la.is_psd(m, tol=tol) is psd, (n, f)
+                assert la.is_psd(m) is psd, (n, f)
                 assert abs(np.linalg.eigvalsh(m)[0] - least) <= 0.1 * tol * la.frobenius_norm(m)
 
     @pytest.mark.parametrize("n", [1, 2, 64])
     def test_zero_matrix_is_psd(self, n):
         assert la.is_psd(np.zeros((n, n)))
-        assert la.is_psd(np.zeros((n, n)), tol=0.0)
 
     def test_loewner_scalar_cases(self):
         assert la.loewner_leq(np.eye(3), 2.0 * np.eye(3))

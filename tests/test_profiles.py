@@ -15,7 +15,6 @@ from mnlab import hypotheses
 from mnlab.errors import QuadratureFailure
 from mnlab.hypotheses import build_family, single_bump_profile
 from mnlab.profiles import (
-    CallableProfile,
     ConstantProfile,
     PiecewiseConstantProfile,
     _gauss_legendre,
@@ -71,21 +70,7 @@ _PROFILES = (
     ConstantProfile(1.3),
     PiecewiseConstantProfile([0.3, 0.55, 0.8], [0.7, 1.9, 1.2, 0.9]),
     build_family(64, 1.0, 1.0, 7.5, "m1m2", seed=1).profile(1),
-    CallableProfile(lambda t: 1.0 + 0.5 * np.sin(3.0 * np.asarray(t))),
 )
-
-
-def _one_cell(profile, a, b, shift, coeffs):
-    """The integral over the one cell ``[a, b]``: a one-cell query, or for
-    a callable profile one :func:`checked_cells` call of its integrand."""
-    if profile.kind != "callable":
-        return profile.cell_integrals(a, b, shift, coeffs)[0]
-
-    def integrand(u, k):
-        v = u - shift
-        return sum(c * v**r for r, c in enumerate(coeffs)) * profile.eval(u)
-
-    return checked_cells(integrand, a, b)[0]
 
 
 @pytest.mark.parametrize("profile", _PROFILES, ids=lambda p: p.kind)
@@ -103,7 +88,7 @@ def test_cell_integrals_equal_the_scalar_loop_bit_for_bit(profile):
         ([0.0] * n, [k / n for k in range(1, n + 1)], [0.0] * n, [0.0, 0.0, 1.0]),
     ]
     for lo, hi, shift, coeffs in cases:
-        loop = np.array([_one_cell(profile, a, b, s, coeffs)
+        loop = np.array([profile.cell_integrals(a, b, s, coeffs)[0]
                          for a, b, s in zip(lo, hi, shift)])
         got = profile.cell_integrals(np.array(lo), np.array(hi), np.array(shift),
                                      coeffs)

@@ -9,7 +9,7 @@ import pytest
 from mnlab import checks
 from mnlab import linalg as la
 from mnlab import structures as st
-from mnlab.profiles import CallableProfile, ConstantProfile
+from mnlab.profiles import ConstantProfile
 
 
 class TestBuilders:
@@ -230,7 +230,8 @@ class TestNullCovarianceSpectra:
 
 class TestPsdMajorization:
     def test_constant_sigma_reduces_to_scaling(self):
-        report = checks.verify_psd_majorization(ConstantProfile(1.0), 1.0, 32)
+        one = ConstantProfile(1.0)
+        report = checks.verify_psd_majorization(lambda t: np.sqrt(one.eval(t)), 1.0, 32)
         assert report.passed
         assert report.min_eigenvalue >= 0.0
 
@@ -238,7 +239,9 @@ class TestPsdMajorization:
         from mnlab.hypotheses import build_family
 
         family = build_family(128, 1.0, 1.0, 7.2, "m1m2", seed=3)
-        report = checks.verify_psd_majorization(family.profile(1), 1.0, 128)
+        profile = family.profile(1)
+        report = checks.verify_psd_majorization(lambda t: np.sqrt(profile.eval(t)), 1.0,
+                                                128)
         assert report.passed
 
     def test_randomized_lipschitz_sweep(self):
@@ -248,16 +251,14 @@ class TestPsdMajorization:
             freq = int(rng.integers(1, 4))
             phase = float(rng.uniform(0, 2 * np.pi))
 
-            def sigma_sq(t, amp=amp, freq=freq, phase=phase):
+            def sigma(t, amp=amp, freq=freq, phase=phase):
                 t = np.asarray(t, dtype=float)
-                s = 1.0 + amp * (1.0 + np.sin(2 * np.pi * freq * t + phase)) / 2.0
-                return s * s
+                return 1.0 + amp * (1.0 + np.sin(2 * np.pi * freq * t + phase)) / 2.0
 
             lip = amp * np.pi * freq * 1.01 + 1e-9
-            profile = CallableProfile(sigma_sq)
-            assert checks.verify_psd_majorization(profile, lip, 64).passed
+            assert checks.verify_psd_majorization(sigma, lip, 64).passed
 
     def test_out_of_class_profile_rejected(self):
         profile = ConstantProfile(0.25)  # sigma = 0.5 < 1
         with pytest.raises(ValueError, match="sigma must be >= 1"):
-            checks.verify_psd_majorization(profile, 1.0, 16)
+            checks.verify_psd_majorization(lambda t: np.sqrt(profile.eval(t)), 1.0, 16)
